@@ -176,7 +176,7 @@ main()
         exp::TrialOutput out;
         out.simCycles = cycles;
         out.metric.add(window);
-        out.payload = exp::json::Value::object()
+        out.payload = json::Value::object()
                           .set("staged_at", levelName(where))
                           .set("levels_fetched", levels)
                           .set("window_lines", window)

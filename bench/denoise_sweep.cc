@@ -152,7 +152,7 @@ fig10Cell(std::uint64_t replays, const Options &opt)
             result.inferredDivides == config.victimDivides ? 1.0 : 0.0);
         out.metrics = result.metrics;
         out.payload =
-            exp::json::Value::object()
+            json::Value::object()
                 .set("correct",
                      result.inferredDivides == config.victimDivides)
                 .set("above_threshold", result.aboveThreshold)
@@ -195,7 +195,7 @@ fig11Cell(std::uint64_t replays, const Options &opt)
         out.metric.add(fig11.majorityMatchesGroundTruth ? 1.0 : 0.0);
         out.metrics = fig11.metrics;
         out.payload =
-            exp::json::Value::object()
+            json::Value::object()
                 .set("majority_matches", fig11.majorityMatchesGroundTruth)
                 .set("line_errors", line_errors)
                 .set("primed_replays",
@@ -314,7 +314,7 @@ main(int argc, char **argv)
         for (const auto *cells : {&fig10, &fig11})
             for (const Cell &cell : *cells)
                 all.push_back(cell);
-        exp::writeFileAtomic(opt.fingerprintPath, fingerprint(all));
+        writeFileAtomic(opt.fingerprintPath, fingerprint(all));
         std::printf("fingerprint written to %s\n",
                     opt.fingerprintPath.c_str());
     }

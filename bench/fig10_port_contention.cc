@@ -127,7 +127,7 @@ main(int argc, char **argv)
         out.scope.episodes = 1;
         out.scope.totalReplays = result.replaysDone;
         out.payload =
-            exp::json::Value::object()
+            json::Value::object()
                 .set("arm", arm.divides ? "div" : "mul")
                 .set("seed", arm.seed)
                 .set("samples", std::uint64_t{arm.samples})
@@ -139,7 +139,7 @@ main(int argc, char **argv)
                 .set("inferred_divides", result.inferredDivides)
                 .set("headline", arm.headline);
         if (arm.headline) {
-            exp::json::Value samples = exp::json::Value::array();
+            json::Value samples = json::Value::array();
             for (Cycles sample : result.samples)
                 samples.push(sample);
             out.payload.set("monitor_samples", std::move(samples));

@@ -218,15 +218,15 @@ main(int argc, char **argv)
                 obsOpts.fastForward.value_or(true);
             const attack::Fig11Result fig11 = attack::runFig11(config);
             out.payload =
-                exp::json::Value::object()
+                json::Value::object()
                     .set("kind", "fig11")
                     .set("consistent",
                          fig11.consistentAcrossPrimedReplays)
                     .set("matches_ground_truth",
                          fig11.matchesGroundTruth);
-            exp::json::Value probes = exp::json::Value::array();
+            json::Value probes = json::Value::array();
             for (const attack::LineProbe &probe : fig11.replays) {
-                exp::json::Value row = exp::json::Value::array();
+                json::Value row = json::Value::array();
                 for (Cycles latency : probe.latency)
                     row.push(latency);
                 probes.push(std::move(row));
@@ -253,7 +253,7 @@ main(int argc, char **argv)
         out.scope.totalReplays = recovery.replays;
         out.scope.handleFaults = recovery.faults;
         out.payload =
-            exp::json::Value::object()
+            json::Value::object()
                 .set("kind",
                      ctx.index == 1 ? "extraction-paper-key"
                                     : "extraction-random-key")

@@ -40,11 +40,11 @@
  *     Results land in bench-results/BENCH_svc.json.  `--svc=off`
  *     skips the section (e.g. sandboxes without AF_UNIX sockets).
  *  5. **Observability A/B** (DESIGN.md §14) — the same
- *     fig11_aes_replay request at --obs=off/metrics/trace/full.
- *     Observation must never perturb results: all four deterministic
+ *     fig11_aes_replay request at --obs=off/metrics/trace.
+ *     Observation must never perturb results: all three deterministic
  *     fingerprints must be byte-identical (hard failure), and the
  *     wall-clock overhead of --obs=metrics over --obs=off is gated at
- *     <= 1.10x.  The trace arms spill per-trial event logs and the
+ *     <= 1.10x.  The trace arm spills per-trial event logs and the
  *     section merges them (obs::mergeChromeTraces) as a smoke test of
  *     the cross-process aggregation path.  Results land in
  *     bench-results/BENCH_obs.json; `--obs=LEVEL` pins one arm.
@@ -71,9 +71,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -83,7 +81,8 @@
 #include <unistd.h>
 
 #include "attack/aes_attack.hh"
-#include "attack/port_contention.hh"
+#include "common/fsio.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "core/microscope.hh"
 #include "crypto/aes.hh"
@@ -105,42 +104,39 @@ namespace
 constexpr std::size_t trials = 16;
 constexpr std::size_t fig11Trials = 8;
 
+/**
+ * A registry recipe run in-process at @p workers, with fast-forward
+ * pinned through the spec's machine factory.  The recipes build their
+ * own machines from the trial's config, so the factory reaches them.
+ */
 exp::CampaignSpec
-fig10StyleSpec(unsigned workers, bool fast_forward)
+recipeSpec(const svc::CampaignRequest &request, unsigned workers,
+           bool fast_forward)
 {
-    exp::CampaignSpec spec;
-    spec.name = workers == 1 ? "perf_campaign_serial"
-                             : "perf_campaign_parallel";
-    spec.trials = trials;
-    spec.masterSeed = 42;
+    exp::CampaignSpec spec = svc::buildSpec(request);
     spec.workers = workers;
-    spec.body = [fast_forward](const exp::TrialContext &ctx) {
-        attack::PortContentionConfig config;
-        config.victimDivides = ctx.index % 2 == 1;
-        config.samples = 800;
-        config.replays = 30;
-        config.threshold = 120;
-        config.seed = ctx.seed;
-        config.machine.fastForward = fast_forward;
-        const attack::PortContentionResult result =
-            attack::runPortContentionAttack(config);
-
-        exp::TrialOutput out;
-        for (Cycles sample : result.samples)
-            out.metric.add(static_cast<double>(sample));
-        out.metrics = result.metrics;
-        out.simCycles = result.totalCycles;
-        out.scope.episodes = 1;
-        out.scope.totalReplays = result.replaysDone;
-        out.payload = exp::json::Value::object()
-                          .set("arm", config.victimDivides ? "div"
-                                                           : "mul")
-                          .set("above_threshold", result.aboveThreshold)
-                          .set("inferred_divides",
-                               result.inferredDivides);
-        return out;
+    spec.machineFactory = [fast_forward](const exp::TrialContext &) {
+        os::MachineConfig config;
+        config.fastForward = fast_forward;
+        return config;
     };
     return spec;
+}
+
+/** Fig.-10-style port-contention sweep (the fig10_port_contention
+ *  recipe at 800 monitor samples and 30 replays per trial). */
+exp::CampaignSpec
+fig10StyleCampaign(unsigned workers, bool fast_forward)
+{
+    svc::CampaignRequest request;
+    request.recipe = "fig10_port_contention";
+    request.name = workers == 1 ? "perf_campaign_serial"
+                                : "perf_campaign_parallel";
+    request.trials = trials;
+    request.params = json::Value::object()
+                         .set("samples", std::uint64_t{800})
+                         .set("replays", std::uint64_t{30});
+    return recipeSpec(request, workers, fast_forward);
 }
 
 /**
@@ -149,45 +145,13 @@ fig10StyleSpec(unsigned workers, bool fast_forward)
  * workload event-driven fast-forward exists for.
  */
 exp::CampaignSpec
-fig11StyleSpec(const char *name, unsigned workers, bool fast_forward)
+fig11StyleCampaign(const char *name, unsigned workers, bool fast_forward)
 {
-    exp::CampaignSpec spec;
-    spec.name = name;
-    spec.trials = fig11Trials;
-    spec.masterSeed = 42;
-    spec.workers = workers;
-    spec.body = [fast_forward](const exp::TrialContext &ctx) {
-        attack::AesAttackConfig config;
-        Rng rng(ctx.seed);
-        for (unsigned i = 0; i < 16; ++i) {
-            config.key[i] = static_cast<std::uint8_t>(rng.below(256));
-            config.plaintext[i] =
-                static_cast<std::uint8_t>(rng.below(256));
-        }
-        config.seed = ctx.seed;
-        config.machine.fastForward = fast_forward;
-        const attack::Fig11Result fig11 = attack::runFig11(config);
-
-        exp::TrialOutput out;
-        out.metric.add(fig11.matchesGroundTruth ? 1.0 : 0.0);
-        out.simCycles = fig11.totalCycles;
-        out.metrics = fig11.metrics;
-        exp::json::Value probes = exp::json::Value::array();
-        for (const attack::LineProbe &probe : fig11.replays) {
-            exp::json::Value row = exp::json::Value::array();
-            for (Cycles latency : probe.latency)
-                row.push(latency);
-            probes.push(std::move(row));
-        }
-        out.payload = exp::json::Value::object()
-                          .set("consistent",
-                               fig11.consistentAcrossPrimedReplays)
-                          .set("matches_ground_truth",
-                               fig11.matchesGroundTruth)
-                          .set("probe_latencies", std::move(probes));
-        return out;
-    };
-    return spec;
+    svc::CampaignRequest request;
+    request.recipe = "fig11_aes_replay";
+    request.name = name;
+    request.trials = fig11Trials;
+    return recipeSpec(request, workers, fast_forward);
 }
 
 // Fingerprint + hash shapes live in the library now (shared with the
@@ -243,8 +207,8 @@ struct PrefixRig
     }
 };
 
-/** The shared §12 warmup: build the AES enclave rig and warm-decrypt
- *  (used by the prefix-snapshot and differential-replay sections). */
+/** The §12 warmup of the differential-replay section: build the AES
+ *  enclave rig and warm-decrypt. */
 std::shared_ptr<const void>
 aesRigWarmup(os::Machine &m)
 {
@@ -272,124 +236,22 @@ aesRigWarmup(os::Machine &m)
     return rig;
 }
 
+/** The aes_prefix_replay recipe with one A/B arm's knobs. */
 exp::CampaignSpec
-prefixSpec(const char *name, bool prefix_cache, bool pool)
+prefixCampaign(const char *name, bool prefix_cache, bool pool)
 {
-    exp::CampaignSpec spec;
-    spec.name = name;
-    spec.trials = prefixTrials;
-    spec.masterSeed = 42;
+    svc::CampaignRequest request;
+    request.recipe = "aes_prefix_replay";
+    request.name = name;
+    request.trials = prefixTrials;
+    exp::CampaignSpec spec = svc::buildSpec(request);
     spec.workers = 1;
     spec.prefixCache = prefix_cache;
     spec.machinePool = pool;
     // The fingerprint rides on the aggregate (plus payloads); the
     // per-trial component-metric blocks are pure serialization weight.
     spec.perTrialMetrics = false;
-
-    spec.warmup = aesRigWarmup;
-
-    spec.body = [](const exp::TrialContext &ctx) {
-        os::Machine &m = *ctx.fork;
-        const auto *rig =
-            static_cast<const PrefixRig *>(ctx.warmupData);
-
-        // Per-trial secret input, drawn from the trial stream.
-        Rng rng(ctx.seed);
-        std::uint8_t plaintext[16], ct[16];
-        for (unsigned i = 0; i < 16; ++i)
-            plaintext[i] = static_cast<std::uint8_t>(rng.below(256));
-        crypto::encryptBlock(rig->encKey, plaintext, ct);
-        crypto::loadCiphertext(m.kernel(), rig->pid, rig->layout, ct);
-
-        const auto probeTable = [&](unsigned table) {
-            attack::LineProbe probe;
-            for (unsigned line = 0; line < 16; ++line) {
-                const os::ProbeResult r = m.kernel().timedProbePhys(
-                    rig->tablePa[table] + line * lineSize);
-                probe.latency[line] = r.latency;
-                probe.level[line] = r.level;
-            }
-            return probe;
-        };
-        const auto primeTables = [&] {
-            for (unsigned t = 0; t < 4; ++t)
-                m.kernel().primeRange(rig->tablePa[t], 1024);
-        };
-
-        std::vector<attack::LineProbe> replays;
-        ms::Microscope scope(m);
-        ms::AttackRecipe recipe;
-        recipe.victim = rig->pid;
-        recipe.replayHandle = rig->layout.td0;
-        recipe.pivot = rig->layout.rk;
-        recipe.confidence = 3;
-        recipe.maxEpisodes = 1;
-        recipe.walkPlan = ms::PageWalkPlan::longest();
-        recipe.onReplay = [&](const ms::ReplayEvent &) {
-            replays.push_back(probeTable(1));
-            return true;
-        };
-        recipe.beforeResume = [&](const ms::ReplayEvent &) {
-            primeTables();
-        };
-        scope.setRecipe(std::move(recipe));
-
-        primeTables();
-        scope.arm();
-        m.kernel().startOnContext(rig->pid, 0, rig->program);
-        m.runUntilHalted(0, 50'000'000);
-        scope.disarm();
-
-        // Ground truth + majority vote over the primed replays, as in
-        // the Figure-11 run.
-        std::set<unsigned> expected;
-        const crypto::DecAccessTrace trace =
-            crypto::traceDecryption(rig->decKey, ct);
-        for (std::uint8_t index : trace.indices[0][1])
-            expected.insert(crypto::tableLineOf(index));
-        std::array<unsigned, 16> votes{};
-        std::size_t primed = replays.size() > 1 ? replays.size() - 1
-                                                : 0;
-        for (std::size_t i = 1; i < replays.size(); ++i)
-            for (unsigned line :
-                 replays[i].hitLines(prefixHitThreshold))
-                ++votes[line];
-        std::set<unsigned> majority;
-        for (unsigned line = 0; line < 16; ++line)
-            if (votes[line] * 2 > primed)
-                majority.insert(line);
-        const bool matches = primed > 0 && majority == expected;
-
-        exp::TrialOutput out;
-        out.metric.add(matches ? 1.0 : 0.0);
-        out.simCycles = m.cycle() - ctx.forkCycle;
-        out.scope.episodes = 1;
-        out.scope.totalReplays = scope.stats().totalReplays;
-        obs::MetricRegistry registry;
-        m.exportMetrics(registry);
-        scope.exportMetrics(registry);
-        out.metrics = registry.snapshot();
-
-        exp::json::Value probes = exp::json::Value::array();
-        for (const attack::LineProbe &probe : replays) {
-            exp::json::Value row = exp::json::Value::array();
-            for (Cycles latency : probe.latency)
-                row.push(latency);
-            probes.push(std::move(row));
-        }
-        out.payload = exp::json::Value::object()
-                          .set("matches_ground_truth", matches)
-                          .set("probe_latencies", std::move(probes));
-        return out;
-    };
     return spec;
-}
-
-void
-writeTextFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
 }
 
 /** Run section 3; returns false on a hard failure. */
@@ -408,23 +270,23 @@ prefixSection(std::optional<bool> prefix_cache, std::optional<bool> pool,
         const bool cache = prefix_cache.value_or(true);
         const bool pooled = pool.value_or(true);
         exp::CampaignResult pinned =
-            exp::runCampaign(prefixSpec("perf_campaign_prefix_pinned",
-                                        cache, pooled));
+            exp::runCampaign(prefixCampaign(
+                "perf_campaign_prefix_pinned", cache, pooled));
         std::printf("prefix-cache=%s pool=%s:\n", cache ? "on" : "off",
                     pooled ? "on" : "off");
         report("pinned", pinned);
         sink.consume(pinned);
-        writeTextFile(cache ? "bench-results/BENCH_prefix_fp_on.txt"
+        writeFileAtomic(cache ? "bench-results/BENCH_prefix_fp_on.txt"
                             : "bench-results/BENCH_prefix_fp_off.txt",
                       deterministicFingerprint(pinned));
         return pinned.aggregate.ok == prefixTrials;
     }
 
     exp::CampaignResult off = exp::runCampaign(
-        prefixSpec("perf_campaign_prefix_off", false, false));
+        prefixCampaign("perf_campaign_prefix_off", false, false));
     report("cold", off);
     exp::CampaignResult on = exp::runCampaign(
-        prefixSpec("perf_campaign_prefix_on", true, true));
+        prefixCampaign("perf_campaign_prefix_on", true, true));
     report("forked", on);
 
     const double speedup =
@@ -442,14 +304,14 @@ prefixSection(std::optional<bool> prefix_cache, std::optional<bool> pool,
 
     sink.consume(off);
     sink.consume(on);
-    writeTextFile("bench-results/BENCH_prefix_fp_off.txt", fpOff);
-    writeTextFile("bench-results/BENCH_prefix_fp_on.txt", fpOn);
+    writeFileAtomic("bench-results/BENCH_prefix_fp_off.txt", fpOff);
+    writeFileAtomic("bench-results/BENCH_prefix_fp_on.txt", fpOn);
 
-    const exp::json::Value bench =
-        exp::json::Value::object()
+    const json::Value bench =
+        json::Value::object()
             .set("bench", "perf_campaign_prefix")
             .set("config",
-                 exp::json::Value::object()
+                 json::Value::object()
                      .set("trials", std::uint64_t{prefixTrials})
                      .set("warm_runs", std::uint64_t{prefixWarmRuns})
                      .set("workers", std::uint64_t{1})
@@ -459,7 +321,7 @@ prefixSection(std::optional<bool> prefix_cache, std::optional<bool> pool,
             .set("speedup_vs_off", speedup)
             .set("fingerprints_identical", identical)
             .set("fingerprint", fnv1aHex(fpOn));
-    writeTextFile("bench-results/BENCH_prefix.json", bench.dump());
+    writeFileAtomic("bench-results/BENCH_prefix.json", bench.dump());
     std::printf("bench JSON: bench-results/BENCH_prefix.json "
                 "(+ fingerprint files)\n");
 
@@ -553,7 +415,7 @@ svcSection(std::optional<bool> svc_flag)
     bool ok = inproc.aggregate.ok == svcTrials;
     double overhead = 0.0;
     double bestTrialsPerSec = 0.0;
-    exp::json::Value arms = exp::json::Value::array();
+    json::Value arms = json::Value::array();
     for (unsigned workers : {1u, 2u, 4u}) {
         const SvcArm arm = runServiceArm(request, workers);
         const bool match = arm.ok && arm.fingerprint == reference;
@@ -567,7 +429,7 @@ svcSection(std::optional<bool> svc_flag)
         if (workers == 1 && inproc.wallSeconds > 0.0)
             overhead = arm.wallSeconds / inproc.wallSeconds;
         bestTrialsPerSec = std::max(bestTrialsPerSec, tps);
-        arms.push(exp::json::Value::object()
+        arms.push(json::Value::object()
                       .set("workers", workers)
                       .set("wall_seconds", arm.wallSeconds)
                       .set("trials_per_sec", tps)
@@ -578,11 +440,11 @@ svcSection(std::optional<bool> svc_flag)
     std::printf("\nservice overhead vs in-process (1 worker): %.2fx "
                 "(gate: <= %.1fx)\n", overhead, svcOverheadGate);
 
-    const exp::json::Value bench =
-        exp::json::Value::object()
+    const json::Value bench =
+        json::Value::object()
             .set("bench", "perf_campaign_svc")
             .set("config",
-                 exp::json::Value::object()
+                 json::Value::object()
                      .set("recipe", "fig11_aes_replay")
                      .set("trials", std::uint64_t{svcTrials})
                      .set("master_seed", std::uint64_t{42}))
@@ -591,7 +453,7 @@ svcSection(std::optional<bool> svc_flag)
             .set("fingerprints_identical", ok)
             .set("fingerprint", reference)
             .set("arms", std::move(arms));
-    writeTextFile("bench-results/BENCH_svc.json", bench.dump());
+    writeFileAtomic("bench-results/BENCH_svc.json", bench.dump());
     std::printf("bench JSON: bench-results/BENCH_svc.json\n");
 
     // Determinism is absolute; the overhead gate keeps the wire +
@@ -649,7 +511,7 @@ obsSection(std::optional<obs::ObsLevel> pinned)
 {
     std::printf("\n==============================================================\n");
     std::printf("Observability A/B: fig11_aes_replay at "
-                "--obs=off/metrics/trace/full, %zu trials\n",
+                "--obs=off/metrics/trace, %zu trials\n",
                 obsTrials);
     std::printf("==============================================================\n\n");
 
@@ -672,7 +534,7 @@ obsSection(std::optional<obs::ObsLevel> pinned)
     std::vector<ObsArm> arms;
     for (const obs::ObsLevel level :
          {obs::ObsLevel::Off, obs::ObsLevel::Metrics,
-          obs::ObsLevel::Trace, obs::ObsLevel::Full}) {
+          obs::ObsLevel::Trace}) {
         std::string dir;
         if (level >= obs::ObsLevel::Trace) {
             dir = spillBase + "_" +
@@ -699,8 +561,8 @@ obsSection(std::optional<obs::ObsLevel> pinned)
                 "%s\n", identical ? "yes" : "NO");
 
     // Prof must be present exactly when the dial says so.
-    const bool profGated = !arms[0].hasProf && arms[1].hasProf &&
-                           arms[2].hasProf && arms[3].hasProf;
+    const bool profGated =
+        !arms[0].hasProf && arms[1].hasProf && arms[2].hasProf;
     if (!profGated)
         std::printf("prof presence does not match the obs dial\n");
 
@@ -719,27 +581,27 @@ obsSection(std::optional<obs::ObsLevel> pinned)
     const std::string mergedPath =
         "bench-results/perf_campaign_obs.trace.json";
     if (!spills.empty())
-        writeTextFile(mergedPath,
+        writeFileAtomic(mergedPath,
                       obs::mergeChromeTraces(std::move(spills)));
     std::printf("trace arm spilled %zu/%zu trials; merged trace: "
                 "%s\n",
                 spillCount, obsTrials,
                 spillCount ? mergedPath.c_str() : "(none)");
 
-    exp::json::Value armsJson = exp::json::Value::array();
+    json::Value armsJson = json::Value::array();
     for (const ObsArm &arm : arms)
-        armsJson.push(exp::json::Value::object()
+        armsJson.push(json::Value::object()
                           .set("obs", arm.name)
                           .set("wall_seconds", arm.wallSeconds)
                           .set("trials_per_sec", arm.trialsPerSec)
                           .set("has_prof", arm.hasProf)
                           .set("fingerprint_match",
                                arm.fingerprint == arms[0].fingerprint));
-    const exp::json::Value bench =
-        exp::json::Value::object()
+    const json::Value bench =
+        json::Value::object()
             .set("bench", "perf_campaign_obs")
             .set("config",
-                 exp::json::Value::object()
+                 json::Value::object()
                      .set("recipe", "fig11_aes_replay")
                      .set("trials", std::uint64_t{obsTrials})
                      .set("master_seed", std::uint64_t{42}))
@@ -749,7 +611,7 @@ obsSection(std::optional<obs::ObsLevel> pinned)
             .set("fingerprint", fnv1aHex(arms[0].fingerprint))
             .set("trace_spills", std::uint64_t{spillCount})
             .set("arms", std::move(armsJson));
-    writeTextFile("bench-results/BENCH_obs.json", bench.dump());
+    writeFileAtomic("bench-results/BENCH_obs.json", bench.dump());
     std::printf("bench JSON: bench-results/BENCH_obs.json\n");
 
     return ok && identical && profGated && spillCount == obsTrials &&
@@ -922,14 +784,14 @@ diffReplaySpec(const char *name, bool differential)
         scope.exportMetrics(registry);
         out.metrics = registry.snapshot();
 
-        exp::json::Value probes = exp::json::Value::array();
+        json::Value probes = json::Value::array();
         for (const attack::LineProbe &probe : windows) {
-            exp::json::Value row = exp::json::Value::array();
+            json::Value row = json::Value::array();
             for (Cycles latency : probe.latency)
                 row.push(latency);
             probes.push(std::move(row));
         }
-        out.payload = exp::json::Value::object()
+        out.payload = json::Value::object()
                           .set("matches_ground_truth", matches)
                           .set("final_cycle", m.cycle())
                           .set("probe_latencies", std::move(probes));
@@ -956,7 +818,7 @@ diffReplaySection(std::optional<bool> pinned, exp::JsonFileSink &sink)
         std::printf("diffreplay=%s:\n", on ? "on" : "off");
         report("pinned", result);
         sink.consume(result);
-        writeTextFile(on
+        writeFileAtomic(on
                           ? "bench-results/BENCH_diffreplay_fp_on.txt"
                           : "bench-results/BENCH_diffreplay_fp_off.txt",
                       deterministicFingerprint(result));
@@ -985,14 +847,14 @@ diffReplaySection(std::optional<bool> pinned, exp::JsonFileSink &sink)
 
     sink.consume(off);
     sink.consume(on);
-    writeTextFile("bench-results/BENCH_diffreplay_fp_off.txt", fpOff);
-    writeTextFile("bench-results/BENCH_diffreplay_fp_on.txt", fpOn);
+    writeFileAtomic("bench-results/BENCH_diffreplay_fp_off.txt", fpOff);
+    writeFileAtomic("bench-results/BENCH_diffreplay_fp_on.txt", fpOn);
 
-    const exp::json::Value bench =
-        exp::json::Value::object()
+    const json::Value bench =
+        json::Value::object()
             .set("bench", "perf_campaign_diffreplay")
             .set("config",
-                 exp::json::Value::object()
+                 json::Value::object()
                      .set("trials", std::uint64_t{diffTrials})
                      .set("replays_per_trial",
                           std::uint64_t{diffIterations})
@@ -1003,7 +865,7 @@ diffReplaySection(std::optional<bool> pinned, exp::JsonFileSink &sink)
             .set("speedup_vs_off", speedup)
             .set("fingerprints_identical", identical)
             .set("fingerprint", fnv1aHex(fpOn));
-    writeTextFile("bench-results/BENCH_diffreplay.json", bench.dump());
+    writeFileAtomic("bench-results/BENCH_diffreplay.json", bench.dump());
     std::printf("bench JSON: bench-results/BENCH_diffreplay.json "
                 "(+ fingerprint files)\n");
 
@@ -1031,10 +893,10 @@ shardingSection(bool fast_forward, exp::JsonFileSink &sink)
     std::printf("==============================================================\n\n");
 
     exp::CampaignResult serial =
-        exp::runCampaign(fig10StyleSpec(1, fast_forward));
+        exp::runCampaign(fig10StyleCampaign(1, fast_forward));
     report("serial", serial);
     exp::CampaignResult parallel =
-        exp::runCampaign(fig10StyleSpec(4, fast_forward));
+        exp::runCampaign(fig10StyleCampaign(4, fast_forward));
     report("parallel", parallel);
 
     const double speedup =
@@ -1080,7 +942,7 @@ fastForwardSection(std::optional<bool> pinned, exp::JsonFileSink &sink)
     if (pinned) {
         // Pinned mode: measure it alone, no A/B comparison possible.
         const bool ff = *pinned;
-        exp::CampaignResult result = exp::runCampaign(fig11StyleSpec(
+        exp::CampaignResult result = exp::runCampaign(fig11StyleCampaign(
             ff ? "perf_campaign_fig11_ff_on"
                : "perf_campaign_fig11_ff_off",
             1, ff));
@@ -1091,13 +953,13 @@ fastForwardSection(std::optional<bool> pinned, exp::JsonFileSink &sink)
     }
 
     exp::CampaignResult ffOff = exp::runCampaign(
-        fig11StyleSpec("perf_campaign_fig11_ff_off", 1, false));
+        fig11StyleCampaign("perf_campaign_fig11_ff_off", 1, false));
     report("ff=off", ffOff);
     exp::CampaignResult ffOn = exp::runCampaign(
-        fig11StyleSpec("perf_campaign_fig11_ff_on", 1, true));
+        fig11StyleCampaign("perf_campaign_fig11_ff_on", 1, true));
     report("ff=on", ffOn);
     exp::CampaignResult ffOn4 = exp::runCampaign(
-        fig11StyleSpec("perf_campaign_fig11_ff_on4", 4, true));
+        fig11StyleCampaign("perf_campaign_fig11_ff_on4", 4, true));
     report("ff=on", ffOn4);
 
     const double ffSpeedup = ffOn.wallSeconds > 0.0
@@ -1166,9 +1028,13 @@ main(int argc, char **argv)
             diffReplayFlag = true;
         else if (arg == "--diffreplay=off")
             diffReplayFlag = false;
-        else if (arg.rfind("--section=", 0) == 0)
-            sectionFlag = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 10, nullptr, 10));
+        else if (arg.rfind("--section=", 0) == 0) {
+            const std::uint64_t n =
+                obs::requireUnsignedFlag("--section", argv[i] + 10, 6);
+            if (n == 0)
+                panic("--section: sections are numbered 1-6");
+            sectionFlag = static_cast<unsigned>(n);
+        }
         else
             rest.push_back(argv[i]);
     }

@@ -26,10 +26,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/fsio.hh"
+#include "common/logging.hh"
 #include "exp/campaign.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/cli.hh"
-#include "obs/log.hh"
 #include "obs/prof.hh"
 #include "svc/client.hh"
 #include "svc/registry.hh"
@@ -61,7 +62,7 @@ usage(const char *argv0)
         "  --deadline=SEC        wall-clock deadline; past it the\n"
         "                        daemon auto-cancels (checkpoint "
         "kept)\n"
-        "  --obs=LEVEL           off|metrics|trace|full (default off)\n"
+        "  --obs=LEVEL           off|metrics|trace (default off)\n"
         "  --stream-every=N      update frame every N trials\n"
         "  --out=PATH            NDJSON stream of updates + result\n"
         "  --fingerprint-out=P   write the result fingerprint to P\n"
@@ -256,13 +257,6 @@ traceMain(const std::string &dir, const std::string &out_path)
     return 0;
 }
 
-void
-writeTextFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << text;
-}
-
 } // namespace
 
 int
@@ -273,7 +267,7 @@ main(int argc, char **argv)
     int worker_exit = 0;
     if (svc::maybeRunWorkerMain(argc, argv, &worker_exit))
         return worker_exit;
-    obs::configureLogFromEnv();
+    configureLogFromEnv();
 
     std::string subcommand;
     int first_flag = 1;
@@ -393,14 +387,14 @@ main(int argc, char **argv)
         } else if (auto v = valueOf("--dir="))
             trace_dir = *v;
         else if (auto v = valueOf("--log-level=")) {
-            obs::LogConfig lc = obs::logConfig();
-            if (auto level = obs::parseLogLevel(*v))
+            LogConfig lc = logConfig();
+            if (auto level = parseLogLevel(*v))
                 lc.level = *level;
-            obs::configureLog(lc);
+            configureLog(lc);
         } else if (arg == "--log-json") {
-            obs::LogConfig lc = obs::logConfig();
+            LogConfig lc = logConfig();
             lc.json = true;
-            obs::configureLog(lc);
+            configureLog(lc);
         } else if (arg == "--json")
             stats_json = true;
         else if (arg == "--inprocess")
@@ -418,8 +412,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-
-    obs::installSimLogBridge();
 
     if (subcommand == "trace")
         return traceMain(trace_dir, out_path);
@@ -447,10 +439,10 @@ main(int argc, char **argv)
                     result.trialCount, result.aggregate.ok,
                     fingerprint.c_str());
         if (!fingerprint_path.empty())
-            writeTextFile(fingerprint_path, fingerprint + "\n");
+            writeFileAtomic(fingerprint_path, fingerprint + "\n");
         if (!out_path.empty())
-            writeTextFile(out_path,
-                          result.toJson(false).dump() + "\n");
+            writeFileAtomic(out_path,
+                            result.toJson(false).dump() + "\n");
         return result.aggregate.failed == 0 ? 0 : 1;
     }
 
@@ -561,6 +553,6 @@ main(int argc, char **argv)
     if (stream.is_open())
         stream << result.resultJson << '\n';
     if (!fingerprint_path.empty())
-        writeTextFile(fingerprint_path, result.fingerprint + "\n");
+        writeFileAtomic(fingerprint_path, result.fingerprint + "\n");
     return 0;
 }

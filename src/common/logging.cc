@@ -1,10 +1,12 @@
 #include "common/logging.hh"
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <cstdint>
+#include <cstdlib>
 #include <mutex>
-#include <set>
-#include <vector>
+
+#include "common/json.hh"
 
 namespace uscope
 {
@@ -12,31 +14,70 @@ namespace uscope
 namespace
 {
 
-/** The installed sink for panic/fatal/warn/inform, or null for the
- *  default fprintf output.  Relaxed is enough: installation happens
- *  during process setup, long before concurrent emission. */
-std::atomic<LogHandler> logHandler{nullptr};
-
-/** Route one diagnostic line: the handler if installed, else the
- *  historical fprintf shape. */
-void
-emit(int severity, const char *prefix, std::FILE *stream,
-     const std::string &msg)
+/** Process-start anchor for the monotonic timestamp column.  A
+ *  function-local static so the first log line from any translation
+ *  unit initializes it without an ordering hazard. */
+std::chrono::steady_clock::time_point
+processStart()
 {
-    if (LogHandler handler = logHandler.load(std::memory_order_relaxed)) {
-        handler(severity, msg.c_str());
-        return;
-    }
-    std::fprintf(stream, "%s: %s\n", prefix, msg.c_str());
+    static const auto start = std::chrono::steady_clock::now();
+    return start;
 }
+
+double
+secondsSinceStart()
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         processStart())
+        .count();
+}
+
+std::atomic<int> sinkLevel{static_cast<int>(LogLevel::Info)};
+std::atomic<bool> sinkJson{false};
+
+/** Serializes emission so concurrent lines never interleave. */
+std::mutex &
+emitLock()
+{
+    static std::mutex lock;
+    return lock;
+}
+
+void
+emitLine(LogLevel level, const char *component,
+         const std::uint64_t *cycle, const std::string &msg)
+{
+    const double ts = secondsSinceStart();
+    std::string line;
+    if (sinkJson.load(std::memory_order_relaxed)) {
+        line = format("{\"ts\":%.6f,\"level\":\"%s\",\"component\":"
+                      "\"%s\"",
+                      ts, logLevelName(level), component);
+        if (cycle)
+            line += format(",\"cycle\":%llu",
+                           static_cast<unsigned long long>(*cycle));
+        line += format(",\"msg\":\"%s\"}",
+                       json::Value::escape(msg).c_str());
+    } else {
+        line = format("[%9.3fs] %-5s %s: ", ts, logLevelName(level),
+                      component);
+        if (cycle)
+            line += format("@%llu ",
+                           static_cast<unsigned long long>(*cycle));
+        line += msg;
+    }
+    std::lock_guard<std::mutex> guard(emitLock());
+    std::fprintf(stderr, "%s\n", line.c_str());
+    // Structured output is often tailed live (svc_client stats
+    // --watch, CI smoke scripts); keep it unbuffered at line
+    // granularity.
+    std::fflush(stderr);
+}
+
+/** The component panic()/fatal()/warn() lines carry. */
+constexpr Logger simLog{"sim"};
 
 } // anonymous namespace
-
-void
-setLogHandler(LogHandler handler)
-{
-    logHandler.store(handler, std::memory_order_relaxed);
-}
 
 std::string
 vformat(const char *fmt, std::va_list ap)
@@ -68,7 +109,7 @@ panic(const char *fmt, ...)
     va_start(ap, fmt);
     std::string msg = vformat(fmt, ap);
     va_end(ap);
-    emit(0, "panic", stderr, msg);
+    simLog.error("%s", msg.c_str());
     throw SimPanic(msg);
 }
 
@@ -79,138 +120,143 @@ fatal(const char *fmt, ...)
     va_start(ap, fmt);
     std::string msg = vformat(fmt, ap);
     va_end(ap);
-    emit(0, "fatal", stderr, msg);
+    simLog.error("%s", msg.c_str());
     throw SimFatal(msg);
 }
 
 void
 warn(const char *fmt, ...)
 {
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    emit(1, "warn", stderr, msg);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    emit(2, "info", stdout, msg);
-}
-
-namespace
-{
-
-/**
- * Registry state shared by every Trace instance.  Function-local so
- * namespace-scope `const Trace` objects in other translation units can
- * register during static initialization without an ordering hazard.
- */
-struct TraceRegistry
-{
-    std::mutex lock;
-    std::set<std::string> categories;
-    std::vector<const Trace *> instances;
-    /** Serializes print() output so lines never interleave. */
-    std::mutex printLock;
-};
-
-TraceRegistry &
-registry()
-{
-    static TraceRegistry instance;
-    return instance;
-}
-
-bool
-categoryEnabledLocked(const TraceRegistry &reg,
-                      const std::string &category)
-{
-    return reg.categories.count("*") > 0 ||
-           reg.categories.count(category) > 0;
-}
-
-} // anonymous namespace
-
-/** Grants the registry access to each instance's cached flag. */
-struct TraceRegistryAccess
-{
-    static void
-    refresh(const Trace &trace, bool enabled)
-    {
-        trace.enabled_.store(enabled, std::memory_order_relaxed);
-    }
-
-    static void
-    refreshAllLocked(TraceRegistry &reg)
-    {
-        for (const Trace *trace : reg.instances)
-            refresh(*trace,
-                    categoryEnabledLocked(reg, trace->category()));
-    }
-};
-
-Trace::Trace(std::string category) : category_(std::move(category))
-{
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    reg.instances.push_back(this);
-    TraceRegistryAccess::refresh(*this,
-                                 categoryEnabledLocked(reg, category_));
-}
-
-Trace::~Trace()
-{
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    std::erase(reg.instances, this);
-}
-
-void
-Trace::print(std::uint64_t cycle, const char *fmt, ...) const
-{
-    if (!enabled())
+    if (!logEnabled(LogLevel::Warn))
         return;
     std::va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    simLog.vlog(LogLevel::Warn, nullptr, fmt, ap);
     va_end(ap);
-    std::lock_guard<std::mutex> guard(registry().printLock);
-    std::fprintf(stderr, "%10llu: %s: %s\n",
-                 static_cast<unsigned long long>(cycle),
-                 category_.c_str(), msg.c_str());
+}
+
+const char *
+logLevelName(LogLevel level)
+{
+    switch (level) {
+      case LogLevel::Error: return "error";
+      case LogLevel::Warn: return "warn";
+      case LogLevel::Info: return "info";
+      case LogLevel::Debug: return "debug";
+    }
+    return "?";
+}
+
+std::optional<LogLevel>
+parseLogLevel(const std::string &name)
+{
+    for (LogLevel level : {LogLevel::Error, LogLevel::Warn,
+                           LogLevel::Info, LogLevel::Debug}) {
+        if (name == logLevelName(level))
+            return level;
+    }
+    return std::nullopt;
 }
 
 void
-Trace::enable(const std::string &category)
+configureLog(const LogConfig &config)
 {
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    reg.categories.insert(category);
-    TraceRegistryAccess::refreshAllLocked(reg);
+    sinkLevel.store(static_cast<int>(config.level),
+                    std::memory_order_relaxed);
+    sinkJson.store(config.json, std::memory_order_relaxed);
+}
+
+LogConfig
+logConfig()
+{
+    LogConfig config;
+    config.level = static_cast<LogLevel>(
+        sinkLevel.load(std::memory_order_relaxed));
+    config.json = sinkJson.load(std::memory_order_relaxed);
+    return config;
 }
 
 void
-Trace::disable(const std::string &category)
+configureLogFromEnv()
 {
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    reg.categories.erase(category);
-    TraceRegistryAccess::refreshAllLocked(reg);
+    const char *value = std::getenv("USCOPE_LOG");
+    if (!value || !*value)
+        return;
+    LogConfig config = logConfig();
+    std::string token;
+    const std::string spec = value;
+    for (std::size_t pos = 0; pos <= spec.size(); ++pos) {
+        if (pos < spec.size() && spec[pos] != ',') {
+            token += spec[pos];
+            continue;
+        }
+        if (token == "json")
+            config.json = true;
+        else if (auto level = parseLogLevel(token))
+            config.level = *level;
+        else if (!token.empty())
+            warn("USCOPE_LOG: unrecognized token '%s' (expected a "
+                 "level error|warn|info|debug, or 'json')",
+                 token.c_str());
+        token.clear();
+    }
+    configureLog(config);
+}
+
+bool
+logEnabled(LogLevel level)
+{
+    return static_cast<int>(level) <=
+           sinkLevel.load(std::memory_order_relaxed);
 }
 
 void
-Trace::disableAll()
+Logger::vlog(LogLevel level, const std::uint64_t *cycle,
+             const char *fmt, std::va_list ap) const
 {
-    TraceRegistry &reg = registry();
-    std::lock_guard<std::mutex> guard(reg.lock);
-    reg.categories.clear();
-    TraceRegistryAccess::refreshAllLocked(reg);
+    if (!logEnabled(level))
+        return;
+    emitLine(level, component_, cycle, vformat(fmt, ap));
+}
+
+#define USCOPE_LOG_FRONT(name, level)                                  \
+    void Logger::name(const char *fmt, ...) const                      \
+    {                                                                  \
+        if (!logEnabled(level))                                        \
+            return;                                                    \
+        std::va_list ap;                                               \
+        va_start(ap, fmt);                                             \
+        vlog(level, nullptr, fmt, ap);                                 \
+        va_end(ap);                                                    \
+    }
+
+USCOPE_LOG_FRONT(error, LogLevel::Error)
+USCOPE_LOG_FRONT(warn, LogLevel::Warn)
+USCOPE_LOG_FRONT(info, LogLevel::Info)
+USCOPE_LOG_FRONT(debug, LogLevel::Debug)
+
+#undef USCOPE_LOG_FRONT
+
+void
+Logger::infoAt(std::uint64_t cycle, const char *fmt, ...) const
+{
+    if (!logEnabled(LogLevel::Info))
+        return;
+    std::va_list ap;
+    va_start(ap, fmt);
+    vlog(LogLevel::Info, &cycle, fmt, ap);
+    va_end(ap);
+}
+
+void
+Logger::debugAt(std::uint64_t cycle, const char *fmt, ...) const
+{
+    if (!logEnabled(LogLevel::Debug))
+        return;
+    std::va_list ap;
+    va_start(ap, fmt);
+    vlog(LogLevel::Debug, &cycle, fmt, ap);
+    va_end(ap);
 }
 
 } // namespace uscope

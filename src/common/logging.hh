@@ -1,40 +1,57 @@
 /**
  * @file
- * Status and error reporting, following the gem5 fatal/panic split:
+ * Status and error reporting: one process-wide log sink (DESIGN.md
+ * §14) and the gem5-style free functions that write to it.
  *
  *  - panic():  a simulator bug — a condition that should be impossible
- *              regardless of user input.  Throws SimPanic (so tests can
- *              assert on it) after printing.
+ *              regardless of user input.  Emits one `error` line, then
+ *              throws SimPanic (so tests can assert on it).
  *  - fatal():  the simulation cannot continue because of a user error
- *              (bad configuration, invalid arguments).  Throws SimFatal.
+ *              (bad configuration, invalid arguments).  Emits one
+ *              `error` line, then throws SimFatal.
  *  - warn():   something may be modelled imprecisely; keep going.
- *  - inform(): normal operating status.
  *
- * A lightweight trace facility (Trace) lets components emit per-cycle
- * event logs gated by named categories; it is off by default so benches
- * run at full speed.
+ * All three write under the component "sim".  Higher layers log
+ * through component-tagged `Logger` fronts onto the same sink:
  *
- * Thread-safety contract (campaign workers run concurrent Machines):
- *  - The global category set is guarded by an internal mutex;
- *    enable()/disable()/disableAll() may be called from any thread.
- *  - Trace::enabled() is a single relaxed atomic load — lock-free, so
- *    hot simulation paths never contend on the category registry.
- *    Each live Trace instance caches its own enabled flag; the
- *    category mutators walk the instance registry and refresh every
- *    cached flag under the lock.
- *  - print() serializes its final write so concurrent trace lines
- *    never interleave mid-line.
- *  - A Trace object itself must not be destroyed concurrently with a
- *    category mutation that could observe it; in practice Trace
- *    instances are namespace-scope constants or per-Machine members,
- *    both of which satisfy this.
+ *     static const Logger log("svc.daemon");
+ *     log.info("worker %d spawned (pid %d)", id, pid);
+ *
+ * Every line carries a monotonic wall timestamp (seconds since
+ * process start — steady_clock, so log deltas are real durations even
+ * if NTP steps the wall clock mid-campaign), a severity, and the
+ * component tag; the `*At` variants add the simulated cycle for
+ * sim-correlated diagnostics.  Two output shapes, chosen per process:
+ *
+ *   pretty (default):  [  12.345s] warn  svc.daemon: message
+ *   NDJSON (--log-json / USCOPE_LOG=json):
+ *       {"ts":12.345,"level":"warn","component":"svc.daemon",
+ *        "msg":"message"}
+ *
+ * Configuration is per-process: `configureLogFromEnv()` reads
+ * `USCOPE_LOG` (comma-separated tokens: a level name `error|warn|
+ * info|debug`, and/or `json`); daemons and workers also accept
+ * `--log-level=L` / `--log-json` and forward them to children so one
+ * flag configures the whole worker tree.  The level gates every line,
+ * warn() included: a warn() from deep inside a Machine is dropped at
+ * --log-level=error like any other warn line.
+ *
+ * The observation-must-not-perturb contract: logging formats and
+ * emits only — it never touches simulation state, and campaign
+ * fingerprints are proven (tests/test_log) byte-identical at every
+ * level, error through debug, pretty and NDJSON alike.
+ *
+ * Thread safety: the sink config is written during process startup
+ * and read with relaxed atomics; line emission serializes on an
+ * internal mutex so concurrent lines never interleave mid-line.
  */
 
 #ifndef USCOPE_COMMON_LOGGING_HH
 #define USCOPE_COMMON_LOGGING_HH
 
-#include <atomic>
 #include <cstdarg>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -71,60 +88,85 @@ std::string format(const char *fmt, ...)
 /** Report a non-fatal modelling caveat. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+/** Severity, most to least severe.  A sink at level L emits lines
+ *  with severity <= L. */
+enum class LogLevel : int
+{
+    Error = 0,
+    Warn = 1,
+    Info = 2,
+    Debug = 3,
+};
+
+/** Printable name ("error", "warn", "info", "debug"). */
+const char *logLevelName(LogLevel level);
+
+/** Inverse of logLevelName; nullopt on anything else. */
+std::optional<LogLevel> parseLogLevel(const std::string &name);
+
+/** The process-wide sink configuration. */
+struct LogConfig
+{
+    LogLevel level = LogLevel::Info;
+    /** NDJSON lines instead of pretty ones. */
+    bool json = false;
+};
+
+/** Install @p config as the process-wide sink. */
+void configureLog(const LogConfig &config);
+
+/** Current sink configuration. */
+LogConfig logConfig();
 
 /**
- * Pluggable sink for panic/fatal/warn/inform text.
- *
- * `severity` is 0 for panic/fatal (the exception still propagates),
- * 1 for warn, 2 for inform.  Installing a handler replaces the
- * default `fprintf(stderr/stdout, ...)` output entirely; passing
- * nullptr restores it.  The hook exists so higher layers (obs::Logger)
- * can route simulator diagnostics through a structured sink without
- * common/ depending on them.  The handler must be callable from any
- * thread and must not call back into panic()/fatal()/warn()/inform().
+ * Configure from `USCOPE_LOG` — comma-separated tokens, each either a
+ * level name or `json` (e.g. `USCOPE_LOG=debug,json`).  Unrecognized
+ * tokens warn and are ignored; an unset/empty variable leaves the
+ * defaults.  Idempotent and cheap; call it at the top of main().
  */
-using LogHandler = void (*)(int severity, const char *msg);
-void setLogHandler(LogHandler handler);
+void configureLogFromEnv();
+
+/** True when a line at @p level would be emitted (cheap gate for
+ *  callers that want to skip formatting work entirely). */
+bool logEnabled(LogLevel level);
 
 /**
- * Per-category trace gate.  Components construct one with a category
- * name; Trace::enable()/disable() flips categories globally by name
- * ("*" matches all).
+ * One component's front onto the shared sink.  Cheap to construct
+ * (stores a pointer); intended as a namespace-scope or static-local
+ * constant per component.
  */
-class Trace
+class Logger
 {
   public:
-    explicit Trace(std::string category);
-    ~Trace();
-
-    Trace(const Trace &) = delete;
-    Trace &operator=(const Trace &) = delete;
-
-    /** True when this category is currently enabled (lock-free). */
-    bool enabled() const
+    explicit constexpr Logger(const char *component)
+        : component_(component)
     {
-        return enabled_.load(std::memory_order_relaxed);
     }
 
-    const std::string &category() const { return category_; }
+    const char *component() const { return component_; }
 
-    /** Emit one trace line, prefixed by the cycle and category. */
-    void print(std::uint64_t cycle, const char *fmt, ...) const
+    void error(const char *fmt, ...) const
+        __attribute__((format(printf, 2, 3)));
+    void warn(const char *fmt, ...) const
+        __attribute__((format(printf, 2, 3)));
+    void info(const char *fmt, ...) const
+        __attribute__((format(printf, 2, 3)));
+    void debug(const char *fmt, ...) const
+        __attribute__((format(printf, 2, 3)));
+
+    /** Cycle-correlated variants: the line additionally carries the
+     *  simulated cycle (pretty: `@cycle`, NDJSON: `"cycle":N`). */
+    void infoAt(std::uint64_t cycle, const char *fmt, ...) const
+        __attribute__((format(printf, 3, 4)));
+    void debugAt(std::uint64_t cycle, const char *fmt, ...) const
         __attribute__((format(printf, 3, 4)));
 
-    static void enable(const std::string &category);
-    static void disable(const std::string &category);
-    static void disableAll();
+    /** The core emitter the convenience fronts funnel into. */
+    void vlog(LogLevel level, const std::uint64_t *cycle,
+              const char *fmt, std::va_list ap) const;
 
   private:
-    friend struct TraceRegistryAccess;
-
-    std::string category_;
-    /** Cached gate, refreshed under the registry lock by the static
-     *  mutators; mutable so `const Trace` globals stay valid. */
-    mutable std::atomic<bool> enabled_{false};
+    const char *component_;
 };
 
 } // namespace uscope

@@ -34,6 +34,17 @@ mix64(std::uint64_t x)
     return splitMix64(state);
 }
 
+std::uint64_t
+fnv1a64(const std::string &s)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 Rng::Rng(std::uint64_t seed_value)
 {
     seed(seed_value);

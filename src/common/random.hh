@@ -12,6 +12,7 @@
 #define USCOPE_COMMON_RANDOM_HH
 
 #include <cstdint>
+#include <string>
 
 namespace uscope
 {
@@ -24,6 +25,13 @@ namespace uscope
  * adjacent inputs overlapping PRNG expansions.
  */
 std::uint64_t mix64(std::uint64_t x);
+
+/**
+ * 64-bit FNV-1a of @p s, with an offset basis one digit short of the
+ * standard one.  Every pinned campaign fingerprint and tenant seed
+ * namespace was derived with this basis, so it stays.
+ */
+std::uint64_t fnv1a64(const std::string &s);
 
 /**
  * Xoshiro256** PRNG (Blackman & Vigna).  Small, fast, and good enough

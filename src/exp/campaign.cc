@@ -10,7 +10,6 @@
 #include "common/random.hh"
 #include "exp/checkpoint.hh"
 #include "obs/chrome_trace.hh"
-#include "obs/log.hh"
 
 namespace uscope::exp
 {
@@ -18,7 +17,7 @@ namespace uscope::exp
 namespace
 {
 
-constexpr obs::Logger log_{"exp.campaign"};
+constexpr Logger log_{"exp.campaign"};
 
 double
 elapsedSeconds(std::chrono::steady_clock::time_point since)
@@ -572,12 +571,8 @@ deterministicFingerprint(const CampaignResult &result)
 std::string
 fnv1aHex(const std::string &s)
 {
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return format("0x%016llx", static_cast<unsigned long long>(h));
+    return format("0x%016llx",
+                  static_cast<unsigned long long>(fnv1a64(s)));
 }
 
 std::size_t

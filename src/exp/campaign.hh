@@ -36,10 +36,10 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/microscope.hh"
-#include "exp/json.hh"
 #include "obs/event.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
@@ -359,8 +359,7 @@ struct CampaignSpec
      *   Trace    Metrics + per-trial event tracing: the executor
      *            forces ctx.machine.obs.traceEvents on, drains
      *            runner-provided machines into TrialOutput::trace
-     *            after the body, and spills traces to traceSpillDir;
-     *   Full     everything (today identical to Trace).
+     *            after the body, and spills traces to traceSpillDir.
      *
      * Pure observation: campaign fingerprints are byte-identical at
      * every level (enforced by tests and bench/perf_campaign §5).
@@ -519,7 +518,7 @@ CampaignAggregate aggregateTrials(const std::vector<TrialResult> &results);
  */
 std::string deterministicFingerprint(const CampaignResult &result);
 
-/** FNV-1a of @p s as "0x%016llx" — the compact form fingerprints are
+/** fnv1a64(@p s) as "0x%016llx" — the compact form fingerprints are
  *  exchanged in (bench JSON, service result frames). */
 std::string fnv1aHex(const std::string &s);
 

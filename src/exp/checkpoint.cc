@@ -12,7 +12,6 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 
 namespace uscope::exp
 {
@@ -20,7 +19,7 @@ namespace uscope::exp
 namespace
 {
 
-constexpr obs::Logger log_{"exp.checkpoint"};
+constexpr Logger log_{"exp.checkpoint"};
 
 constexpr const char *trialMagic = "uscope-trial-v1";
 constexpr const char *manifestMagic = "uscope-campaign-v1";

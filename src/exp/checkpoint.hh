@@ -51,11 +51,6 @@
 namespace uscope::exp
 {
 
-/** The atomic+durable write primitive now lives in common/fsio.hh
- *  (obs trace spills need it too); the alias keeps existing
- *  exp::writeFileAtomic callers working. */
-using uscope::writeFileAtomic;
-
 /** The campaign runner's view of one checkpoint directory. */
 class CampaignCheckpoint
 {

@@ -5,14 +5,13 @@
 
 #include "common/logging.hh"
 #include "exp/checkpoint.hh"
-#include "obs/log.hh"
 
 namespace uscope::exp
 {
 
 namespace
 {
-constexpr obs::Logger sinkLog{"exp.sink"};
+constexpr Logger sinkLog{"exp.sink"};
 } // namespace
 
 JsonStreamSink::JsonStreamSink(std::ostream &os, bool include_trials,

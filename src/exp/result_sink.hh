@@ -50,7 +50,7 @@ class JsonStreamSink : public ResultSink
 /**
  * Writes each campaign to `<dir>/<campaign name>.json`, replacing any
  * previous report of the same name.  The write is atomic (tmp +
- * rename via exp::writeFileAtomic), so a concurrent reader or a kill
+ * rename via writeFileAtomic), so a concurrent reader or a kill
  * mid-write never observes a torn report.  Throws SimFatal when the
  * file cannot be written.
  */

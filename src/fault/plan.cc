@@ -4,14 +4,13 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 
 namespace uscope::fault
 {
 
 namespace
 {
-constexpr obs::Logger log_{"fault"};
+constexpr Logger log_{"fault"};
 } // namespace
 
 const char *

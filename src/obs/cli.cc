@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 
 namespace uscope::obs
 {
@@ -101,7 +100,7 @@ parseBenchObsOptions(int argc, char **argv,
             const std::optional<ObsLevel> level =
                 value ? parseObsLevel(value) : std::nullopt;
             if (!level)
-                panic("--obs requires off|metrics|trace|full");
+                panic("--obs requires off|metrics|trace");
             opts.obsLevel = level;
         } else if (matchFlag(arg, "--log-level", &value)) {
             const std::optional<LogLevel> level =

@@ -14,11 +14,11 @@
  *                      (default: each bench's own choice — usually
  *                      both, as an A/B measurement).
  *   --obs=LEVEL        pin the campaign observability dial
- *                      (off|metrics|trace|full); unset means "bench
+ *                      (off|metrics|trace); unset means "bench
  *                      decides" — perf_campaign's obs section uses it
  *                      to re-run one arm of its A/B.
  *   --log-level=LEVEL  structured-log threshold (error|warn|info|
- *                      debug); applied via obs::configureLog.
+ *                      debug); applied via configureLog.
  *   --log-json         NDJSON log lines on stderr.
  *
  * Unknown arguments warn and are ignored so the benches stay ctest-

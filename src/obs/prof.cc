@@ -10,7 +10,6 @@ obsLevelName(ObsLevel level)
       case ObsLevel::Off: return "off";
       case ObsLevel::Metrics: return "metrics";
       case ObsLevel::Trace: return "trace";
-      case ObsLevel::Full: return "full";
     }
     return "?";
 }
@@ -18,8 +17,8 @@ obsLevelName(ObsLevel level)
 std::optional<ObsLevel>
 parseObsLevel(const std::string &name)
 {
-    for (ObsLevel level : {ObsLevel::Off, ObsLevel::Metrics,
-                           ObsLevel::Trace, ObsLevel::Full}) {
+    for (ObsLevel level :
+         {ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Trace}) {
         if (name == obsLevelName(level))
             return level;
     }

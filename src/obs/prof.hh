@@ -23,9 +23,7 @@
  *
  * ObsLevel — the campaign-wide observability dial — lives here too:
  * it gates both profiling (>= Metrics) and per-trial event tracing
- * (>= Trace); Full is Trace with nothing held back (reserved for
- * future extra-cost surfaces; today Trace and Full differ only in
- * name, and the A/B bench measures all four).
+ * (Trace).
  */
 
 #ifndef USCOPE_OBS_PROF_HH
@@ -49,10 +47,9 @@ enum class ObsLevel : int
     Off = 0,     ///< No profiling, no tracing.
     Metrics = 1, ///< Phase profiling + metric export only.
     Trace = 2,   ///< Metrics + per-trial event traces (and spills).
-    Full = 3,    ///< Everything on.
 };
 
-/** Printable name ("off", "metrics", "trace", "full"). */
+/** Printable name ("off", "metrics", "trace"). */
 const char *obsLevelName(ObsLevel level);
 
 /** Inverse of obsLevelName; nullopt on anything else. */

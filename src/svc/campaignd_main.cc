@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 #include "svc/daemon.hh"
 #include "svc/worker.hh"
 
@@ -64,7 +63,7 @@ main(int argc, char **argv)
     if (svc::maybeRunWorkerMain(argc, argv, &worker_exit))
         return worker_exit;
 
-    obs::configureLogFromEnv();
+    configureLogFromEnv();
     svc::DaemonConfig config;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -96,19 +95,19 @@ main(int argc, char **argv)
             config.worker0DieAfter =
                 static_cast<std::size_t>(std::atoll(v->c_str()));
         else if (auto v = valueOf("--log-level=")) {
-            obs::LogConfig lc = obs::logConfig();
-            if (auto level = obs::parseLogLevel(*v)) {
+            LogConfig lc = logConfig();
+            if (auto level = parseLogLevel(*v)) {
                 lc.level = *level;
-                obs::configureLog(lc);
+                configureLog(lc);
             } else {
                 std::fprintf(stderr, "unknown log level '%s'\n",
                              v->c_str());
                 return 2;
             }
         } else if (arg == "--log-json") {
-            obs::LogConfig lc = obs::logConfig();
+            LogConfig lc = logConfig();
             lc.json = true;
-            obs::configureLog(lc);
+            configureLog(lc);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -122,7 +121,6 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
-    obs::installSimLogBridge();
 
     try {
         svc::Daemon daemon(std::move(config));

@@ -3,8 +3,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "common/logging.hh"
 #include "common/random.hh"
-#include "obs/log.hh"
 
 namespace uscope::svc
 {
@@ -12,7 +12,7 @@ namespace uscope::svc
 namespace
 {
 
-constexpr obs::Logger log_{"svc.chaos"};
+constexpr Logger log_{"svc.chaos"};
 
 /** One independent deterministic stream per injection site, reseeded
  *  whenever the plan or the process role changes. */

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 #include "svc/chaos.hh"
 
 namespace uscope::svc
@@ -13,21 +12,7 @@ namespace uscope::svc
 namespace
 {
 
-constexpr obs::Logger log_{"svc.client"};
-
-std::string
-stringField(const json::Value &msg, const char *key)
-{
-    const json::Value *v = msg.get(key);
-    return v ? v->asString() : std::string();
-}
-
-std::uint64_t
-field(const json::Value &msg, const char *key)
-{
-    const json::Value *v = msg.get(key);
-    return v ? v->asU64() : 0;
-}
+constexpr Logger log_{"svc.client"};
 
 } // namespace
 

@@ -20,7 +20,6 @@
 #include "common/random.hh"
 #include "exp/campaign.hh"
 #include "exp/checkpoint.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
 #include "svc/chaos.hh"
@@ -37,7 +36,7 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-constexpr obs::Logger log_{"svc.daemon"};
+constexpr Logger log_{"svc.daemon"};
 
 /** SIGTERM => drain: finish or checkpoint in-flight shards, persist
  *  resumable manifests, exit cleanly.  The handler only flips a flag;
@@ -55,21 +54,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::uint64_t
-field(const json::Value &msg, const char *key,
-      std::uint64_t fallback = 0)
-{
-    const json::Value *v = msg.get(key);
-    return v ? v->asU64(fallback) : fallback;
-}
-
-std::string
-stringField(const json::Value &msg, const char *key)
-{
-    const json::Value *v = msg.get(key);
-    return v ? v->asString() : std::string();
 }
 
 std::string
@@ -289,9 +273,9 @@ struct Daemon::Impl
                        std::to_string(config.tun.heartbeatMs));
         // Forward the daemon's sink config so one --log-level flag
         // (or USCOPE_LOG) configures the whole worker tree uniformly.
-        const obs::LogConfig log_config = obs::logConfig();
+        const LogConfig log_config = logConfig();
         args.push_back(std::string("--log-level=") +
-                       obs::logLevelName(log_config.level));
+                       logLevelName(log_config.level));
         if (log_config.json)
             args.push_back("--log-json");
         if (slot.id == 0 && config.worker0DieAfter &&
@@ -559,7 +543,7 @@ struct Daemon::Impl
                 .set("request", c.request.toJson())
                 .set("stream_every",
                      static_cast<std::uint64_t>(c.streamEvery));
-        exp::writeFileAtomic(c.pendingFile, manifest.dump());
+        writeFileAtomic(c.pendingFile, manifest.dump());
     }
 
     void

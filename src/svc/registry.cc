@@ -95,17 +95,6 @@ CampaignRequest::identityKey() const
 }
 
 std::uint64_t
-fnv1a64(const std::string &s)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-std::uint64_t
 namespaceSeedRoot(const std::string &ns, std::uint64_t master)
 {
     if (ns.empty())
@@ -170,7 +159,7 @@ selftestRecipe(const CampaignRequest &req)
         registry.gauge("selftest.acc_norm")
             .set(static_cast<double>(acc >> 11) / (1ull << 53));
         out.metrics = registry.snapshot();
-        out.payload = exp::json::Value::object()
+        out.payload = json::Value::object()
                           .set("acc", acc)
                           .set("work", work);
         return out;
@@ -199,9 +188,10 @@ fig10Recipe(const CampaignRequest &req)
         config.replays = replays;
         config.threshold = threshold;
         config.seed = ctx.seed;
-        // Self-built machine: the executor cannot drain it, so the
-        // body adopts the obs dial and hands the drained log back.
-        config.machine.obs = ctx.machine.obs;
+        // Self-built machine from the trial's config (factory, obs
+        // dial); the executor cannot drain it, so the body hands the
+        // drained log back.
+        config.machine = ctx.machine;
         attack::PortContentionResult result =
             attack::runPortContentionAttack(config);
 
@@ -214,7 +204,7 @@ fig10Recipe(const CampaignRequest &req)
         out.scope.episodes = 1;
         out.scope.totalReplays = result.replaysDone;
         out.payload =
-            exp::json::Value::object()
+            json::Value::object()
                 .set("arm", config.victimDivides ? "div" : "mul")
                 .set("above_threshold", result.aboveThreshold)
                 .set("inferred_divides", result.inferredDivides);
@@ -240,7 +230,7 @@ fig11Recipe(const CampaignRequest &)
                 static_cast<std::uint8_t>(rng.below(256));
         }
         config.seed = ctx.seed;
-        config.machine.obs = ctx.machine.obs;
+        config.machine = ctx.machine;
         attack::Fig11Result fig11 = attack::runFig11(config);
 
         exp::TrialOutput out;
@@ -248,15 +238,15 @@ fig11Recipe(const CampaignRequest &)
         out.metric.add(fig11.matchesGroundTruth ? 1.0 : 0.0);
         out.simCycles = fig11.totalCycles;
         out.metrics = fig11.metrics;
-        exp::json::Value probes = exp::json::Value::array();
+        json::Value probes = json::Value::array();
         for (const attack::LineProbe &probe : fig11.replays) {
-            exp::json::Value row = exp::json::Value::array();
+            json::Value row = json::Value::array();
             for (Cycles latency : probe.latency)
                 row.push(latency);
             probes.push(std::move(row));
         }
         out.payload =
-            exp::json::Value::object()
+            json::Value::object()
                 .set("consistent", fig11.consistentAcrossPrimedReplays)
                 .set("matches_ground_truth", fig11.matchesGroundTruth)
                 .set("probe_latencies", std::move(probes));
@@ -409,14 +399,14 @@ aesPrefixRecipe(const CampaignRequest &)
         scope.exportMetrics(registry);
         out.metrics = registry.snapshot();
 
-        exp::json::Value probes = exp::json::Value::array();
+        json::Value probes = json::Value::array();
         for (const attack::LineProbe &probe : replays) {
-            exp::json::Value row = exp::json::Value::array();
+            json::Value row = json::Value::array();
             for (Cycles latency : probe.latency)
                 row.push(latency);
             probes.push(std::move(row));
         }
-        out.payload = exp::json::Value::object()
+        out.payload = json::Value::object()
                           .set("matches_ground_truth", matches)
                           .set("probe_latencies", std::move(probes));
         return out;

@@ -16,7 +16,7 @@
  * Seed namespaces: two tenants submitting the same request under
  * different namespaces must get decorrelated — yet individually
  * reproducible — trial streams.  namespaceSeedRoot() derives the
- * effective master seed as mix64(fnv1a(ns) ^ mix64(master)); the
+ * effective master seed as mix64(fnv1a64(ns) ^ mix64(master)); the
  * empty namespace is the identity (effective == master), so an
  * un-namespaced service run is bit-identical to the in-process runs
  * every existing bench and test performs.
@@ -79,9 +79,6 @@ struct CampaignRequest
      *  durable-state key and the reproducibility contract's scope. */
     std::string identityKey() const;
 };
-
-/** 64-bit FNV-1a (the string-hash sibling of exp::fnv1aHex). */
-std::uint64_t fnv1a64(const std::string &s);
 
 /** Effective master seed for tenant @p ns (see file comment). */
 std::uint64_t namespaceSeedRoot(const std::string &ns,

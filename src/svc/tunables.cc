@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <string>
 
-#include "obs/log.hh"
+#include "common/logging.hh"
 
 namespace uscope::svc
 {
@@ -11,7 +11,7 @@ namespace uscope::svc
 namespace
 {
 
-constexpr obs::Logger log_{"svc.tunables"};
+constexpr Logger log_{"svc.tunables"};
 
 void
 readDouble(const char *name, double *out)

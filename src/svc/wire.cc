@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "obs/log.hh"
 #include "svc/chaos.hh"
 
 namespace uscope::svc
@@ -17,8 +16,22 @@ namespace uscope::svc
 
 namespace
 {
-constexpr obs::Logger log_{"svc.wire"};
+constexpr Logger log_{"svc.wire"};
 } // namespace
+
+std::uint64_t
+field(const json::Value &msg, const char *key, std::uint64_t fallback)
+{
+    const json::Value *v = msg.get(key);
+    return v ? v->asU64(fallback) : fallback;
+}
+
+std::string
+stringField(const json::Value &msg, const char *key)
+{
+    const json::Value *v = msg.get(key);
+    return v ? v->asString() : std::string();
+}
 
 std::string
 encodeFrame(const std::string &payload)

@@ -168,6 +168,14 @@ class Conn
     std::size_t outOff_ = 0;
 };
 
+/** Unsigned member @p key of @p msg; @p fallback when absent or not
+ *  a number. */
+std::uint64_t field(const json::Value &msg, const char *key,
+                    std::uint64_t fallback = 0);
+
+/** String member @p key of @p msg; empty when absent. */
+std::string stringField(const json::Value &msg, const char *key);
+
 /**
  * Bind + listen on @p path (unlinking any stale socket first).
  * Throws SimFatal on failure — a daemon that cannot listen has

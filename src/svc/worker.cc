@@ -13,7 +13,6 @@
 #include "common/logging.hh"
 #include "exp/campaign.hh"
 #include "exp/checkpoint.hh"
-#include "obs/log.hh"
 #include "obs/prof.hh"
 #include "svc/chaos.hh"
 #include "svc/registry.hh"
@@ -28,22 +27,7 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-constexpr obs::Logger log_{"svc.worker"};
-
-std::uint64_t
-field(const json::Value &msg, const char *key,
-      std::uint64_t fallback = 0)
-{
-    const json::Value *v = msg.get(key);
-    return v ? v->asU64(fallback) : fallback;
-}
-
-std::string
-stringField(const json::Value &msg, const char *key)
-{
-    const json::Value *v = msg.get(key);
-    return v ? v->asString() : std::string();
-}
+constexpr Logger log_{"svc.worker"};
 
 /** Everything one worker process accumulates and reports. */
 struct WorkerLoop
@@ -301,7 +285,7 @@ maybeRunWorkerMain(int argc, char **argv, int *exit_code)
 {
     if (argc < 2 || std::string(argv[1]) != kWorkerArg)
         return false;
-    obs::configureLogFromEnv();
+    configureLogFromEnv();
     WorkerOptions options;
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -322,18 +306,17 @@ maybeRunWorkerMain(int argc, char **argv, int *exit_code)
         else if (auto v = valueOf("--heartbeat-ms="))
             options.heartbeatMs = std::atoi(v->c_str());
         else if (auto v = valueOf("--log-level=")) {
-            obs::LogConfig lc = obs::logConfig();
-            if (auto level = obs::parseLogLevel(*v))
+            LogConfig lc = logConfig();
+            if (auto level = parseLogLevel(*v))
                 lc.level = *level;
-            obs::configureLog(lc);
+            configureLog(lc);
         } else if (arg == "--log-json") {
-            obs::LogConfig lc = obs::logConfig();
+            LogConfig lc = logConfig();
             lc.json = true;
-            obs::configureLog(lc);
+            configureLog(lc);
         } else
             log_.warn("ignoring unknown flag '%s'", arg.c_str());
     }
-    obs::installSimLogBridge();
     // Decorrelate this worker's chaos streams from its siblings'
     // (they all inherit the same USCOPE_SVC_CHAOS).
     seedChaosRole(0x40000000ull + static_cast<std::uint64_t>(options.id));

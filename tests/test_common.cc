@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -253,26 +254,26 @@ TEST(Histogram, RawQueriesPanicWithoutRawSamples)
 
 TEST(Logging, PanicAndFatalThrow)
 {
+    // Each emits exactly one `error` line on the sink, even at the
+    // strictest level, and still throws.
+    const LogConfig saved = logConfig();
+    configureLog({LogLevel::Error, false});
+    testing::internal::CaptureStderr();
     EXPECT_THROW(panic("boom %d", 3), SimPanic);
+    const std::string panicked = testing::internal::GetCapturedStderr();
+    testing::internal::CaptureStderr();
     EXPECT_THROW(fatal("bad config %s", "x"), SimFatal);
+    const std::string failed = testing::internal::GetCapturedStderr();
+    configureLog(saved);
+
+    EXPECT_EQ(std::count(panicked.begin(), panicked.end(), '\n'), 1);
+    EXPECT_NE(panicked.find("error sim: boom 3"), std::string::npos);
+    EXPECT_EQ(std::count(failed.begin(), failed.end(), '\n'), 1);
+    EXPECT_NE(failed.find("error sim: bad config x"), std::string::npos);
 }
 
 TEST(Logging, FormatProducesText)
 {
     EXPECT_EQ(format("a=%d b=%s", 5, "hi"), "a=5 b=hi");
     EXPECT_EQ(format("%llx", 0xDEADull), "dead");
-}
-
-TEST(Logging, TraceGating)
-{
-    Trace trace("unit-test-cat");
-    EXPECT_FALSE(trace.enabled());
-    Trace::enable("unit-test-cat");
-    EXPECT_TRUE(trace.enabled());
-    Trace::disable("unit-test-cat");
-    EXPECT_FALSE(trace.enabled());
-    Trace::enable("*");
-    EXPECT_TRUE(trace.enabled());
-    Trace::disableAll();
-    EXPECT_FALSE(trace.enabled());
 }

@@ -158,10 +158,10 @@ pageFaultTrial(const exp::TrialContext &ctx, bool diff)
     for (const std::uint64_t latency : latencies)
         out.metric.add(static_cast<double>(latency));
 
-    exp::json::Value lat = exp::json::Value::array();
+    json::Value lat = json::Value::array();
     for (const std::uint64_t latency : latencies)
         lat.push(latency);
-    out.payload = exp::json::Value::object()
+    out.payload = json::Value::object()
                       .set("latencies", std::move(lat))
                       .set("final_cycle", m.cycle())
                       .set("retired", m.core().stats(0).retired);
@@ -235,10 +235,10 @@ manualTrial(const exp::TrialContext &ctx, bool diff, ManualKind kind)
         out.metric.add(static_cast<double>(latency));
 
     const auto &stats = m.core().stats(0);
-    exp::json::Value lat = exp::json::Value::array();
+    json::Value lat = json::Value::array();
     for (const std::uint64_t latency : latencies)
         lat.push(latency);
-    out.payload = exp::json::Value::object()
+    out.payload = json::Value::object()
                       .set("latencies", std::move(lat))
                       .set("final_cycle", m.cycle())
                       .set("retired", stats.retired)

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -25,7 +26,6 @@
 #include "cpu/program.hh"
 #include "exp/campaign.hh"
 #include "exp/checkpoint.hh"
-#include "exp/json.hh"
 #include "exp/result_sink.hh"
 #include "os/machine.hh"
 #include "svc/registry.hh"
@@ -128,14 +128,14 @@ TEST(MicroscopeStatsMerge, FieldsAdd)
 
 TEST(Json, ScalarsArraysObjects)
 {
-    exp::json::Value v = exp::json::Value::object()
-                             .set("name", "fig10")
-                             .set("n", std::uint64_t{10000})
-                             .set("ratio", 0.5)
-                             .set("ok", true)
-                             .set("none", exp::json::Value());
+    json::Value v = json::Value::object()
+                        .set("name", "fig10")
+                        .set("n", std::uint64_t{10000})
+                        .set("ratio", 0.5)
+                        .set("ok", true)
+                        .set("none", json::Value());
     v.set("list",
-          exp::json::Value::array().push(1).push(2).push("three"));
+          json::Value::array().push(1).push(2).push("three"));
     EXPECT_EQ(v.dump(),
               "{\"name\":\"fig10\",\"n\":10000,\"ratio\":0.5,"
               "\"ok\":true,\"none\":null,\"list\":[1,2,\"three\"]}");
@@ -143,16 +143,16 @@ TEST(Json, ScalarsArraysObjects)
 
 TEST(Json, EscapingAndOverwrite)
 {
-    exp::json::Value v = exp::json::Value::object();
+    json::Value v = json::Value::object();
     v.set("k", "a\"b\\c\nd");
     v.set("k", "replaced\t");
     EXPECT_EQ(v.dump(), "{\"k\":\"replaced\\t\"}");
-    EXPECT_EQ(exp::json::Value::escape("\x01"), "\\u0001");
+    EXPECT_EQ(json::Value::escape("\x01"), "\\u0001");
 }
 
 TEST(Json, NonFiniteDoublesAreNull)
 {
-    exp::json::Value v = exp::json::Value::array();
+    json::Value v = json::Value::array();
     v.push(std::numeric_limits<double>::quiet_NaN());
     v.push(std::numeric_limits<double>::infinity());
     EXPECT_EQ(v.dump(), "[null,null]");
@@ -165,13 +165,13 @@ TEST(Json, HistogramExportCapsRawSamples)
         hist.add(static_cast<double>(i));
 
     // Under the cap: every sample, no drop accounting needed.
-    const exp::json::Value full = exp::toJson(hist, 1000);
+    const json::Value full = exp::toJson(hist, 1000);
     EXPECT_NE(full.dump().find("\"samples\""), std::string::npos);
     EXPECT_NE(full.dump().find("\"samples_dropped\":0"),
               std::string::npos);
 
     // Over the cap: deterministic stride sampling, drops reported.
-    const exp::json::Value capped = exp::toJson(hist, 10);
+    const json::Value capped = exp::toJson(hist, 10);
     const std::string text = capped.dump();
     EXPECT_NE(text.find("\"samples_total\":100"), std::string::npos);
     EXPECT_NE(text.find("\"samples_dropped\":90"), std::string::npos);
@@ -249,7 +249,7 @@ syntheticSpec(std::size_t trials, unsigned workers)
         }
         out.simCycles = 1000 + rng.below(1000);
         out.scope.totalReplays = ctx.index;
-        out.payload = exp::json::Value::object()
+        out.payload = json::Value::object()
                           .set("acc", acc)
                           .set("first", rng.next());
         return out;
@@ -522,7 +522,7 @@ TEST(ResultSink, AnnotatesNonFiniteValuesInDumps)
     spec.workers = 1;
     spec.body = [](const exp::TrialContext &) {
         exp::TrialOutput out;
-        out.payload = exp::json::Value::object().set(
+        out.payload = json::Value::object().set(
             "bad", std::numeric_limits<double>::quiet_NaN());
         return out;
     };
@@ -782,8 +782,8 @@ TEST(Checkpoint, TrialSerializationRoundTripsBitExactly)
     registry.latency("t.lat").record(3.25);
     registry.latency("t.lat").record(-1.75);
     trial.output.metrics = registry.snapshot();
-    trial.output.payload = exp::json::Value::object()
-                               .set("nested", exp::json::Value::array()
+    trial.output.payload = json::Value::object()
+                               .set("nested", json::Value::array()
                                                   .push(1)
                                                   .push("two"))
                                .set("pi", 3.141592653589793);

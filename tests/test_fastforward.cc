@@ -20,11 +20,9 @@
 #include <vector>
 
 #include "attack/aes_attack.hh"
-#include "attack/port_contention.hh"
-#include "common/random.hh"
 #include "exp/campaign.hh"
-#include "exp/json.hh"
 #include "os/machine.hh"
+#include "svc/registry.hh"
 
 using namespace uscope;
 
@@ -36,40 +34,40 @@ namespace
 // these tests all compare the exact same bytes.
 using exp::deterministicFingerprint;
 
+/**
+ * A registry recipe with an explicit machine: fast-forward and the
+ * fault plan both come from the spec's machine factory.  The plan is
+ * pinned even when empty, so a USCOPE_FAULT_PLAN=chaos environment
+ * cannot make the quiet arms noisy.
+ */
+exp::CampaignSpec
+recipeSpec(const char *recipe, const char *name, std::size_t trials,
+           bool fast_forward, unsigned workers,
+           const fault::FaultPlan &plan)
+{
+    svc::CampaignRequest request;
+    request.recipe = recipe;
+    request.name = name;
+    request.trials = trials;
+    exp::CampaignSpec spec = svc::buildSpec(request);
+    spec.workers = workers;
+    spec.machineFactory = [fast_forward,
+                           plan](const exp::TrialContext &) {
+        os::MachineConfig config;
+        config.fastForward = fast_forward;
+        config.fault = plan;
+        return config;
+    };
+    return spec;
+}
+
 /** Fig.-10-shaped: SMT port-contention sweep, div vs mul arms. */
 exp::CampaignSpec
 fig10Spec(bool fast_forward, unsigned workers,
           const fault::FaultPlan &plan = {})
 {
-    exp::CampaignSpec spec;
-    spec.name = "ff_fig10";
-    spec.trials = 4;
-    spec.masterSeed = 42;
-    spec.workers = workers;
-    spec.body = [fast_forward, plan](const exp::TrialContext &ctx) {
-        attack::PortContentionConfig config;
-        config.victimDivides = ctx.index % 2 == 1;
-        config.samples = 120;
-        config.replays = 8;
-        config.threshold = 120;
-        config.seed = ctx.seed;
-        config.machine.fastForward = fast_forward;
-        config.machine.fault = plan;
-        const attack::PortContentionResult result =
-            attack::runPortContentionAttack(config);
-
-        exp::TrialOutput out;
-        for (Cycles sample : result.samples)
-            out.metric.add(static_cast<double>(sample));
-        out.metrics = result.metrics;
-        out.simCycles = result.totalCycles;
-        out.payload = exp::json::Value::object()
-                          .set("above_threshold", result.aboveThreshold)
-                          .set("inferred_divides",
-                               result.inferredDivides);
-        return out;
-    };
-    return spec;
+    return recipeSpec("fig10_port_contention", "ff_fig10", 4,
+                      fast_forward, workers, plan);
 }
 
 /** Fig.-11-shaped: one AES replay timeline per trial, random keys. */
@@ -77,42 +75,8 @@ exp::CampaignSpec
 fig11Spec(bool fast_forward, unsigned workers,
           const fault::FaultPlan &plan = {})
 {
-    exp::CampaignSpec spec;
-    spec.name = "ff_fig11";
-    spec.trials = 3;
-    spec.masterSeed = 42;
-    spec.workers = workers;
-    spec.body = [fast_forward, plan](const exp::TrialContext &ctx) {
-        attack::AesAttackConfig config;
-        Rng rng(ctx.seed);
-        for (unsigned i = 0; i < 16; ++i) {
-            config.key[i] = static_cast<std::uint8_t>(rng.below(256));
-            config.plaintext[i] =
-                static_cast<std::uint8_t>(rng.below(256));
-        }
-        config.seed = ctx.seed;
-        config.machine.fastForward = fast_forward;
-        config.machine.fault = plan;
-        const attack::Fig11Result fig11 = attack::runFig11(config);
-
-        exp::TrialOutput out;
-        out.metrics = fig11.metrics;
-        out.metric.add(fig11.matchesGroundTruth ? 1.0 : 0.0);
-        exp::json::Value probes = exp::json::Value::array();
-        for (const attack::LineProbe &probe : fig11.replays) {
-            exp::json::Value row = exp::json::Value::array();
-            for (Cycles latency : probe.latency)
-                row.push(latency);
-            probes.push(std::move(row));
-        }
-        out.payload = exp::json::Value::object()
-                          .set("consistent",
-                               fig11.consistentAcrossPrimedReplays)
-                          .set("matches", fig11.matchesGroundTruth)
-                          .set("probe_latencies", std::move(probes));
-        return out;
-    };
-    return spec;
+    return recipeSpec("fig11_aes_replay", "ff_fig11", 3, fast_forward,
+                      workers, plan);
 }
 
 /**

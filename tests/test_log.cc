@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for src/obs/log: level parsing, severity filtering, the
- * pretty and NDJSON line shapes, USCOPE_LOG environment config, the
- * common/logging bridge, and the observation-must-not-perturb
+ * Tests for the log sink in common/logging: level parsing, severity
+ * filtering, the pretty and NDJSON line shapes, USCOPE_LOG
+ * environment config, warn() on the same sink with nothing installed,
+ * and the observation-must-not-perturb
  * contract — campaign fingerprints are byte-identical at every log
  * level and output shape, even when trial bodies log on every trial.
  */
@@ -15,7 +16,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "exp/campaign.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 
 using namespace uscope;
@@ -23,19 +23,19 @@ using namespace uscope;
 namespace
 {
 
-constexpr obs::Logger testLog{"test.log"};
+constexpr Logger testLog{"test.log"};
 
 /** Save/restore the process-wide sink config around a test. */
 struct ScopedLogConfig
 {
-    obs::LogConfig saved = obs::logConfig();
-    ~ScopedLogConfig() { obs::configureLog(saved); }
+    LogConfig saved = logConfig();
+    ~ScopedLogConfig() { configureLog(saved); }
 };
 
 std::string
-captureLine(obs::LogConfig config, void (*emit)())
+captureLine(LogConfig config, void (*emit)())
 {
-    obs::configureLog(config);
+    configureLog(config);
     testing::internal::CaptureStderr();
     emit();
     return testing::internal::GetCapturedStderr();
@@ -45,16 +45,16 @@ captureLine(obs::LogConfig config, void (*emit)())
 
 TEST(Log, LevelNamesRoundTrip)
 {
-    for (obs::LogLevel level :
-         {obs::LogLevel::Error, obs::LogLevel::Warn,
-          obs::LogLevel::Info, obs::LogLevel::Debug}) {
-        const std::optional<obs::LogLevel> back =
-            obs::parseLogLevel(obs::logLevelName(level));
+    for (LogLevel level :
+         {LogLevel::Error, LogLevel::Warn,
+          LogLevel::Info, LogLevel::Debug}) {
+        const std::optional<LogLevel> back =
+            parseLogLevel(logLevelName(level));
         ASSERT_TRUE(back.has_value());
         EXPECT_EQ(*back, level);
     }
-    EXPECT_FALSE(obs::parseLogLevel("loud").has_value());
-    EXPECT_FALSE(obs::parseLogLevel("").has_value());
+    EXPECT_FALSE(parseLogLevel("loud").has_value());
+    EXPECT_FALSE(parseLogLevel("").has_value());
 }
 
 TEST(Log, SinkFiltersBySeverity)
@@ -62,21 +62,21 @@ TEST(Log, SinkFiltersBySeverity)
     ScopedLogConfig scoped;
 
     const std::string dropped =
-        captureLine({obs::LogLevel::Error, false},
+        captureLine({LogLevel::Error, false},
                     [] { testLog.warn("should not appear"); });
     EXPECT_TRUE(dropped.empty());
-    EXPECT_FALSE(obs::logEnabled(obs::LogLevel::Warn));
-    EXPECT_TRUE(obs::logEnabled(obs::LogLevel::Error));
+    EXPECT_FALSE(logEnabled(LogLevel::Warn));
+    EXPECT_TRUE(logEnabled(LogLevel::Error));
 
     const std::string kept =
-        captureLine({obs::LogLevel::Warn, false},
+        captureLine({LogLevel::Warn, false},
                     [] { testLog.warn("emitted %d", 42); });
     EXPECT_NE(kept.find("warn"), std::string::npos);
     EXPECT_NE(kept.find("test.log"), std::string::npos);
     EXPECT_NE(kept.find("emitted 42"), std::string::npos);
 
     const std::string debugDropped =
-        captureLine({obs::LogLevel::Info, false},
+        captureLine({LogLevel::Info, false},
                     [] { testLog.debug("too fine"); });
     EXPECT_TRUE(debugDropped.empty());
 }
@@ -86,14 +86,14 @@ TEST(Log, PrettyAndJsonLineShapes)
     ScopedLogConfig scoped;
 
     const std::string pretty =
-        captureLine({obs::LogLevel::Debug, false},
+        captureLine({LogLevel::Debug, false},
                     [] { testLog.info("hello \"world\""); });
     EXPECT_EQ(pretty.front(), '[');
     EXPECT_NE(pretty.find("info"), std::string::npos);
     EXPECT_NE(pretty.find("test.log:"), std::string::npos);
 
     const std::string json =
-        captureLine({obs::LogLevel::Debug, true},
+        captureLine({LogLevel::Debug, true},
                     [] { testLog.info("hello \"world\""); });
     EXPECT_EQ(json.front(), '{');
     EXPECT_NE(json.find("\"level\":\"info\""), std::string::npos);
@@ -104,7 +104,7 @@ TEST(Log, PrettyAndJsonLineShapes)
     EXPECT_EQ(json.find("hello \"world\""), std::string::npos);
 
     const std::string cycled =
-        captureLine({obs::LogLevel::Debug, true},
+        captureLine({LogLevel::Debug, true},
                     [] { testLog.infoAt(1234, "at a cycle"); });
     EXPECT_NE(cycled.find("\"cycle\":1234"), std::string::npos);
 }
@@ -114,16 +114,16 @@ TEST(Log, ConfiguresFromEnvironment)
     ScopedLogConfig scoped;
 
     ::setenv("USCOPE_LOG", "debug,json", 1);
-    obs::configureLogFromEnv();
-    EXPECT_EQ(obs::logConfig().level, obs::LogLevel::Debug);
-    EXPECT_TRUE(obs::logConfig().json);
+    configureLogFromEnv();
+    EXPECT_EQ(logConfig().level, LogLevel::Debug);
+    EXPECT_TRUE(logConfig().json);
 
     // Unrecognized tokens are ignored; recognized ones still apply.
     ::setenv("USCOPE_LOG", "bogus,error", 1);
     testing::internal::CaptureStderr();
-    obs::configureLogFromEnv();
+    configureLogFromEnv();
     testing::internal::GetCapturedStderr();
-    EXPECT_EQ(obs::logConfig().level, obs::LogLevel::Error);
+    EXPECT_EQ(logConfig().level, LogLevel::Error);
 
     ::unsetenv("USCOPE_LOG");
 }
@@ -142,13 +142,13 @@ loggingSpec()
     spec.masterSeed = 11;
     spec.workers = 2;
     spec.body = [](const exp::TrialContext &ctx) {
-        static constexpr obs::Logger bodyLog{"test.trial"};
+        static constexpr Logger bodyLog{"test.trial"};
         bodyLog.debug("trial %zu starting", ctx.index);
         Rng rng(ctx.seed);
         obs::MetricRegistry registry;
         registry.counter("t.count").set(rng.below(1000));
         registry.gauge("t.gauge").set(rng.uniform());
-        warn("trial %zu bridged warn", ctx.index);
+        warn("trial %zu sim warn", ctx.index);
 
         exp::TrialOutput out;
         out.metrics = registry.snapshot();
@@ -159,9 +159,9 @@ loggingSpec()
 }
 
 std::string
-fingerprintUnder(obs::LogConfig config)
+fingerprintUnder(LogConfig config)
 {
-    obs::configureLog(config);
+    configureLog(config);
     testing::internal::CaptureStderr();
     const exp::CampaignResult result =
         exp::runCampaign(loggingSpec());
@@ -176,31 +176,32 @@ TEST(Log, CampaignFingerprintInvariantAcrossLevelsAndShapes)
     ScopedLogConfig scoped;
 
     const std::string silent =
-        fingerprintUnder({obs::LogLevel::Error, false});
+        fingerprintUnder({LogLevel::Error, false});
     ASSERT_FALSE(silent.empty());
-    EXPECT_EQ(fingerprintUnder({obs::LogLevel::Warn, false}), silent);
-    EXPECT_EQ(fingerprintUnder({obs::LogLevel::Debug, false}), silent);
-    EXPECT_EQ(fingerprintUnder({obs::LogLevel::Debug, true}), silent);
+    EXPECT_EQ(fingerprintUnder({LogLevel::Warn, false}), silent);
+    EXPECT_EQ(fingerprintUnder({LogLevel::Debug, false}), silent);
+    EXPECT_EQ(fingerprintUnder({LogLevel::Debug, true}), silent);
 }
 
-TEST(Log, SimBridgeReroutesAndHonorsLevel)
+TEST(Log, WarnUsesTheOneSink)
 {
+    // No handler, no bridge: warn() is the "sim" component's warn line
+    // on the same sink, under the same level gate and line shapes.
     ScopedLogConfig scoped;
-    obs::installSimLogBridge();
 
-    const std::string dropped =
-        captureLine({obs::LogLevel::Error, false},
-                    [] { warn("bridged noise %d", 7); });
+    const std::string dropped = captureLine(
+        {LogLevel::Error, false}, [] { warn("sim noise %d", 7); });
     EXPECT_TRUE(dropped.empty());
 
-    const std::string kept =
-        captureLine({obs::LogLevel::Warn, false},
-                    [] { warn("bridged noise %d", 7); });
-    EXPECT_NE(kept.find("sim"), std::string::npos);
-    EXPECT_NE(kept.find("bridged noise 7"), std::string::npos);
+    const std::string kept = captureLine(
+        {LogLevel::Warn, false}, [] { warn("sim noise %d", 7); });
+    EXPECT_EQ(kept.front(), '[');
+    EXPECT_NE(kept.find("warn  sim: sim noise 7"), std::string::npos);
 
-    const std::string informed =
-        captureLine({obs::LogLevel::Info, false},
-                    [] { inform("bridged inform"); });
-    EXPECT_NE(informed.find("bridged inform"), std::string::npos);
+    const std::string json = captureLine(
+        {LogLevel::Warn, true}, [] { warn("sim noise %d", 7); });
+    EXPECT_EQ(json.front(), '{');
+    EXPECT_NE(json.find("\"level\":\"warn\""), std::string::npos);
+    EXPECT_NE(json.find("\"component\":\"sim\""), std::string::npos);
+    EXPECT_NE(json.find("\"msg\":\"sim noise 7\""), std::string::npos);
 }

@@ -4,20 +4,17 @@
  * ordering, the disabled-path contract), the metric registry
  * (idempotent registration, kind-collision panics, snapshot/merge
  * determinism across campaign worker counts), the Chrome trace-event
- * exporter (well-formed JSON, drop reporting), and the thread-safety
- * contract of the Trace category registry.
+ * exporter (well-formed JSON, drop reporting).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/json.hh"
@@ -28,7 +25,6 @@
 #include "obs/chrome_trace.hh"
 #include "obs/cli.hh"
 #include "obs/event_trace.hh"
-#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/observer.hh"
 #include "obs/prof.hh"
@@ -463,83 +459,6 @@ TEST(BenchCli, ParsesTraceMetricsAndCapacity)
 }
 
 // ---------------------------------------------------------------------
-// Trace category registry: thread-safety contract.
-// ---------------------------------------------------------------------
-
-TEST(TraceCategories, CachedFlagTracksCategoryToggles)
-{
-    Trace::disableAll();
-    const Trace a("obs-test-a");
-    const Trace b("obs-test-b");
-    EXPECT_FALSE(a.enabled());
-    EXPECT_FALSE(b.enabled());
-
-    Trace::enable("obs-test-a");
-    EXPECT_TRUE(a.enabled());
-    EXPECT_FALSE(b.enabled());
-
-    Trace::enable("*");
-    EXPECT_TRUE(b.enabled());
-
-    Trace::disable("*");
-    EXPECT_TRUE(a.enabled());
-    EXPECT_FALSE(b.enabled());
-
-    Trace::disableAll();
-    EXPECT_FALSE(a.enabled());
-
-    // A Trace constructed while its category is already on starts
-    // enabled (the constructor consults the registry).
-    Trace::enable("obs-test-late");
-    const Trace late("obs-test-late");
-    EXPECT_TRUE(late.enabled());
-    Trace::disableAll();
-}
-
-TEST(TraceCategories, ConcurrentTogglesAndReadsAreSafe)
-{
-    // Hammer the registry from mutator threads while reader threads
-    // spin on the lock-free enabled() gate — the pattern campaign
-    // workers create.  Run under USCOPE_SANITIZE=thread in CI.
-    Trace::disableAll();
-    const Trace traced("obs-race");
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> reads{0};
-
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 2; ++t) {
-        threads.emplace_back([&] {
-            for (int i = 0; i < 2000; ++i) {
-                Trace::enable("obs-race");
-                Trace::disable("obs-race");
-            }
-        });
-    }
-    for (int t = 0; t < 2; ++t) {
-        threads.emplace_back([&] {
-            std::uint64_t seen = 0;
-            while (!stop.load(std::memory_order_relaxed))
-                seen += traced.enabled() ? 1 : 0;
-            reads.fetch_add(seen, std::memory_order_relaxed);
-        });
-    }
-    // Constructing/destroying Traces concurrently with toggles must
-    // not corrupt the instance registry either.
-    for (int i = 0; i < 500; ++i) {
-        const Trace transient("obs-race-transient");
-        (void)transient.enabled();
-    }
-
-    threads[0].join();
-    threads[1].join();
-    stop.store(true, std::memory_order_relaxed);
-    threads[2].join();
-    threads[3].join();
-    Trace::disableAll();
-    EXPECT_FALSE(traced.enabled());
-}
-
-// ---------------------------------------------------------------------
 // Trace spills and cross-process aggregation (DESIGN.md §14).
 // ---------------------------------------------------------------------
 
@@ -680,13 +599,14 @@ TEST(Prof, ObsLevelNamesRoundTrip)
 {
     for (obs::ObsLevel level :
          {obs::ObsLevel::Off, obs::ObsLevel::Metrics,
-          obs::ObsLevel::Trace, obs::ObsLevel::Full}) {
+          obs::ObsLevel::Trace}) {
         const std::optional<obs::ObsLevel> back =
             obs::parseObsLevel(obs::obsLevelName(level));
         ASSERT_TRUE(back.has_value());
         EXPECT_EQ(*back, level);
     }
     EXPECT_FALSE(obs::parseObsLevel("verbose").has_value());
+    EXPECT_FALSE(obs::parseObsLevel("full").has_value());
     EXPECT_FALSE(obs::parseObsLevel("").has_value());
 }
 
@@ -746,7 +666,7 @@ TEST(Obs, CampaignFingerprintInvariantAcrossObsLevels)
     bool first = true;
     for (obs::ObsLevel level :
          {obs::ObsLevel::Off, obs::ObsLevel::Metrics,
-          obs::ObsLevel::Trace, obs::ObsLevel::Full}) {
+          obs::ObsLevel::Trace}) {
         exp::CampaignSpec spec = metricSpec(2);
         spec.obsLevel = level;
         const exp::CampaignResult result = exp::runCampaign(spec);
@@ -768,19 +688,19 @@ TEST(Obs, CampaignFingerprintInvariantAcrossObsLevels)
 
 TEST(BenchCli, ParsesObsAndLogFlags)
 {
-    const obs::LogConfig saved = obs::logConfig();
+    const LogConfig saved = logConfig();
 
     const char *argv[] = {"bench", "--obs=trace", "--log-level=debug"};
     const obs::BenchObsOptions opts = obs::parseBenchObsOptions(
         3, const_cast<char **>(argv), "default.json");
     ASSERT_TRUE(opts.obsLevel.has_value());
     EXPECT_EQ(*opts.obsLevel, obs::ObsLevel::Trace);
-    EXPECT_EQ(obs::logConfig().level, obs::LogLevel::Debug);
+    EXPECT_EQ(logConfig().level, LogLevel::Debug);
 
     const char *bad[] = {"bench", "--obs=everything"};
     EXPECT_THROW(obs::parseBenchObsOptions(
                      2, const_cast<char **>(bad), "d.json"),
                  SimPanic);
 
-    obs::configureLog(saved);
+    configureLog(saved);
 }

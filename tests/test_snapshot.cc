@@ -36,12 +36,12 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/random.hh"
 #include "core/microscope.hh"
 #include "crypto/aes.hh"
 #include "crypto/aes_codegen.hh"
 #include "exp/campaign.hh"
-#include "exp/json.hh"
 #include "mem/phys_mem.hh"
 #include "os/machine.hh"
 
@@ -433,7 +433,7 @@ prefixCampaign(bool prefix_cache, bool pool, unsigned workers,
         out.scope.episodes = 1;
         out.scope.totalReplays = scope.stats().totalReplays;
         out.metrics = m.metricsSnapshot();
-        out.payload = exp::json::Value::object()
+        out.payload = json::Value::object()
                           .set("replay_probes", replayProbes)
                           .set("fork_cycle", ctx.forkCycle);
         return out;
@@ -517,7 +517,7 @@ TEST(PrefixCampaign, ProvideMachinePoolsColdCampaigns)
             exp::TrialOutput out;
             out.simCycles = m.cycle();
             out.metrics = m.metricsSnapshot();
-            out.payload = exp::json::Value::object().set(
+            out.payload = json::Value::object().set(
                 "cycles", m.cycle());
             return out;
         };

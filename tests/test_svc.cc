@@ -507,6 +507,12 @@ TEST(SvcRegistry, MalformedRequestsAreRejected)
     EXPECT_FALSE(
         svc::CampaignRequest::fromJson(json::Value("not an object"))
             .has_value());
+    // "full" is not an obs level.
+    EXPECT_FALSE(svc::CampaignRequest::fromJson(
+                     json::Value::object()
+                         .set("recipe", "selftest")
+                         .set("obs", "full"))
+                     .has_value());
 }
 
 TEST(SvcRegistry, BuildAppliesOverridesAndNamespace)
@@ -527,6 +533,41 @@ TEST(SvcRegistry, BuildAppliesOverridesAndNamespace)
     EXPECT_EQ(spec.structureKey, "selftest");
     EXPECT_TRUE(spec.perTrialMetrics); // checkpoint compatibility
     ASSERT_TRUE(static_cast<bool>(spec.body));
+}
+
+TEST(SvcRegistry, RecipesHonourMachineFactory)
+{
+    // The simulator recipes build their attack machines from the
+    // trial's config, so a spec's machine factory reaches them: an
+    // explicit empty plan keeps them quiet (even under a chaos
+    // USCOPE_FAULT_PLAN), a dense one makes interrupts fire.
+    fault::FaultPlan dense;
+    dense.interruptMeanGap = 800;
+    const auto interrupts = [](const char *recipe,
+                               const fault::FaultPlan &plan) {
+        svc::CampaignRequest request;
+        request.recipe = recipe;
+        request.trials = 2;
+        request.params = json::Value::object()
+                             .set("samples", 40)
+                             .set("replays", 2);
+        exp::CampaignSpec spec = svc::buildSpec(request);
+        spec.workers = 1;
+        spec.machineFactory = [plan](const exp::TrialContext &) {
+            os::MachineConfig config;
+            config.fault = plan;
+            return config;
+        };
+        const exp::CampaignResult result = exp::runCampaign(spec);
+        const obs::MetricValue *fired =
+            result.aggregate.metrics.find("fault.interrupts");
+        return fired ? fired->counter : 0;
+    };
+    for (const char *recipe :
+         {"fig10_port_contention", "fig11_aes_replay"}) {
+        EXPECT_EQ(interrupts(recipe, fault::FaultPlan{}), 0u) << recipe;
+        EXPECT_GT(interrupts(recipe, dense), 0u) << recipe;
+    }
 }
 
 TEST(SvcRegistry, UnknownRecipeThrows)
@@ -979,7 +1020,7 @@ TEST(SvcService, ObsLevelsDoNotPerturbServiceFingerprints)
     const svc::SubmitResult dark = client.submit(request);
     ASSERT_TRUE(dark.ok) << dark.error;
 
-    request.obs = obs::ObsLevel::Full;
+    request.obs = obs::ObsLevel::Trace;
     const svc::SubmitResult lit = client.submit(request);
     ASSERT_TRUE(lit.ok) << lit.error;
 
@@ -1003,7 +1044,7 @@ TEST(SvcService, TraceSpillsLandInStateDirAndMergeAcrossWorkers)
     request.recipe = "fig10_port_contention";
     request.trials = 4;
     request.masterSeed = 21;
-    request.obs = obs::ObsLevel::Full;
+    request.obs = obs::ObsLevel::Trace;
     request.params = json::Value::object()
                          .set("samples", 40)
                          .set("replays", 2);
