@@ -55,13 +55,9 @@ usage(const char *argv0)
         "\n"
         "  --recipe=NAME         registered recipe to run\n"
         "  --name=NAME           campaign name (default: recipe)\n"
-        "  --namespace=NS        tenant seed namespace (default: none)\n"
         "  --trials=N            trial count (0 = recipe default)\n"
         "  --seed=N              master seed (default 42)\n"
         "  --max-retries=N       retry budget per trial\n"
-        "  --deadline=SEC        wall-clock deadline; past it the\n"
-        "                        daemon auto-cancels (checkpoint "
-        "kept)\n"
         "  --obs=LEVEL           off|metrics|trace (default off)\n"
         "  --stream-every=N      update frame every N trials\n"
         "  --out=PATH            NDJSON stream of updates + result\n"
@@ -323,8 +319,6 @@ main(int argc, char **argv)
             request.recipe = *v;
         else if (auto v = valueOf("--name="))
             request.name = *v;
-        else if (auto v = valueOf("--namespace="))
-            request.ns = *v;
         else if (auto v = valueOf("--trials=")) {
             const auto n = numberOf(*v, "--trials");
             if (!n)
@@ -340,17 +334,6 @@ main(int argc, char **argv)
             if (!n)
                 return 2;
             request.maxRetries = static_cast<unsigned>(*n);
-        } else if (auto v = valueOf("--deadline=")) {
-            char *end = nullptr;
-            const double sec = std::strtod(v->c_str(), &end);
-            if (!end || *end != '\0' || sec < 0.0) {
-                std::fprintf(stderr,
-                             "--deadline: bad value '%s' (expected "
-                             "seconds)\n",
-                             v->c_str());
-                return 2;
-            }
-            request.deadlineSeconds = sec;
         } else if (auto v = valueOf("--campaign=")) {
             const auto n = numberOf(*v, "--campaign");
             if (!n)
@@ -534,11 +517,6 @@ main(int argc, char **argv)
         if (!result.partialJson.empty() && stream.is_open())
             stream << result.partialJson << '\n';
         return 3;
-    }
-    if (result.busy) {
-        std::fprintf(stderr, "daemon busy: %s\n",
-                     result.error.c_str());
-        return 4;
     }
     if (!result.ok) {
         std::fprintf(stderr, "campaign failed: %s\n",

@@ -28,8 +28,8 @@ std::uint64_t mix64(std::uint64_t x);
 
 /**
  * 64-bit FNV-1a of @p s, with an offset basis one digit short of the
- * standard one.  Every pinned campaign fingerprint and tenant seed
- * namespace was derived with this basis, so it stays.
+ * standard one.  Pinned campaign fingerprints are the only reason
+ * left for that basis: they were all derived with it, so it stays.
  */
 std::uint64_t fnv1a64(const std::string &s);
 

@@ -520,12 +520,6 @@ TrialExecutor::runTrial(const CampaignSpec &spec, std::size_t index,
         ++attempts;
     }
     result.attempts = attempts;
-    if (spec.trialWallWarnSec > 0.0 &&
-        result.wallSeconds > spec.trialWallWarnSec)
-        log_.warn("trial %zu took %.2fs of wall clock (warn "
-                  "threshold %.2fs, %u attempt(s), status %s)",
-                  index, result.wallSeconds, spec.trialWallWarnSec,
-                  result.attempts, trialStatusName(result.status));
     return result;
 }
 

@@ -367,17 +367,6 @@ struct CampaignSpec
     obs::ObsLevel obsLevel = obs::ObsLevel::Off;
 
     /**
-     * Wall-clock seconds after which a finished trial earns a
-     * structured warning (0 = never).  Purely observational — the
-     * trial's result is untouched — this is the executor-side rung of
-     * the service's slow-trial escalation ladder (DESIGN.md §16): the
-     * daemon watches heartbeat gaps from outside, this logs the same
-     * condition from inside the worker, and svc::Tunables::
-     * trialWarnSec feeds both.
-     */
-    double trialWallWarnSec = 0.0;
-
-    /**
      * When non-empty and obsLevel >= Trace: persist each executed
      * trial's drained trace as an atomic spill file
      * `trace-w<worker>-t<index>.json` under this directory, tagged

@@ -68,7 +68,7 @@ Client::ping(int timeout_ms)
 }
 
 /** The shared submit/attach wait loop: stream updates until a
- *  terminal frame (result, cancelled, busy, not-found, error). */
+ *  terminal frame (result, cancelled, not-found, error). */
 SubmitResult
 Client::waitOutcome(
     const std::function<void(const json::Value &)> &on_update)
@@ -115,10 +115,6 @@ Client::waitOutcome(
                 out.partialJson = agg->dump();
             if (const json::Value *credits = frame->get("credits"))
                 out.credits = *credits;
-            return out;
-        } else if (type == "busy") {
-            out.busy = true;
-            out.error = stringField(*frame, "message");
             return out;
         } else if (type == "error") {
             out.error = stringField(*frame, "message");

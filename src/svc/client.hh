@@ -3,8 +3,8 @@
  * Blocking client for uscope-campaignd (DESIGN.md §13): connect,
  * submit a CampaignRequest, stream update frames through a callback,
  * return the final result.  One Client is one connection, confined to
- * one thread; tenants wanting concurrent submissions open one Client
- * each (exactly what tests/test_svc's two-tenant suite does).
+ * one thread; concurrent submissions open one Client each (as
+ * tests/test_svc's two-client suite does).
  */
 
 #ifndef USCOPE_SVC_CLIENT_HH
@@ -31,13 +31,10 @@ struct SubmitResult
     /** The daemon-assigned campaign id (from the accepted/attached
      *  frame) — what cancel-by-id takes. */
     std::uint64_t campaignId = 0;
-    /** The campaign was cancelled (explicitly or by its deadline);
-     *  `error` carries the reason and `partialJson` the partial
-     *  aggregate the daemon computed at cancellation. */
+    /** The campaign was cancelled; `error` carries the reason and
+     *  `partialJson` the partial aggregate the daemon computed at
+     *  cancellation. */
     bool cancelled = false;
-    /** The daemon shed this submission with {"type":"busy"} (queue
-     *  full or draining); retry later with backoff. */
-    bool busy = false;
     /** attach() only: no running campaign matched the request —
      *  submit() instead (durable state makes that a resume). */
     bool notFound = false;

@@ -17,7 +17,6 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 #include "exp/campaign.hh"
 #include "exp/checkpoint.hh"
 #include "obs/metrics.hh"
@@ -130,12 +129,8 @@ struct Daemon::Impl
         /** Times the daemon itself SIGKILLed this slot (heartbeat
          *  timeouts, lost connections) — distinct from spawns. */
         unsigned kills = 0;
-        /** Deaths since the slot last looked healthy; drives the
-         *  exponential respawn backoff. */
-        unsigned consecutiveFailures = 0;
         /** Earliest time maintainWorkers() may respawn this slot. */
         Clock::time_point respawnAt = Clock::now();
-        Clock::time_point spawnedAt = Clock::now();
         /** The slow-trial warning fired for the current silence
          *  (reset on every heartbeat). */
         bool warned = false;
@@ -172,11 +167,8 @@ struct Daemon::Impl
         unsigned workerDeaths = 0;
         std::map<int, Credit> credits;
         Clock::time_point start = Clock::now();
-        /** Wall-clock deadline from the request; 0 = none.  Expiry
-         *  is an automatic cancel (checkpoint kept). */
-        double deadlineSeconds = 0.0;
         /** Heartbeat-timeout SIGKILLs charged per suspect trial
-         *  index; at Tunables::trialKillLimit the trial is recorded
+         *  index; at DaemonConfig::trialKillLimit the trial is recorded
          *  TimedOut instead of retried forever. */
         std::map<std::size_t, unsigned> stuckKills;
         /** Trials this campaign gave up on (synthesized TimedOut). */
@@ -199,11 +191,7 @@ struct Daemon::Impl
         std::uint64_t badFrames = 0;
         std::uint64_t statsRequests = 0;
         std::uint64_t campaignsCancelled = 0;
-        std::uint64_t deadlineExpired = 0;
         std::uint64_t reattached = 0;
-        std::uint64_t shed = 0;
-        /** Milliseconds of respawn backoff scheduled, total. */
-        std::uint64_t backoffMsTotal = 0;
         std::uint64_t trialWarns = 0;
         std::uint64_t trialTimeouts = 0;
     };
@@ -222,8 +210,6 @@ struct Daemon::Impl
     Clock::time_point drainDeadline{};
     Clock::time_point started = Clock::now();
     Tally tally;
-    /** Deterministic jitter stream for respawn backoff. */
-    Rng jitterRng{0x6a77e12dull};
     /** prof.svc.* phases (dispatch/merge/checkpoint).  Always on —
      *  a handful of scopes per campaign event, nowhere near the
      *  per-trial hot path the ObsLevel dial guards. */
@@ -270,7 +256,7 @@ struct Daemon::Impl
         args.push_back("--socket=" + config.socketPath);
         args.push_back("--id=" + std::to_string(slot.id));
         args.push_back("--heartbeat-ms=" +
-                       std::to_string(config.tun.heartbeatMs));
+                       std::to_string(config.heartbeatMs));
         // Forward the daemon's sink config so one --log-level flag
         // (or USCOPE_LOG) configures the whole worker tree uniformly.
         const LogConfig log_config = logConfig();
@@ -305,7 +291,6 @@ struct Daemon::Impl
         slot.busy = false;
         slot.warned = false;
         slot.lastBeat = Clock::now();
-        slot.spawnedAt = slot.lastBeat;
         log_.info("spawned worker %d (pid %d, attempt %u)", slot.id,
                   static_cast<int>(pid), slot.spawns);
     }
@@ -318,13 +303,6 @@ struct Daemon::Impl
         ++tally.workerDeaths;
         if (Session *s = sessionByKey(slot.sessionKey))
             s->conn.close();
-        // A worker that stayed up well past the backoff cap was
-        // healthy; its death starts a fresh streak instead of
-        // compounding an old one.
-        if (secondsSince(slot.spawnedAt) >
-            2.0 * config.tun.backoffMaxSec)
-            slot.consecutiveFailures = 0;
-        ++slot.consecutiveFailures;
         slot.sessionKey = 0;
         slot.pid = -1;
         slot.busy = false;
@@ -333,52 +311,24 @@ struct Daemon::Impl
             if (c.sched->onWorkerDead(slot.id) > 0)
                 ++c.workerDeaths;
         }
-        if (shuttingDown || draining)
-            return;
-        if (config.tun.maxRespawns &&
-            slot.spawns >= config.tun.maxRespawns) {
-            log_.warn("worker %d exhausted its %u respawns", slot.id,
-                      config.tun.maxRespawns);
-            return;
-        }
-        // Exponential backoff with deterministic jitter: delay =
-        // min(cap, initial * 2^(failures-1)) * U[1-j, 1+j].  The
-        // first death in a streak respawns after initialSec; a
-        // crash-looping slot settles at the cap instead of forking
+        // The delay keeps a slot whose worker dies at exec from forking
         // at poll-loop frequency.
-        double delay = config.tun.backoffInitialSec;
-        for (unsigned i = 1; i < slot.consecutiveFailures &&
-                             delay < config.tun.backoffMaxSec;
-             ++i)
-            delay *= 2.0;
-        if (delay > config.tun.backoffMaxSec)
-            delay = config.tun.backoffMaxSec;
-        delay *= 1.0 + config.tun.backoffJitter *
-                           (2.0 * jitterRng.uniform() - 1.0);
         slot.respawnAt =
             Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(delay));
-        tally.backoffMsTotal +=
-            static_cast<std::uint64_t>(delay * 1000.0);
-        log_.info("worker %d respawns in %.0f ms (failure streak %u)",
-                  slot.id, delay * 1000.0, slot.consecutiveFailures);
+                               std::chrono::duration<double>(
+                                   kRespawnDelaySec));
     }
 
-    /** Respawn every dead slot whose backoff delay has elapsed. */
+    /** Respawn every dead slot whose respawn delay has elapsed. */
     void
     maintainWorkers()
     {
         if (shuttingDown || draining)
             return;
         const Clock::time_point now = Clock::now();
-        for (WorkerSlot &slot : slots) {
-            if (slot.pid >= 0 || now < slot.respawnAt)
-                continue;
-            if (config.tun.maxRespawns &&
-                slot.spawns >= config.tun.maxRespawns)
-                continue;
-            spawnWorker(slot);
-        }
+        for (WorkerSlot &slot : slots)
+            if (slot.pid < 0 && now >= slot.respawnAt)
+                spawnWorker(slot);
     }
 
     void
@@ -427,7 +377,7 @@ struct Daemon::Impl
         result.seed = exp::deriveTrialSeed(c.spec.masterSeed, index);
         result.status = exp::TrialStatus::TimedOut;
         result.error = "gave up after " +
-                       std::to_string(config.tun.trialKillLimit) +
+                       std::to_string(config.trialKillLimit) +
                        " worker kills while stuck on this trial";
         c.results[index] = std::move(result);
         c.sched->seedDone(index);
@@ -437,7 +387,7 @@ struct Daemon::Impl
         log_.warn("campaign %llu trial %zu marked TimedOut after %u "
                   "worker kills",
                   static_cast<unsigned long long>(c.id), index,
-                  config.tun.trialKillLimit);
+                  config.trialKillLimit);
     }
 
     /**
@@ -454,8 +404,8 @@ struct Daemon::Impl
             if (!slot.busy || slot.pid < 0)
                 continue;
             const double silent = secondsSince(slot.lastBeat);
-            if (config.tun.trialWarnSec > 0.0 &&
-                silent > config.tun.trialWarnSec && !slot.warned) {
+            if (config.trialWarnSec > 0.0 &&
+                silent > config.trialWarnSec && !slot.warned) {
                 slot.warned = true;
                 ++tally.trialWarns;
                 const std::optional<std::size_t> suspect =
@@ -469,18 +419,18 @@ struct Daemon::Impl
                           slot.shard,
                           suspect ? static_cast<long long>(*suspect)
                                   : -1ll,
-                          config.tun.heartbeatTimeoutSec);
+                          config.heartbeatTimeoutSec);
             }
-            if (silent <= config.tun.heartbeatTimeoutSec)
+            if (silent <= config.heartbeatTimeoutSec)
                 continue;
-            // Busy and silent past the deadline: presumed wedged.
+            // Busy and silent past the timeout: presumed wedged.
             // Charge the kill to the trial the worker was stuck on;
             // at the limit, stop retrying and record it TimedOut.
             if (const std::optional<std::size_t> suspect =
                     suspectTrial(slot)) {
                 Campaign *c = campaignById(slot.campaign);
                 if (c && ++c->stuckKills[*suspect] >=
-                             config.tun.trialKillLimit)
+                             config.trialKillLimit)
                     synthesizeTimedOut(*c, *suspect);
             }
             ::kill(slot.pid, SIGKILL);
@@ -577,7 +527,6 @@ struct Daemon::Impl
             return std::string("campaign has zero trials");
         c.clientKey = client ? client->key : 0;
         c.streamEvery = stream_every;
-        c.deadlineSeconds = request.deadlineSeconds;
         c.results.resize(c.spec.trials);
         c.sched = std::make_unique<ShardScheduler>(c.spec.trials,
                                                    config.workers);
@@ -618,12 +567,10 @@ struct Daemon::Impl
                          static_cast<std::uint64_t>(c.resumed)));
         ++tally.campaignsAccepted;
         log_.info("campaign %llu '%s' accepted (%zu trials, %zu "
-                  "resumed, ns='%s', obs=%s, deadline=%.1fs%s)",
+                  "resumed, obs=%s%s)",
                   static_cast<unsigned long long>(c.id),
                   c.spec.name.c_str(), c.spec.trials, c.resumed,
-                  c.request.ns.c_str(),
                   obs::obsLevelName(c.request.obs),
-                  c.deadlineSeconds,
                   client ? "" : ", orphan resume");
         campaigns.push_back(std::move(c));
         assignIdleWorkers();
@@ -642,25 +589,10 @@ struct Daemon::Impl
             sendError(client, 0, "malformed campaign request");
             return;
         }
-        // Load shedding (graceful degradation, DESIGN.md §16): a
-        // draining daemon accepts nothing, and past the queue limit
-        // new work is refused with a structured busy frame instead
-        // of an ever-growing queue of campaigns nobody is serving.
-        if (draining || campaigns.size() >= config.tun.queueLimit) {
-            ++tally.shed;
-            client.conn.send(
-                json::Value::object()
-                    .set("type", "busy")
-                    .set("queue_depth", static_cast<std::uint64_t>(
-                                            campaigns.size()))
-                    .set("limit", static_cast<std::uint64_t>(
-                                      config.tun.queueLimit))
-                    .set("message",
-                         draining
-                             ? "daemon is draining; resubmit after "
-                               "restart (durable state resumes)"
-                             : "campaign queue is full; retry with "
-                               "backoff"));
+        if (draining) {
+            sendError(client, 0,
+                      "daemon is draining; resubmit after restart "
+                      "(durable state resumes)");
             return;
         }
         const std::size_t stream_every =
@@ -725,37 +657,20 @@ struct Daemon::Impl
                      "submit instead (durable state resumes)"));
     }
 
-    /** The terminal frame both cancel paths send: partial aggregate,
-     *  credits, and where the durable state lives. */
-    json::Value
-    cancelledFrame(Campaign &c, const std::string &reason)
-    {
-        return json::Value::object()
-            .set("type", "cancelled")
-            .set("campaign", c.id)
-            .set("reason", reason)
-            .set("completed",
-                 static_cast<std::uint64_t>(c.sched->completed()))
-            .set("total",
-                 static_cast<std::uint64_t>(c.sched->trials()))
-            .set("aggregate", partialAggregate(c).toJson())
-            .set("credits", creditsJson(c))
-            .set("checkpoint_dir", c.checkpointDir);
-    }
-
     /**
      * Stop a campaign: dispatch ceases now (the campaign leaves the
      * queue), in-flight shards are reaped at the next trial boundary
      * (a shrink-to-zero rides the same channel steals use; the
      * worker's current_hi hook honours it at its next heartbeat),
      * the checkpoint dir survives for a later resume, and both the
-     * owner and the canceller get the partial aggregate.  The
-     * pending manifest goes away — an explicit cancel (or an expired
-     * deadline) must not resurrect at the next daemon restart.
+     * owner and the canceller get the partial aggregate, the credits
+     * and where the durable state lives.  The pending manifest goes
+     * away — an explicit cancel must not resurrect at the next daemon
+     * restart.  An unknown id (0 never names a campaign) gets a
+     * not_found error.
      */
     void
-    cancelCampaign(std::uint64_t id, const std::string &reason,
-                   bool deadline, Session *canceller)
+    cancelCampaign(std::uint64_t id, Session &canceller)
     {
         for (auto it = campaigns.begin(); it != campaigns.end();
              ++it) {
@@ -774,21 +689,29 @@ struct Daemon::Impl
                                      slot.shard))
                             .set("hi", std::uint64_t(0)));
             }
-            const json::Value frame = cancelledFrame(c, reason);
+            const json::Value frame =
+                json::Value::object()
+                    .set("type", "cancelled")
+                    .set("campaign", c.id)
+                    .set("reason", "cancelled by client")
+                    .set("completed", static_cast<std::uint64_t>(
+                                          c.sched->completed()))
+                    .set("total", static_cast<std::uint64_t>(
+                                      c.sched->trials()))
+                    .set("aggregate", partialAggregate(c).toJson())
+                    .set("credits", creditsJson(c))
+                    .set("checkpoint_dir", c.checkpointDir);
             Session *owner = sessionByKey(c.clientKey);
             if (owner)
                 owner->conn.send(frame);
-            if (canceller && canceller != owner)
-                canceller->conn.send(frame);
+            if (&canceller != owner)
+                canceller.conn.send(frame);
             removePendingManifest(c);
-            if (deadline)
-                ++tally.deadlineExpired;
-            else
-                ++tally.campaignsCancelled;
-            log_.info("campaign %llu '%s' cancelled (%s): %zu/%zu "
+            ++tally.campaignsCancelled;
+            log_.info("campaign %llu '%s' cancelled: %zu/%zu "
                       "trials done, checkpoint %s",
                       static_cast<unsigned long long>(c.id),
-                      c.spec.name.c_str(), reason.c_str(),
+                      c.spec.name.c_str(),
                       c.sched->completed(), c.sched->trials(),
                       c.checkpointDir.empty()
                           ? "none"
@@ -796,13 +719,11 @@ struct Daemon::Impl
             campaigns.erase(it);
             return;
         }
-        if (canceller)
-            canceller->conn.send(
-                json::Value::object()
-                    .set("type", "error")
-                    .set("campaign", id)
-                    .set("code", "not_found")
-                    .set("message", "no such campaign"));
+        canceller.conn.send(json::Value::object()
+                                .set("type", "error")
+                                .set("campaign", id)
+                                .set("code", "not_found")
+                                .set("message", "no such campaign"));
     }
 
     /** {"type":"cancel"}: by numeric id, or by request identity
@@ -811,48 +732,26 @@ struct Daemon::Impl
     handleCancel(Session &client, const json::Value &msg)
     {
         if (msg.get("campaign")) {
-            cancelCampaign(field(msg, "campaign"),
-                           "cancelled by client",
-                           /*deadline=*/false, &client);
+            cancelCampaign(field(msg, "campaign"), client);
             return;
         }
         if (const json::Value *request_json = msg.get("request")) {
             if (std::optional<CampaignRequest> request =
                     CampaignRequest::fromJson(*request_json)) {
                 const std::string key = request->identityKey();
-                for (Campaign &c : campaigns) {
+                std::uint64_t id = 0;
+                for (const Campaign &c : campaigns) {
                     if (c.request.identityKey() == key) {
-                        cancelCampaign(c.id, "cancelled by client",
-                                       /*deadline=*/false, &client);
-                        return;
+                        id = c.id;
+                        break;
                     }
                 }
-                client.conn.send(
-                    json::Value::object()
-                        .set("type", "error")
-                        .set("campaign", std::uint64_t(0))
-                        .set("code", "not_found")
-                        .set("message", "no such campaign"));
+                cancelCampaign(id, client);
                 return;
             }
         }
         sendError(client, 0,
                   "cancel needs a \"campaign\" id or a \"request\"");
-    }
-
-    /** Expire campaigns past their wall-clock deadline — an
-     *  automatic cancel, checkpoint preserved. */
-    void
-    checkDeadlines()
-    {
-        std::vector<std::uint64_t> expired;
-        for (Campaign &c : campaigns)
-            if (c.deadlineSeconds > 0.0 &&
-                secondsSince(c.start) > c.deadlineSeconds)
-                expired.push_back(c.id);
-        for (std::uint64_t id : expired)
-            cancelCampaign(id, "deadline exceeded",
-                           /*deadline=*/true, nullptr);
     }
 
     /**
@@ -930,10 +829,9 @@ struct Daemon::Impl
         drainDeadline =
             Clock::now() +
             std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double>(
-                    config.tun.drainGraceSec));
+                std::chrono::duration<double>(kDrainGraceSec));
         log_.info("draining: %zu campaign(s) in flight, grace %.1fs",
-                  campaigns.size(), config.tun.drainGraceSec);
+                  campaigns.size(), kDrainGraceSec);
         for (WorkerSlot &slot : slots) {
             if (!slot.busy)
                 continue;
@@ -1027,7 +925,6 @@ struct Daemon::Impl
     {
         const json::Value counters =
             json::Value::object()
-                .set("backoff_ms", tally.backoffMsTotal)
                 .set("bad_frames", tally.badFrames)
                 .set("campaigns_accepted", tally.campaignsAccepted)
                 .set("campaigns_cancelled",
@@ -1035,9 +932,7 @@ struct Daemon::Impl
                 .set("campaigns_completed",
                      tally.campaignsCompleted)
                 .set("campaigns_failed", tally.campaignsFailed)
-                .set("deadline_expired", tally.deadlineExpired)
                 .set("reattached", tally.reattached)
-                .set("shed", tally.shed)
                 .set("stats_requests", tally.statsRequests)
                 .set("steals_total", tally.stealsTotal)
                 .set("trial_timeouts", tally.trialTimeouts)
@@ -1087,7 +982,6 @@ struct Daemon::Impl
                     .set("id", c.id)
                     .set("name", c.spec.name)
                     .set("recipe", c.request.recipe)
-                    .set("ns", c.request.ns)
                     .set("obs", obs::obsLevelName(c.request.obs))
                     .set("total", static_cast<std::uint64_t>(
                                       c.sched->trials()))
@@ -1100,7 +994,6 @@ struct Daemon::Impl
                                        c.sched->steals()))
                     .set("worker_deaths", c.workerDeaths)
                     .set("trial_timeouts", c.trialTimeouts)
-                    .set("deadline_seconds", c.deadlineSeconds)
                     .set("age_seconds", secondsSince(c.start))
                     .set("stream_every",
                          static_cast<std::uint64_t>(c.streamEvery))
@@ -1140,9 +1033,6 @@ struct Daemon::Impl
                 .set("uptime_seconds", secondsSince(started))
                 .set("shutting_down", shuttingDown)
                 .set("draining", draining)
-                .set("queue_limit",
-                     static_cast<std::uint64_t>(
-                         config.tun.queueLimit))
                 .set("workers",
                      static_cast<std::uint64_t>(slots.size()))
                 .set("campaigns", std::move(campaign_list))
@@ -1300,34 +1190,6 @@ struct Daemon::Impl
                 break;
             }
         }
-    }
-
-    /** With a finite respawn budget (tun.maxRespawns > 0) and every
-     *  worker past it, no worker can ever run again: fail the
-     *  outstanding campaigns instead of hanging their clients
-     *  forever.  The default budget (0 = retry forever with backoff)
-     *  never strands — losing ALL workers just queues work until a
-     *  respawn sticks. */
-    void
-    failCampaignsIfStranded()
-    {
-        if (campaigns.empty() || config.tun.maxRespawns == 0)
-            return;
-        for (const WorkerSlot &slot : slots) {
-            if (slot.pid >= 0 ||
-                slot.spawns < config.tun.maxRespawns)
-                return;
-        }
-        log_.warn("all workers permanently dead; failing %zu "
-                  "campaign(s)", campaigns.size());
-        for (Campaign &c : campaigns) {
-            if (Session *client = sessionByKey(c.clientKey))
-                sendError(*client, c.id,
-                          "all workers permanently dead");
-            removePendingManifest(c);
-            ++tally.campaignsFailed;
-        }
-        campaigns.clear();
     }
 
     // -----------------------------------------------------------------
@@ -1637,8 +1499,6 @@ struct Daemon::Impl
             reapChildren();
             checkHeartbeats();
             maintainWorkers();
-            checkDeadlines();
-            failCampaignsIfStranded();
             assignIdleWorkers();
             finishCompleted();
             drainProgress();

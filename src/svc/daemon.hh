@@ -30,8 +30,8 @@
  *           --result{fingerprint,result}-->  client
  *
  * Durability: with a stateDir, each campaign's checkpoint directory
- * is keyed by the *request identity* (recipe, params, namespace,
- * seeds — CampaignRequest::identityKey), so resubmitting the same
+ * is keyed by the *request identity* (recipe, params, seeds —
+ * CampaignRequest::identityKey), so resubmitting the same
  * request after a daemon restart resumes from persisted trials
  * instead of starting over.  Accepted campaigns additionally persist
  * a pending manifest under <stateDir>/pending/; a restarted daemon
@@ -40,28 +40,31 @@
  * {"type":"attach"} to the auto-resumed campaign by request identity.
  *
  * Failure handling (DESIGN.md §16): campaigns can be cancelled
- * ({"type":"cancel"}, partial aggregate returned, checkpoint kept)
- * or bounded by per-request wall-clock deadlines; worker respawns
- * back off exponentially with jitter instead of burning a fixed
- * budget; a busy worker silent past Tunables::trialWarnSec warns,
- * past heartbeatTimeoutSec is SIGKILLed, and a trial that keeps
- * killing workers is recorded TimedOut; submissions past
- * Tunables::queueLimit are shed with {"type":"busy"}; SIGTERM (or a
- * {"type":"drain"} message) drains in-flight shards to a trial
- * boundary, persists manifests and exits cleanly.
+ * ({"type":"cancel"}, partial aggregate returned, checkpoint kept);
+ * dead workers respawn after a fixed kRespawnDelaySec; a busy worker
+ * silent past trialWarnSec warns, past heartbeatTimeoutSec is
+ * SIGKILLed, and a trial that keeps killing workers is recorded
+ * TimedOut; SIGTERM (or a {"type":"drain"} message) drains in-flight
+ * shards to a trial boundary, persists manifests and exits cleanly.
  */
 
 #ifndef USCOPE_SVC_DAEMON_HH
 #define USCOPE_SVC_DAEMON_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <string>
 
-#include "svc/tunables.hh"
-
 namespace uscope::svc
 {
+
+/** Delay before a dead worker slot respawns.  Fixed, so a slot whose
+ *  worker dies at exec forks at most ~4 times a second. */
+inline constexpr double kRespawnDelaySec = 0.25;
+
+/** How long a drain waits for in-flight shards to reach a trial
+ *  boundary before exiting anyway. */
+inline constexpr double kDrainGraceSec = 10.0;
 
 struct DaemonConfig
 {
@@ -75,11 +78,18 @@ struct DaemonConfig
     std::string workerExe;
     /** Durable campaign state root; empty = no checkpointing. */
     std::string stateDir;
-    /** Every timing/capacity knob of the failure-handling machinery
-     *  (heartbeats, deadlines, backoff, shedding) in one place —
-     *  defaults come from USCOPE_SVC_* env overrides; tests assign
-     *  fields directly. */
-    Tunables tun = Tunables::environmentDefault();
+    /** Worker heartbeat cadence in milliseconds, forwarded to every
+     *  spawned worker as --heartbeat-ms=. */
+    int heartbeatMs = 200;
+    /** A *busy* worker silent this long is presumed wedged and
+     *  SIGKILLed; idle workers are never timed out. */
+    double heartbeatTimeoutSec = 30.0;
+    /** A busy worker silent this long earns one warning: the first
+     *  rung of the warn -> kill -> TimedOut ladder. */
+    double trialWarnSec = 10.0;
+    /** After this many SIGKILLs of workers stuck on the *same* trial,
+     *  that trial is recorded TimedOut instead of retried again. */
+    unsigned trialKillLimit = 3;
     /** Default update cadence (trials between stream frames) when a
      *  submit does not specify one; 0 = no periodic updates. */
     std::size_t streamEvery = 0;

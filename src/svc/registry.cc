@@ -27,7 +27,6 @@ CampaignRequest::toJson() const
         json::Value::object()
             .set("recipe", recipe)
             .set("name", name)
-            .set("ns", ns)
             .set("trials", static_cast<std::uint64_t>(trials))
             .set("master_seed", masterSeed)
             .set("cycle_budget", cycleBudget)
@@ -36,9 +35,6 @@ CampaignRequest::toJson() const
     // Omitted at Off so pre-§14 request JSON round-trips unchanged.
     if (obs != obs::ObsLevel::Off)
         v.set("obs", obs::obsLevelName(obs));
-    // Likewise omitted when unset, and excluded from identityKey().
-    if (deadlineSeconds > 0.0)
-        v.set("deadline_seconds", deadlineSeconds);
     return v;
 }
 
@@ -54,8 +50,6 @@ CampaignRequest::fromJson(const json::Value &v)
     out.recipe = recipe->asString();
     if (const json::Value *f = v.get("name"))
         out.name = f->asString();
-    if (const json::Value *f = v.get("ns"))
-        out.ns = f->asString();
     if (const json::Value *f = v.get("trials"))
         out.trials = static_cast<std::size_t>(f->asU64());
     if (const json::Value *f = v.get("master_seed"))
@@ -73,8 +67,6 @@ CampaignRequest::fromJson(const json::Value &v)
         else
             return std::nullopt;
     }
-    if (const json::Value *f = v.get("deadline_seconds"))
-        out.deadlineSeconds = f->asDouble();
     return out;
 }
 
@@ -82,24 +74,15 @@ std::string
 CampaignRequest::identityKey() const
 {
     // Everything result-determining, nothing else (no stream cadence,
-    // no client identity, no observability level or deadline —
-    // neither changes results).  params.dump() is deterministic —
-    // objects preserve insertion order — and requests round-trip
-    // through toJson/fromJson on the wire, so both ends agree on the
-    // key.  Reconnecting clients match a running campaign by this
-    // same key, so a resubmit-with-deadline attaches to the original.
+    // no client identity, no observability level — none of them
+    // changes results).  params.dump() is deterministic — objects
+    // preserve insertion order — and requests round-trip through
+    // toJson/fromJson on the wire, so both ends agree on the key.
+    // Reconnecting clients match a running campaign by this same key,
+    // so a resubmit at another obs level attaches to the original.
     CampaignRequest identity = *this;
     identity.obs = obs::ObsLevel::Off;
-    identity.deadlineSeconds = 0.0;
     return identity.toJson().dump();
-}
-
-std::uint64_t
-namespaceSeedRoot(const std::string &ns, std::uint64_t master)
-{
-    if (ns.empty())
-        return master; // identity: service == in-process by default
-    return mix64(fnv1a64(ns) ^ mix64(master));
 }
 
 // ---------------------------------------------------------------------
@@ -121,8 +104,8 @@ u64Param(const CampaignRequest &req, const char *key,
  * Machine-less deterministic number crunching: the service's own
  * test workload.  Microseconds per trial, yet it exercises the full
  * trial plumbing — seeds, Summary merges, metric snapshots, payload
- * round-trips — so the kill/steal/resume and multi-tenant suites run
- * in test-suite time instead of simulation time.
+ * round-trips — so the kill/steal/resume and lifecycle suites run in
+ * test-suite time instead of simulation time.
  */
 exp::CampaignSpec
 selftestRecipe(const CampaignRequest &req)
@@ -130,9 +113,10 @@ selftestRecipe(const CampaignRequest &req)
     const std::uint64_t work = u64Param(req, "work", 2000);
     // Failure-mode hooks for the service's escalation suites: trial
     // `hang_index` sleeps `hang_ms` before computing — long enough
-    // (with aggressive Tunables) to trip the daemon's warn -> kill ->
-    // TimedOut ladder, yet producing byte-identical output whenever
-    // it *is* allowed to finish (a sleep changes no results).
+    // (with compressed DaemonConfig timings) to trip the daemon's
+    // warn -> kill -> TimedOut ladder, yet producing byte-identical
+    // output whenever it *is* allowed to finish (a sleep changes no
+    // results).
     const std::uint64_t hang_index =
         u64Param(req, "hang_index", ~std::uint64_t{0});
     const std::uint64_t hang_ms = u64Param(req, "hang_ms", 60000);
@@ -491,7 +475,7 @@ CampaignRegistry::build(const CampaignRequest &request) const
     spec.name = request.name.empty() ? request.recipe : request.name;
     if (request.trials)
         spec.trials = request.trials;
-    spec.masterSeed = namespaceSeedRoot(request.ns, request.masterSeed);
+    spec.masterSeed = request.masterSeed;
     spec.cycleBudget = request.cycleBudget;
     spec.maxRetries = request.maxRetries;
     // The daemon attaches checkpoint directories to durable

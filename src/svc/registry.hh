@@ -1,6 +1,7 @@
 /**
  * @file
- * Campaign recipes and multi-tenant seed namespaces (DESIGN.md §13).
+ * Campaign recipes and the wire form of a campaign request
+ * (DESIGN.md §13).
  *
  * A CampaignSpec cannot cross a process boundary — its body is a
  * closure.  What crosses the wire instead is a CampaignRequest: the
@@ -11,15 +12,10 @@
  * service-dispatched campaign and a local CampaignRunner run of the
  * same request execute literally the same closures and produce
  * byte-identical fingerprints.  That shared construction path is the
- * root of every determinism guarantee the service makes.
- *
- * Seed namespaces: two tenants submitting the same request under
- * different namespaces must get decorrelated — yet individually
- * reproducible — trial streams.  namespaceSeedRoot() derives the
- * effective master seed as mix64(fnv1a64(ns) ^ mix64(master)); the
- * empty namespace is the identity (effective == master), so an
- * un-namespaced service run is bit-identical to the in-process runs
- * every existing bench and test performs.
+ * root of every determinism guarantee the service makes: the
+ * request's master seed is the spec's master seed, so a service run
+ * is bit-identical to the in-process runs every bench and test
+ * performs.
  */
 
 #ifndef USCOPE_SVC_REGISTRY_HH
@@ -44,8 +40,6 @@ struct CampaignRequest
     std::string recipe;
     /** Campaign name; empty = the recipe name. */
     std::string name;
-    /** Tenant seed namespace; empty = the shared default stream. */
-    std::string ns;
     /** Trial count; 0 = the recipe's default. */
     std::size_t trials = 0;
     std::uint64_t masterSeed = 42;
@@ -62,15 +56,6 @@ struct CampaignRequest
      * the same durable state, not fork a parallel checkpoint dir.
      */
     obs::ObsLevel obs = obs::ObsLevel::Off;
-    /**
-     * Wall-clock deadline in seconds; 0 = none.  Past it the daemon
-     * cancels the campaign (checkpoint preserved, partial aggregate
-     * returned) — see DESIGN.md §16.  EXCLUDED from identityKey()
-     * like obs: a deadline bounds *this submission's* patience, not
-     * the results, so resubmitting with a longer deadline resumes
-     * the same durable state.
-     */
-    double deadlineSeconds = 0.0;
 
     json::Value toJson() const;
     static std::optional<CampaignRequest> fromJson(const json::Value &v);
@@ -79,10 +64,6 @@ struct CampaignRequest
      *  durable-state key and the reproducibility contract's scope. */
     std::string identityKey() const;
 };
-
-/** Effective master seed for tenant @p ns (see file comment). */
-std::uint64_t namespaceSeedRoot(const std::string &ns,
-                                std::uint64_t master);
 
 /** Builds a runnable spec from a request (params already applied). */
 using RecipeFn =
@@ -103,7 +84,8 @@ class CampaignRegistry
     std::vector<std::pair<std::string, std::string>> list() const;
 
     /**
-     * Recipe spec + request overrides + namespace seed derivation.
+     * Recipe spec + request overrides (trials, seed, budget, retries,
+     * obs level).
      * Throws SimFatal for an unknown recipe or a request the recipe
      * rejects.  The returned spec carries the recipe's structureKey
      * (so persistent workers keep warmup snapshots hot across

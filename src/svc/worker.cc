@@ -16,7 +16,6 @@
 #include "obs/prof.hh"
 #include "svc/chaos.hh"
 #include "svc/registry.hh"
-#include "svc/tunables.hh"
 #include "svc/wire.hh"
 
 namespace uscope::svc
@@ -142,9 +141,6 @@ WorkerLoop::runShard(const json::Value &msg)
         return;
     }
     spec.checkpointDir = stringField(msg, "checkpoint_dir");
-    // Slow-trial logging from the inside — the executor rung of the
-    // daemon's warn -> kill -> TimedOut ladder (DESIGN.md §16).
-    spec.trialWallWarnSec = Tunables::environmentDefault().trialWarnSec;
     // Trace spills land under the campaign's durable state dir so
     // `svc_client trace` (and the daemon) can find every worker's
     // files in one place; without durable state there is nowhere

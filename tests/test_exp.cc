@@ -28,7 +28,6 @@
 #include "exp/checkpoint.hh"
 #include "exp/result_sink.hh"
 #include "os/machine.hh"
-#include "svc/registry.hh"
 
 using namespace uscope;
 
@@ -216,10 +215,6 @@ TEST(SeedDerivation, GoldenValues)
     const std::uint64_t trial = exp::deriveTrialSeed(42, 0);
     EXPECT_EQ(exp::deriveReplaySeed(trial, 0), 0x015fba92a6a37b03ull);
     EXPECT_EQ(exp::deriveReplaySeed(trial, 3), 0xe87b75a07940cb27ull);
-    EXPECT_EQ(svc::namespaceSeedRoot("tenant-a", 42),
-              0xd789e44659f7e4dfull);
-    // The default namespace is the identity: service == in-process.
-    EXPECT_EQ(svc::namespaceSeedRoot("", 42), 42u);
 }
 
 // ---------------------------------------------------------------------
