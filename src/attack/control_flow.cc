@@ -80,6 +80,7 @@ runControlFlowAttack(const ControlFlowConfig &config)
     else if (result.mulHits > result.divHits)
         result.inferredSecret = false;
     result.bothPathsObserved = result.mulHits > 0 && result.divHits > 0;
+    result.coreDigest = machine.core().stateDigest();
     return result;
 }
 

@@ -57,6 +57,8 @@ struct ControlFlowResult
     bool victimCompleted = false;
     std::uint64_t replaysDone = 0;
     std::uint64_t victimMispredicts = 0;
+    /** cpu::Core::stateDigest() when the run ends (tests pin it). */
+    std::uint64_t coreDigest = 0;
 };
 
 /** Run the cache-variant control-flow attack once. */

@@ -101,6 +101,7 @@ runLoopSecretAttack(const LoopSecretConfig &config)
         else
             ++result.wrong;
     }
+    result.coreDigest = machine.core().stateDigest();
     return result;
 }
 

@@ -49,6 +49,8 @@ struct LoopSecretResult
     unsigned wrong = 0;
     bool victimCompleted = false;
     std::uint64_t totalReplays = 0;
+    /** cpu::Core::stateDigest() when the run ends (tests pin it). */
+    std::uint64_t coreDigest = 0;
 };
 
 /** Run the loop-secret attack once. */

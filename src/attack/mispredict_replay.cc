@@ -60,6 +60,7 @@ runMispredictReplay(const MispredictReplayConfig &config)
     result.mispredicts = machine.core().stats(0).mispredicts;
     result.residueObserved =
         kernel.timedProbePhys(transmit_pa).latency < 100;
+    result.coreDigest = machine.core().stateDigest();
     return result;
 }
 

@@ -48,6 +48,8 @@ struct MispredictReplayResult
     /** Attacker-side evidence: was the transmit line hot at the end? */
     bool residueObserved = false;
     bool victimCompleted = false;
+    /** cpu::Core::stateDigest() when the run ends (tests pin it). */
+    std::uint64_t coreDigest = 0;
 };
 
 /** Run the experiment once. */

@@ -61,6 +61,7 @@ runRdrandObservation(const RdrandConfig &config)
                            &retired, 8)) {
         result.retiredBit = static_cast<int>(retired & 1);
     }
+    result.coreDigest = machine.core().stateDigest();
     return result;
 }
 

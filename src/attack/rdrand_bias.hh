@@ -52,6 +52,8 @@ struct RdrandResult
     /** Bit 0 of the value the victim architecturally consumed. */
     int retiredBit = -1;
     bool victimCompleted = false;
+    /** cpu::Core::stateDigest() when the run ends (tests pin it). */
+    std::uint64_t coreDigest = 0;
 };
 
 /** Run the observation experiment once. */

@@ -89,6 +89,7 @@ runSingleSecretAttack(const SingleSecretConfig &config)
             result.inferredLine = line;
         }
     }
+    result.coreDigest = machine.core().stateDigest();
     return result;
 }
 

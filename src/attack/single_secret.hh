@@ -55,6 +55,8 @@ struct SingleSecretResult
     unsigned trueLine = 0;
     bool victimCompleted = false;
     std::uint64_t replaysDone = 0;
+    /** cpu::Core::stateDigest() when the run ends (tests pin it). */
+    std::uint64_t coreDigest = 0;
 };
 
 /** Run the Figure-5 attack once. */

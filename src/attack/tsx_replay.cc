@@ -81,6 +81,7 @@ runTsxSecretReplay(const TsxReplayConfig &config)
     result.victimCompleted = machine.core().halted(0);
     result.victimSucceeded = machine.core().readIntReg(0, 15) == 1;
     result.inferredSecret = votes[1] > votes[0];
+    result.coreDigest = machine.core().stateDigest();
     return result;
 }
 
@@ -151,6 +152,7 @@ runTsxRdrandBias(const TsxBiasConfig &config)
         result.committedBit = static_cast<int>(committed & 1);
         result.biased = result.committedBit == config.desiredBit;
     }
+    result.coreDigest = machine.core().stateDigest();
     return result;
 }
 

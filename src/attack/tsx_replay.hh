@@ -52,6 +52,8 @@ struct TsxReplayResult
     bool victimSucceeded = false;  ///< Transaction finally committed.
     bool inferredSecret = false;
     bool victimCompleted = false;
+    /** cpu::Core::stateDigest() when the run ends (tests pin it). */
+    std::uint64_t coreDigest = 0;
 };
 
 /** Replay a transaction body @p aborts times, observing each pass. */
@@ -77,6 +79,8 @@ struct TsxBiasResult
     bool victimCompleted = false;
     /** True when the committed bit equals the desired bit. */
     bool biased = false;
+    /** cpu::Core::stateDigest() when the run ends (tests pin it). */
+    std::uint64_t coreDigest = 0;
 };
 
 /**

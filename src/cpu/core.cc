@@ -272,6 +272,34 @@ Core::robOccupancy(unsigned ctx_id) const
     return ctxAt(ctx_id).rob.size();
 }
 
+std::uint64_t
+Core::stateDigest() const
+{
+    std::uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (unsigned i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xFF;
+            h *= 1099511628211ull;
+        }
+    };
+    mix(cycle_);
+    for (const Context &ctx : contexts_) {
+        const CtxStats &s = ctx.stats;
+        for (std::uint64_t v : {s.fetched, s.retired, s.squashed,
+                                s.pageFaults, s.mispredicts, s.txAborts,
+                                s.stallCycles}) {
+            mix(v);
+        }
+        for (std::uint64_t reg : ctx.intRegs)
+            mix(reg);
+        for (std::uint64_t reg : ctx.fpRegs)
+            mix(reg);
+    }
+    for (unsigned port = 0; port < numPorts; ++port)
+        mix(ports_.issues(port));
+    return h;
+}
+
 bool
 Core::inTransaction(unsigned ctx_id) const
 {

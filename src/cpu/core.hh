@@ -275,6 +275,11 @@ class Core
     /** Current ROB occupancy (tests). */
     std::size_t robOccupancy(unsigned ctx) const;
 
+    /** FNV-1a digest of the cycle counter, every context's CtxStats
+     *  and architectural registers, and the port issue counts (tests
+     *  pin it across scheduler rewrites). */
+    std::uint64_t stateDigest() const;
+
     /**
      * Adopt @p other's mutable state — cycle counter, contexts (ROB,
      * registers, TSX checkpoints, stats), ports, predictor, and the

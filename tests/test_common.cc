@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "common/bitfield.hh"
 #include "common/json.hh"
@@ -87,6 +88,42 @@ TEST(Rng, BelowStaysInRange)
     for (std::uint64_t bound : {1ull, 2ull, 7ull, 1000ull}) {
         for (int i = 0; i < 200; ++i)
             EXPECT_LT(rng.below(bound), bound);
+    }
+}
+
+TEST(Rng, BelowStreamGolden)
+{
+    // The first 16 draws per bound at seed 42, taken before below()
+    // grew its power-of-two fast path, plus the raw draw that follows
+    // them: the fast path must leave both the values and the number
+    // of draws consumed unchanged.
+    struct Case
+    {
+        std::uint64_t bound;
+        std::vector<std::uint64_t> draws;
+        std::uint64_t nextAfter;
+    };
+    const Case cases[] = {
+        {2,
+         {0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0},
+         0x9de4159eda9cef95ull},
+        {3,
+         {0, 0, 2, 2, 1, 0, 1, 0, 1, 2, 1, 1, 1, 1, 1, 1},
+         0x9de4159eda9cef95ull},
+        {1000,
+         {742, 102, 9, 193, 476, 584, 754, 407, 958, 85, 649, 893, 110,
+          42, 293, 370},
+         0x9de4159eda9cef95ull},
+    };
+    for (const Case &c : cases) {
+        Rng rng(42);
+        std::vector<std::uint64_t> got;
+        for (int i = 0; i < 16; ++i)
+            got.push_back(rng.below(c.bound));
+        EXPECT_EQ(got, c.draws) << "bound " << c.bound;
+        const std::uint64_t next = rng.next();
+        EXPECT_EQ(next, c.nextAfter)
+            << "bound " << c.bound << std::hex << " next 0x" << next;
     }
 }
 

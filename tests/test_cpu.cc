@@ -11,7 +11,14 @@
 
 #include <bit>
 #include <cmath>
+#include <ios>
 
+#include "attack/control_flow.hh"
+#include "attack/loop_secret.hh"
+#include "attack/mispredict_replay.hh"
+#include "attack/rdrand_bias.hh"
+#include "attack/single_secret.hh"
+#include "attack/tsx_replay.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "cpu/core.hh"
@@ -21,6 +28,7 @@
 #include "cpu/program.hh"
 #include "mem/hierarchy.hh"
 #include "mem/phys_mem.hh"
+#include "os/machine.hh"
 #include "vm/frame_alloc.hh"
 #include "vm/mmu.hh"
 #include "vm/page_table.hh"
@@ -999,3 +1007,367 @@ TEST_P(GoldenModelTest, RandomStraightLineProgramsMatch)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GoldenModelTest,
                          ::testing::Range(0u, 12u));
+
+// ---------------------------------------------------------------------
+// Scheduler edge cases: squash, wakeup, sequence-number reuse, ring
+// wrap-around and TSX aborts with work in flight.  Each digest is
+// Core::stateDigest() taken before the scheduler was rewritten onto a
+// seq-indexed ring, a completion queue and operand wakeup.
+// ---------------------------------------------------------------------
+
+/** Fail with the actual value in hex, ready to paste as a literal. */
+#define EXPECT_PINNED(actual, pinned)                                 \
+    EXPECT_EQ((actual), (pinned)) << std::hex << "actual 0x" << (actual)
+
+TEST(CoreSched, MispredictSquashesYoungerDueSameCycle)
+{
+    // The branch waits on a 3-cycle mul while the wrong path runs a
+    // 1-cycle addi chain, so the branch resolves in the same cycle as
+    // a younger addi: the squash must remove it before it completes.
+    CoreRig rig;
+    ProgramBuilder b;
+    b.movi(1, 3).movi(2, 3).mul(3, 1, 2).movi(9, 9)
+        .beq(3, 9, "taken");  // taken; a flushed predictor says not
+    for (int i = 0; i < 8; ++i)
+        b.addi(5, 5, 1);
+    b.movi(6, 77)
+        .label("taken")
+        .add(7, 5, 3)
+        .halt();
+    rig.start(b.build());
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(rig.core.readIntReg(0, 5), 0u);
+    EXPECT_EQ(rig.core.readIntReg(0, 6), 0u);
+    EXPECT_EQ(rig.core.readIntReg(0, 7), 9u);
+    EXPECT_EQ(rig.core.stats(0).mispredicts, 1u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0x13d02bcd3a087e98ull);
+}
+
+TEST(CoreSched, FaultedLoadConsumersNeverIssue)
+{
+    // §4.1.1: nothing that depends on the replay handle executes in
+    // the window; independent work does, once per replay.
+    CoreRig rig;
+    rig.mapRange(0x10000, pageSize);
+    rig.mapRange(0x30000, pageSize);
+    rig.table.setPresent(0x10000, false);
+    unsigned dependent = 0;
+    unsigned independent = 0;
+    rig.core.setMemProbe([&](unsigned, VAddr va, PAddr, bool is_store,
+                             bool) {
+        if (is_store)
+            return;
+        dependent += va == 0x30000;
+        independent += va == 0x30040;
+    });
+    unsigned faults = 0;
+    rig.core.setFaultHandler([&](const FaultInfo &) {
+        if (++faults >= 3)
+            rig.table.setPresent(0x10000, true);
+        rig.mmu.invlpg(0x10000, 1);
+    });
+    ProgramBuilder b;
+    b.movi(1, 0x10000)
+        .movi(4, 0x30000)
+        .ld(2, 1, 0)     // replay handle
+        .add(3, 2, 4)    // consumer of the faulted load
+        .ld(5, 3, 0)     // its consumer: a load from 0x30000
+        .mul(8, 3, 3)
+        .ld(6, 4, 64)    // independent
+        .halt();
+    rig.start(b.build());
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(faults, 3u);
+    EXPECT_EQ(dependent, 1u);    // only after the release
+    EXPECT_EQ(independent, 4u);  // three windows plus the final run
+    EXPECT_EQ(rig.core.readIntReg(0, 3), 0x30000u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0x3014b716b4d7c1cdull);
+}
+
+TEST(CoreSched, SquashReusesSequenceNumbersWithRetiredProducer)
+{
+    // The mispredicted branch waits on a DRAM load; r1's producer has
+    // retired long before.  The correct path re-dispatches into the
+    // squashed wrong path's slots and must read r1 from the regfile.
+    CoreRig rig;
+    rig.mapRange(0x10000, pageSize);
+    ProgramBuilder b;
+    b.movi(1, 5)
+        .movi(7, 0x10000)
+        .movi(10, 0)
+        .movi(11, 4)
+        .label("loop")
+        .ld(6, 7, 0)
+        .beq(6, 0, "right")  // always taken
+        .addi(2, 1, 100)     // wrong path
+        .addi(2, 2, 100)
+        .mul(8, 1, 1)
+        .label("right")
+        .add(3, 1, 1)
+        .addi(4, 3, 1)
+        .add(12, 12, 4)
+        .addi(7, 7, 64)      // a fresh line: the next load misses
+        .addi(10, 10, 1)
+        .blt(10, 11, "loop")
+        .halt();
+    rig.start(b.build());
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(rig.core.readIntReg(0, 2), 0u);
+    EXPECT_EQ(rig.core.readIntReg(0, 8), 0u);
+    EXPECT_EQ(rig.core.readIntReg(0, 3), 10u);
+    EXPECT_EQ(rig.core.readIntReg(0, 12), 44u);
+    EXPECT_GT(rig.core.stats(0).mispredicts, 0u);
+    EXPECT_GT(rig.core.stats(0).squashed, 0u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0xb25bd83d3e645f68ull);
+}
+
+TEST(CoreSched, RobFullWrapsAroundManyLaps)
+{
+    // A 24-cycle divide chain holds retirement while independent adds
+    // fill the ROB; 1000 iterations push ~11k entries through it.
+    CoreRig rig;
+    ProgramBuilder b;
+    b.movi(1, 0).movi(2, 1000).movi(4, 1000000).movi(5, 7)
+        .label("loop")
+        .div(4, 4, 5);
+    for (int i = 0; i < 8; ++i)
+        b.addi(3, 3, 1);
+    b.addi(1, 1, 1)
+        .blt(1, 2, "loop")
+        .halt();
+    rig.start(b.build());
+    bool saw_full = false;
+    for (int i = 0; i < 100000 && !rig.core.halted(0); ++i) {
+        rig.core.tick();
+        saw_full |= rig.core.robOccupancy(0) ==
+                    rig.core.config().robPerContext;
+    }
+    ASSERT_TRUE(rig.core.halted(0));
+    EXPECT_TRUE(saw_full);
+    EXPECT_EQ(rig.core.readIntReg(0, 1), 1000u);
+    EXPECT_EQ(rig.core.readIntReg(0, 3), 8000u);
+    EXPECT_EQ(rig.core.readIntReg(0, 4), 0u);
+    EXPECT_EQ(rig.core.stats(0).retired, 4u + 1000u * 11u + 1u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0xd4dba3572d26e4cdull);
+}
+
+TEST(CoreSched, TxAbortWithCompletionsInFlight)
+{
+    // The abort lands while divides and multiplies are executing; the
+    // abort path re-dispatches into their sequence numbers and its own
+    // divide must complete with its own value.
+    CoreRig rig;
+    rig.mapRange(0x10000, pageSize);
+    const PAddr pa = *rig.table.lookupPpn(0x10000) << pageShift;
+    ProgramBuilder b;
+    b.movi(1, 0x10000)
+        .movi(2, 42)
+        .movi(5, 3)
+        .movi(6, 1000)
+        .txbegin("abort")
+        .st(1, 0, 2)
+        .movi(2, 99)
+        .label("spin")
+        .div(6, 6, 5)
+        .mul(7, 7, 5)
+        .addi(3, 3, 1)
+        .jmp("spin")
+        .label("abort")
+        .movi(9, 1)
+        .div(6, 5, 5)
+        .mul(7, 6, 5)
+        .halt();
+    rig.start(b.build());
+    rig.core.runUntil([&]() { return rig.core.inTransaction(0); },
+                      100000);
+    ASSERT_TRUE(rig.core.inTransaction(0));
+    rig.core.runUntil([]() { return false; }, 203);
+    ASSERT_TRUE(rig.core.abortTransaction(0));
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(rig.core.readIntReg(0, 9), 1u);
+    EXPECT_EQ(rig.core.readIntReg(0, 2), 42u);
+    EXPECT_EQ(rig.core.readIntReg(0, 6), 1u);
+    EXPECT_EQ(rig.core.readIntReg(0, 7), 3u);
+    EXPECT_EQ(rig.mem.read64(pa), 0u);
+    EXPECT_EQ(rig.core.stats(0).txAborts, 1u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0xcf0b8a94556c47a6ull);
+}
+
+// ---------------------------------------------------------------------
+// Golden pins: Core::stateDigest() (cycle, per-context CtxStats and
+// registers, port issue counts) at the end of each src/attack scenario
+// the registry goldens do not reach, and of three core-level programs.
+// The literals were taken before the scheduler rewrite; every machine
+// runs an explicit empty FaultPlan so USCOPE_FAULT_PLAN cannot move
+// them.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+os::MachineConfig
+quietMachine()
+{
+    os::MachineConfig config;
+    config.fault = fault::FaultPlan{};
+    return config;
+}
+
+} // namespace
+
+TEST(CoreGolden, SingleSecret)
+{
+    attack::SingleSecretConfig config;
+    config.replays = 10;
+    config.monitorSamples = 1200;
+    config.machine = quietMachine();
+    const auto result = attack::runSingleSecretAttack(config);
+    EXPECT_TRUE(result.victimCompleted);
+    EXPECT_PINNED(result.replaysDone, 0x5ull);
+    EXPECT_PINNED(result.slowSamples, 0x5ull);
+    EXPECT_PINNED(result.coreDigest, 0xc36db3e599495ea5ull);
+}
+
+TEST(CoreGolden, LoopSecret)
+{
+    attack::LoopSecretConfig config;
+    config.machine = quietMachine();
+    const auto result = attack::runLoopSecretAttack(config);
+    EXPECT_TRUE(result.victimCompleted);
+    EXPECT_PINNED(result.totalReplays, 0x10ull);
+    EXPECT_PINNED(result.coreDigest, 0xfc94304b1763a159ull);
+}
+
+TEST(CoreGolden, ControlFlow)
+{
+    attack::ControlFlowConfig config;
+    config.replays = 6;
+    config.primeTaken = true;  // the secret branch is not taken
+    config.machine = quietMachine();
+    const auto result = attack::runControlFlowAttack(config);
+    EXPECT_TRUE(result.victimCompleted);
+    EXPECT_TRUE(result.bothPathsObserved);
+    EXPECT_PINNED(result.victimMispredicts, 0x2ull);
+    EXPECT_PINNED(result.coreDigest, 0x43aa1fa43740d79bull);
+}
+
+TEST(CoreGolden, MispredictReplay)
+{
+    attack::MispredictReplayConfig config;
+    config.machine = quietMachine();
+    const auto result = attack::runMispredictReplay(config);
+    EXPECT_TRUE(result.victimCompleted);
+    EXPECT_PINNED(result.transmitExecutions, 0x5ull);
+    EXPECT_PINNED(result.coreDigest, 0x434c0c79fc6afe8dull);
+}
+
+TEST(CoreGolden, TsxReplay)
+{
+    attack::TsxReplayConfig replay;
+    replay.aborts = 4;
+    replay.machine = quietMachine();
+    const auto result = attack::runTsxSecretReplay(replay);
+    EXPECT_TRUE(result.victimCompleted);
+    EXPECT_PINNED(result.txAborts, 0x4ull);
+    EXPECT_PINNED(result.coreDigest, 0x5f1de2676a2540bcull);
+
+    attack::TsxBiasConfig bias;
+    bias.desiredBit = 0;
+    bias.machine = quietMachine();
+    const auto biased = attack::runTsxRdrandBias(bias);
+    EXPECT_TRUE(biased.victimCompleted);
+    EXPECT_PINNED(biased.abortsIssued, 0x3ull);
+    EXPECT_PINNED(biased.coreDigest, 0xd2057fcc436254c1ull);
+}
+
+TEST(CoreGolden, RdrandBias)
+{
+    const std::uint64_t pins[2] = {0x9dbb47abf6ec56afull,
+                                   0x74ea754f4b603a32ull};
+    for (bool serializing : {false, true}) {
+        attack::RdrandConfig config;
+        config.serializingRdrand = serializing;
+        config.replays = 8;
+        config.machine = quietMachine();
+        const auto result = attack::runRdrandObservation(config);
+        EXPECT_TRUE(result.victimCompleted);
+        EXPECT_EQ(result.observations, serializing ? 0u : 8u);
+        EXPECT_PINNED(result.coreDigest, pins[serializing]);
+    }
+}
+
+TEST(CoreGolden, FenceOnPipelineFlush)
+{
+    attack::SingleSecretConfig config;
+    config.replays = 10;
+    config.monitorSamples = 1200;
+    config.machine = quietMachine();
+    config.machine.core.fenceOnPipelineFlush = true;
+    const auto result = attack::runSingleSecretAttack(config);
+    EXPECT_TRUE(result.victimCompleted);
+    EXPECT_PINNED(result.coreDigest, 0xc65f2da32243364full);
+}
+
+TEST(CoreGolden, PreemptMidWindow)
+{
+    // A replay window of loads and long-latency arithmetic, preempted
+    // 20 cycles after the second fault resumes it.
+    CoreRig rig;
+    rig.mapRange(0x10000, pageSize);
+    rig.mapRange(0x30000, pageSize);
+    rig.table.setPresent(0x10000, false);
+    unsigned faults = 0;
+    rig.core.setFaultHandler([&](const FaultInfo &) {
+        if (++faults >= 4)
+            rig.table.setPresent(0x10000, true);
+        rig.mmu.invlpg(0x10000, 1);
+    });
+    ProgramBuilder b;
+    b.movi(1, 0x10000).movi(4, 0x30000).movi(5, 7).movi(6, 1000)
+        .ld(2, 1, 0)
+        .div(6, 6, 5)
+        .ld(7, 4, 128)
+        .mul(8, 6, 5)
+        .st(4, 256, 8)
+        .ld(9, 4, 256)
+        .add(10, 9, 7)
+        .halt();
+    rig.start(b.build());
+    rig.core.runUntil([&]() { return faults == 2; }, 1'000'000);
+    ASSERT_EQ(faults, 2u);
+    rig.core.runUntil([]() { return false; }, 20);
+    rig.core.preemptContext(0, 300);
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(faults, 4u);
+    EXPECT_EQ(rig.core.readIntReg(0, 10), 142u * 7u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0x144ef6a759892936ull);
+}
+
+TEST(CoreGolden, PartialOverlapForwarding)
+{
+    // A divide holds retirement so every load below byte-merges the
+    // still-buffered stores ahead of it.
+    CoreRig rig;
+    rig.mapRange(0x10000, pageSize);
+    ProgramBuilder b;
+    b.movi(11, 7)
+        .div(10, 11, 11)
+        .movi(1, 0x10000)
+        .movi(2, 0x1122334455667788)
+        .st(1, 0, 2)
+        .movi(3, 0xAABBCCDD)
+        .st32(1, 2, 3)
+        .ld(4, 1, 0)
+        .ld32(5, 1, 4)
+        .st32(1, 8, 3)
+        .ld(6, 1, 6)
+        .ld32(7, 1, 8)
+        .halt();
+    rig.start(b.build());
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(rig.core.readIntReg(0, 4), 0x1122AABBCCDD7788ull);
+    EXPECT_EQ(rig.core.readIntReg(0, 5), 0x1122AABBull);
+    EXPECT_EQ(rig.core.readIntReg(0, 6), 0x0000AABBCCDD1122ull);
+    EXPECT_EQ(rig.core.readIntReg(0, 7), 0xAABBCCDDull);
+    EXPECT_PINNED(rig.core.stateDigest(), 0x916c45b0f47a732bull);
+}
