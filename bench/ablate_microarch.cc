@@ -61,7 +61,6 @@ main()
     for (unsigned rob : {32u, 64u, 112u, 224u}) {
         attack::PortContentionConfig config = base;
         config.machine.core.robPerContext = rob;
-        config.machine.core.schedWindow = rob;
         runRow(format("ROB = %u", rob).c_str(), config);
     }
 

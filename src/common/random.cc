@@ -79,6 +79,10 @@ std::uint64_t
 Rng::below(std::uint64_t bound)
 {
     assert(bound != 0);
+    // A power of two divides 2^64: nothing to reject, and the modulo is
+    // a mask.  Same value, same single draw as the general path.
+    if ((bound & (bound - 1)) == 0)
+        return next() & (bound - 1);
     // Rejection sampling to avoid modulo bias.
     const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {

@@ -36,13 +36,63 @@ isSubnormal(double value)
 Core::Core(mem::PhysMem &mem, mem::Hierarchy &hierarchy, vm::Mmu &mmu,
            const CoreConfig &config, std::uint64_t seed)
     : mem_(mem), hierarchy_(hierarchy), mmu_(mmu), config_(config),
-      rng_(seed), contexts_(config.numContexts),
-      predictor_(config.predictorEntries)
+      rng_(seed), predictor_(config.predictorEntries)
 {
+    initContexts();
+}
+
+void
+Core::initContexts()
+{
+    contexts_.assign(config_.numContexts, Context{});
     for (Context &ctx : contexts_) {
+        ctx.rob = Rob(config_.robPerContext);
         ctx.lastIntWriter.fill(-1);
         ctx.lastFpWriter.fill(-1);
     }
+}
+
+Core::Rob::Rob(unsigned capacity)
+    : slots_(capacity ? std::bit_ceil(capacity) : 0),
+      mask_(slots_.empty() ? 0 : slots_.size() - 1)
+{
+}
+
+Core::Rob &
+Core::Rob::operator=(const Rob &other)
+{
+    if (this == &other)
+        return *this;
+    if (slots_.size() == other.slots_.size()) {
+        // Dead slots are never read, so restores skip them.
+        for (std::uint64_t seq = other.head_; seq < other.nextSeq(); ++seq)
+            at(seq) = other.at(seq);
+    } else {
+        slots_ = other.slots_;
+        mask_ = other.mask_;
+    }
+    head_ = other.head_;
+    size_ = other.size_;
+    return *this;
+}
+
+Core::RobEntry &
+Core::Rob::push()
+{
+    if (size_ == slots_.size())
+        panic("Core::Rob: push into a full ring of %zu", size_);
+    RobEntry &entry = at(nextSeq());
+    entry = RobEntry{};
+    entry.seq = nextSeq();
+    ++size_;
+    return entry;
+}
+
+void
+Core::Rob::popFront()
+{
+    ++head_;
+    --size_;
 }
 
 void
@@ -61,11 +111,7 @@ Core::reset(std::uint64_t seed)
 {
     rng_.seed(seed);
     cycle_ = 0;
-    contexts_.assign(config_.numContexts, Context{});
-    for (Context &ctx : contexts_) {
-        ctx.lastIntWriter.fill(-1);
-        ctx.lastFpWriter.fill(-1);
-    }
+    initContexts();
     ports_.reset();
     predictor_.reset();
     issuedThisCycle_ = 0;
@@ -312,25 +358,6 @@ Core::biasedPc(const Context &ctx, std::uint64_t pc) const
     return ctx.pcBias + pc;
 }
 
-const Core::RobEntry *
-Core::findEntry(const Context &ctx, std::uint64_t seq) const
-{
-    // The ROB is sorted by sequence number (dispatch appends
-    // monotonically; retire/squash pop the ends), so binary search
-    // finds an entry in O(log n).  Note the numbers are not
-    // contiguous: squashed sequence numbers are never reused.
-    if (ctx.rob.empty() || seq < ctx.rob.front().seq ||
-        seq > ctx.rob.back().seq) {
-        return nullptr;
-    }
-    const auto it = std::lower_bound(
-        ctx.rob.begin(), ctx.rob.end(), seq,
-        [](const RobEntry &entry, std::uint64_t want) {
-            return entry.seq < want;
-        });
-    return (it != ctx.rob.end() && it->seq == seq) ? &*it : nullptr;
-}
-
 bool
 Core::resolveSource(const Context &ctx, std::int64_t dep, Reg reg,
                     bool fp, std::uint64_t &value) const
@@ -340,7 +367,7 @@ Core::resolveSource(const Context &ctx, std::int64_t dep, Reg reg,
         return true;
     }
     const RobEntry *producer =
-        findEntry(ctx, static_cast<std::uint64_t>(dep));
+        ctx.rob.find(static_cast<std::uint64_t>(dep));
     if (!producer) {
         // Producer already retired: its value reached the regfile.
         value = fp ? ctx.fpRegs[reg] : ctx.intRegs[reg];
@@ -364,7 +391,9 @@ Core::rebuildWriterTables(Context &ctx)
 {
     ctx.lastIntWriter.fill(-1);
     ctx.lastFpWriter.fill(-1);
-    for (const RobEntry &entry : ctx.rob) {
+    for (std::uint64_t seq = ctx.rob.headSeq(); seq < ctx.rob.nextSeq();
+         ++seq) {
+        const RobEntry &entry = ctx.rob.at(seq);
         if (entry.dec->writesInt())
             ctx.lastIntWriter[entry.inst.rd] =
                 static_cast<std::int64_t>(entry.seq);
@@ -384,7 +413,7 @@ Core::squashYounger(unsigned ctx_id, std::int64_t keep_seq)
            static_cast<std::int64_t>(ctx.rob.back().seq) > keep_seq) {
         ++ctx.stats.squashed;
         oldest_pc = ctx.rob.back().pc;
-        ctx.rob.pop_back();
+        ctx.rob.popBack();
         ++popped;
     }
     if (popped && obs::tracing(obs_))
@@ -511,7 +540,9 @@ Core::nextEventCycle() const
         // Completions fire when an executing op's latency elapses —
         // scanned for every entry, in every context state, exactly
         // like doCompletions.
-        for (const RobEntry &entry : ctx.rob) {
+        for (std::uint64_t seq = ctx.rob.headSeq();
+             seq < ctx.rob.nextSeq(); ++seq) {
+            const RobEntry &entry = ctx.rob.at(seq);
             if (entry.state == RobEntry::State::Executing)
                 next = std::min(next,
                                 std::max(entry.finishCycle, cycle_));
@@ -520,16 +551,14 @@ Core::nextEventCycle() const
         if (!running)
             continue;
 
-        // Issue: mirror doIssue's scan (scheduler window, stop past a
-        // barrier).  An entry whose operands and memory ordering are
+        // Issue: mirror doIssue's scan (stop past a barrier).  An entry whose operands and memory ordering are
         // clear can only be waiting on a port; ports free at known
         // busyUntil cycles.  With tracing enabled every failed port
         // attempt records a PortConflict event, so those cycles are
         // events themselves and cannot be skipped.
-        unsigned examined = 0;
-        for (const RobEntry &entry : ctx.rob) {
-            if (++examined > config_.schedWindow)
-                break;
+        for (std::uint64_t seq = ctx.rob.headSeq();
+             seq < ctx.rob.nextSeq(); ++seq) {
+            const RobEntry &entry = ctx.rob.at(seq);
             if (entry.state == RobEntry::State::Waiting &&
                 issueReady(ctx, entry)) {
                 if (trace_on)
@@ -574,8 +603,11 @@ Core::doCompletions()
 {
     for (unsigned ctx_id = 0; ctx_id < contexts_.size(); ++ctx_id) {
         Context &ctx = contexts_[ctx_id];
-        for (std::size_t i = 0; i < ctx.rob.size(); ++i) {
-            RobEntry &entry = ctx.rob[i];
+        // A mispredict squash shrinks nextSeq() under the scan; the
+        // scanned entry itself survives it.
+        for (std::uint64_t seq = ctx.rob.headSeq();
+             seq < ctx.rob.nextSeq(); ++seq) {
+            RobEntry &entry = ctx.rob.at(seq);
             if (entry.state != RobEntry::State::Executing ||
                 entry.finishCycle > cycle_) {
                 continue;
@@ -596,8 +628,6 @@ Core::doCompletions()
                     ctx.fetchStopped = false;
                     if (config_.fenceOnPipelineFlush)
                         ctx.serializeNext = true;
-                    // Everything younger is gone; the scan index is
-                    // still valid because this entry survives.
                 }
             }
         }
@@ -674,7 +704,7 @@ Core::retireOne(unsigned ctx_id)
         }
         break;
       case Op::Halt:
-        ctx.rob.pop_front();
+        ctx.rob.popFront();
         ++ctx.stats.retired;
         squashAll(ctx_id);
         ctx.state = CtxState::Halted;
@@ -683,7 +713,7 @@ Core::retireOne(unsigned ctx_id)
         break;
     }
 
-    ctx.rob.pop_front();
+    ctx.rob.popFront();
     ++ctx.stats.retired;
     return true;
 }
@@ -783,13 +813,12 @@ Core::executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency)
     // overlapping older stores (retired transactional stores first,
     // then in-flight ROB stores in program order), which handles
     // partial-width overlap precisely.
-    for (auto it = ctx.rob.rbegin(); it != ctx.rob.rend(); ++it) {
-        if (it->seq >= entry.seq)
+    for (std::uint64_t seq = entry.seq; seq-- > ctx.rob.headSeq();) {
+        const RobEntry &older = ctx.rob.at(seq);
+        if (!older.dec->isStore() || !older.storeDataResolved)
             continue;
-        if (!it->dec->isStore() || !it->storeDataResolved)
-            continue;
-        if (it->storeVa == va && it->storeLen == len) {
-            entry.result = it->storeValue;
+        if (older.storeVa == va && older.storeLen == len) {
+            entry.result = older.storeValue;
             latency += config_.forwardLatency;
             return;
         }
@@ -821,9 +850,8 @@ Core::executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency)
     for (const TxStore &store : ctx.txStores)
         forwarded |= merge_bytes(store.pa, store.value, store.len,
                                  xlate.paddr);
-    for (const RobEntry &other : ctx.rob) {
-        if (other.seq >= entry.seq)
-            break;
+    for (std::uint64_t seq = ctx.rob.headSeq(); seq < entry.seq; ++seq) {
+        const RobEntry &other = ctx.rob.at(seq);
         if (!other.dec->isStore() || !other.storeDataResolved)
             continue;
         forwarded |= merge_bytes(other.storeVa, other.storeValue,
@@ -992,9 +1020,9 @@ Core::issueReady(const Context &ctx, const RobEntry &entry) const
         const VAddr load_va =
             base + static_cast<std::uint64_t>(inst.imm);
         const unsigned load_len = inst.op == Op::Ld32 ? 4 : 8;
-        for (const RobEntry &other : ctx.rob) {
-            if (other.seq >= entry.seq)
-                break;
+        for (std::uint64_t seq = ctx.rob.headSeq(); seq < entry.seq;
+             ++seq) {
+            const RobEntry &other = ctx.rob.at(seq);
             if (!other.dec->isStore() || other.faulted)
                 continue;
             if (!other.storeResolved)
@@ -1073,12 +1101,11 @@ Core::doIssue()
         Context &ctx = contexts_[ctx_id];
         if (ctx.state != CtxState::Running)
             continue;
-        unsigned examined = 0;
-        for (RobEntry &entry : ctx.rob) {
+        for (std::uint64_t seq = ctx.rob.headSeq();
+             seq < ctx.rob.nextSeq(); ++seq) {
             if (issuedThisCycle_ >= config_.issueWidth)
                 return;
-            if (++examined > config_.schedWindow)
-                break;
+            RobEntry &entry = ctx.rob.at(seq);
             if (entry.state == RobEntry::State::Waiting)
                 tryIssue(ctx_id, entry);
             // Barriers block younger issue until they retire (i.e.,
@@ -1102,10 +1129,9 @@ Core::dispatchOne(unsigned ctx_id)
     // by ctx.program, which outlives the ROB).
     const DecodedInst &dec = ctx.stream->at(ctx.fetchPc);
 
-    RobEntry entry;
+    RobEntry &entry = ctx.rob.push();
     entry.inst = inst;
     entry.dec = &dec;
-    entry.seq = ctx.nextSeq++;
     entry.pc = ctx.fetchPc;
     if (ctx.serializeNext) {
         entry.flushBarrier = true;
@@ -1141,7 +1167,6 @@ Core::dispatchOne(unsigned ctx_id)
     if (dec.writesFp())
         ctx.lastFpWriter[inst.rd] = static_cast<std::int64_t>(entry.seq);
 
-    ctx.rob.push_back(std::move(entry));
     ++ctx.stats.fetched;
 }
 

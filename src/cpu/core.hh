@@ -33,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -64,8 +63,6 @@ struct CoreConfig
 {
     unsigned numContexts = 2;
     unsigned robPerContext = 112;
-    /** Scheduler window: issue scan depth per context per cycle. */
-    unsigned schedWindow = 112;
     unsigned fetchWidth = 4;
     unsigned issueWidth = 6;
     unsigned retireWidth = 4;
@@ -348,6 +345,62 @@ class Core
         unsigned storeLen = 0;
     };
 
+    /**
+     * One context's ROB: a ring indexed by sequence number.  Live
+     * sequence numbers are contiguous — a squash rewinds the next
+     * number to just past the youngest survivor — so entry `seq` sits
+     * in slot `seq & mask` and finding it is O(1).  A number below
+     * headSeq() belongs to a retired entry.
+     */
+    class Rob
+    {
+      public:
+        Rob() = default;
+        explicit Rob(unsigned capacity);
+        Rob(const Rob &) = default;
+        /** Copies only the live slots when the capacities match. */
+        Rob &operator=(const Rob &other);
+
+        bool empty() const { return size_ == 0; }
+        std::size_t size() const { return size_; }
+        /** Sequence number of the oldest entry (the next to retire). */
+        std::uint64_t headSeq() const { return head_; }
+        /** Sequence number the next dispatch gets. */
+        std::uint64_t nextSeq() const { return head_ + size_; }
+
+        /** The live entry @p seq, or null if it is not in flight. */
+        const RobEntry *
+        find(std::uint64_t seq) const
+        {
+            // Unsigned wrap also rejects seq < head_.
+            return seq - head_ < size_ ? &slots_[seq & mask_] : nullptr;
+        }
+        /** The live entry @p seq (the caller knows it is in flight). */
+        RobEntry &at(std::uint64_t seq) { return slots_[seq & mask_]; }
+        const RobEntry &
+        at(std::uint64_t seq) const
+        {
+            return slots_[seq & mask_];
+        }
+        RobEntry &front() { return at(head_); }
+        const RobEntry &front() const { return at(head_); }
+        RobEntry &back() { return at(head_ + size_ - 1); }
+        const RobEntry &back() const { return at(head_ + size_ - 1); }
+
+        /** Append a fresh entry numbered nextSeq(). */
+        RobEntry &push();
+        void popFront();
+        void popBack() { --size_; }
+        /** Drop everything; numbering continues at headSeq(). */
+        void clear() { size_ = 0; }
+
+      private:
+        std::vector<RobEntry> slots_;
+        std::uint64_t mask_ = 0;
+        std::uint64_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+
     /** A buffered transactional store awaiting commit. */
     struct TxStore
     {
@@ -374,8 +427,7 @@ class Core
         std::array<std::uint64_t, numIntRegs> intRegs{};
         std::array<std::uint64_t, numFpRegs> fpRegs{};
 
-        std::deque<RobEntry> rob;
-        std::uint64_t nextSeq = 0;
+        Rob rob;
         std::array<std::int64_t, numIntRegs> lastIntWriter;
         std::array<std::int64_t, numFpRegs> lastFpWriter;
 
@@ -393,6 +445,9 @@ class Core
 
         CtxStats stats;
     };
+
+    /** (Re)build every context empty, with its ROB ring allocated. */
+    void initContexts();
 
     Context &ctxAt(unsigned ctx);
     const Context &ctxAt(unsigned ctx) const;
@@ -418,9 +473,6 @@ class Core
     bool resolveSource(const Context &ctx, std::int64_t dep, Reg reg,
                        bool fp,
                        std::uint64_t &value) const;
-
-    /** Find an in-flight entry by sequence number. */
-    const RobEntry *findEntry(const Context &ctx, std::uint64_t seq) const;
 
     /** Squash all entries younger than @p keep_upto (exclusive). */
     void squashYounger(unsigned ctx_id, std::int64_t keep_seq);
