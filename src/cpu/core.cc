@@ -82,7 +82,10 @@ Core::Rob::push()
     if (size_ == slots_.size())
         panic("Core::Rob: push into a full ring of %zu", size_);
     RobEntry &entry = at(nextSeq());
+    std::vector<std::uint64_t> waiters = std::move(entry.waiters);
+    waiters.clear();
     entry = RobEntry{};
+    entry.waiters = std::move(waiters);
     entry.seq = nextSeq();
     ++size_;
     return entry;
@@ -101,6 +104,7 @@ Core::copyStateFrom(const Core &other)
     rng_ = other.rng_;
     cycle_ = other.cycle_;
     contexts_ = other.contexts_;
+    completions_ = other.completions_;
     ports_ = other.ports_;
     predictor_ = other.predictor_;
     issuedThisCycle_ = other.issuedThisCycle_;
@@ -112,6 +116,7 @@ Core::reset(std::uint64_t seed)
     rng_.seed(seed);
     cycle_ = 0;
     initContexts();
+    completions_.clear();
     ports_.reset();
     predictor_.reset();
     issuedThisCycle_ = 0;
@@ -205,6 +210,7 @@ Core::startContext(unsigned ctx_id,
     ctx.pcBias = pc_bias;
     ctx.stallUntil = 0;
     ctx.rob.clear();
+    dropScheduling(ctx_id, ctx.rob.headSeq());
     ctx.lastIntWriter.fill(-1);
     ctx.lastFpWriter.fill(-1);
     ctx.inTx = false;
@@ -421,7 +427,31 @@ Core::squashYounger(unsigned ctx_id, std::int64_t keep_seq)
                            static_cast<std::uint8_t>(ctx_id),
                            static_cast<std::uint16_t>(popped),
                            oldest_pc);
+    dropScheduling(ctx_id, ctx.rob.nextSeq());
     rebuildWriterTables(ctx);
+}
+
+void
+Core::dropScheduling(unsigned ctx_id, std::uint64_t first_gone)
+{
+    Context &ctx = contexts_[ctx_id];
+    std::erase_if(completions_, [&](const Completion &c) {
+        return c.ctx == ctx_id && c.seq >= first_gone;
+    });
+    std::make_heap(completions_.begin(), completions_.end(),
+                   std::greater<>{});
+    while (!ctx.ready.empty() && ctx.ready.back() >= first_gone)
+        ctx.ready.pop_back();
+    if (ctx.barrierSeq >= first_gone)
+        ctx.barrierSeq = kNoSeq;
+    // Gone numbers are reused by the next dispatch, so no survivor may
+    // still hold them as waiters (lists are in seq order).
+    for (std::uint64_t seq = ctx.rob.headSeq(); seq < ctx.rob.nextSeq();
+         ++seq) {
+        std::vector<std::uint64_t> &waiters = ctx.rob.at(seq).waiters;
+        while (!waiters.empty() && waiters.back() >= first_gone)
+            waiters.pop_back();
+    }
 }
 
 void
@@ -537,48 +567,38 @@ Core::nextEventCycle() const
         if (ctx.rob.front().state == RobEntry::State::Done)
             return cycle_;
 
-        // Completions fire when an executing op's latency elapses —
-        // scanned for every entry, in every context state, exactly
-        // like doCompletions.
-        for (std::uint64_t seq = ctx.rob.headSeq();
-             seq < ctx.rob.nextSeq(); ++seq) {
-            const RobEntry &entry = ctx.rob.at(seq);
-            if (entry.state == RobEntry::State::Executing)
-                next = std::min(next,
-                                std::max(entry.finishCycle, cycle_));
-        }
-
         if (!running)
             continue;
 
-        // Issue: mirror doIssue's scan (stop past a barrier).  An entry whose operands and memory ordering are
+        // Issue: mirror doIssue's walk of the ready list (stop past a
+        // barrier).  An entry whose operands and memory ordering are
         // clear can only be waiting on a port; ports free at known
         // busyUntil cycles.  With tracing enabled every failed port
         // attempt records a PortConflict event, so those cycles are
         // events themselves and cannot be skipped.
-        for (std::uint64_t seq = ctx.rob.headSeq();
-             seq < ctx.rob.nextSeq(); ++seq) {
-            const RobEntry &entry = ctx.rob.at(seq);
-            if (entry.state == RobEntry::State::Waiting &&
-                issueReady(ctx, entry)) {
-                if (trace_on)
-                    return cycle_;
-                const PortChoices choices = entry.dec->ports;
-                Cycles port_free = kNoEventCycle;
-                if (choices.first != 0xFF)
-                    port_free = std::min(
-                        port_free, ports_.busyUntil(choices.first));
-                if (choices.second != 0xFF)
-                    port_free = std::min(
-                        port_free, ports_.busyUntil(choices.second));
-                next = std::min(next, std::max(port_free, cycle_));
-            }
-            if (entry.dec->isBarrier(config_.rdrandSerializing) ||
-                entry.flushBarrier) {
+        for (std::uint64_t seq : ctx.ready) {
+            if (seq > ctx.barrierSeq)
                 break;
-            }
+            const RobEntry &entry = ctx.rob.at(seq);
+            if (!issueReady(ctx, entry))
+                continue;
+            if (trace_on)
+                return cycle_;
+            const PortChoices choices = entry.dec->ports;
+            Cycles port_free = kNoEventCycle;
+            if (choices.first != 0xFF)
+                port_free =
+                    std::min(port_free, ports_.busyUntil(choices.first));
+            if (choices.second != 0xFF)
+                port_free =
+                    std::min(port_free, ports_.busyUntil(choices.second));
+            next = std::min(next, std::max(port_free, cycle_));
         }
     }
+    // Completions fire when an executing op's latency elapses, in
+    // every context state, exactly like doCompletions.
+    if (!completions_.empty())
+        next = std::min(next, std::max(completions_.front().finish, cycle_));
     return next;
 }
 
@@ -601,35 +621,49 @@ Core::fastForwardTo(Cycles target)
 void
 Core::doCompletions()
 {
-    for (unsigned ctx_id = 0; ctx_id < contexts_.size(); ++ctx_id) {
-        Context &ctx = contexts_[ctx_id];
-        // A mispredict squash shrinks nextSeq() under the scan; the
-        // scanned entry itself survives it.
-        for (std::uint64_t seq = ctx.rob.headSeq();
-             seq < ctx.rob.nextSeq(); ++seq) {
-            RobEntry &entry = ctx.rob.at(seq);
-            if (entry.state != RobEntry::State::Executing ||
-                entry.finishCycle > cycle_) {
-                continue;
-            }
-            entry.state = RobEntry::State::Done;
+    // nextEventCycle never lets fast-forward skip a completion, so
+    // every due item finishes at cycle_ and heap order is the old ROB
+    // scan order: context, then sequence number.  A mispredict squash
+    // erases younger items due in the same cycle before they pop.
+    while (!completions_.empty() && completions_.front().finish <= cycle_) {
+        std::pop_heap(completions_.begin(), completions_.end(),
+                      std::greater<>{});
+        const Completion due = completions_.back();
+        completions_.pop_back();
+        completeEntry(due.ctx, contexts_[due.ctx].rob.at(due.seq));
+    }
+}
 
-            if (entry.dec->isCondBranch() && !entry.mispredictHandled) {
-                entry.mispredictHandled = true;
-                predictor_.update(biasedPc(ctx, entry.pc),
-                                  entry.actualTaken);
-                if (entry.actualTaken != entry.predictedTaken) {
-                    ++ctx.stats.mispredicts;
-                    squashYounger(ctx_id,
-                                  static_cast<std::int64_t>(entry.seq));
-                    ctx.fetchPc = entry.actualTaken
-                        ? entry.inst.target
-                        : entry.pc + 1;
-                    ctx.fetchStopped = false;
-                    if (config_.fenceOnPipelineFlush)
-                        ctx.serializeNext = true;
-                }
-            }
+void
+Core::completeEntry(unsigned ctx_id, RobEntry &entry)
+{
+    Context &ctx = contexts_[ctx_id];
+    entry.state = RobEntry::State::Done;
+
+    // A faulted load produces no data: its dependents never become
+    // ready ("instructions that are dependent on the replay handle do
+    // not execute", §4.1.1) and die in the eventual squash.
+    if (!entry.faulted) {
+        for (std::uint64_t seq : entry.waiters) {
+            if (--ctx.rob.at(seq).pendingSrcs == 0)
+                ctx.ready.insert(std::upper_bound(ctx.ready.begin(),
+                                                  ctx.ready.end(), seq),
+                                 seq);
+        }
+    }
+    entry.waiters.clear();
+
+    if (entry.dec->isCondBranch() && !entry.mispredictHandled) {
+        entry.mispredictHandled = true;
+        predictor_.update(biasedPc(ctx, entry.pc), entry.actualTaken);
+        if (entry.actualTaken != entry.predictedTaken) {
+            ++ctx.stats.mispredicts;
+            squashYounger(ctx_id, static_cast<std::int64_t>(entry.seq));
+            ctx.fetchPc = entry.actualTaken ? entry.inst.target
+                                            : entry.pc + 1;
+            ctx.fetchStopped = false;
+            if (config_.fenceOnPipelineFlush)
+                ctx.serializeNext = true;
         }
     }
 }
@@ -704,7 +738,7 @@ Core::retireOne(unsigned ctx_id)
         }
         break;
       case Op::Halt:
-        ctx.rob.popFront();
+        popHead(ctx);
         ++ctx.stats.retired;
         squashAll(ctx_id);
         ctx.state = CtxState::Halted;
@@ -713,9 +747,26 @@ Core::retireOne(unsigned ctx_id)
         break;
     }
 
-    ctx.rob.popFront();
+    popHead(ctx);
     ++ctx.stats.retired;
     return true;
+}
+
+void
+Core::popHead(Context &ctx)
+{
+    const std::uint64_t seq = ctx.rob.headSeq();
+    ctx.rob.popFront();
+    if (ctx.barrierSeq != seq)
+        return;
+    // The barrier retired: issue now runs up to the next one.
+    ctx.barrierSeq = kNoSeq;
+    for (std::uint64_t s = ctx.rob.headSeq(); s < ctx.rob.nextSeq(); ++s) {
+        if (isBarrier(ctx.rob.at(s))) {
+            ctx.barrierSeq = s;
+            break;
+        }
+    }
 }
 
 void
@@ -996,20 +1047,9 @@ Core::issueReady(const Context &ctx, const RobEntry &entry) const
     const Instruction &inst = entry.inst;
     const DecodedInst &dec = *entry.dec;
 
-    // Operand readiness.  Stores are two-phase: the address (rs1)
-    // must be ready at issue, but the data (rs2) may arrive as late
-    // as retirement — mirroring separate STA/STD micro-ops.
-    std::uint64_t scratch = 0;
-    if (dec.readsSrc1() &&
-        !resolveSource(ctx, entry.dep1, inst.rs1, dec.readsFp1(),
-                       scratch)) {
+    // Operand readiness, kept by wakeup (watchSource/completeEntry).
+    if (entry.pendingSrcs != 0)
         return false;
-    }
-    if (dec.readsSrc2() && !dec.isStore() &&
-        !resolveSource(ctx, entry.dep2, inst.rs2, dec.readsFp2(),
-                       scratch)) {
-        return false;
-    }
 
     // Load ordering hazards: wait while any older store's address is
     // still unknown (addresses resolve within a few cycles), or while
@@ -1084,6 +1124,9 @@ Core::tryIssue(unsigned ctx_id, RobEntry &entry)
     ports_.occupy(port, cycle_, latency, dec.unpipelined());
     entry.state = RobEntry::State::Executing;
     entry.finishCycle = cycle_ + latency;
+    completions_.push_back({entry.finishCycle, ctx_id, entry.seq});
+    std::push_heap(completions_.begin(), completions_.end(),
+                   std::greater<>{});
     ++issuedThisCycle_;
     return true;
 }
@@ -1101,21 +1144,48 @@ Core::doIssue()
         Context &ctx = contexts_[ctx_id];
         if (ctx.state != CtxState::Running)
             continue;
-        for (std::uint64_t seq = ctx.rob.headSeq();
-             seq < ctx.rob.nextSeq(); ++seq) {
+        // Oldest ready entry first.  Barriers block younger issue
+        // until they retire (i.e., leave the ROB).  Issued entries
+        // leave the ready list; the rest keep their order.
+        std::vector<std::uint64_t> &ready = ctx.ready;
+        std::size_t kept = 0;
+        std::size_t i = 0;
+        for (; i < ready.size() && ready[i] <= ctx.barrierSeq; ++i) {
             if (issuedThisCycle_ >= config_.issueWidth)
-                return;
-            RobEntry &entry = ctx.rob.at(seq);
-            if (entry.state == RobEntry::State::Waiting)
-                tryIssue(ctx_id, entry);
-            // Barriers block younger issue until they retire (i.e.,
-            // leave the ROB).
-            if (entry.dec->isBarrier(config_.rdrandSerializing) ||
-                entry.flushBarrier) {
                 break;
-            }
+            if (!tryIssue(ctx_id, ctx.rob.at(ready[i])))
+                ready[kept++] = ready[i];
         }
+        ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(kept),
+                    ready.begin() + static_cast<std::ptrdiff_t>(i));
+        if (issuedThisCycle_ >= config_.issueWidth)
+            return;
     }
+}
+
+bool
+Core::isBarrier(const RobEntry &entry) const
+{
+    return entry.dec->isBarrier(config_.rdrandSerializing) ||
+           entry.flushBarrier;
+}
+
+void
+Core::watchSource(Context &ctx, RobEntry &consumer, std::int64_t dep)
+{
+    if (dep < 0)
+        return;
+    RobEntry *producer = ctx.rob.find(static_cast<std::uint64_t>(dep));
+    // Retired (the regfile holds it) or done: the value is there.
+    if (!producer || (producer->state == RobEntry::State::Done &&
+                      !producer->faulted)) {
+        return;
+    }
+    ++consumer.pendingSrcs;
+    // A faulted producer wakes no one; the consumer waits for the
+    // squash.
+    if (producer->state != RobEntry::State::Done)
+        producer->waiters.push_back(consumer.seq);
 }
 
 void
@@ -1146,6 +1216,17 @@ Core::dispatchOne(unsigned ctx_id)
         entry.dep2 = dec.readsFp2() ? ctx.lastFpWriter[inst.rs2]
                                     : ctx.lastIntWriter[inst.rs2];
     }
+    // Stores are two-phase: the address (rs1) must be ready at issue,
+    // but the data (rs2) may arrive as late as retirement — mirroring
+    // separate STA/STD micro-ops — so only the address is gated.
+    if (dec.readsSrc1())
+        watchSource(ctx, entry, entry.dep1);
+    if (dec.readsSrc2() && !dec.isStore())
+        watchSource(ctx, entry, entry.dep2);
+    if (entry.pendingSrcs == 0)
+        ctx.ready.push_back(entry.seq);
+    if (ctx.barrierSeq == kNoSeq && isBarrier(entry))
+        ctx.barrierSeq = entry.seq;
 
     // Next-fetch PC: branches predicted at fetch; Halt stops fetch.
     if (dec.isCondBranch()) {

@@ -343,6 +343,13 @@ class Core
         PAddr storePa = 0;
         std::uint64_t storeValue = 0;
         unsigned storeLen = 0;
+
+        // Operand wakeup: the sources issueReady gates on whose
+        // producer has not turned Done.  A faulted producer never
+        // wakes its consumers, so they wait for the squash (§4.1.1).
+        unsigned pendingSrcs = 0;
+        /** Consumers to wake at Done, in dispatch (seq) order. */
+        std::vector<std::uint64_t> waiters;
     };
 
     /**
@@ -375,6 +382,11 @@ class Core
             // Unsigned wrap also rejects seq < head_.
             return seq - head_ < size_ ? &slots_[seq & mask_] : nullptr;
         }
+        RobEntry *
+        find(std::uint64_t seq)
+        {
+            return seq - head_ < size_ ? &slots_[seq & mask_] : nullptr;
+        }
         /** The live entry @p seq (the caller knows it is in flight). */
         RobEntry &at(std::uint64_t seq) { return slots_[seq & mask_]; }
         const RobEntry &
@@ -387,7 +399,8 @@ class Core
         RobEntry &back() { return at(head_ + size_ - 1); }
         const RobEntry &back() const { return at(head_ + size_ - 1); }
 
-        /** Append a fresh entry numbered nextSeq(). */
+        /** Append a fresh entry numbered nextSeq() (the slot keeps
+         *  its waiter list's capacity). */
         RobEntry &push();
         void popFront();
         void popBack() { --size_; }
@@ -399,6 +412,21 @@ class Core
         std::uint64_t mask_ = 0;
         std::uint64_t head_ = 0;
         std::size_t size_ = 0;
+    };
+
+    /** No such in-flight entry (Context::barrierSeq). */
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
+
+    /** An Executing entry's completion event. */
+    struct Completion
+    {
+        Cycles finish = 0;
+        unsigned ctx = 0;
+        std::uint64_t seq = 0;
+
+        /** Heap order: finish cycle, then doCompletions' old scan
+         *  order — context, then sequence number. */
+        auto operator<=>(const Completion &) const = default;
     };
 
     /** A buffered transactional store awaiting commit. */
@@ -428,6 +456,11 @@ class Core
         std::array<std::uint64_t, numFpRegs> fpRegs{};
 
         Rob rob;
+        /** Waiting entries with every gated operand ready, oldest
+         *  first: the only entries issue looks at. */
+        std::vector<std::uint64_t> ready;
+        /** Oldest in-flight barrier; nothing younger issues. */
+        std::uint64_t barrierSeq = kNoSeq;
         std::array<std::int64_t, numIntRegs> lastIntWriter;
         std::array<std::int64_t, numFpRegs> lastFpWriter;
 
@@ -453,11 +486,17 @@ class Core
     const Context &ctxAt(unsigned ctx) const;
 
     void doCompletions();
+    void completeEntry(unsigned ctx_id, RobEntry &entry);
     void doRetire();
     void doIssue();
     void doFetch();
 
     void dispatchOne(unsigned ctx_id);
+    /** Count @p dep against @p consumer's readiness and subscribe it
+     *  to the producer's wakeup, unless the value is available. */
+    void watchSource(Context &ctx, RobEntry &consumer, std::int64_t dep);
+    /** Barriers block the issue of everything younger. */
+    bool isBarrier(const RobEntry &entry) const;
     /** Operand + memory-ordering issue gate (no port/side effects);
      *  shared by tryIssue and nextEventCycle so the two can never
      *  disagree about when an entry becomes issueable. */
@@ -466,6 +505,8 @@ class Core
     void executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency);
     void executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency);
     bool retireOne(unsigned ctx_id);
+    /** Pop the retiring head, moving barrierSeq past it if needed. */
+    void popHead(Context &ctx);
     void handleFaultAtHead(unsigned ctx_id, const RobEntry &head);
     void doTxAbort(unsigned ctx_id);
 
@@ -476,6 +517,11 @@ class Core
 
     /** Squash all entries younger than @p keep_upto (exclusive). */
     void squashYounger(unsigned ctx_id, std::int64_t keep_seq);
+
+    /** Forget entries from @p first_gone on (already popped from the
+     *  ring) in the completion queue, ready list, barrier and the
+     *  survivors' waiter lists. */
+    void dropScheduling(unsigned ctx_id, std::uint64_t first_gone);
 
     /** Squash the whole context. */
     void squashAll(unsigned ctx_id);
@@ -492,6 +538,8 @@ class Core
 
     Cycles cycle_ = 0;
     std::vector<Context> contexts_;
+    /** Min-heap holding exactly one item per Executing entry. */
+    std::vector<Completion> completions_;
     PortState ports_;
     BranchPredictor predictor_;
     unsigned issuedThisCycle_ = 0;
