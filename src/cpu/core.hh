@@ -8,9 +8,14 @@
  *    private architectural register file and a private ROB partition.
  *  - Instructions dispatch in order into the ROB, issue out of order
  *    when their producers are complete and a port is free, and retire
- *    in order.  Memory ops translate through the MMU at issue: a TLB
- *    miss triggers a hardware page walk whose latency depends on where
- *    the page-table entries sit in the cache hierarchy.
+ *    in order.  Scheduling is event-driven (DESIGN.md §18): the ROB
+ *    is a ring indexed by sequence number, issued entries wait in one
+ *    completion queue ordered by finish cycle, and producers wake
+ *    their consumers onto a per-context ready list, so a tick touches
+ *    only due completions and operand-ready entries.
+ *  - Memory ops translate through the MMU at issue: a TLB miss
+ *    triggers a hardware page walk whose latency depends on where the
+ *    page-table entries sit in the cache hierarchy.
  *  - A load whose leaf PTE has the present bit clear completes as
  *    *faulted*; the fault is raised only when the load reaches the ROB
  *    head (precise exceptions).  Meanwhile younger instructions — the
@@ -32,6 +37,7 @@
 #define USCOPE_CPU_CORE_HH
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <memory>
