@@ -435,11 +435,12 @@ void
 Core::dropScheduling(unsigned ctx_id, std::uint64_t first_gone)
 {
     Context &ctx = contexts_[ctx_id];
-    std::erase_if(completions_, [&](const Completion &c) {
+    const auto erased = std::erase_if(completions_, [&](const Completion &c) {
         return c.ctx == ctx_id && c.seq >= first_gone;
     });
-    std::make_heap(completions_.begin(), completions_.end(),
-                   std::greater<>{});
+    if (erased)
+        std::make_heap(completions_.begin(), completions_.end(),
+                       std::greater<>{});
     while (!ctx.ready.empty() && ctx.ready.back() >= first_gone)
         ctx.ready.pop_back();
     if (ctx.barrierSeq >= first_gone)
