@@ -11,23 +11,12 @@ namespace uscope::attack
 namespace
 {
 
-/**
- * The probe classifies a line as a cache hit below this latency.
- * After priming, hits are L1 (~50 cycles measured) and misses DRAM
- * (>300 cycles); the Figure-11 bands sit far apart.
- */
-constexpr Cycles hitThreshold = 100;
-
 /** Everything one AES attack run needs, wired once. */
 struct AesRig
 {
     os::Machine machine;
-    os::Pid pid = 0;
-    crypto::AesKey decKey;
-    crypto::AesVictimLayout layout;
+    AesEnclave enclave;
     std::array<std::uint8_t, 16> ct{};
-    std::array<PAddr, 5> tablePa{};
-    std::shared_ptr<const cpu::Program> program;
 
     explicit AesRig(const AesAttackConfig &config)
         : machine([&] {
@@ -35,19 +24,10 @@ struct AesRig
               mcfg.seed = config.seed;
               return mcfg;
           }()),
-          decKey(config.key.data(), config.keyBits, true)
+          enclave(machine.kernel(), config.key.data(), config.keyBits)
     {
         auto &kernel = machine.kernel();
-        pid = kernel.createProcess("aes-enclave");
-        layout = crypto::setupAesVictim(kernel, pid, decKey);
-
-        const crypto::AesKey enc(config.key.data(), config.keyBits,
-                                 false);
-        crypto::encryptBlock(enc, config.plaintext.data(), ct.data());
-        crypto::loadCiphertext(kernel, pid, layout, ct.data());
-
-        for (unsigned t = 0; t < 5; ++t)
-            tablePa[t] = *kernel.translate(pid, layout.tableVa(t));
+        ct = enclave.loadPlaintext(kernel, config.plaintext.data());
 
         // Seal the enclave after the image is loaded (SGX builds and
         // measures pages in, then locks them).  The round keys are
@@ -55,33 +35,12 @@ struct AesRig
         // probes below model same-set Prime+Probe conflict timing,
         // which needs only physical-address knowledge, not reads of
         // enclave data.
+        const crypto::AesVictimLayout &layout = enclave.layout;
         for (unsigned t = 0; t < 5; ++t)
-            kernel.declareEnclave(pid, layout.tableVa(t), pageSize);
-        kernel.declareEnclave(pid, layout.rk, pageSize);
-        kernel.declareEnclave(pid, layout.input, pageSize);
-
-        program = std::make_shared<const cpu::Program>(
-            crypto::buildAesDecryptProgram(layout));
-    }
-
-    void
-    primeTables(unsigned upto = 4)
-    {
-        for (unsigned t = 0; t < upto; ++t)
-            machine.kernel().primeRange(tablePa[t], 1024);
-    }
-
-    LineProbe
-    probeTable(unsigned table)
-    {
-        LineProbe probe;
-        for (unsigned line = 0; line < 16; ++line) {
-            const os::ProbeResult r = machine.kernel().timedProbePhys(
-                tablePa[table] + line * lineSize);
-            probe.latency[line] = r.latency;
-            probe.level[line] = r.level;
-        }
-        return probe;
+            kernel.declareEnclave(enclave.pid, layout.tableVa(t),
+                                  pageSize);
+        kernel.declareEnclave(enclave.pid, layout.rk, pageSize);
+        kernel.declareEnclave(enclave.pid, layout.input, pageSize);
     }
 
     /**
@@ -98,7 +57,7 @@ struct AesRig
         for (unsigned t = 0; t < 5; ++t)
             for (unsigned line = 0; line < 16; ++line)
                 machine.kernel().installPhysAt(
-                    tablePa[t] + line * lineSize,
+                    enclave.tablePa[t] + line * lineSize,
                     levels[rng.below(4)]);
     }
 };
@@ -113,7 +72,93 @@ snapshotRun(const os::Machine &machine, const ms::Microscope &scope)
     return registry.snapshot();
 }
 
+/** The fixed key of aesPrefixWarmup's enclave. */
+constexpr std::array<std::uint8_t, 16> prefixKey = {
+    0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
+    0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
+
 } // namespace
+
+std::set<unsigned>
+majorityLines(const std::vector<std::set<unsigned>> &windows)
+{
+    std::array<std::size_t, 16> votes{};
+    for (const std::set<unsigned> &lines : windows)
+        for (unsigned line : lines)
+            ++votes[line];
+    std::set<unsigned> majority;
+    for (unsigned line = 0; line < 16; ++line)
+        if (votes[line] * 2 > windows.size())
+            majority.insert(line);
+    return majority;
+}
+
+AesEnclave::AesEnclave(os::Kernel &kernel, const std::uint8_t *key,
+                       unsigned key_bits)
+    : decKey(key, key_bits, true), encKey(key, key_bits, false)
+{
+    pid = kernel.createProcess("aes-enclave");
+    layout = crypto::setupAesVictim(kernel, pid, decKey);
+    for (unsigned t = 0; t < 5; ++t)
+        tablePa[t] = *kernel.translate(pid, layout.tableVa(t));
+    program = std::make_shared<const cpu::Program>(
+        crypto::buildAesDecryptProgram(layout));
+}
+
+std::array<std::uint8_t, 16>
+AesEnclave::loadPlaintext(os::Kernel &kernel,
+                          const std::uint8_t *plaintext) const
+{
+    std::array<std::uint8_t, 16> ct{};
+    crypto::encryptBlock(encKey, plaintext, ct.data());
+    crypto::loadCiphertext(kernel, pid, layout, ct.data());
+    return ct;
+}
+
+void
+AesEnclave::primeTables(os::Kernel &kernel, unsigned upto) const
+{
+    for (unsigned t = 0; t < upto; ++t)
+        kernel.primeRange(tablePa[t], 1024);
+}
+
+LineProbe
+AesEnclave::probeTable(os::Kernel &kernel, unsigned table) const
+{
+    LineProbe probe;
+    for (unsigned line = 0; line < 16; ++line) {
+        const os::ProbeResult r =
+            kernel.timedProbePhys(tablePa[table] + line * lineSize);
+        probe.latency[line] = r.latency;
+        probe.level[line] = r.level;
+    }
+    return probe;
+}
+
+std::set<unsigned>
+AesEnclave::round1Td1Lines(const std::uint8_t *ct) const
+{
+    std::set<unsigned> lines;
+    const crypto::DecAccessTrace trace = crypto::traceDecryption(decKey, ct);
+    for (std::uint8_t index : trace.indices[0][1])
+        lines.insert(crypto::tableLineOf(index));
+    return lines;
+}
+
+std::shared_ptr<const void>
+aesPrefixWarmup(os::Machine &m)
+{
+    os::Kernel &kernel = m.kernel();
+    auto enclave = std::make_shared<AesEnclave>(kernel, prefixKey.data(),
+                                                128);
+    const std::uint8_t warm_plain[16] = {};
+    enclave->loadPlaintext(kernel, warm_plain);
+    for (unsigned run = 0; run < aesPrefixWarmRuns; ++run) {
+        kernel.startOnContext(enclave->pid, 0, enclave->program);
+        m.runUntilHalted(0, 50'000'000);
+    }
+    return enclave;
+}
 
 std::set<unsigned>
 LineProbe::hitLines(Cycles hit_threshold) const
@@ -129,24 +174,26 @@ Fig11Result
 runFig11(const AesAttackConfig &config)
 {
     AesRig rig(config);
+    const AesEnclave &enclave = rig.enclave;
+    os::Kernel &kernel = rig.machine.kernel();
     Fig11Result result;
 
     ms::Microscope scope(rig.machine);
     ms::AttackRecipe recipe;
-    recipe.victim = rig.pid;
-    recipe.replayHandle = rig.layout.td0;
-    recipe.pivot = rig.layout.rk;
+    recipe.victim = enclave.pid;
+    recipe.replayHandle = enclave.layout.td0;
+    recipe.pivot = enclave.layout.rk;
     recipe.confidence = config.replaysPerEpisode;
     recipe.maxEpisodes = 1;
     recipe.walkPlan = ms::PageWalkPlan::longest();
     recipe.onReplay = [&](const ms::ReplayEvent &) {
-        result.replays.push_back(rig.probeTable(1));
+        result.replays.push_back(enclave.probeTable(kernel, 1));
         return true;
     };
     recipe.beforeResume = [&](const ms::ReplayEvent &) {
         // "Before each of the next two replays, the Replayer primes
         // the cache hierarchy, evicting all the lines of the tables."
-        rig.primeTables();
+        enclave.primeTables(kernel);
     };
     scope.setRecipe(std::move(recipe));
 
@@ -155,20 +202,17 @@ runFig11(const AesAttackConfig &config)
     rig.warmTables(config.seed * 17 + 5);
 
     scope.arm();
-    rig.machine.kernel().startOnContext(rig.pid, 0, rig.program);
+    kernel.startOnContext(enclave.pid, 0, enclave.program);
     rig.machine.runUntilHalted(0, 50'000'000);
     scope.disarm();
 
     // Ground truth: the window behind the round-1 t0 Td0 fault covers
     // every independent round-1 lookup, i.e. all four Td1 accesses.
-    const crypto::DecAccessTrace trace =
-        crypto::traceDecryption(rig.decKey, rig.ct.data());
-    for (std::uint8_t index : trace.indices[0][1])
-        result.expectedLines.insert(crypto::tableLineOf(index));
+    result.expectedLines = enclave.round1Td1Lines(rig.ct.data());
 
     for (std::size_t i = 1; i < result.replays.size(); ++i)
         result.measuredLines.push_back(
-            result.replays[i].hitLines(hitThreshold));
+            result.replays[i].hitLines(aesHitThreshold));
 
     result.consistentAcrossPrimedReplays =
         !result.measuredLines.empty();
@@ -185,13 +229,7 @@ runFig11(const AesAttackConfig &config)
     // fault-layer evictions (which only ever remove hits — jitter and
     // misses push latencies up, never below the threshold) are voted
     // down as replaysPerEpisode grows.
-    std::array<unsigned, 16> votes{};
-    for (const auto &lines : result.measuredLines)
-        for (unsigned line : lines)
-            ++votes[line];
-    for (unsigned line = 0; line < 16; ++line)
-        if (votes[line] * 2 > result.measuredLines.size())
-            result.majorityLines.insert(line);
+    result.majorityLines = majorityLines(result.measuredLines);
     result.majorityMatchesGroundTruth =
         !result.measuredLines.empty() &&
         result.majorityLines == result.expectedLines;
@@ -254,31 +292,31 @@ AesExtractionResult
 runAesExtraction(const AesAttackConfig &config)
 {
     AesRig rig(config);
+    const AesEnclave &enclave = rig.enclave;
+    os::Kernel &kernel = rig.machine.kernel();
     AesExtractionResult result;
-    const unsigned rounds = rig.decKey.rounds();
+    const unsigned rounds = enclave.decKey.rounds();
     const unsigned inner_groups = (rounds - 1) * 4;
 
     // Per-episode scratch, keyed by the engine's episode counter.
-    // Handle-window tables (Td1..Td3) accumulate per-line votes over
-    // the episode's primed replays and classify by strict majority
-    // (§4.3 denoising): noiselessly identical to the first replay,
-    // and under a FaultPlan a single evicted line cannot erase a hit
-    // once replaysPerEpisode outvotes it.
+    // Handle-window tables (Td1..Td3) keep one line set per primed
+    // replay and classify by strict majority (§4.3 denoising):
+    // noiselessly identical to the first replay, and under a FaultPlan
+    // a single evicted line cannot erase a hit once replaysPerEpisode
+    // outvotes it.
     struct Scratch
     {
-        std::array<std::set<unsigned>, 4> lines;
-        std::array<std::array<unsigned, 16>, 4> votes{};
-        unsigned primedReplays = 0;
+        std::set<unsigned> td0;
+        std::array<std::vector<std::set<unsigned>>, 4> windows;
         bool stable = true;
-        bool started = false;
     };
     std::vector<Scratch> scratch(inner_groups + 2);
 
     ms::Microscope scope(rig.machine);
     ms::AttackRecipe recipe;
-    recipe.victim = rig.pid;
-    recipe.replayHandle = rig.layout.td0;
-    recipe.pivot = rig.layout.rk;
+    recipe.victim = enclave.pid;
+    recipe.replayHandle = enclave.layout.td0;
+    recipe.pivot = enclave.layout.rk;
     recipe.confidence = config.replaysPerEpisode;
     recipe.maxEpisodes = 0;
     recipe.walkPlan = ms::PageWalkPlan::longest();
@@ -287,29 +325,20 @@ runAesExtraction(const AesAttackConfig &config)
         if (ev.episode >= scratch.size())
             return true;
         Scratch &s = scratch[ev.episode];
-        std::array<std::set<unsigned>, 4> now;
-        for (unsigned t = 1; t < 4; ++t)
-            now[t] = rig.probeTable(t).hitLines(hitThreshold);
-        ++s.primedReplays;
-        if (!s.started) {
-            s.started = true;
-            for (unsigned t = 1; t < 4; ++t)
-                s.lines[t] = now[t];
-        } else {
-            for (unsigned t = 1; t < 4; ++t)
-                s.stable &= now[t] == s.lines[t];
+        for (unsigned t = 1; t < 4; ++t) {
+            std::set<unsigned> now =
+                enclave.probeTable(kernel, t).hitLines(aesHitThreshold);
+            s.stable &= s.windows[t].empty() || now == s.windows[t][0];
+            s.windows[t].push_back(std::move(now));
         }
-        for (unsigned t = 1; t < 4; ++t)
-            for (unsigned line : now[t])
-                ++s.votes[t][line];
         return true;
     };
     recipe.beforeResume = [&](const ms::ReplayEvent &) {
-        rig.primeTables(5);
+        enclave.primeTables(kernel, 5);
     };
     recipe.onEpisodeEnd = [&](const ms::ReplayEvent &) {
         // Prime so the pivot window (which measures Td0) is clean.
-        rig.primeTables(5);
+        enclave.primeTables(kernel, 5);
     };
     recipe.onPivot = [&](const ms::ReplayEvent &ev) {
         // The pivot fault follows the window that re-ran this group's
@@ -317,42 +346,39 @@ runAesExtraction(const AesAttackConfig &config)
         // which only the last pivot's window can have touched).
         const std::uint64_t episode = ev.episode ? ev.episode - 1 : 0;
         if (episode < scratch.size())
-            scratch[episode].lines[0] =
-                rig.probeTable(0).hitLines(hitThreshold);
-        result.td4Lines = rig.probeTable(4).hitLines(hitThreshold);
+            scratch[episode].td0 =
+                enclave.probeTable(kernel, 0).hitLines(aesHitThreshold);
+        result.td4Lines =
+            enclave.probeTable(kernel, 4).hitLines(aesHitThreshold);
     };
     scope.setRecipe(std::move(recipe));
 
-    rig.primeTables(5);
+    enclave.primeTables(kernel, 5);
     scope.arm();
-    rig.machine.kernel().startOnContext(rig.pid, 0, rig.program);
+    kernel.startOnContext(enclave.pid, 0, enclave.program);
     rig.machine.runUntilHalted(0, 500'000'000);
     scope.disarm();
     rig.machine.runUntilHalted(0, 10'000'000);
 
     result.totalReplays = scope.stats().totalReplays;
-    result.totalFaults = rig.machine.kernel().faultCount(rig.pid);
+    result.totalFaults = kernel.faultCount(enclave.pid);
 
     std::uint8_t plaintext[16];
-    crypto::readPlaintext(rig.machine.kernel(), rig.pid, rig.layout,
-                          plaintext);
+    crypto::readPlaintext(kernel, enclave.pid, enclave.layout, plaintext);
     result.plaintextCorrect =
         std::equal(plaintext, plaintext + 16, config.plaintext.begin());
 
     for (unsigned e = 0; e < inner_groups; ++e) {
-        if (!scratch[e].started)
+        if (scratch[e].windows[1].empty())
             continue;
         AesEpisode episode;
         episode.round = 1 + e / 4;
         episode.group = e % 4;
         // Slot 0 (Td0, pivot window) is a single probe; slots 1..3
         // resolve by majority over the episode's primed replays.
-        episode.lines[0] = scratch[e].lines[0];
+        episode.lines[0] = scratch[e].td0;
         for (unsigned t = 1; t < 4; ++t)
-            for (unsigned line = 0; line < 16; ++line)
-                if (scratch[e].votes[t][line] * 2 >
-                    scratch[e].primedReplays)
-                    episode.lines[t].insert(line);
+            episode.lines[t] = majorityLines(scratch[e].windows[t]);
         episode.stable = scratch[e].stable;
         result.episodes.push_back(std::move(episode));
     }

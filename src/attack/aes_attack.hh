@@ -27,12 +27,14 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
 
 #include "common/types.hh"
 #include "crypto/aes.hh"
+#include "crypto/aes_codegen.hh"
 #include "mem/hierarchy.hh"
 #include "obs/event.hh"
 #include "obs/metrics.hh"
@@ -63,6 +65,69 @@ struct LineProbe
     /** Lines whose probe latency marks a cache hit. */
     std::set<unsigned> hitLines(Cycles hit_threshold = 100) const;
 };
+
+/**
+ * The probe classifies a line as a cache hit below this latency.
+ * After priming, hits are L1 (~50 cycles measured) and misses DRAM
+ * (>300 cycles); the Figure-11 bands sit far apart.
+ */
+constexpr Cycles aesHitThreshold = 100;
+
+/**
+ * §4.3 denoising: the lines a strict majority of @p windows measured
+ * hot.  Exactly half the windows is not a majority, and no windows
+ * yield no lines.
+ */
+std::set<unsigned>
+majorityLines(const std::vector<std::set<unsigned>> &windows);
+
+/**
+ * An AES victim enclave on one machine: the process, its keys, the
+ * table layout and the tables' physical addresses, and the compiled
+ * decryption.  The pages are left unsealed.  The handles stay valid in
+ * every fork of the machine, so a campaign warmup can mint one and
+ * share it with every trial.
+ */
+struct AesEnclave
+{
+    os::Pid pid = 0;
+    crypto::AesKey decKey;
+    crypto::AesKey encKey;
+    crypto::AesVictimLayout layout;
+    std::array<PAddr, 5> tablePa{};
+    std::shared_ptr<const cpu::Program> program;
+
+    AesEnclave(os::Kernel &kernel, const std::uint8_t *key,
+               unsigned key_bits);
+
+    /** Encrypt @p plaintext, load the ciphertext as the victim's
+     *  input and return it. */
+    std::array<std::uint8_t, 16>
+    loadPlaintext(os::Kernel &kernel, const std::uint8_t *plaintext) const;
+
+    /** Evict tables Td0..Td(upto-1) from every cache level. */
+    void primeTables(os::Kernel &kernel, unsigned upto = 4) const;
+
+    /** Timed probe of the 16 lines of table @p table. */
+    LineProbe probeTable(os::Kernel &kernel, unsigned table) const;
+
+    /** Ground truth: the Td1 lines the round-1 window touches while
+     *  decrypting @p ct (the window behind the first Td0 fault). */
+    std::set<unsigned> round1Td1Lines(const std::uint8_t *ct) const;
+};
+
+/** Warm decryptions in aesPrefixWarmup. */
+constexpr unsigned aesPrefixWarmRuns = 4;
+
+/**
+ * The shared prefix of the warmup-heavy AES campaigns (DESIGN.md §12):
+ * build an AesEnclave under one fixed campaign-wide key (the warmup is
+ * shared by every trial, so it cannot depend on a trial seed) and
+ * warm-decrypt a fixed block aesPrefixWarmRuns times, leaving the
+ * TLB, PWC, predictor and caches trained the way a long-running
+ * victim's machine would be.  The artifact is the AesEnclave.
+ */
+std::shared_ptr<const void> aesPrefixWarmup(os::Machine &m);
 
 /** Result of the Figure-11 experiment. */
 struct Fig11Result

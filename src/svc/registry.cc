@@ -13,8 +13,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/microscope.hh"
-#include "crypto/aes.hh"
-#include "crypto/aes_codegen.hh"
 #include "os/machine.hh"
 
 namespace uscope::svc
@@ -239,33 +237,6 @@ fig11Recipe(const CampaignRequest &)
     return spec;
 }
 
-constexpr unsigned prefixWarmRuns = 4;
-constexpr Cycles prefixHitThreshold = 100;
-
-/** One fixed campaign-wide AES key (the warmup is shared by every
- *  trial, so it cannot depend on a trial seed). */
-constexpr std::array<std::uint8_t, 16> prefixKey = {
-    0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
-    0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
-
-/** The warmup artifact: every handle the prefix mints, valid in each
- *  fork because forks share the warmed-up machine state. */
-struct PrefixRig
-{
-    os::Pid pid = 0;
-    crypto::AesKey decKey;
-    crypto::AesKey encKey;
-    crypto::AesVictimLayout layout;
-    std::array<PAddr, 5> tablePa{};
-    std::shared_ptr<const cpu::Program> program;
-
-    PrefixRig()
-        : decKey(prefixKey.data(), 128, true),
-          encKey(prefixKey.data(), 128, false)
-    {
-    }
-};
-
 /**
  * The warmup-heavy arm (DESIGN.md §12 / bench/perf_campaign section
  * 3) as a service recipe: an expensive shared prefix — enclave build,
@@ -280,98 +251,52 @@ aesPrefixRecipe(const CampaignRequest &)
     exp::CampaignSpec spec;
     spec.trials = 12;
     spec.structureKey = "aes_prefix_replay";
-
-    spec.warmup = [](os::Machine &m) -> std::shared_ptr<const void> {
-        auto rig = std::make_shared<PrefixRig>();
-        os::Kernel &kernel = m.kernel();
-        rig->pid = kernel.createProcess("aes-enclave");
-        rig->layout =
-            crypto::setupAesVictim(kernel, rig->pid, rig->decKey);
-        for (unsigned t = 0; t < 5; ++t)
-            rig->tablePa[t] =
-                *kernel.translate(rig->pid, rig->layout.tableVa(t));
-        rig->program = std::make_shared<const cpu::Program>(
-            crypto::buildAesDecryptProgram(rig->layout));
-
-        std::uint8_t ct[16];
-        const std::uint8_t warm_plain[16] = {};
-        crypto::encryptBlock(rig->encKey, warm_plain, ct);
-        crypto::loadCiphertext(kernel, rig->pid, rig->layout, ct);
-        for (unsigned run = 0; run < prefixWarmRuns; ++run) {
-            kernel.startOnContext(rig->pid, 0, rig->program);
-            m.runUntilHalted(0, 50'000'000);
-        }
-        return rig;
-    };
+    spec.warmup = attack::aesPrefixWarmup;
 
     spec.body = [](const exp::TrialContext &ctx) {
         os::Machine &m = *ctx.fork;
-        const auto *rig =
-            static_cast<const PrefixRig *>(ctx.warmupData);
+        os::Kernel &kernel = m.kernel();
+        const auto &enclave =
+            *static_cast<const attack::AesEnclave *>(ctx.warmupData);
 
         Rng rng(ctx.seed);
-        std::uint8_t plaintext[16], ct[16];
+        std::uint8_t plaintext[16];
         for (unsigned i = 0; i < 16; ++i)
             plaintext[i] = static_cast<std::uint8_t>(rng.below(256));
-        crypto::encryptBlock(rig->encKey, plaintext, ct);
-        crypto::loadCiphertext(m.kernel(), rig->pid, rig->layout, ct);
-
-        const auto probeTable = [&](unsigned table) {
-            attack::LineProbe probe;
-            for (unsigned line = 0; line < 16; ++line) {
-                const os::ProbeResult r = m.kernel().timedProbePhys(
-                    rig->tablePa[table] + line * lineSize);
-                probe.latency[line] = r.latency;
-                probe.level[line] = r.level;
-            }
-            return probe;
-        };
-        const auto primeTables = [&] {
-            for (unsigned t = 0; t < 4; ++t)
-                m.kernel().primeRange(rig->tablePa[t], 1024);
-        };
+        const std::array<std::uint8_t, 16> ct =
+            enclave.loadPlaintext(kernel, plaintext);
 
         std::vector<attack::LineProbe> replays;
         ms::Microscope scope(m);
         ms::AttackRecipe recipe;
-        recipe.victim = rig->pid;
-        recipe.replayHandle = rig->layout.td0;
-        recipe.pivot = rig->layout.rk;
+        recipe.victim = enclave.pid;
+        recipe.replayHandle = enclave.layout.td0;
+        recipe.pivot = enclave.layout.rk;
         recipe.confidence = 3;
         recipe.maxEpisodes = 1;
         recipe.walkPlan = ms::PageWalkPlan::longest();
         recipe.onReplay = [&](const ms::ReplayEvent &) {
-            replays.push_back(probeTable(1));
+            replays.push_back(enclave.probeTable(kernel, 1));
             return true;
         };
         recipe.beforeResume = [&](const ms::ReplayEvent &) {
-            primeTables();
+            enclave.primeTables(kernel);
         };
         scope.setRecipe(std::move(recipe));
 
-        primeTables();
+        enclave.primeTables(kernel);
         scope.arm();
-        m.kernel().startOnContext(rig->pid, 0, rig->program);
+        kernel.startOnContext(enclave.pid, 0, enclave.program);
         m.runUntilHalted(0, 50'000'000);
         scope.disarm();
 
-        std::set<unsigned> expected;
-        const crypto::DecAccessTrace trace =
-            crypto::traceDecryption(rig->decKey, ct);
-        for (std::uint8_t index : trace.indices[0][1])
-            expected.insert(crypto::tableLineOf(index));
-        std::array<unsigned, 16> votes{};
-        const std::size_t primed =
-            replays.size() > 1 ? replays.size() - 1 : 0;
+        // Replay 0 runs unprimed; the vote is over the primed ones.
+        std::vector<std::set<unsigned>> primed;
         for (std::size_t i = 1; i < replays.size(); ++i)
-            for (unsigned line :
-                 replays[i].hitLines(prefixHitThreshold))
-                ++votes[line];
-        std::set<unsigned> majority;
-        for (unsigned line = 0; line < 16; ++line)
-            if (votes[line] * 2 > primed)
-                majority.insert(line);
-        const bool matches = primed > 0 && majority == expected;
+            primed.push_back(replays[i].hitLines(attack::aesHitThreshold));
+        const bool matches =
+            !primed.empty() && attack::majorityLines(primed) ==
+                                   enclave.round1Td1Lines(ct.data());
 
         exp::TrialOutput out;
         out.metric.add(matches ? 1.0 : 0.0);

@@ -128,6 +128,19 @@ TEST(AesAttack, Fig11ShapeReproduces)
     EXPECT_GT(high, 0u);
 }
 
+/** §4.3 vote rule: hot means a strict majority, so a tie is not hot. */
+TEST(AesAttack, MajorityLinesNeedsAStrictMajority)
+{
+    using Lines = std::set<unsigned>;
+    EXPECT_EQ(majorityLines({{1, 2, 3}, {2, 3}, {3, 4}, {3}}),
+              (Lines{3}));
+    EXPECT_EQ(majorityLines({{1, 2, 3}, {2, 3}, {3, 4}}),
+              (Lines{2, 3}));
+    EXPECT_EQ(majorityLines({{0, 15}}), (Lines{0, 15}));
+    EXPECT_TRUE(majorityLines({}).empty());
+    EXPECT_TRUE(majorityLines({{}, {}}).empty());
+}
+
 TEST(AesAttack, FullExtractionSingleSteps)
 {
     AesAttackConfig config;
