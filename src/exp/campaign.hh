@@ -266,8 +266,9 @@ struct CampaignSpec
      * unique machine structure, snapshots the result, and forks the
      * snapshot per trial; with it off the warmup re-runs cold before
      * every trial.  The reseed-at-fork contract makes the two paths
-     * bit-identical — prefixCache is a pure wall-clock knob (the A/B
-     * switch bench/perf_campaign and tests/test_snapshot.cc exercise).
+     * bit-identical — prefixCache is a pure wall-clock knob
+     * (bench/perf_campaign's prefix section times both paths, and
+     * tests/test_snapshot.cc checks them equal).
      */
     std::function<std::shared_ptr<const void>(os::Machine &)> warmup;
 

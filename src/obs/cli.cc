@@ -96,12 +96,6 @@ parseBenchObsOptions(int argc, char **argv,
                 opts.fastForward = false;
             else
                 panic("--fast-forward requires 'on' or 'off'");
-        } else if (matchFlag(arg, "--obs", &value)) {
-            const std::optional<ObsLevel> level =
-                value ? parseObsLevel(value) : std::nullopt;
-            if (!level)
-                panic("--obs requires off|metrics|trace");
-            opts.obsLevel = level;
         } else if (matchFlag(arg, "--log-level", &value)) {
             const std::optional<LogLevel> level =
                 value ? parseLogLevel(value) : std::nullopt;
@@ -117,7 +111,7 @@ parseBenchObsOptions(int argc, char **argv,
         } else {
             warn("ignoring unknown argument '%s' "
                  "(known: --trace[=PATH], --trace-capacity=N, "
-                 "--metrics, --fast-forward={on,off}, --obs=LEVEL, "
+                 "--metrics, --fast-forward={on,off}, "
                  "--log-level=LEVEL, --log-json)",
                  arg);
         }

@@ -11,12 +11,7 @@
  *                      always flow into the campaign JSON regardless).
  *   --fast-forward={on,off}
  *                      force event-driven fast-forward on or off
- *                      (default: each bench's own choice — usually
- *                      both, as an A/B measurement).
- *   --obs=LEVEL        pin the campaign observability dial
- *                      (off|metrics|trace); unset means "bench
- *                      decides" — perf_campaign's obs section uses it
- *                      to re-run one arm of its A/B.
+ *                      (default: on; the fig10/fig11 benches read it).
  *   --log-level=LEVEL  structured-log threshold (error|warn|info|
  *                      debug); applied via configureLog.
  *   --log-json         NDJSON log lines on stderr.
@@ -35,7 +30,6 @@
 #include <string>
 
 #include "obs/metrics.hh"
-#include "obs/prof.hh"
 
 namespace uscope::obs
 {
@@ -63,10 +57,8 @@ struct BenchObsOptions
     std::string tracePath;
     std::size_t traceCapacity = std::size_t{1} << 16;
     bool metrics = false;
-    /** --fast-forward: unset means "bench decides" (typically A/B). */
+    /** --fast-forward: unset means the bench's default. */
     std::optional<bool> fastForward;
-    /** --obs: unset means "bench decides". */
-    std::optional<ObsLevel> obsLevel;
 };
 
 /**

@@ -686,18 +686,16 @@ TEST(Obs, CampaignFingerprintInvariantAcrossObsLevels)
     }
 }
 
-TEST(BenchCli, ParsesObsAndLogFlags)
+TEST(BenchCli, ParsesLogFlags)
 {
     const LogConfig saved = logConfig();
 
-    const char *argv[] = {"bench", "--obs=trace", "--log-level=debug"};
-    const obs::BenchObsOptions opts = obs::parseBenchObsOptions(
-        3, const_cast<char **>(argv), "default.json");
-    ASSERT_TRUE(opts.obsLevel.has_value());
-    EXPECT_EQ(*opts.obsLevel, obs::ObsLevel::Trace);
+    const char *argv[] = {"bench", "--log-level=debug"};
+    obs::parseBenchObsOptions(2, const_cast<char **>(argv),
+                              "default.json");
     EXPECT_EQ(logConfig().level, LogLevel::Debug);
 
-    const char *bad[] = {"bench", "--obs=everything"};
+    const char *bad[] = {"bench", "--log-level=everything"};
     EXPECT_THROW(obs::parseBenchObsOptions(
                      2, const_cast<char **>(bad), "d.json"),
                  SimPanic);
