@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "core/microscope.hh"
 #include "cpu/program.hh"
 #include "crypto/aes.hh"
@@ -165,6 +167,35 @@ BM_OneReplayCycle(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OneReplayCycle);
+
+/**
+ * One restore of a warm machine after a window that touched
+ * state.range(0) lines: the per-iteration cost a replay loop pays.
+ * Only the restore is timed.  With the versioned set copy (DESIGN.md
+ * §17) it scales with the lines touched, not with the 8 MiB L3.
+ */
+void
+BM_SnapshotRestore(benchmark::State &state)
+{
+    os::Machine machine;
+    Rng rng(1);
+    // Fill every level: twice the L3's 131 072 lines.
+    for (int i = 0; i < (1 << 18); ++i)
+        machine.hierarchy().access(rng.below(1 << 22) * lineSize);
+    const os::Snapshot snap = machine.snapshot();
+    machine.restoreFrom(snap);
+    const auto touched = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        for (int i = 0; i < touched; ++i)
+            machine.hierarchy().access(rng.below(1 << 22) * lineSize);
+        const auto start = std::chrono::steady_clock::now();
+        machine.restoreFrom(snap);
+        state.SetIterationTime(std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start).count());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SnapshotRestore)->Arg(16)->Arg(1024)->UseManualTime();
 
 } // namespace
 

@@ -1,10 +1,39 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
+
 #include "common/bitfield.hh"
 #include "common/logging.hh"
 
 namespace uscope::mem
 {
+
+namespace
+{
+
+/**
+ * A fresh set version id, unique across the process (DESIGN.md §17).
+ * Each thread draws from a private block of ids and refills it from
+ * one global counter, so the hot path is a thread-local increment.
+ * Id 0 is never drawn: it names the empty set.
+ */
+std::uint64_t
+freshSetVersion()
+{
+    constexpr std::uint64_t kBlock = 1u << 12;
+    static std::atomic<std::uint64_t> nextBlock{1};
+    thread_local std::uint64_t next = 0;
+    thread_local std::uint64_t end = 0;
+    if (next == end) {
+        next = nextBlock.fetch_add(kBlock);
+        end = next + kBlock;
+    }
+    return next++;
+}
+
+} // anonymous namespace
 
 Cache::Cache(std::string name, std::uint64_t size, unsigned assoc)
     : name_(std::move(name)), assoc_(assoc)
@@ -18,6 +47,13 @@ Cache::Cache(std::string name, std::uint64_t size, unsigned assoc)
               name_.c_str(), static_cast<unsigned long long>(sets));
     numSets_ = static_cast<unsigned>(sets);
     ways_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+    setVer_.resize(numSets_);
+}
+
+void
+Cache::touchSet(unsigned set)
+{
+    setVer_[set] = freshSetVersion();
 }
 
 unsigned
@@ -60,8 +96,8 @@ Cache::access(PAddr addr)
 {
     Way *way = findWay(addr);
     if (way) {
-        journalWay(*way);
         way->lruStamp = ++clock_;
+        touchSet(setIndex(addr));
         ++stats_.hits;
         return true;
     }
@@ -75,8 +111,8 @@ Cache::insert(PAddr addr)
     if (Way *way = findWay(addr)) {
         // Already resident (races between walker and core fills);
         // treat as a touch.
-        journalWay(*way);
         way->lruStamp = ++clock_;
+        touchSet(setIndex(addr));
         return std::nullopt;
     }
 
@@ -98,10 +134,10 @@ Cache::insert(PAddr addr)
         ++stats_.evictions;
         evicted = (victim->tag * numSets_ + set) << lineShift;
     }
-    journalWay(*victim);
     victim->valid = true;
     victim->tag = tagOf(addr);
     victim->lruStamp = ++clock_;
+    touchSet(set);
     return evicted;
 }
 
@@ -109,8 +145,8 @@ bool
 Cache::invalidate(PAddr addr)
 {
     if (Way *way = findWay(addr)) {
-        journalWay(*way);
         way->valid = false;
+        touchSet(setIndex(addr));
         ++stats_.invalidations;
         return true;
     }
@@ -120,17 +156,14 @@ Cache::invalidate(PAddr addr)
 void
 Cache::invalidateAll()
 {
-    // A bulk wipe touches every way; undoing it entry-by-entry would
-    // cost as much as the full copy the journal exists to avoid, so it
-    // poisons the journal instead (rewind falls back to copyStateFrom).
-    if (journal_.armed)
-        journal_.poisoned = true;
     for (Way &way : ways_) {
         if (way.valid) {
             way.valid = false;
             ++stats_.invalidations;
         }
     }
+    for (unsigned set = 0; set < numSets_; ++set)
+        touchSet(set);
 }
 
 std::optional<PAddr>
@@ -152,57 +185,49 @@ Cache::occupancy() const
     return n;
 }
 
-namespace
-{
-
-/**
- * Entry cap: bounds journal memory on pathological windows.  A window
- * touching more distinct way-mutations than this is in full-copy
- * territory anyway, so overflow poisons rather than grows.
- */
-constexpr std::size_t kJournalCap = 1u << 16;
-
-} // anonymous namespace
-
 void
-Cache::beginJournal()
+Cache::copyStateFrom(const Cache &other)
 {
-    journal_.armed = true;
-    journal_.poisoned = false;
-    journal_.entries.clear();
-    journal_.clock0 = clock_;
-    journal_.stats0 = stats_;
+    if (numSets_ != other.numSets_ || assoc_ != other.assoc_)
+        panic("Cache %s: copyStateFrom a %ux%u cache into %ux%u",
+              name_.c_str(), other.numSets_, other.assoc_, numSets_,
+              assoc_);
+    // Equal ids imply equal contents, so only differing sets travel.
+    // Most sets match; a memcmp per chunk of ids skips them about
+    // four times faster than comparing one id at a time.
+    constexpr unsigned kChunk = 32;
+    for (unsigned first = 0; first < numSets_; first += kChunk) {
+        const unsigned last = std::min(first + kChunk, numSets_);
+        if (std::memcmp(&setVer_[first], &other.setVer_[first],
+                        (last - first) * sizeof(std::uint64_t)) == 0)
+            continue;
+        for (unsigned set = first; set < last; ++set) {
+            if (setVer_[set] == other.setVer_[set])
+                continue;
+            const std::size_t base =
+                static_cast<std::size_t>(set) * assoc_;
+            std::copy_n(other.ways_.begin() + base, assoc_,
+                        ways_.begin() + base);
+            setVer_[set] = other.setVer_[set];
+        }
+    }
+    clock_ = other.clock_;
+    stats_ = other.stats_;
 }
 
 void
-Cache::recordUndo(const Way &way)
+Cache::reset()
 {
-    if (journal_.poisoned)
-        return;
-    if (journal_.entries.size() >= kJournalCap) {
-        journal_.poisoned = true;
-        return;
+    // Version 0 already names an all-Way{} set; clear only the others.
+    for (unsigned set = 0; set < numSets_; ++set) {
+        if (setVer_[set] == 0)
+            continue;
+        const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+        std::fill_n(ways_.begin() + base, assoc_, Way{});
+        setVer_[set] = 0;
     }
-    const auto index =
-        static_cast<std::uint32_t>(&way - ways_.data());
-    journal_.entries.push_back({index, way});
-}
-
-bool
-Cache::rewindJournal()
-{
-    if (!journalViable())
-        return false;
-    // Reverse order makes duplicate records of one way harmless: the
-    // last applied (= first recorded) image is the armed-time state.
-    for (auto it = journal_.entries.rbegin();
-         it != journal_.entries.rend(); ++it) {
-        ways_[it->index] = it->pre;
-    }
-    clock_ = journal_.clock0;
-    stats_ = journal_.stats0;
-    journal_.entries.clear();
-    return true;
+    clock_ = 0;
+    stats_ = CacheStats{};
 }
 
 std::uint64_t

@@ -90,63 +90,20 @@ class Cache
 
     /**
      * Adopt @p other's ways, LRU clock, and stats (snapshot forking,
-     * DESIGN.md §12).  Both caches must share the same geometry.
-     * Disarms any journal — a wholesale overwrite invalidates it.
+     * DESIGN.md §12).  Only the sets whose version ids differ are
+     * copied (DESIGN.md §17), so a copy costs O(sets) compares plus
+     * O(sets that differ) way copies.  Panics unless both caches
+     * share the same geometry.
      */
-    void copyStateFrom(const Cache &other)
-    {
-        ways_ = other.ways_;
-        clock_ = other.clock_;
-        stats_ = other.stats_;
-        disarmJournal();
-    }
+    void copyStateFrom(const Cache &other);
 
     /** Return to the just-constructed state (empty, zero stats). */
-    void reset()
-    {
-        ways_.assign(ways_.size(), Way{});
-        clock_ = 0;
-        stats_ = CacheStats{};
-        disarmJournal();
-    }
-
-    // ------------------------------------------------------------------
-    // Undo journal (journaled Machine::restoreFrom, DESIGN.md §17).
-    // ------------------------------------------------------------------
-
-    /**
-     * Arm the undo journal at the current state: every subsequent way
-     * mutation records the overwritten way image so rewindJournal()
-     * can restore this exact state in O(ways touched), instead of the
-     * O(all ways) copyStateFrom a full restore pays.  Re-arming
-     * discards any previous journal.
-     */
-    void beginJournal();
-
-    /**
-     * Undo every journaled mutation in reverse order, restoring the
-     * exact state beginJournal() captured (ways, LRU clock, stats),
-     * and leave the journal armed-and-empty for the next window.
-     *
-     * @return false when the journal is not viable (never armed,
-     *         poisoned by invalidateAll, or overflowed the entry cap);
-     *         the state is then left untouched and the caller must
-     *         fall back to copyStateFrom + beginJournal.
-     */
-    bool rewindJournal();
-
-    /** Armed and not poisoned — rewindJournal() would succeed. */
-    bool journalViable() const
-    {
-        return journal_.armed && !journal_.poisoned;
-    }
-
-    /** Undo entries currently recorded (diagnostics/tests). */
-    std::size_t journalSize() const { return journal_.entries.size(); }
+    void reset();
 
     /**
      * FNV-1a digest of the complete mutable state (ways, LRU clock,
-     * stats) — the rewind-equals-restore test oracle.
+     * stats) — the copy-equals-source test oracle.  Set versions are
+     * bookkeeping, not state, and stay out of it.
      */
     std::uint64_t stateDigest() const;
 
@@ -158,37 +115,8 @@ class Cache
         std::uint64_t lruStamp = 0;
     };
 
-    /** One undo record: the pre-mutation image of ways_[index]. */
-    struct JournalEntry
-    {
-        std::uint32_t index;
-        Way pre;
-    };
-
-    struct Journal
-    {
-        bool armed = false;
-        bool poisoned = false;
-        std::vector<JournalEntry> entries;
-        std::uint64_t clock0 = 0;
-        CacheStats stats0;
-    };
-
-    /** Record @p way's pre-mutation image (no-op unless armed). */
-    void journalWay(const Way &way)
-    {
-        if (journal_.armed)
-            recordUndo(way);
-    }
-
-    void recordUndo(const Way &way);
-
-    void disarmJournal()
-    {
-        journal_.armed = false;
-        journal_.poisoned = false;
-        journal_.entries.clear();
-    }
+    /** Give set @p set a fresh version id: its ways just changed. */
+    void touchSet(unsigned set);
 
     std::uint64_t tagOf(PAddr addr) const;
     Way *findWay(PAddr addr);
@@ -198,9 +126,15 @@ class Cache
     unsigned numSets_;
     unsigned assoc_;
     std::vector<Way> ways_;      ///< numSets_ * assoc_, row-major by set.
+    /**
+     * One version id per set: equal ids imply equal set contents,
+     * across every cache of every thread.  0 is the all-Way{} set a
+     * construction or reset() leaves; every way mutation draws a
+     * fresh process-unique id, and copyStateFrom adopts the source's.
+     */
+    std::vector<std::uint64_t> setVer_;
     std::uint64_t clock_ = 0;    ///< monotonic stamp source for LRU.
     CacheStats stats_;
-    Journal journal_;
 };
 
 } // namespace uscope::mem

@@ -159,28 +159,6 @@ Hierarchy::reset(std::uint64_t seed)
     rng_.seed(seed);
 }
 
-void
-Hierarchy::beginJournal()
-{
-    l1_.beginJournal();
-    l2_.beginJournal();
-    l3_.beginJournal();
-}
-
-bool
-Hierarchy::rewindJournalTo(const Hierarchy &snap)
-{
-    // All-or-nothing: check viability first so a poisoned level never
-    // leaves the hierarchy half-rewound.
-    if (!journalViable())
-        return false;
-    l1_.rewindJournal();
-    l2_.rewindJournal();
-    l3_.rewindJournal();
-    rng_ = snap.rng_;
-    return true;
-}
-
 std::uint64_t
 Hierarchy::stateDigest() const
 {

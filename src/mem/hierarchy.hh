@@ -128,8 +128,10 @@ class Hierarchy
 
     /**
      * Adopt @p other's cache contents, stats, and DRAM-jitter RNG
-     * stream (snapshot forking, DESIGN.md §12).  Configs must match;
-     * the observer wiring is left untouched.
+     * stream (snapshot forking, DESIGN.md §12).  Each cache copies
+     * only the sets that differ (Cache::copyStateFrom).  Geometries
+     * must match (a mismatch panics); the observer wiring is left
+     * untouched.
      */
     void copyStateFrom(const Hierarchy &other);
 
@@ -141,34 +143,6 @@ class Hierarchy
 
     /** Wire the owning Machine's observability hub (may be null). */
     void setObserver(obs::Observer *observer) { obs_ = observer; }
-
-    // ------------------------------------------------------------------
-    // Undo journal (journaled Machine::restoreFrom, DESIGN.md §17).
-    // ------------------------------------------------------------------
-
-    /** Arm all three caches' undo journals at the current state. */
-    void beginJournal();
-
-    /**
-     * Restore the state captured by the last beginJournal() by
-     * rewinding every cache's undo journal (O(ways touched)), and
-     * adopt @p snap's DRAM-jitter RNG so the net effect is exactly
-     * copyStateFrom(@p snap) — @p snap must be the state the journal
-     * was armed at.  Leaves the journals armed-and-empty.
-     *
-     * @return false when any cache's journal is not viable (poisoned
-     *         by invalidateAll or entry-cap overflow); no state is
-     *         touched and the caller must fall back to copyStateFrom
-     *         (+ beginJournal to re-arm).
-     */
-    bool rewindJournalTo(const Hierarchy &snap);
-
-    /** All three journals armed and unpoisoned. */
-    bool journalViable() const
-    {
-        return l1_.journalViable() && l2_.journalViable() &&
-               l3_.journalViable();
-    }
 
     /** Combined FNV digest of all cache state (tests). */
     std::uint64_t stateDigest() const;

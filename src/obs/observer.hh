@@ -54,7 +54,9 @@ class Observer
     void
     configure(const ObsConfig &config)
     {
-        if (config.traceCapacity)
+        // An untraced machine never touches the ring: leave it
+        // unallocated rather than zero-fill traceCapacity slots.
+        if (config.traceEvents && config.traceCapacity)
             trace.reserve(config.traceCapacity);
         trace.setEnabled(config.traceEvents);
     }

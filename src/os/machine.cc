@@ -1,7 +1,6 @@
 #include "os/machine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 
 #include "common/logging.hh"
@@ -28,14 +27,6 @@ configOf(const Snapshot &snap)
     if (!snap.valid())
         panic("Machine: invalid (empty or moved-from) Snapshot");
     return snap.config();
-}
-
-std::uint64_t
-nextStateStamp()
-{
-    // Relaxed is enough: stamps only need uniqueness, not ordering.
-    static std::atomic<std::uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 } // namespace
@@ -79,14 +70,13 @@ Machine::Machine(const Snapshot &snap) : Machine(configOf(snap))
 }
 
 void
-Machine::copyStateFrom(const Machine &other, bool rewind_caches)
+Machine::copyStateFrom(const Machine &other)
 {
     if (!sameStructure(config_, other.config_))
         panic("Machine::copyStateFrom: structural config mismatch");
     config_.seed = other.config_.seed;
     mem_.shareStateFrom(other.mem_);
-    if (!rewind_caches || !hierarchy_.rewindJournalTo(other.hierarchy_))
-        hierarchy_.copyStateFrom(other.hierarchy_);
+    hierarchy_.copyStateFrom(other.hierarchy_);
     mmu_.copyStateFrom(other.mmu_);
     core_.copyStateFrom(other.core_);
     kernel_.copyStateFrom(other.kernel_);
@@ -98,7 +88,6 @@ Machine::copyStateFrom(const Machine &other, bool rewind_caches)
     // deliver the whole catch-up burst at the restored cycle).
     faults_.reanchorAt(core_.cycle());
     obs_.trace.copyStateFrom(other.obs_.trace);
-    stateStamp_ = nextStateStamp();
 }
 
 Snapshot
@@ -106,8 +95,10 @@ Machine::snapshot() const
 {
     // Reuse a pooled frozen machine when its last Snapshot is gone:
     // the construction cost (slab arena, cache arrays, ROB) dwarfs
-    // the state copy.  Either path runs the same copyStateFrom, so
-    // the snapshot's content is identical.
+    // the state copy, and the slot's caches still hold an older
+    // state of this machine, so only the sets that changed since
+    // travel.  Either path runs the same copyStateFrom, so the
+    // snapshot's content is identical.
     for (auto &slot : scratchSnaps_) {
         if (slot && slot.use_count() == 1 &&
             sameStructure(slot->config_, config_)) {
@@ -127,18 +118,7 @@ Machine::restoreFrom(const Snapshot &snap)
 {
     if (!snap.valid())
         panic("Machine::restoreFrom: invalid Snapshot");
-    const Machine &src = *snap.frozen_;
-    // Journaled restore (DESIGN.md §17): the last full restore armed
-    // the hierarchy's undo journal at its source's state.  If this
-    // source is that same, unchanged state and nothing poisoned the
-    // journal since, rewinding it equals the full cache copy.
-    if (src.stateStamp_ == journalStamp_ && hierarchy_.journalViable()) {
-        copyStateFrom(src, /*rewind_caches=*/true);
-        return;
-    }
-    copyStateFrom(src);
-    hierarchy_.beginJournal();
-    journalStamp_ = src.stateStamp_;
+    copyStateFrom(*snap.frozen_);
 }
 
 void

@@ -193,7 +193,9 @@ class Machine
      * schedule, stats, and the event-trace ring.  Physical pages are
      * shared copy-on-write — the snapshot holds references and this
      * machine's (or any fork's) first write to a shared page copies
-     * it, so the snapshot stays frozen.
+     * it, so the snapshot stays frozen.  A snapshot that reuses a
+     * dead snapshot's frozen slot copies only the cache sets that
+     * changed since that slot was filled (DESIGN.md §17).
      *
      * Registered fault modules (ms::Microscope) are per-machine
      * external objects and are NOT captured; their machine-visible
@@ -209,17 +211,15 @@ class Machine
      * machine privatized since the last restore return to the shared
      * arena's free list.
      *
-     * Repeated restores from the *same* snapshot — the differential-
-     * replay pattern, one restore per replay iteration (DESIGN.md
-     * §15) — take two fast paths.  PhysMem re-shares in place: only
-     * pages written since the previous restore are re-pointed; the
-     * slab index is not rebuilt.  The cache hierarchy rewinds its undo
-     * journal, armed by the previous restore, in O(ways touched)
-     * instead of copying every way (DESIGN.md §17).  Either way the
-     * result is bit-identical to a full copy.  Fault schedules are
-     * defensively re-anchored at the restored cycle
-     * (FaultInjector::reanchorAt), a no-op for any consistent
-     * snapshot.
+     * In its two big layers a restore pays for the state that differs,
+     * not for the whole machine.  PhysMem re-shares in place when the
+     * source is the snapshot it last shared from: only pages written
+     * since are re-pointed (DESIGN.md §15).  The cache hierarchy
+     * copies only the sets whose version ids differ from the
+     * snapshot's (DESIGN.md §17).  The result is bit-identical to a
+     * full copy.  Fault schedules are defensively re-anchored at the
+     * restored cycle (FaultInjector::reanchorAt), a no-op for any
+     * consistent snapshot.
      */
     void restoreFrom(const Snapshot &snap);
 
@@ -249,28 +249,10 @@ class Machine
     void reseed(std::uint64_t seed);
 
   private:
-    /**
-     * Overwrite all mutable state with @p other's (same structure) and
-     * draw a new stateStamp_.  With @p rewind_caches the hierarchy is
-     * rewound through its undo journal instead of copied (the copy
-     * still runs if the journal is not viable); the caller guarantees
-     * the journal was armed at @p other's state.
-     */
-    void copyStateFrom(const Machine &other, bool rewind_caches = false);
+    /** Overwrite all mutable state with @p other's (same structure). */
+    void copyStateFrom(const Machine &other);
 
     MachineConfig config_;
-    /**
-     * Process-unique stamp of this machine's state, drawn anew by
-     * every copyStateFrom (0 = never copied into).  Frozen snapshot
-     * machines are never ticked, so for them an unchanged stamp means
-     * unchanged state — also when Machine::snapshot() reuses a frozen
-     * slot, where pointer identity alone would be fooled (the ABA
-     * case).  Same shape as PhysMem's id_/mutationEpoch_ guard.
-     */
-    std::uint64_t stateStamp_ = 0;
-    /** Stamp of the snapshot the last full restoreFrom copied: the
-     *  state the hierarchy's undo journal was armed at. */
-    std::uint64_t journalStamp_ = 0;
     obs::Observer obs_;
     mem::PhysMem mem_;
     mem::Hierarchy hierarchy_;

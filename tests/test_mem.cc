@@ -8,6 +8,7 @@
 
 #include <list>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -348,19 +349,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HierarchyInclusionTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 // ---------------------------------------------------------------------
-// Undo journal (journaled Machine::restoreFrom, DESIGN.md §17)
+// Versioned set copy (Cache::copyStateFrom, DESIGN.md §17)
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-/** Random demand accesses, installs, and flushes over 4096 lines. */
+/** Random demand accesses, installs, and flushes over 4096 lines
+ *  from @p base. */
 void
-churn(Hierarchy &hier, std::uint64_t seed, int steps)
+churn(Hierarchy &hier, std::uint64_t seed, int steps, PAddr base = 0)
 {
     Rng rng(seed);
     for (int step = 0; step < steps; ++step) {
-        const PAddr addr = rng.below(4096) * lineSize;
+        const PAddr addr = base + rng.below(4096) * lineSize;
         switch (rng.below(4)) {
           case 0:
             hier.flushLine(addr);
@@ -375,106 +377,126 @@ churn(Hierarchy &hier, std::uint64_t seed, int steps)
     }
 }
 
-} // namespace
-
-TEST(CacheJournal, RewindEqualsCopyStateFrom)
+/**
+ * Fewer than 40 random mutations of @p cache over 256 lines: hits, fills,
+ * invalidations, and now and then a bulk wipe or a reset.  Short
+ * bursts leave most of a 16-set cache's sets untouched, so the
+ * copies below mix skipped and copied sets.
+ */
+void
+mutate(Cache &cache, Rng &rng)
 {
-    Cache snap("c", 16 * 4 * 64, 4);
-    Rng rng(3);
-    for (int i = 0; i < 200; ++i)
-        snap.insert(rng.below(256) * lineSize);
-
-    Cache cache("c", 16 * 4 * 64, 4);
-    cache.copyStateFrom(snap);
-    cache.beginJournal();
-    for (int window = 0; window < 3; ++window) {
-        for (int i = 0; i < 500; ++i) {
-            const PAddr addr = rng.below(256) * lineSize;
+    const std::uint64_t steps = rng.below(40);
+    for (std::uint64_t i = 0; i < steps; ++i) {
+        const PAddr addr = rng.below(256) * lineSize;
+        switch (rng.below(64)) {
+          case 0:
+            cache.invalidateAll();
+            break;
+          case 1:
+            cache.reset();
+            break;
+          case 2:
+          case 3:
+          case 4:
+          case 5:
+            cache.invalidate(addr);
+            break;
+          default:
             if (!cache.access(addr))
                 cache.insert(addr);
-            if (i % 7 == 0)
-                cache.invalidate(addr);
+            break;
         }
-        ASSERT_NE(cache.stateDigest(), snap.stateDigest());
-        // Rewinding restores ways, LRU clock and stats, and leaves the
-        // journal armed and empty for the next window.
-        ASSERT_TRUE(cache.rewindJournal());
-        EXPECT_EQ(cache.stateDigest(), snap.stateDigest());
-        EXPECT_TRUE(cache.journalViable());
-        EXPECT_EQ(cache.journalSize(), 0u);
     }
 }
 
-TEST(CacheJournal, EntryCapPoisons)
+} // namespace
+
+TEST(CacheCopy, ChainedCopiesEqualTheirSource)
 {
-    Cache cache("c", 4096, 4);
-    EXPECT_FALSE(cache.rewindJournal()) << "never armed";
-    cache.insert(0x1000);
-    cache.beginJournal();
-    // Every hit journals one LRU touch: 65 536 entries fit, the next
-    // one poisons instead of growing the journal.
-    for (int i = 0; i < 65536; ++i)
-        cache.access(0x1000);
-    EXPECT_TRUE(cache.journalViable());
-    EXPECT_EQ(cache.journalSize(), 65536u);
-    cache.access(0x1000);
-    EXPECT_FALSE(cache.journalViable());
-    const std::uint64_t poisoned = cache.stateDigest();
-    EXPECT_FALSE(cache.rewindJournal());
-    EXPECT_EQ(cache.stateDigest(), poisoned);
-    // Re-arming clears the poison.
-    cache.beginJournal();
-    EXPECT_TRUE(cache.journalViable());
-    EXPECT_EQ(cache.journalSize(), 0u);
+    Cache a("c", 16 * 4 * 64, 4);
+    Cache b("c", 16 * 4 * 64, 4);
+    Cache c("c", 16 * 4 * 64, 4);
+    Rng rng(3);
+    for (int round = 0; round < 200; ++round) {
+        // A -> B -> C -> A, each source mutated before it is copied.
+        mutate(a, rng);
+        b.copyStateFrom(a);
+        ASSERT_EQ(b.stateDigest(), a.stateDigest()) << "round " << round;
+        mutate(b, rng);
+        c.copyStateFrom(b);
+        ASSERT_EQ(c.stateDigest(), b.stateDigest()) << "round " << round;
+        mutate(c, rng);
+        a.copyStateFrom(c);
+        ASSERT_EQ(a.stateDigest(), c.stateDigest()) << "round " << round;
+        // A destination that diverged since its last copy.
+        mutate(b, rng);
+        mutate(a, rng);
+        b.copyStateFrom(a);
+        ASSERT_EQ(b.stateDigest(), a.stateDigest()) << "round " << round;
+    }
 }
 
-TEST(HierarchyJournal, RewindEqualsCopyStateFrom)
+TEST(HierarchyCopy, ChainedCopiesEqualTheirSource)
 {
-    Hierarchy snap(MemConfig{}, 9);
-    churn(snap, 1, 2000);
-
-    Hierarchy rewound(MemConfig{}, 9);
-    rewound.copyStateFrom(snap);
-    rewound.beginJournal();
-    for (std::uint64_t window = 0; window < 3; ++window) {
-        churn(rewound, 100 + window, 500);
-        ASSERT_NE(rewound.stateDigest(), snap.stateDigest());
-        ASSERT_TRUE(rewound.rewindJournalTo(snap));
-
-        Hierarchy copied(MemConfig{}, 1);
-        copied.copyStateFrom(snap);
-        EXPECT_EQ(rewound.stateDigest(), copied.stateDigest());
-        // The DRAM-jitter stream came back too: the same cold misses
+    Hierarchy a(MemConfig{}, 9);
+    Hierarchy b(MemConfig{}, 1);
+    Hierarchy c(MemConfig{}, 2);
+    churn(a, 1, 2000);
+    for (std::uint64_t round = 0; round < 4; ++round) {
+        b.copyStateFrom(a);
+        EXPECT_EQ(b.stateDigest(), a.stateDigest());
+        churn(b, 100 + round, 500);
+        if (round == 1)
+            b.l2().invalidateAll();
+        if (round == 2)
+            b.l1().reset();
+        c.copyStateFrom(b);
+        EXPECT_EQ(c.stateDigest(), b.stateDigest());
+        churn(c, 200 + round, 500);
+        // A copies back into a destination that diverged from it.
+        churn(a, 300 + round, 500);
+        a.copyStateFrom(c);
+        EXPECT_EQ(a.stateDigest(), c.stateDigest());
+        // The DRAM-jitter stream came across too: the same cold misses
         // draw the same latencies.
         for (std::uint64_t i = 0; i < 64; ++i) {
-            const PAddr addr = (8192 + i) * lineSize;
-            EXPECT_EQ(rewound.access(addr).latency,
-                      copied.access(addr).latency);
+            const PAddr addr = (8192 + 64 * round + i) * lineSize;
+            EXPECT_EQ(a.access(addr).latency, c.access(addr).latency);
         }
-        ASSERT_TRUE(rewound.rewindJournalTo(snap));
     }
 }
 
-TEST(HierarchyJournal, InvalidateAllPoisonsAndRewindIsAllOrNothing)
+TEST(HierarchyCopy, CrossThreadCopyEqualsSource)
 {
-    Hierarchy snap(MemConfig{}, 9);
-    churn(snap, 2, 500);
+    // Two threads run the same churn on fresh hierarchies, one of
+    // them 1 GiB higher: every level maps both line sequences to the
+    // same sets, so both threads mutate the same sets in the same
+    // order while their tags differ.  Ids handed out per thread
+    // rather than per process would then coincide set by set, and
+    // the copy below would skip sets that differ.
+    Hierarchy a(MemConfig{}, 1);
+    Hierarchy b(MemConfig{}, 1);
+    std::thread ta([&a]() { churn(a, 10, 3000); });
+    std::thread tb([&b]() { churn(b, 10, 3000, PAddr{1} << 30); });
+    ta.join();
+    tb.join();
+    ASSERT_NE(a.stateDigest(), b.stateDigest());
+    b.copyStateFrom(a);
+    EXPECT_EQ(b.stateDigest(), a.stateDigest());
+}
 
-    Hierarchy hier(MemConfig{}, 9);
-    hier.copyStateFrom(snap);
-    hier.beginJournal();
-    churn(hier, 3, 100);
-    hier.l2().invalidateAll();
-    EXPECT_FALSE(hier.journalViable());
-    // No level is rewound, not even the L1 and L3 whose journals are
-    // still viable: a half-rewound hierarchy would break inclusion.
-    const std::uint64_t before = hier.stateDigest();
-    EXPECT_FALSE(hier.rewindJournalTo(snap));
-    EXPECT_EQ(hier.stateDigest(), before);
-
-    // The fallback a restore takes: full copy, then re-arm.
-    hier.copyStateFrom(snap);
-    hier.beginJournal();
-    EXPECT_TRUE(hier.journalViable());
-    EXPECT_EQ(hier.stateDigest(), snap.stateDigest());
+TEST(HierarchyCopy, GeometryMismatchPanics)
+{
+    MemConfig fewer_sets;
+    fewer_sets.l2Size = 128 * 1024;
+    MemConfig fewer_ways;
+    fewer_ways.l1Size = 16 * 1024;
+    fewer_ways.l1Assoc = 4;   // L1 keeps its 64 sets
+    for (const MemConfig &other : {fewer_sets, fewer_ways}) {
+        Hierarchy a(MemConfig{}, 1);
+        Hierarchy b(other, 1);
+        EXPECT_THROW(a.copyStateFrom(b), SimPanic);
+        EXPECT_THROW(b.copyStateFrom(a), SimPanic);
+    }
 }

@@ -17,10 +17,12 @@
  *    on/off, fault plans (including USCOPE_FAULT_PLAN=chaos, which
  *    the CI chaos job exports), worker counts 1/2/4, and every
  *    prefixCache × machinePool combination of the campaign runner.
- *  - **Journaled restore.** Repeated restoreFrom calls from one
- *    snapshot, which rewind the cache undo journal (DESIGN.md §17),
- *    each equal a machine freshly constructed from the snapshot —
- *    also when a new snapshot reuses a dropped one's frozen slot.
+ *  - **Versioned restore.** Repeated restoreFrom calls from one
+ *    snapshot, which copy only the cache sets whose version ids
+ *    differ (DESIGN.md §17), each equal a machine freshly constructed
+ *    from the snapshot — also when a new snapshot reuses a dropped
+ *    one's frozen slot, and when the two machines drew their set
+ *    versions on different threads.
  *
  * Runs under TSan in CI, where the worker sweep doubles as a race
  * check on the per-worker snapshot caches and machine pools.
@@ -30,10 +32,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hh"
@@ -279,8 +283,8 @@ TEST(MachineFork, StructuralMismatchIsRejected)
 }
 
 // ---------------------------------------------------------------------
-// Journaled restore (DESIGN.md §17): a repeated restoreFrom rewinds
-// the cache hierarchy's undo journal instead of copying it.
+// Versioned restore (DESIGN.md §17): a restoreFrom copies only the
+// cache sets whose version ids differ from the snapshot's.
 // ---------------------------------------------------------------------
 
 /** stateFingerprint plus the cache contents, which the exported
@@ -292,7 +296,7 @@ fullState(os::Machine &machine)
            std::to_string(machine.hierarchy().stateDigest());
 }
 
-TEST(JournaledRestore, RepeatedRestoresEqualFreshMachines)
+TEST(VersionedRestore, RepeatedRestoresEqualFreshMachines)
 {
     os::MachineConfig config;
     config.seed = 7001;
@@ -302,16 +306,10 @@ TEST(JournaledRestore, RepeatedRestoresEqualFreshMachines)
 
     os::Machine pooled(config);
     for (std::uint64_t k = 0; k < 5; ++k) {
-        if (k == 3) {
-            // A bulk wipe poisons the journal: this restore must fall
-            // back to the full copy and re-arm.
+        // A bulk wipe gives every L2 set a fresh version: this restore
+        // copies the whole level back.
+        if (k == 3)
             pooled.hierarchy().l2().invalidateAll();
-            ASSERT_FALSE(pooled.hierarchy().journalViable());
-        } else if (k > 0) {
-            ASSERT_TRUE(pooled.hierarchy().journalViable())
-                << "the window poisoned the journal, so restore " << k
-                << " would not exercise the rewind";
-        }
         pooled.restoreFrom(snap);
         // The full-copy reference: a machine constructed from snap.
         os::Machine fresh(snap);
@@ -325,12 +323,12 @@ TEST(JournaledRestore, RepeatedRestoresEqualFreshMachines)
     }
 }
 
-TEST(JournaledRestore, ReusedSnapshotSlotIsNotTheOldSnapshot)
+TEST(VersionedRestore, ReusedSnapshotSlotIsNotTheOldSnapshot)
 {
     // The ABA case: snapshot B reuses the frozen slot of a dropped
     // snapshot A, at the same address.  A restore from B must not
-    // rewind to A's caches, which is what a pointer-only guard would
-    // do.
+    // keep A's caches, which is what a guard keyed on the snapshot's
+    // address would do.
     os::MachineConfig config;
     config.seed = 7001;
     os::Machine warm(config);
@@ -348,10 +346,36 @@ TEST(JournaledRestore, ReusedSnapshotSlotIsNotTheOldSnapshot)
     runBody(warm, victim, 2);
     const os::Snapshot b = warm.snapshot();
 
-    ASSERT_TRUE(pooled.hierarchy().journalViable());
     pooled.restoreFrom(b);
     os::Machine fresh(b);
     EXPECT_EQ(fullState(pooled), fullState(fresh));
+}
+
+TEST(VersionedRestore, CrossThreadCopyEqualsFreshMachine)
+{
+    // Two machines build the victim and run different bodies on their
+    // own threads, drawing set versions concurrently.  (They share no
+    // snapshot: page refcounts are confined to one thread.)  After
+    // the join, a restore of one from the other's snapshot must equal
+    // a machine built from that snapshot.
+    os::MachineConfig config;
+    config.seed = 7001;
+    os::Machine a(config);
+    os::Machine b(config);
+    auto simulate = [](os::Machine &machine, std::uint64_t seed) {
+        const Victim victim = buildVictim(machine);
+        machine.reseed(seed);
+        runBody(machine, victim, seed);
+    };
+    std::thread ta(simulate, std::ref(a), 1);
+    std::thread tb(simulate, std::ref(b), 2);
+    ta.join();
+    tb.join();
+
+    const os::Snapshot snap = a.snapshot();
+    b.restoreFrom(snap);
+    os::Machine fresh(snap);
+    EXPECT_EQ(fullState(b), fullState(fresh));
 }
 
 // ---------------------------------------------------------------------
