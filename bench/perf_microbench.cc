@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "core/microscope.hh"
@@ -167,6 +168,39 @@ BM_OneReplayCycle(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OneReplayCycle);
+
+/**
+ * Advancing an Rng by state.range(0) draws, the span one fast-forward
+ * skip covers: discard()'s inline stepping (burn) against jump().
+ * Their crossover sets Rng::kDiscardJumpMin.
+ */
+void
+BM_RngDiscard(benchmark::State &state, bool jump)
+{
+    const auto k = static_cast<std::uint64_t>(state.range(0));
+    Rng rng(k);
+    for (auto _ : state) {
+        if (jump) {
+            rng.jump(k);
+        } else {
+            // Chunks below the threshold keep discard() stepping.
+            for (std::uint64_t left = k; left > 0;) {
+                const std::uint64_t chunk =
+                    std::min(left, Rng::kDiscardJumpMin - 1);
+                rng.discard(chunk);
+                left -= chunk;
+            }
+        }
+        benchmark::DoNotOptimize(rng);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_CAPTURE(BM_RngDiscard, burn, false)
+    ->Arg(64)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(16384)
+    ->Arg(65536);
+BENCHMARK_CAPTURE(BM_RngDiscard, jump, true)
+    ->Arg(64)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096)->Arg(16384)
+    ->Arg(65536);
 
 /**
  * One restore of a warm machine after a window that touched

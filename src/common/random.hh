@@ -11,6 +11,7 @@
 #ifndef USCOPE_COMMON_RANDOM_HH
 #define USCOPE_COMMON_RANDOM_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -50,6 +51,32 @@ class Rng
     /** Next raw 64-bit draw. */
     std::uint64_t next();
 
+    /**
+     * Advance the stream by exactly @p k raw draws, leaving the state
+     * k next() calls would (as std:: engines' discard does).  Steps
+     * inline below kDiscardJumpMin draws and jump()s from there on.
+     */
+    void discard(std::uint64_t k);
+
+    /**
+     * discard(k) in O(log k) for any @p k: x^k mod the characteristic
+     * polynomial (xoshiro::xPowMod), applied to the state with one
+     * 256-step Horner pass over the transition.  About 1-1.5 us
+     * whatever k is, so discard() uses it only from the break-even
+     * on.
+     */
+    void jump(std::uint64_t k);
+
+    /**
+     * The smallest k for which discard(k) jumps rather than steps.
+     * BM_RngDiscard (bench/perf_microbench.cc; medians of 5 on a
+     * Xeon, in BENCH_fastforward.json) puts the crossover between
+     * k = 512 (stepping 0.57 us, jump 0.84 us) and k = 1024 (1.42
+     * against 1.24 us); other runs put it just either side of 1024.
+     * 2048 keeps a margin past it, where the jump already wins 2x.
+     */
+    static constexpr std::uint64_t kDiscardJumpMin = 2048;
+
     /** Uniform draw in [0, bound); bound must be non-zero. */
     std::uint64_t below(std::uint64_t bound);
 
@@ -65,6 +92,31 @@ class Rng
   private:
     std::uint64_t s_[4];
 };
+
+/**
+ * GF(2) polynomial arithmetic modulo xoshiro256's characteristic
+ * polynomial p(x): the engine of Rng::jump, exposed for its tests.
+ * By Cayley-Hamilton p(T) = 0 for the state transition T, so T^k is
+ * (x^k mod p)(T), a polynomial of degree below 256 in T.
+ */
+namespace xoshiro
+{
+
+/** Degree < 256: bit i % 64 of word i / 64 is the x^i coefficient. */
+using Poly = std::array<std::uint64_t, 4>;
+
+/** p(x) without its leading x^256 term, i.e. x^256 mod p. */
+inline constexpr Poly kCharPoly = {
+    0x9d116f2bb0f0f001ull, 0x0280002bcefd1a5eull,
+    0x04b4edcf26259f85ull, 0x0003c03c3f3ecb19ull};
+
+/** a(x)^2 mod p(x). */
+Poly squareMod(const Poly &a);
+
+/** x^k mod p(x), by left-to-right square-and-multiply. */
+Poly xPowMod(std::uint64_t k);
+
+} // namespace xoshiro
 
 } // namespace uscope
 

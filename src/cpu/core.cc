@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "common/bitfield.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 
@@ -611,11 +612,18 @@ Core::fastForwardTo(Cycles target)
               static_cast<unsigned long long>(target),
               static_cast<unsigned long long>(cycle_));
     // Each skipped tick would have drawn once for the SMT issue
-    // rotation (doIssue does so unconditionally); burn the same draws
-    // so the stream stays aligned with a cycle-by-cycle run.
+    // rotation (doIssue does so unconditionally); consume the same
+    // draws so the stream stays aligned with a cycle-by-cycle run.
+    // below() of a power of two takes exactly one raw draw, so the
+    // span is one discard (a jump once it passes the break-even);
+    // any other bound may reject draws, so each one is replayed.
     const auto n = static_cast<std::uint64_t>(contexts_.size());
-    for (Cycles c = cycle_; c < target; ++c)
-        (void)rng_.below(n);
+    if (isPowerOf2(n)) {
+        rng_.discard(target - cycle_);
+    } else {
+        for (Cycles c = cycle_; c < target; ++c)
+            (void)rng_.below(n);
+    }
     cycle_ = target;
 }
 
@@ -1111,8 +1119,8 @@ Core::tryIssue(unsigned ctx_id, RobEntry &entry)
 
     // Fault-layer port jitter: long-latency arithmetic (the paper's
     // contention channel) picks up deterministic extra cycles.  The
-    // hook draws from the injector's stream, never from rng_ (which
-    // fastForwardTo replays per cycle).
+    // hook draws from the injector's stream, never from rng_ (whose
+    // per-cycle draws fastForwardTo discards in bulk).
     if (issueJitter_ && dec.jitterable())
         latency += issueJitter_(ctx_id);
 

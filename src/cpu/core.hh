@@ -208,9 +208,10 @@ class Core
      * per successful issue of a jitterable op (Mul/Div/Fmul/Fdiv);
      * the returned extra cycles stretch that op's execution latency.
      * Must NOT touch this core's own RNG stream — fastForwardTo
-     * replays that stream per skipped cycle, so any extra draw there
-     * would break fast-forward bit-identity.  Injector-owned streams
-     * are safe: issues happen at identical cycles in both modes.
+     * advances that stream by one draw per skipped cycle, so any
+     * extra draw there would break fast-forward bit-identity.
+     * Injector-owned streams are safe: issues happen at identical
+     * cycles in both modes.
      */
     using IssueJitterHook = std::function<Cycles(unsigned ctx)>;
     void setIssueJitterHook(IssueJitterHook hook);
@@ -245,15 +246,17 @@ class Core
      * The guarantee is *bit-identity*: for every cycle c in
      * [cycle(), nextEventCycle()), tick() at c would change nothing
      * except the cycle counter and one SMT-arbitration RNG draw —
-     * both of which fastForwardTo() replays exactly.
+     * both of which fastForwardTo() advances exactly.
      */
     Cycles nextEventCycle() const;
 
     /**
      * Jump the clock to @p target without ticking.  The caller must
-     * guarantee target <= nextEventCycle(); the skipped span's
-     * per-cycle SMT-arbitration draws are burned so the RNG stream
-     * stays bit-identical to a cycle-by-cycle run.
+     * guarantee target <= nextEventCycle().  The RNG stream skips the
+     * span's per-cycle SMT-arbitration draws, so it stays
+     * bit-identical to a cycle-by-cycle run: one Rng::discard (an
+     * O(log k) jump for long spans) when numContexts is a power of
+     * two, else a below() replay per cycle (DESIGN.md §10).
      */
     void fastForwardTo(Cycles target);
 

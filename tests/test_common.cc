@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -134,6 +135,140 @@ TEST(Rng, RangeInclusive)
     for (int i = 0; i < 500; ++i)
         seen.insert(rng.range(3, 6));
     EXPECT_EQ(seen, (std::set<std::uint64_t>{3, 4, 5, 6}));
+}
+
+TEST(Rng, RangeFullSpanIsOneRawDraw)
+{
+    // hi - lo + 1 wraps to zero for the full 64-bit span; that must be
+    // one raw draw, not below(0).  Narrower spans keep below()'s
+    // stream.
+    Rng rng(9);
+    Rng twin(9);
+    const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(rng.range(0, top), twin.next());
+    EXPECT_EQ(rng.range(1, top), 1 + twin.below(top));
+    EXPECT_EQ(rng.range(0, top - 1), twin.below(top));
+    EXPECT_EQ(rng.next(), twin.next());
+}
+
+namespace
+{
+
+/** Four raw draws: enough to tell two generator states apart. */
+std::vector<std::uint64_t>
+peek(Rng rng)
+{
+    std::vector<std::uint64_t> draws;
+    for (int i = 0; i < 4; ++i)
+        draws.push_back(rng.next());
+    return draws;
+}
+
+} // namespace
+
+TEST(Rng, DiscardMatchesStepByStep)
+{
+    // The stream BelowStreamGolden pins, left 16 below(3) draws in.
+    Rng golden(42);
+    for (int i = 0; i < 16; ++i)
+        (void)golden.below(3);
+    const std::vector<Rng> starts = {golden, Rng(0), Rng(7),
+                                     Rng(0xDEADBEEFCAFEF00Dull)};
+    const std::uint64_t t = Rng::kDiscardJumpMin;
+    const std::uint64_t ks[] = {0,     1,     2,     255,
+                                256,   257,   t - 1, t,
+                                t + 1, 27800, (std::uint64_t{1} << 20) + 3};
+    for (std::size_t s = 0; s < starts.size(); ++s) {
+        for (const std::uint64_t k : ks) {
+            Rng stepped = starts[s];
+            for (std::uint64_t i = 0; i < k; ++i)
+                (void)stepped.next();
+            Rng discarded = starts[s];
+            discarded.discard(k);
+            Rng jumped = starts[s];
+            jumped.jump(k);
+            EXPECT_EQ(peek(discarded), peek(stepped))
+                << "start " << s << " k " << k;
+            EXPECT_EQ(peek(jumped), peek(stepped))
+                << "start " << s << " k " << k;
+        }
+    }
+}
+
+TEST(Rng, CharacteristicPolynomialReproducesPublishedJumps)
+{
+    // Derive p(x) from the public stream alone.  The scrambler is a
+    // bijection of s[1] (odd multiplies and a rotate), so each draw
+    // gives back s[1]; its low bit is a linear recurrence whose
+    // minimal polynomial is p itself, p being primitive.
+    const auto inverse = [](std::uint64_t odd) {
+        std::uint64_t inv = odd; // correct to 3 bits; Newton doubles it
+        for (int i = 0; i < 5; ++i)
+            inv *= 2 - odd * inv;
+        return inv;
+    };
+    const std::uint64_t inv5 = inverse(5);
+    const std::uint64_t inv9 = inverse(9);
+    Rng rng(2024);
+    std::vector<int> bits;
+    for (int i = 0; i < 512; ++i)
+        bits.push_back(std::rotr(rng.next() * inv9, 7) * inv5 & 1);
+
+    // Berlekamp-Massey over GF(2): the shortest c with
+    // bits[n] = sum_{i=1..L} c[i] bits[n - i].
+    const std::size_t n = bits.size();
+    std::vector<int> c(n + 1), b(n + 1);
+    c[0] = b[0] = 1;
+    std::size_t len = 0;
+    std::size_t shift = 1;
+    for (std::size_t at = 0; at < n; ++at) {
+        int d = bits[at];
+        for (std::size_t i = 1; i <= len; ++i)
+            d ^= c[i] & bits[at - i];
+        if (!d) {
+            ++shift;
+            continue;
+        }
+        const std::vector<int> prev = c;
+        for (std::size_t i = 0; i + shift <= n; ++i)
+            c[i + shift] ^= b[i];
+        if (2 * len <= at) {
+            len = at + 1 - len;
+            b = prev;
+            shift = 1;
+        } else {
+            ++shift;
+        }
+    }
+    ASSERT_EQ(len, 256u);
+    // p(x) = x^256 + sum c[i] x^(256 - i): c reversed.
+    xoshiro::Poly derived{};
+    for (unsigned i = 1; i <= 256; ++i)
+        derived[(256 - i) / 64] |= std::uint64_t(c[i]) << ((256 - i) % 64);
+    EXPECT_EQ(derived, xoshiro::kCharPoly);
+
+    // Vigna's published jump polynomials: x^(2^128) mod p (JUMP) and
+    // x^(2^192) mod p (LONG_JUMP), coefficient i at bit i % 64 of word
+    // i / 64 exactly as xoshiro256's jump() consumes them.
+    xoshiro::Poly power = {2, 0, 0, 0}; // x
+    for (int i = 0; i < 128; ++i)
+        power = xoshiro::squareMod(power);
+    EXPECT_EQ(power, (xoshiro::Poly{0x180ec6d33cfd0abaull,
+                                     0xd5a61266f0c9392cull,
+                                     0xa9582618e03fc9aaull,
+                                     0x39abdc4529b1661cull}));
+    for (int i = 0; i < 64; ++i)
+        power = xoshiro::squareMod(power);
+    EXPECT_EQ(power, (xoshiro::Poly{0x76e15d3efefdcbbfull,
+                                     0xc5004e441c522fb3ull,
+                                     0x77710069854ee241ull,
+                                     0x39109bb02acbe635ull}));
+
+    // And square-and-multiply agrees with repeated squaring.
+    xoshiro::Poly squared = {2, 0, 0, 0};
+    for (int i = 0; i < 63; ++i)
+        squared = xoshiro::squareMod(squared);
+    EXPECT_EQ(xoshiro::xPowMod(std::uint64_t{1} << 63), squared);
 }
 
 TEST(Rng, UniformInUnitInterval)
