@@ -109,7 +109,6 @@ main(int argc, char **argv)
         // Reproduction arms pin the paper's explicit seeds rather
         // than deriving them from the trial index.
         config.seed = arm.seed;
-        config.machine.fastForward = obsOpts.fastForward.value_or(true);
         if (ctx.index == 1) {
             // The div headline (Figure 10b) carries the event trace:
             // replays interleaved with contended Monitor bursts.

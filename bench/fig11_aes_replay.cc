@@ -214,8 +214,6 @@ main(int argc, char **argv)
             attack::AesAttackConfig config = paperConfig();
             config.machine.obs.traceEvents = obsOpts.trace;
             config.machine.obs.traceCapacity = obsOpts.traceCapacity;
-            config.machine.fastForward =
-                obsOpts.fastForward.value_or(true);
             const attack::Fig11Result fig11 = attack::runFig11(config);
             out.payload =
                 json::Value::object()
@@ -240,7 +238,6 @@ main(int argc, char **argv)
 
         attack::AesAttackConfig config =
             ctx.index == 1 ? paperConfig() : sweepConfig(ctx);
-        config.machine.fastForward = obsOpts.fastForward.value_or(true);
         const attack::AesExtractionResult extraction =
             attack::runAesExtraction(config);
         const Recovery recovery = scoreExtraction(config, extraction);

@@ -21,12 +21,6 @@ Summary::add(double sample)
 }
 
 void
-Summary::reset()
-{
-    *this = Summary{};
-}
-
-void
 Summary::merge(const Summary &other)
 {
     if (other.count_ == 0)
@@ -109,16 +103,6 @@ Histogram::add(double sample)
         idx = std::min(idx, buckets_.size() - 1);
         ++buckets_[idx];
     }
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
-    samples_.clear();
-    summary_.reset();
 }
 
 void

@@ -25,7 +25,6 @@ class Summary
 {
   public:
     void add(double sample);
-    void reset();
 
     /**
      * Fold @p other into this summary as if its samples had been
@@ -85,7 +84,6 @@ class Histogram
               bool keep_raw = true);
 
     void add(double sample);
-    void reset();
 
     /**
      * Fold @p other into this histogram: bucket counts add, raw

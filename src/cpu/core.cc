@@ -37,15 +37,9 @@ isSubnormal(double value)
 Core::Core(mem::PhysMem &mem, mem::Hierarchy &hierarchy, vm::Mmu &mmu,
            const CoreConfig &config, std::uint64_t seed)
     : mem_(mem), hierarchy_(hierarchy), mmu_(mmu), config_(config),
-      rng_(seed), predictor_(config.predictorEntries)
+      rng_(seed), contexts_(config.numContexts),
+      predictor_(config.predictorEntries)
 {
-    initContexts();
-}
-
-void
-Core::initContexts()
-{
-    contexts_.assign(config_.numContexts, Context{});
     for (Context &ctx : contexts_) {
         ctx.rob = Rob(config_.robPerContext);
         ctx.lastIntWriter.fill(-1);
@@ -109,18 +103,6 @@ Core::copyStateFrom(const Core &other)
     ports_ = other.ports_;
     predictor_ = other.predictor_;
     issuedThisCycle_ = other.issuedThisCycle_;
-}
-
-void
-Core::reset(std::uint64_t seed)
-{
-    rng_.seed(seed);
-    cycle_ = 0;
-    initContexts();
-    completions_.clear();
-    ports_.reset();
-    predictor_.reset();
-    issuedThisCycle_ = 0;
 }
 
 Core::Context &

@@ -297,9 +297,6 @@ class Core
      */
     void copyStateFrom(const Core &other);
 
-    /** Return to the just-constructed state with a fresh @p seed. */
-    void reset(std::uint64_t seed);
-
     /** Re-derive the SMT-arbitration stream from @p seed (fork
      *  reseed; leaves all architectural state and stats alone). */
     void reseed(std::uint64_t seed) { rng_.seed(seed); }
@@ -487,9 +484,6 @@ class Core
 
         CtxStats stats;
     };
-
-    /** (Re)build every context empty, with its ROB ring allocated. */
-    void initContexts();
 
     Context &ctxAt(unsigned ctx);
     const Context &ctxAt(unsigned ctx) const;

@@ -76,14 +76,6 @@ class PortState
     /** Lifetime issue count per port (stats). */
     std::uint64_t issues(unsigned port) const { return issues_[port]; }
 
-    /** Return to the just-constructed state (all ports free). */
-    void reset()
-    {
-        busyUntil_.fill(0);
-        usedThisCycle_.fill(false);
-        issues_.fill(0);
-    }
-
   private:
     std::array<Cycles, numPorts> busyUntil_;
     std::array<bool, numPorts> usedThisCycle_;

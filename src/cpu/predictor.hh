@@ -61,18 +61,6 @@ class BranchPredictor
 
     const PredictorStats &stats() const { return stats_; }
 
-    /**
-     * Return to the just-constructed state: counters weakly-not-taken
-     * and zero stats.  Unlike flush() this is not an architectural
-     * event — it does not count itself — so a pooled Machine::reset()
-     * stays bit-identical to a fresh construction.
-     */
-    void reset()
-    {
-        table_.assign(table_.size(), 1);
-        stats_ = PredictorStats{};
-    }
-
   private:
     unsigned indexOf(std::uint64_t pc) const;
 

@@ -274,8 +274,8 @@ CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec))
  */
 struct TrialExecutor::State
 {
-    /** The pooled Machine (reset per trial); null until first use or
-     *  after a structural change replaced it. */
+    /** The pooled fork target (restored per trial); null until first
+     *  use or after a structural change replaced it. */
     std::unique_ptr<os::Machine> pooled;
 
     struct WarmupEntry
@@ -322,10 +322,15 @@ void
 TrialExecutor::beginCampaign(const CampaignSpec &spec)
 {
     // Anonymous warmups never outlive their campaign; keyed warmups
-    // survive as long as the new spec could legitimately reuse them.
+    // survive only if the new spec can reuse them.  Another master
+    // seed means another warmup seed, so its entries go too: a
+    // long-lived service worker keeps one frozen machine per live
+    // structure, not one per seed it has ever seen.
+    const std::uint64_t warm_seed = deriveWarmupSeed(spec.masterSeed);
     std::vector<State::WarmupEntry> kept;
     for (State::WarmupEntry &entry : state_->warmups) {
-        if (!entry.key.empty() && entry.key == spec.structureKey)
+        if (!entry.key.empty() && entry.key == spec.structureKey &&
+            entry.warmupSeed == warm_seed)
             kept.push_back(std::move(entry));
     }
     state_->warmups = std::move(kept);
@@ -334,18 +339,13 @@ TrialExecutor::beginCampaign(const CampaignSpec &spec)
 os::Machine &
 TrialExecutor::acquireMachine(const CampaignSpec &spec,
                               std::unique_ptr<os::Machine> &scratch,
-                              const os::MachineConfig &config,
-                              bool reset_state)
+                              const os::MachineConfig &config)
 {
     if (spec.machinePool) {
         State &ws = *state_;
-        if (ws.pooled && os::sameStructure(ws.pooled->config(), config)) {
-            if (reset_state)
-                ws.pooled->reset(config);
-        } else {
-            // First trial, or a structural sweep moved on: (re)build.
+        // First trial, or a structural sweep moved on: (re)build.
+        if (!ws.pooled || !os::sameStructure(ws.pooled->config(), config))
             ws.pooled = std::make_unique<os::Machine>(config);
-        }
         return *ws.pooled;
     }
     scratch = std::make_unique<os::Machine>(config);
@@ -389,8 +389,9 @@ TrialExecutor::runAttempt(const CampaignSpec &spec, std::size_t index,
     result.seed = ctx.seed;
 
     // Machine provisioning state must outlive the body call: `scratch`
-    // owns the trial's machine when pooling is off, `hold` keeps a
-    // cold-path warmup artifact alive while the body uses it.
+    // owns the trial's machine on the cold path or when pooling is
+    // off, `hold` keeps a cold-path warmup artifact alive while the
+    // body uses it.
     std::unique_ptr<os::Machine> scratch;
     std::shared_ptr<const void> hold;
 
@@ -425,27 +426,23 @@ TrialExecutor::runAttempt(const CampaignSpec &spec, std::size_t index,
                     entry = &ws.warmups.back();
                 }
                 obs::ProfScope timer(prof, "prof.trial.fork");
-                os::Machine &machine = acquireMachine(
-                    spec, scratch, warm_config, /*reset_state=*/false);
+                os::Machine &machine =
+                    acquireMachine(spec, scratch, warm_config);
                 machine.restoreFrom(entry->snap);
                 machine.reseed(ctx.seed);
                 ctx.fork = &machine;
                 ctx.warmupData = entry->data.get();
             } else {
                 // Cold path (the A/B baseline): re-run the warmup on a
-                // seed-fresh machine, then reseed at the same point.
+                // freshly constructed machine, then reseed at the same
+                // point.
                 obs::ProfScope timer(prof, "prof.trial.warmup");
-                os::Machine &machine = acquireMachine(
-                    spec, scratch, warm_config, /*reset_state=*/true);
-                hold = spec.warmup(machine);
-                machine.reseed(ctx.seed);
-                ctx.fork = &machine;
+                scratch = std::make_unique<os::Machine>(warm_config);
+                hold = spec.warmup(*scratch);
+                scratch->reseed(ctx.seed);
+                ctx.fork = scratch.get();
                 ctx.warmupData = hold.get();
             }
-            ctx.forkCycle = ctx.fork->cycle();
-        } else if (spec.provideMachine) {
-            ctx.fork = &acquireMachine(spec, scratch, ctx.machine,
-                                       /*reset_state=*/true);
             ctx.forkCycle = ctx.fork->cycle();
         }
 
@@ -748,19 +745,14 @@ CampaignRunner::run()
     // the same spec produce bit-identical aggregates.  The fold itself
     // is aggregateTrials(), shared with the campaign service daemon.
     campaign.aggregate = aggregateTrials(results);
-    for (TrialResult &trial : results) {
-        if (spec_.reduce)
-            spec_.reduce(trial);
-        // Aggregate-only campaigns drop each snapshot right after the
-        // aggregate fold (and after the reducer saw it): the retained
-        // trials stay light and toJson() skips the per-trial metric
-        // blocks entirely, instead of serializing and then ignoring
-        // them.
-        if (!spec_.perTrialMetrics)
+    // Aggregate-only campaigns drop each snapshot right after the
+    // aggregate fold: the retained trials stay light and toJson()
+    // skips the per-trial metric blocks entirely, instead of
+    // serializing and then ignoring them.
+    if (!spec_.perTrialMetrics)
+        for (TrialResult &trial : results)
             trial.output.metrics = obs::MetricSnapshot{};
-    }
-    if (spec_.keepTrialResults)
-        campaign.trials = std::move(results);
+    campaign.trials = std::move(results);
     campaign.wallSeconds = elapsedSeconds(start);
     return campaign;
 }

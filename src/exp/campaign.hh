@@ -117,12 +117,12 @@ struct TrialContext
 
     /**
      * Runner-provided machine, non-null when the spec declared a
-     * warmup or set provideMachine (DESIGN.md §12).  Already reseeded
-     * with `seed`; when it came from a warmup it is a fork of the
-     * per-worker post-warmup snapshot (or a freshly re-warmed machine
-     * when prefixCache is off — bit-identical either way).  Bodies
-     * must use it instead of constructing their own machine, and must
-     * not destroy it; it may be a pooled instance owned by the runner.
+     * warmup (DESIGN.md §12).  Already reseeded with `seed`: a fork of
+     * the per-worker post-warmup snapshot, or a freshly constructed
+     * and re-warmed machine when prefixCache is off — bit-identical
+     * either way.  Bodies must use it instead of constructing their
+     * own machine, and must not destroy it; it may be a pooled
+     * instance owned by the runner.
      */
     os::Machine *fork = nullptr;
 
@@ -228,8 +228,6 @@ struct CampaignSpec
     /** Per-trial simulated-cycle budget; 0 = unbounded.  A trial whose
      *  reported simCycles exceeds this is recorded as TimedOut. */
     Cycles cycleBudget = 0;
-    /** Keep per-trial results in CampaignResult::trials (and JSON). */
-    bool keepTrialResults = true;
     /**
      * Extra attempts granted to a trial whose body *throws*.  Attempt
      * k runs with deriveRetrySeed(masterSeed, index, k); a trial that
@@ -279,12 +277,13 @@ struct CampaignSpec
     bool prefixCache = true;
 
     /**
-     * Reuse one pooled Machine per worker (Machine::reset /
-     * restoreFrom) instead of constructing and destroying one per
-     * trial, keeping page slabs and component buffers hot.  The pooled
-     * instance is replaced when a trial's structure differs
-     * (os::sameStructure).  Pure wall-clock knob: reset() is
-     * bit-identical to fresh construction.
+     * Restore every fork into one pooled Machine per worker instead of
+     * constructing and destroying a fork target per trial, keeping
+     * page slabs and component buffers hot.  The pooled instance is
+     * replaced when a trial's structure differs (os::sameStructure).
+     * Governs only the prefixCache fork target: the cold path always
+     * constructs.  Pure wall-clock knob: restoreFrom is bit-identical
+     * to constructing from the snapshot.
      */
     bool machinePool = true;
 
@@ -304,15 +303,6 @@ struct CampaignSpec
      * hot across same-shaped campaigns.
      */
     std::string structureKey;
-
-    /**
-     * Hand every trial a runner-managed machine via TrialContext::fork
-     * even without a warmup, so warmup-less campaigns benefit from
-     * machinePool too.  Off by default: legacy bodies construct their
-     * own machines and would ignore (and double-build) the provided
-     * one.  Implied by `warmup`.
-     */
-    bool provideMachine = false;
 
     /**
      * Keep per-trial MetricSnapshots in trial results.  When a sink
@@ -336,13 +326,6 @@ struct CampaignSpec
      * and is honoured.
      */
     std::function<os::MachineConfig(const TrialContext &)> machineFactory;
-
-    /**
-     * Optional reducer: invoked once per trial *in index order* on the
-     * calling thread after the pool joins — the deterministic place to
-     * fold per-trial payloads into campaign-level state.
-     */
-    std::function<void(const TrialResult &)> reduce;
 
     /**
      * Optional progress callback, invoked as (completed, total) each
@@ -409,8 +392,7 @@ struct CampaignResult
      *  were finished serially by the grace pass). */
     unsigned workerDeaths = 0;
     CampaignAggregate aggregate;
-    /** Per-trial results, in index order (empty when the spec set
-     *  keepTrialResults = false). */
+    /** Per-trial results, in index order. */
     std::vector<TrialResult> trials;
     /**
      * Phase wall-time profile (prof.trial.*), merged across workers;
@@ -448,11 +430,12 @@ class TrialExecutor
     TrialExecutor &operator=(const TrialExecutor &) = delete;
 
     /**
-     * Mark the start of a (possibly new) campaign.  Cached warmup
-     * snapshots survive only when their spec carried a non-empty
-     * structureKey matching @p spec's (and the warmup seed agrees);
-     * anonymous entries are flushed here.  The pooled Machine always
-     * survives — structure is re-checked per trial anyway.
+     * Mark the start of a (possibly new) campaign.  A cached warmup
+     * snapshot survives only when its spec carried a non-empty
+     * structureKey matching @p spec's and it was warmed with
+     * deriveWarmupSeed(spec.masterSeed); every other entry is dropped
+     * here.  The pooled Machine always survives — structure is
+     * re-checked per trial anyway.
      */
     void beginCampaign(const CampaignSpec &spec);
 
@@ -476,12 +459,11 @@ class TrialExecutor
 
     TrialResult runAttempt(const CampaignSpec &spec, std::size_t index,
                            unsigned worker, unsigned attempt);
-    /** Pooled (or scratch) machine with @p config's structure, reset
-     *  to seed-fresh state when @p reset_state. */
+    /** Fork target with @p config's structure: the pooled machine,
+     *  or a new one in @p scratch when the spec turns pooling off. */
     os::Machine &acquireMachine(const CampaignSpec &spec,
                                 std::unique_ptr<os::Machine> &scratch,
-                                const os::MachineConfig &config,
-                                bool reset_state);
+                                const os::MachineConfig &config);
 
     std::unique_ptr<State> state_;
 };
@@ -504,7 +486,6 @@ CampaignAggregate aggregateTrials(const std::vector<TrialResult> &results);
  * attempt counts).  Two runs of the same spec must produce identical
  * fingerprints regardless of worker count, fast-forward mode, prefix
  * caching, checkpoint resume, or in-process vs service dispatch.
- * Requires the result to retain its trials (keepTrialResults).
  */
 std::string deterministicFingerprint(const CampaignResult &result);
 

@@ -162,13 +162,6 @@ class FaultInjector
      */
     void reanchorAt(Cycles now);
 
-    /** Return to the just-constructed state with a fresh @p seed. */
-    void reset(std::uint64_t seed)
-    {
-        stats_ = FaultStats{};
-        reseedAt(seed, 0);
-    }
-
     /** Register fault.* counters. */
     void exportMetrics(obs::MetricRegistry &registry) const;
 

@@ -215,21 +215,6 @@ Cache::copyStateFrom(const Cache &other)
     stats_ = other.stats_;
 }
 
-void
-Cache::reset()
-{
-    // Version 0 already names an all-Way{} set; clear only the others.
-    for (unsigned set = 0; set < numSets_; ++set) {
-        if (setVer_[set] == 0)
-            continue;
-        const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-        std::fill_n(ways_.begin() + base, assoc_, Way{});
-        setVer_[set] = 0;
-    }
-    clock_ = 0;
-    stats_ = CacheStats{};
-}
-
 std::uint64_t
 Cache::stateDigest() const
 {

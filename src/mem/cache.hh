@@ -86,7 +86,6 @@ class Cache
     std::optional<PAddr> residentLine(unsigned set, unsigned way) const;
 
     const CacheStats &stats() const { return stats_; }
-    void resetStats() { stats_ = CacheStats{}; }
 
     /**
      * Adopt @p other's ways, LRU clock, and stats (snapshot forking,
@@ -96,9 +95,6 @@ class Cache
      * share the same geometry.
      */
     void copyStateFrom(const Cache &other);
-
-    /** Return to the just-constructed state (empty, zero stats). */
-    void reset();
 
     /**
      * FNV-1a digest of the complete mutable state (ways, LRU clock,
@@ -129,7 +125,7 @@ class Cache
     /**
      * One version id per set: equal ids imply equal set contents,
      * across every cache of every thread.  0 is the all-Way{} set a
-     * construction or reset() leaves; every way mutation draws a
+     * construction leaves; every way mutation draws a
      * fresh process-unique id, and copyStateFrom adopts the source's.
      */
     std::vector<std::uint64_t> setVer_;

@@ -134,29 +134,12 @@ Hierarchy::installAt(PAddr addr, HitLevel level)
 }
 
 void
-Hierarchy::resetStats()
-{
-    l1_.resetStats();
-    l2_.resetStats();
-    l3_.resetStats();
-}
-
-void
 Hierarchy::copyStateFrom(const Hierarchy &other)
 {
     l1_.copyStateFrom(other.l1_);
     l2_.copyStateFrom(other.l2_);
     l3_.copyStateFrom(other.l3_);
     rng_ = other.rng_;
-}
-
-void
-Hierarchy::reset(std::uint64_t seed)
-{
-    l1_.reset();
-    l2_.reset();
-    l3_.reset();
-    rng_.seed(seed);
 }
 
 std::uint64_t

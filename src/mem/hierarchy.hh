@@ -124,8 +124,6 @@ class Hierarchy
     const Cache &l2() const { return l2_; }
     const Cache &l3() const { return l3_; }
 
-    void resetStats();
-
     /**
      * Adopt @p other's cache contents, stats, and DRAM-jitter RNG
      * stream (snapshot forking, DESIGN.md §12).  Each cache copies
@@ -134,9 +132,6 @@ class Hierarchy
      * untouched.
      */
     void copyStateFrom(const Hierarchy &other);
-
-    /** Seed-fresh state: empty caches, zero stats, reseeded jitter. */
-    void reset(std::uint64_t seed);
 
     /** Re-derive the DRAM-jitter stream from @p seed (fork reseed). */
     void reseed(std::uint64_t seed) { rng_.seed(seed); }

@@ -316,10 +316,4 @@ PhysMem::shareStateFrom(const PhysMem &src)
     tableDiverged_ = false;
 }
 
-void
-PhysMem::reset()
-{
-    releaseAll();
-}
-
 } // namespace uscope::mem

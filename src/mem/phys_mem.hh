@@ -33,8 +33,8 @@ namespace uscope::mem
 /**
  * Slab-backed storage for refcounted physical pages.  Page bytes live
  * in large contiguous slabs; a PageRef is a stable 32-bit slot index.
- * Freed slots go on a free list and are reused, so a Machine that is
- * reset() between trials never gives slabs back to the allocator.
+ * Freed slots go on a free list and are reused, so a Machine restored
+ * over and over never gives slabs back to the allocator.
  */
 class PageArena
 {
@@ -72,15 +72,6 @@ class PageArena
                (static_cast<std::size_t>(ref & slabPagesMask)
                 << pageShift);
     }
-
-    /** Total page slots backed by slabs (reserved, live or free). */
-    std::size_t pagesReserved() const
-    {
-        return slabs_.size() << slabPagesShift;
-    }
-
-    /** Page slots currently holding a referenced page. */
-    std::size_t pagesLive() const { return refs_.size() - free_.size(); }
 
   private:
     // 64 pages (256 KiB) per slab: large enough to amortize the
@@ -158,21 +149,8 @@ class PhysMem
      *  the fast path back to a full rebuild (observability/tests). */
     std::uint64_t rebuildPoisons() const { return rebuildPoisons_; }
 
-    /**
-     * Drop every materialized page.  Slabs stay reserved in the arena
-     * for reuse, so a pooled Machine's reset() performs no page-sized
-     * allocation on its next warm-up.
-     */
-    void reset();
-
     /** Number of pages materialized so far (for tests/stats). */
     std::size_t pagesAllocated() const { return used_; }
-
-    /** Page slots the backing arena keeps reserved (for tests). */
-    std::size_t slabPagesReserved() const
-    {
-        return arena_->pagesReserved();
-    }
 
   private:
     using PageRef = PageArena::PageRef;

@@ -89,13 +89,6 @@ parseBenchObsOptions(int argc, char **argv,
             opts.traceCapacity = static_cast<std::size_t>(n);
         } else if (matchFlag(arg, "--metrics", &value)) {
             opts.metrics = true;
-        } else if (matchFlag(arg, "--fast-forward", &value)) {
-            if (value && std::strcmp(value, "on") == 0)
-                opts.fastForward = true;
-            else if (value && std::strcmp(value, "off") == 0)
-                opts.fastForward = false;
-            else
-                panic("--fast-forward requires 'on' or 'off'");
         } else if (matchFlag(arg, "--log-level", &value)) {
             const std::optional<LogLevel> level =
                 value ? parseLogLevel(value) : std::nullopt;
@@ -111,8 +104,7 @@ parseBenchObsOptions(int argc, char **argv,
         } else {
             warn("ignoring unknown argument '%s' "
                  "(known: --trace[=PATH], --trace-capacity=N, "
-                 "--metrics, --fast-forward={on,off}, "
-                 "--log-level=LEVEL, --log-json)",
+                 "--metrics, --log-level=LEVEL, --log-json)",
                  arg);
         }
     }

@@ -9,9 +9,6 @@
  *   --trace-capacity=N ring slots (rounded up to a power of two).
  *   --metrics          print a metrics snapshot to stdout (metrics
  *                      always flow into the campaign JSON regardless).
- *   --fast-forward={on,off}
- *                      force event-driven fast-forward on or off
- *                      (default: on; the fig10/fig11 benches read it).
  *   --log-level=LEVEL  structured-log threshold (error|warn|info|
  *                      debug); applied via configureLog.
  *   --log-json         NDJSON log lines on stderr.
@@ -57,8 +54,6 @@ struct BenchObsOptions
     std::string tracePath;
     std::size_t traceCapacity = std::size_t{1} << 16;
     bool metrics = false;
-    /** --fast-forward: unset means the bench's default. */
-    std::optional<bool> fastForward;
 };
 
 /**

@@ -38,8 +38,12 @@ EventTrace::EventTrace(std::size_t capacity)
 void
 EventTrace::reserve(std::size_t capacity)
 {
-    if (capacity == 0)
-        fatal("EventTrace::reserve: capacity must be nonzero");
+    // Above the largest power of two in size_t, bit_ceil has no
+    // representable result (libstdc++ returns 1: a one-slot ring).
+    constexpr std::size_t max_capacity = std::bit_floor(~std::size_t{0});
+    if (capacity == 0 || capacity > max_capacity)
+        fatal("EventTrace::reserve: capacity %zu is not in [1, %zu]",
+              capacity, max_capacity);
     ring_.assign(std::bit_ceil(capacity), Event{});
     mask_ = ring_.size() - 1;
     total_ = 0;

@@ -38,7 +38,8 @@ class EventTrace
      *  counted but not retained — enable() requires capacity). */
     explicit EventTrace(std::size_t capacity = 0);
 
-    /** Allocate (or resize) the ring and clear it. */
+    /** Allocate (or resize) the ring and clear it.  Fatal unless
+     *  1 <= @p capacity <= the largest power of two in size_t. */
     void reserve(std::size_t capacity);
 
     bool enabled() const { return enabled_; }

@@ -46,20 +46,6 @@ Kernel::copyStateFrom(const Kernel &other)
     handlerLatency_ = other.handlerLatency_;
 }
 
-void
-Kernel::reset(std::uint64_t seed)
-{
-    rng_.seed(seed);
-    frames_.reset();
-    processes_.clear();
-    module_ = nullptr;
-    inHandler_ = false;
-    handlerBudget_ = 0;
-    handlerCycles_ = 0;
-    totalFaults_ = 0;
-    handlerLatency_ = Summary{};
-}
-
 Kernel::Process &
 Kernel::processOf(Pid pid)
 {

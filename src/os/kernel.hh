@@ -227,9 +227,6 @@ class Kernel
      */
     void copyStateFrom(const Kernel &other);
 
-    /** Return to the just-constructed state with a fresh @p seed. */
-    void reset(std::uint64_t seed);
-
     /** Re-derive the kernel's RNG stream (probe jitter) from @p seed
      *  (fork reseed; leaves processes, frames, and stats alone). */
     void reseed(std::uint64_t seed) { rng_.seed(seed); }

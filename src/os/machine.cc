@@ -122,23 +122,6 @@ Machine::restoreFrom(const Snapshot &snap)
 }
 
 void
-Machine::reset(const MachineConfig &config)
-{
-    if (!sameStructure(config_, config))
-        panic("Machine::reset: structural config mismatch "
-              "(construct a new Machine instead)");
-    config_ = config;
-    mem_.reset();
-    hierarchy_.reset(config_.seed * 3 + 1);
-    mmu_.reset();
-    core_.reset(config_.seed * 5 + 2);
-    kernel_.reset(config_.seed * 7 + 3);
-    entropy_.seed(config_.seed * 11 + 4);
-    faults_.reset(config_.seed * 13 + 5);
-    obs_.trace.clear();
-}
-
-void
 Machine::reseed(std::uint64_t seed)
 {
     config_.seed = seed;

@@ -224,21 +224,6 @@ class Machine
     void restoreFrom(const Snapshot &snap);
 
     /**
-     * Return a pooled instance to the seed-fresh state a newly
-     * constructed Machine(config()) would have — bit-identically so,
-     * including every RNG stream and stat — without freeing the page
-     * slabs or per-component buffers.
-     */
-    void reset() { reset(config_); }
-
-    /**
-     * reset() adopting @p config (e.g. a new trial's seed).  Panics
-     * unless sameStructure(config(), config): pooling never silently
-     * rebuilds geometry — construct a new Machine for that.
-     */
-    void reset(const MachineConfig &config);
-
-    /**
      * Re-derive every component RNG stream from @p seed, anchored at
      * the *current* cycle — the reseed-at-fork primitive.  Leaves all
      * architectural state, stats, and traces alone.  The determinism

@@ -48,14 +48,6 @@ class FrameAllocator
         freeList_ = other.freeList_;
     }
 
-    /** Return to the just-constructed state (every frame free). */
-    void reset()
-    {
-        next_ = 0;
-        inUse_ = 0;
-        freeList_.clear();
-    }
-
   private:
     Ppn base_;
     std::uint64_t count_;

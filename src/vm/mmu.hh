@@ -103,15 +103,6 @@ class Mmu
         walker_.copyStateFrom(other.walker_);
     }
 
-    /** Return to the just-constructed state. */
-    void reset()
-    {
-        l1Tlb_.reset();
-        l2Tlb_.reset();
-        pwc_.reset();
-        walker_.reset();
-    }
-
     /** Wire the owning Machine's observability hub (may be null). */
     void setObserver(obs::Observer *observer)
     {

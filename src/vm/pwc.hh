@@ -70,14 +70,6 @@ class Pwc
         misses_ = other.misses_;
     }
 
-    /** Return to the just-constructed state (empty, zero counters). */
-    void reset()
-    {
-        entries_.clear();
-        hits_ = 0;
-        misses_ = 0;
-    }
-
   private:
     struct Entry
     {

@@ -70,7 +70,6 @@ class Tlb
 
     std::size_t occupancy() const;
     const TlbStats &stats() const { return stats_; }
-    void resetStats() { stats_ = TlbStats{}; }
 
     /**
      * Adopt @p other's ways, LRU clock, and stats (snapshot forking,
@@ -81,14 +80,6 @@ class Tlb
         ways_ = other.ways_;
         clock_ = other.clock_;
         stats_ = other.stats_;
-    }
-
-    /** Return to the just-constructed state (empty, zero stats). */
-    void reset()
-    {
-        ways_.assign(ways_.size(), Way{});
-        clock_ = 0;
-        stats_ = TlbStats{};
     }
 
   private:

@@ -78,11 +78,6 @@ class Walker
     WalkResult walk(VAddr va, Pcid pcid, PAddr root);
 
     const WalkerStats &stats() const { return stats_; }
-    void resetStats()
-    {
-        stats_ = WalkerStats{};
-        latency_ = Summary{};
-    }
 
     /** Distribution of end-to-end walk latencies. */
     const Summary &latencySummary() const { return latency_; }
@@ -98,9 +93,6 @@ class Walker
         stats_ = other.stats_;
         latency_ = other.latency_;
     }
-
-    /** Return to the just-constructed state. */
-    void reset() { resetStats(); }
 
     /** Wire the owning Machine's observability hub (may be null). */
     void setObserver(obs::Observer *observer) { obs_ = observer; }

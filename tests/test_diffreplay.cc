@@ -265,7 +265,6 @@ runMatrixCampaign(const char *name, const TrialFn &trial, bool diff,
     spec.trials = 3;
     spec.masterSeed = 7;
     spec.workers = workers;
-    spec.keepTrialResults = true;
     spec.machineFactory = [chaos, ff](const exp::TrialContext &) {
         os::MachineConfig config;
         config.fault =

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -345,21 +346,19 @@ TEST(Campaign, CycleBudgetTimesOutAsResult)
 
 TEST(Campaign, ReducerRunsInIndexOrderAndProgressIsMonotonic)
 {
+    // Callers reduce over result.trials, which hold every trial in
+    // index order whatever order the 4 workers finished them in.
     exp::CampaignSpec spec = syntheticSpec(32, 4);
-    std::vector<std::size_t> reduced;
-    spec.reduce = [&](const exp::TrialResult &trial) {
-        reduced.push_back(trial.index);
-    };
     std::vector<std::size_t> progress;
     spec.progress = [&](std::size_t done, std::size_t total) {
         EXPECT_EQ(total, 32u);
         progress.push_back(done);
     };
 
-    exp::runCampaign(std::move(spec));
-    ASSERT_EQ(reduced.size(), 32u);
-    for (std::size_t i = 0; i < reduced.size(); ++i)
-        EXPECT_EQ(reduced[i], i);
+    const exp::CampaignResult result = exp::runCampaign(std::move(spec));
+    ASSERT_EQ(result.trials.size(), 32u);
+    for (std::size_t i = 0; i < result.trials.size(); ++i)
+        EXPECT_EQ(result.trials[i].index, i);
     ASSERT_EQ(progress.size(), 32u);
     for (std::size_t i = 0; i < progress.size(); ++i)
         EXPECT_EQ(progress[i], i + 1);
@@ -723,6 +722,54 @@ TEST(Campaign, TimedOutIsNeverRetried)
     EXPECT_EQ(result.trials[1].attempts, 1u);
     // The budget was genuinely consumed; no retry was spent on it.
     EXPECT_EQ(invocations, 3u);
+}
+
+TEST(TrialExecutor, WarmupCacheKeepsOnlyTheCurrentMasterSeed)
+{
+    // A long-lived executor (a service worker) runs many campaigns of
+    // one structureKey.  Each master seed warms up its own state, so
+    // a new seed must drop the old seed's frozen machine and artifact.
+    unsigned warmups = 0;
+    std::weak_ptr<const void> artifact;
+    const auto spec = [&](std::uint64_t master_seed) {
+        exp::CampaignSpec s;
+        s.name = "warmup_cache";
+        s.trials = 1;
+        s.masterSeed = master_seed;
+        s.structureKey = "warmup_cache";
+        s.warmup = [&](os::Machine &) {
+            ++warmups;
+            auto data = std::make_shared<const int>(0);
+            artifact = data;
+            return std::shared_ptr<const void>(data);
+        };
+        s.body = [](const exp::TrialContext &ctx) {
+            EXPECT_NE(ctx.fork, nullptr);
+            return exp::TrialOutput{};
+        };
+        return s;
+    };
+
+    exp::TrialExecutor executor;
+    const exp::CampaignSpec a = spec(1);
+    executor.beginCampaign(a);
+    EXPECT_EQ(executor.runTrial(a, 0, 0).status, exp::TrialStatus::Ok);
+    ASSERT_EQ(warmups, 1u);
+    const std::weak_ptr<const void> warmed_a = artifact;
+    ASSERT_FALSE(warmed_a.expired());
+
+    // Same key and seed: the cached warmup is reused.
+    executor.beginCampaign(a);
+    EXPECT_EQ(executor.runTrial(a, 0, 0).status, exp::TrialStatus::Ok);
+    EXPECT_EQ(warmups, 1u);
+    EXPECT_FALSE(warmed_a.expired());
+
+    // Same key, another seed: seed 1's entry goes at campaign start.
+    const exp::CampaignSpec b = spec(2);
+    executor.beginCampaign(b);
+    EXPECT_TRUE(warmed_a.expired());
+    EXPECT_EQ(executor.runTrial(b, 0, 0).status, exp::TrialStatus::Ok);
+    EXPECT_EQ(warmups, 2u);
 }
 
 // ---------------------------------------------------------------------

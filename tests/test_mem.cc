@@ -379,7 +379,7 @@ churn(Hierarchy &hier, std::uint64_t seed, int steps, PAddr base = 0)
 
 /**
  * Fewer than 40 random mutations of @p cache over 256 lines: hits, fills,
- * invalidations, and now and then a bulk wipe or a reset.  Short
+ * invalidations, and now and then a bulk wipe.  Short
  * bursts leave most of a 16-set cache's sets untouched, so the
  * copies below mix skipped and copied sets.
  */
@@ -392,9 +392,6 @@ mutate(Cache &cache, Rng &rng)
         switch (rng.below(64)) {
           case 0:
             cache.invalidateAll();
-            break;
-          case 1:
-            cache.reset();
             break;
           case 2:
           case 3:
@@ -450,7 +447,7 @@ TEST(HierarchyCopy, ChainedCopiesEqualTheirSource)
         if (round == 1)
             b.l2().invalidateAll();
         if (round == 2)
-            b.l1().reset();
+            b.l1().invalidateAll();
         c.copyStateFrom(b);
         EXPECT_EQ(c.stateDigest(), b.stateDigest());
         churn(c, 200 + round, 500);

@@ -59,6 +59,7 @@ TEST(EventTrace, EnableWithoutCapacityPanics)
     obs::EventTrace trace;
     EXPECT_THROW(trace.setEnabled(true), SimPanic);
     EXPECT_THROW(trace.reserve(0), SimFatal);
+    EXPECT_THROW(trace.reserve((std::size_t{1} << 63) + 1), SimFatal);
 }
 
 TEST(EventTrace, WrapOverflowAndDrainOrder)

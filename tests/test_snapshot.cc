@@ -8,9 +8,6 @@
  *  - **COW isolation.** PhysMem instances sharing an arena via
  *    shareStateFrom() never observe each other's writes, and sharing
  *    allocates nothing until a write actually diverges a page.
- *  - **Pooled reset.** Machine::reset() lands bit-identically on the
- *    state a freshly constructed Machine would have — every RNG
- *    stream, stat, and metric — while keeping its page slabs.
  *  - **Fork-vs-cold.** A trial forked from a post-warmup Snapshot and
  *    reseeded equals, bit for bit, a cold trial that runs the same
  *    warmup and reseeds at the same point — across fast-forward
@@ -94,24 +91,6 @@ TEST(PhysMemCow, ZeroPageOnSharedPageStaysPrivate)
     b.zeroPage(0x3000 / pageSize);
     EXPECT_EQ(b.read64(0x3000), 0u);
     EXPECT_EQ(a.read64(0x3000), 0x3333333333333333ull);
-}
-
-TEST(PhysMemCow, ResetKeepsSlabsForReuse)
-{
-    mem::PhysMem a(1 << 20);
-    for (unsigned p = 0; p < 8; ++p)
-        a.write64(std::uint64_t{p} * pageSize, p + 1);
-    const std::size_t reserved = a.slabPagesReserved();
-    EXPECT_GE(reserved, a.pagesAllocated());
-
-    a.reset();
-    EXPECT_EQ(a.pagesAllocated(), 0u);
-    // The arena keeps its slabs: re-population must not grow it.
-    EXPECT_EQ(a.slabPagesReserved(), reserved);
-    for (unsigned p = 0; p < 8; ++p)
-        a.write64(std::uint64_t{p} * pageSize, p + 100);
-    EXPECT_EQ(a.slabPagesReserved(), reserved);
-    EXPECT_EQ(a.read64(0), 100u);
 }
 
 // ---------------------------------------------------------------------
@@ -248,38 +227,14 @@ TEST(MachineFork, SiblingForksDoNotInterfere)
     EXPECT_EQ(stateFingerprint(fork3), reference);
 }
 
-TEST(MachinePool, ResetEqualsFreshConstruction)
-{
-    os::MachineConfig first;
-    first.seed = 11;
-    os::Machine pooled(first);
-    const Victim v = buildVictim(pooled);
-    runBody(pooled, v, 11);
-
-    // Reset the dirty machine to a different seed and re-run; a
-    // freshly constructed machine must be indistinguishable.
-    os::MachineConfig second = first;
-    second.seed = 22;
-    pooled.reset(second);
-    const Victim pooledVictim = buildVictim(pooled);
-    runBody(pooled, pooledVictim, 22);
-
-    os::Machine fresh(second);
-    const Victim freshVictim = buildVictim(fresh);
-    runBody(fresh, freshVictim, 22);
-
-    EXPECT_EQ(stateFingerprint(pooled), stateFingerprint(fresh));
-    // And the pooled instance kept its slabs across the reset.
-    EXPECT_GE(pooled.mem().slabPagesReserved(),
-              pooled.mem().pagesAllocated());
-}
-
 TEST(MachineFork, StructuralMismatchIsRejected)
 {
     os::Machine machine;
     os::MachineConfig other = machine.config();
     other.core.numContexts = machine.config().core.numContexts + 1;
-    EXPECT_THROW(machine.reset(other), std::exception);
+    const os::Machine different(other);
+    EXPECT_THROW(machine.restoreFrom(different.snapshot()),
+                 std::exception);
 }
 
 // ---------------------------------------------------------------------
@@ -518,38 +473,6 @@ TEST(PrefixCampaign, RetriedTrialsReForkDeterministically)
         exp::runCampaign(flaky(true, true));
     EXPECT_EQ(cold.aggregate.retried, 2u);
     EXPECT_EQ(campaignFingerprint(forked), campaignFingerprint(cold));
-}
-
-TEST(PrefixCampaign, ProvideMachinePoolsColdCampaigns)
-{
-    // No warmup: provideMachine still hands bodies a runner-managed
-    // (pooled or fresh) machine, bit-identically either way.
-    const auto spec = [](bool pool) {
-        exp::CampaignSpec s;
-        s.name = "snapshot_provide";
-        s.trials = 3;
-        s.masterSeed = 42;
-        s.workers = 1;
-        s.provideMachine = true;
-        s.machinePool = pool;
-        s.body = [](const exp::TrialContext &ctx) {
-            EXPECT_NE(ctx.fork, nullptr);
-            EXPECT_EQ(ctx.forkCycle, 0u);
-            os::Machine &m = *ctx.fork;
-            const Victim v = buildVictim(m);
-            runBody(m, v, ctx.seed);
-            exp::TrialOutput out;
-            out.simCycles = m.cycle();
-            out.metrics = m.metricsSnapshot();
-            out.payload = json::Value::object().set(
-                "cycles", m.cycle());
-            return out;
-        };
-        return s;
-    };
-    const exp::CampaignResult pooled = exp::runCampaign(spec(true));
-    const exp::CampaignResult fresh = exp::runCampaign(spec(false));
-    EXPECT_EQ(campaignFingerprint(pooled), campaignFingerprint(fresh));
 }
 
 // ---------------------------------------------------------------------
