@@ -231,6 +231,23 @@ BM_SnapshotRestore(benchmark::State &state)
 }
 BENCHMARK(BM_SnapshotRestore)->Arg(16)->Arg(1024)->UseManualTime();
 
+/**
+ * Construct and destroy a default machine: what every snapshot() and
+ * every cold trial pays before its first copy.  A cache set's ways
+ * are allocated uninitialised and written only when the set is first
+ * filled (DESIGN.md §17), so this no longer scales with the 8 MiB L3.
+ */
+void
+BM_MachineConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        os::Machine machine;
+        benchmark::DoNotOptimize(&machine);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MachineConstruct);
+
 } // namespace
 
 BENCHMARK_MAIN();

@@ -278,12 +278,14 @@ struct CampaignSpec
 
     /**
      * Restore every fork into one pooled Machine per worker instead of
-     * constructing and destroying a fork target per trial, keeping
-     * page slabs and component buffers hot.  The pooled instance is
+     * constructing a fork target per trial.  The pooled instance is
      * replaced when a trial's structure differs (os::sameStructure).
      * Governs only the prefixCache fork target: the cold path always
-     * constructs.  Pure wall-clock knob: restoreFrom is bit-identical
-     * to constructing from the snapshot.
+     * constructs.  Pure wall-clock knob, now worth little: with cache
+     * ways built lazily a target costs ~11 µs to construct, and the
+     * pool saves only the full copy into it (perf_campaign section 3
+     * reads ~1.1x, DESIGN.md §12).  Kept only while the benchmark
+     * workloads set it.
      */
     bool machinePool = true;
 

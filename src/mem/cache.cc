@@ -46,7 +46,8 @@ Cache::Cache(std::string name, std::uint64_t size, unsigned assoc)
         fatal("Cache %s: set count %llu not a power of two",
               name_.c_str(), static_cast<unsigned long long>(sets));
     numSets_ = static_cast<unsigned>(sets);
-    ways_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+    ways_ = std::make_unique_for_overwrite<Way[]>(
+        static_cast<std::size_t>(numSets_) * assoc_);
     setVer_.resize(numSets_);
 }
 
@@ -71,8 +72,11 @@ Cache::tagOf(PAddr addr) const
 Cache::Way *
 Cache::findWay(PAddr addr)
 {
+    const unsigned index = setIndex(addr);
+    if (setVer_[index] == 0)
+        return nullptr;
     const std::uint64_t tag = tagOf(addr);
-    Way *set = &ways_[static_cast<std::size_t>(setIndex(addr)) * assoc_];
+    Way *set = &ways_[static_cast<std::size_t>(index) * assoc_];
     for (unsigned w = 0; w < assoc_; ++w)
         if (set[w].valid && set[w].tag == tag)
             return &set[w];
@@ -118,6 +122,8 @@ Cache::insert(PAddr addr)
 
     const unsigned set = setIndex(addr);
     Way *set_base = &ways_[static_cast<std::size_t>(set) * assoc_];
+    if (setVer_[set] == 0)
+        std::fill_n(set_base, assoc_, Way{false, 0, 0});
     Way *victim = nullptr;
     for (unsigned w = 0; w < assoc_; ++w) {
         Way &cand = set_base[w];
@@ -156,19 +162,24 @@ Cache::invalidate(PAddr addr)
 void
 Cache::invalidateAll()
 {
-    for (Way &way : ways_) {
-        if (way.valid) {
+    // An empty set has nothing to drop and stays empty.
+    for (unsigned set = 0; set < numSets_; ++set) {
+        if (setVer_[set] == 0)
+            continue;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            Way &way = ways_[static_cast<std::size_t>(set) * assoc_ + w];
+            stats_.invalidations += way.valid;
             way.valid = false;
-            ++stats_.invalidations;
         }
-    }
-    for (unsigned set = 0; set < numSets_; ++set)
         touchSet(set);
+    }
 }
 
 std::optional<PAddr>
 Cache::residentLine(unsigned set, unsigned way) const
 {
+    if (setVer_[set] == 0)
+        return std::nullopt;
     const Way &w = ways_[static_cast<std::size_t>(set) * assoc_ + way];
     if (!w.valid)
         return std::nullopt;
@@ -179,9 +190,9 @@ std::size_t
 Cache::occupancy() const
 {
     std::size_t n = 0;
-    for (const Way &way : ways_)
-        if (way.valid)
-            ++n;
+    for (unsigned set = 0; set < numSets_; ++set)
+        for (unsigned w = 0; setVer_[set] != 0 && w < assoc_; ++w)
+            n += ways_[static_cast<std::size_t>(set) * assoc_ + w].valid;
     return n;
 }
 
@@ -204,10 +215,12 @@ Cache::copyStateFrom(const Cache &other)
         for (unsigned set = first; set < last; ++set) {
             if (setVer_[set] == other.setVer_[set])
                 continue;
-            const std::size_t base =
-                static_cast<std::size_t>(set) * assoc_;
-            std::copy_n(other.ways_.begin() + base, assoc_,
-                        ways_.begin() + base);
+            // An empty source set needs no way bytes: id 0 says it all.
+            if (other.setVer_[set] != 0) {
+                const std::size_t base =
+                    static_cast<std::size_t>(set) * assoc_;
+                std::copy_n(&other.ways_[base], assoc_, &ways_[base]);
+            }
             setVer_[set] = other.setVer_[set];
         }
     }
@@ -225,10 +238,16 @@ Cache::stateDigest() const
             h *= 1099511628211ull;
         }
     };
-    for (const Way &way : ways_) {
-        mix(way.valid ? 1 : 0);
-        mix(way.tag);
-        mix(way.lruStamp);
+    for (unsigned set = 0; set < numSets_; ++set) {
+        for (unsigned w = 0; w < assoc_; ++w) {
+            // An empty set digests as the all-zero ways it stands for.
+            const Way way = setVer_[set] == 0
+                ? Way{false, 0, 0}
+                : ways_[static_cast<std::size_t>(set) * assoc_ + w];
+            mix(way.valid ? 1 : 0);
+            mix(way.tag);
+            mix(way.lruStamp);
+        }
     }
     mix(clock_);
     mix(stats_.hits);

@@ -11,6 +11,7 @@
 #define USCOPE_MEM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,24 +92,26 @@ class Cache
      * Adopt @p other's ways, LRU clock, and stats (snapshot forking,
      * DESIGN.md §12).  Only the sets whose version ids differ are
      * copied (DESIGN.md §17), so a copy costs O(sets) compares plus
-     * O(sets that differ) way copies.  Panics unless both caches
-     * share the same geometry.
+     * O(nonempty sets that differ) way copies.  Panics unless both
+     * caches share the same geometry.
      */
     void copyStateFrom(const Cache &other);
 
     /**
      * FNV-1a digest of the complete mutable state (ways, LRU clock,
      * stats) — the copy-equals-source test oracle.  Set versions are
-     * bookkeeping, not state, and stay out of it.
+     * bookkeeping, not state, and stay out of it; an empty set mixes
+     * as all-zero ways.
      */
     std::uint64_t stateDigest() const;
 
   private:
+    /** Trivial, so a cache's ways can be allocated uninitialised. */
     struct Way
     {
-        bool valid = false;
-        std::uint64_t tag = 0;
-        std::uint64_t lruStamp = 0;
+        bool valid;
+        std::uint64_t tag;
+        std::uint64_t lruStamp;
     };
 
     /** Give set @p set a fresh version id: its ways just changed. */
@@ -121,12 +124,15 @@ class Cache
     std::string name_;
     unsigned numSets_;
     unsigned assoc_;
-    std::vector<Way> ways_;      ///< numSets_ * assoc_, row-major by set.
+    /** numSets_ * assoc_, row-major by set; uninitialised until the
+     *  set is first filled (its version id turns nonzero). */
+    std::unique_ptr<Way[]> ways_;
     /**
      * One version id per set: equal ids imply equal set contents,
-     * across every cache of every thread.  0 is the all-Way{} set a
-     * construction leaves; every way mutation draws a
-     * fresh process-unique id, and copyStateFrom adopts the source's.
+     * across every cache of every thread.  0 is an empty set whose
+     * ways are not materialised, as construction leaves every set;
+     * every way mutation draws a fresh process-unique id, and
+     * copyStateFrom adopts the source's.
      */
     std::vector<std::uint64_t> setVer_;
     std::uint64_t clock_ = 0;    ///< monotonic stamp source for LRU.

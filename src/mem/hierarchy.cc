@@ -25,6 +25,11 @@ Hierarchy::Hierarchy(const MemConfig &config, std::uint64_t seed)
       l3_("L3", config.l3Size, config.l3Assoc),
       rng_(seed)
 {
+    // DRAM latency is dramLatency +- dramJitter in unsigned cycles.
+    if (config.dramJitter > config.dramLatency)
+        fatal("Hierarchy: DRAM jitter %llu exceeds DRAM latency %llu",
+              static_cast<unsigned long long>(config.dramJitter),
+              static_cast<unsigned long long>(config.dramLatency));
 }
 
 Cycles

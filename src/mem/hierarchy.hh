@@ -75,7 +75,8 @@ struct MemConfig
     Cycles l2Latency = 70;
     Cycles l3Latency = 150;
     Cycles dramLatency = 290;
-    /** DRAM latency jitter: uniform in [-jitter, +jitter]. */
+    /** DRAM latency jitter: uniform in [-jitter, +jitter]; at most
+     *  dramLatency (the Hierarchy constructor is fatal otherwise). */
     Cycles dramJitter = 15;
 
     /** Structural equality (snapshot/pool compatibility checks). */

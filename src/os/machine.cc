@@ -93,23 +93,8 @@ Machine::copyStateFrom(const Machine &other)
 Snapshot
 Machine::snapshot() const
 {
-    // Reuse a pooled frozen machine when its last Snapshot is gone:
-    // the construction cost (slab arena, cache arrays, ROB) dwarfs
-    // the state copy, and the slot's caches still hold an older
-    // state of this machine, so only the sets that changed since
-    // travel.  Either path runs the same copyStateFrom, so the
-    // snapshot's content is identical.
-    for (auto &slot : scratchSnaps_) {
-        if (slot && slot.use_count() == 1 &&
-            sameStructure(slot->config_, config_)) {
-            slot->copyStateFrom(*this);
-            return Snapshot(slot);
-        }
-    }
-    auto frozen = std::make_shared<Machine>(config_);
+    auto frozen = std::make_unique<Machine>(config_);
     frozen->copyStateFrom(*this);
-    scratchSnaps_[scratchNext_] = frozen;
-    scratchNext_ = (scratchNext_ + 1) % scratchSnaps_.size();
     return Snapshot(std::move(frozen));
 }
 

@@ -12,7 +12,6 @@
 #ifndef USCOPE_OS_MACHINE_HH
 #define USCOPE_OS_MACHINE_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -193,9 +192,9 @@ class Machine
      * schedule, stats, and the event-trace ring.  Physical pages are
      * shared copy-on-write — the snapshot holds references and this
      * machine's (or any fork's) first write to a shared page copies
-     * it, so the snapshot stays frozen.  A snapshot that reuses a
-     * dead snapshot's frozen slot copies only the cache sets that
-     * changed since that slot was filled (DESIGN.md §17).
+     * it, so the snapshot stays frozen.  Each snapshot constructs its
+     * own frozen machine, which is cheap: the caches' never-filled
+     * sets cost nothing to build or copy (DESIGN.md §17).
      *
      * Registered fault modules (ms::Microscope) are per-machine
      * external objects and are NOT captured; their machine-visible
@@ -243,17 +242,6 @@ class Machine
     mem::Hierarchy hierarchy_;
     vm::Mmu mmu_;
     cpu::Core core_;
-    /**
-     * Frozen-machine pool for snapshot(): constructing a Machine
-     * (slab arena, cache arrays, ROB) dwarfs copying one, so dead
-     * Snapshots' clones are kept for reuse.  A slot is reusable only
-     * while no Snapshot references it (use_count()==1).  Two slots
-     * cover the take-new-then-drop-old pattern of an engine that
-     * holds one episode snapshot across trials.  Mutable: a pool
-     * hand-off never changes this machine's observable state.
-     */
-    mutable std::array<std::shared_ptr<Machine>, 2> scratchSnaps_;
-    mutable std::size_t scratchNext_ = 0;
     Kernel kernel_;
     Rng entropy_;   ///< Hardware RDRAND source.
     fault::FaultInjector faults_;
@@ -287,18 +275,12 @@ class Snapshot
 
   private:
     friend class Machine;
-    explicit Snapshot(std::shared_ptr<Machine> frozen)
+    explicit Snapshot(std::unique_ptr<Machine> frozen)
         : frozen_(std::move(frozen))
     {
     }
 
-    /**
-     * Shared only with the taking machine's scratch pool (snapshot
-     * reuse); a Snapshot is still the sole *owner* in the API sense —
-     * the pool never reads or writes a frozen machine while any
-     * Snapshot references it (use_count guard in Machine::snapshot).
-     */
-    std::shared_ptr<Machine> frozen_;
+    std::unique_ptr<Machine> frozen_;   ///< Sole owner; never ticked.
 };
 
 } // namespace uscope::os

@@ -136,9 +136,38 @@ TEST(CacheTest, InsertExistingIsTouch)
     EXPECT_EQ(cache.occupancy(), 2u);
 }
 
+namespace
+{
+
+/** FNV-1a over a fresh cache's state, spelled out: every way zero
+ *  (valid, tag, LRU stamp), then the clock and four stat counters. */
+std::uint64_t
+freshCacheDigest(const Cache &cache)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    const std::size_t words =
+        static_cast<std::size_t>(cache.numSets()) * cache.assoc() * 3 + 5;
+    for (std::size_t byte = 0; byte < words * 8; ++byte)
+        h *= 1099511628211ull;   // h ^= 0 is a no-op
+    return h;
+}
+
+} // namespace
+
 TEST(CacheTest, InvalidateAndOccupancy)
 {
     Cache cache("c", 4096, 4);
+    // A fresh cache is empty, and a bulk wipe leaves it so.
+    for (int wipe = 0; wipe < 2; ++wipe) {
+        for (unsigned set = 0; set < cache.numSets(); ++set)
+            for (unsigned way = 0; way < cache.assoc(); ++way)
+                EXPECT_FALSE(cache.residentLine(set, way).has_value());
+        EXPECT_EQ(cache.occupancy(), 0u);
+        EXPECT_EQ(cache.stateDigest(), freshCacheDigest(cache));
+        cache.invalidateAll();
+    }
+    EXPECT_EQ(cache.stats().invalidations, 0u);
+
     cache.insert(0x1000);
     cache.insert(0x2000);
     EXPECT_EQ(cache.occupancy(), 2u);
@@ -240,16 +269,32 @@ TEST(HierarchyTest, LatenciesStrictlyOrdered)
 
 TEST(HierarchyTest, DramJitterBounded)
 {
-    Hierarchy hier;
-    const Cycles base = hier.config().dramLatency;
-    const Cycles jitter = hier.config().dramJitter;
-    for (int i = 0; i < 200; ++i) {
-        const auto access = hier.access(
-            0x100000 + static_cast<std::uint64_t>(i) * lineSize);
-        ASSERT_EQ(access.level, HitLevel::Dram);
-        EXPECT_GE(access.latency, base - jitter);
-        EXPECT_LE(access.latency, base + jitter);
+    // The defaults, and a jitter as large as the latency: [0, 20].
+    MemConfig widest;
+    widest.dramLatency = 10;
+    widest.dramJitter = 10;
+    for (const MemConfig &config : {MemConfig{}, widest}) {
+        Hierarchy hier(config);
+        const Cycles base = config.dramLatency;
+        const Cycles jitter = config.dramJitter;
+        for (int i = 0; i < 200; ++i) {
+            const auto access = hier.access(
+                0x100000 + static_cast<std::uint64_t>(i) * lineSize);
+            ASSERT_EQ(access.level, HitLevel::Dram);
+            EXPECT_GE(access.latency, base - jitter);
+            EXPECT_LE(access.latency, base + jitter);
+        }
     }
+}
+
+TEST(HierarchyTest, DramJitterAboveLatencyIsFatal)
+{
+    // Latency minus jitter is unsigned: a jitter above the latency
+    // would wrap a short draw to a ~2^64-cycle access.
+    MemConfig config;
+    config.dramLatency = 10;
+    config.dramJitter = 11;
+    EXPECT_THROW(Hierarchy{config}, SimFatal);
 }
 
 TEST(HierarchyTest, InstallAtEachLevel)
@@ -431,6 +476,14 @@ TEST(CacheCopy, ChainedCopiesEqualTheirSource)
         mutate(a, rng);
         b.copyStateFrom(a);
         ASSERT_EQ(b.stateDigest(), a.stateDigest()) << "round " << round;
+        // A never-filled source empties a used destination; the next
+        // round copies its empty sets on down the chain.
+        if (round % 8 == 7) {
+            const Cache fresh("c", 16 * 4 * 64, 4);
+            a.copyStateFrom(fresh);
+            ASSERT_EQ(a.stateDigest(), freshCacheDigest(fresh));
+            ASSERT_EQ(a.occupancy(), 0u);
+        }
     }
 }
 
@@ -460,6 +513,15 @@ TEST(HierarchyCopy, ChainedCopiesEqualTheirSource)
         for (std::uint64_t i = 0; i < 64; ++i) {
             const PAddr addr = (8192 + 64 * round + i) * lineSize;
             EXPECT_EQ(a.access(addr).latency, c.access(addr).latency);
+        }
+        // A never-filled hierarchy empties a used one, which the next
+        // round fills again from b.
+        if (round == 2) {
+            const Hierarchy fresh(MemConfig{}, 5);
+            c.copyStateFrom(fresh);
+            EXPECT_EQ(c.stateDigest(), fresh.stateDigest());
+            for (const Cache *level : {&c.l1(), &c.l2(), &c.l3()})
+                EXPECT_EQ(level->occupancy(), 0u) << level->name();
         }
     }
 }

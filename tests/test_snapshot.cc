@@ -17,9 +17,10 @@
  *  - **Versioned restore.** Repeated restoreFrom calls from one
  *    snapshot, which copy only the cache sets whose version ids
  *    differ (DESIGN.md §17), each equal a machine freshly constructed
- *    from the snapshot — also when a new snapshot reuses a dropped
- *    one's frozen slot, and when the two machines drew their set
- *    versions on different threads.
+ *    from the snapshot — also when a new snapshot lands at a
+ *    dropped one's address, when the snapshot's machine never ran,
+ *    and when the two machines drew their set versions on different
+ *    threads.
  *
  * Runs under TSan in CI, where the worker sweep doubles as a race
  * check on the per-worker snapshot caches and machine pools.
@@ -261,8 +262,9 @@ TEST(VersionedRestore, RepeatedRestoresEqualFreshMachines)
 
     os::Machine pooled(config);
     for (std::uint64_t k = 0; k < 5; ++k) {
-        // A bulk wipe gives every L2 set a fresh version: this restore
-        // copies the whole level back.
+        // A bulk wipe gives every L2 set the bodies filled a fresh
+        // version (never-filled sets stay empty): this restore copies
+        // each of those sets back.
         if (k == 3)
             pooled.hierarchy().l2().invalidateAll();
         pooled.restoreFrom(snap);
@@ -276,12 +278,24 @@ TEST(VersionedRestore, RepeatedRestoresEqualFreshMachines)
         runBody(fresh, victim, 100 + k);
         EXPECT_EQ(fullState(pooled), fullState(fresh)) << "restore " << k;
     }
+
+    // A snapshot of a machine that never ran empties every cache set
+    // the bodies filled.
+    const os::Machine idle(config);
+    const os::Snapshot idle_snap = idle.snapshot();
+    pooled.restoreFrom(idle_snap);
+    os::Machine fresh(idle_snap);
+    EXPECT_EQ(fullState(pooled), fullState(fresh));
+    for (const mem::Cache *level :
+         {&pooled.hierarchy().l1(), &pooled.hierarchy().l2(),
+          &pooled.hierarchy().l3()})
+        EXPECT_EQ(level->occupancy(), 0u) << level->name();
 }
 
 TEST(VersionedRestore, ReusedSnapshotSlotIsNotTheOldSnapshot)
 {
-    // The ABA case: snapshot B reuses the frozen slot of a dropped
-    // snapshot A, at the same address.  A restore from B must not
+    // The ABA case: snapshot B's frozen machine may land at the
+    // address of a dropped snapshot A's.  A restore from B must not
     // keep A's caches, which is what a guard keyed on the snapshot's
     // address would do.
     os::MachineConfig config;
