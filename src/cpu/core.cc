@@ -32,6 +32,13 @@ isSubnormal(double value)
     return std::fpclassify(value) == FP_SUBNORMAL;
 }
 
+/** Do byte ranges [a, a + a_len) and [b, b + b_len) intersect? */
+bool
+overlaps(VAddr a, unsigned a_len, VAddr b, unsigned b_len)
+{
+    return a < b + b_len && b < a + a_len;
+}
+
 } // anonymous namespace
 
 Core::Core(mem::PhysMem &mem, mem::Hierarchy &hierarchy, vm::Mmu &mmu,
@@ -42,55 +49,10 @@ Core::Core(mem::PhysMem &mem, mem::Hierarchy &hierarchy, vm::Mmu &mmu,
 {
     for (Context &ctx : contexts_) {
         ctx.rob = Rob(config_.robPerContext);
+        ctx.stores = StoreQueue(config_.robPerContext);
         ctx.lastIntWriter.fill(-1);
         ctx.lastFpWriter.fill(-1);
     }
-}
-
-Core::Rob::Rob(unsigned capacity)
-    : slots_(capacity ? std::bit_ceil(capacity) : 0),
-      mask_(slots_.empty() ? 0 : slots_.size() - 1)
-{
-}
-
-Core::Rob &
-Core::Rob::operator=(const Rob &other)
-{
-    if (this == &other)
-        return *this;
-    if (slots_.size() == other.slots_.size()) {
-        // Dead slots are never read, so restores skip them.
-        for (std::uint64_t seq = other.head_; seq < other.nextSeq(); ++seq)
-            at(seq) = other.at(seq);
-    } else {
-        slots_ = other.slots_;
-        mask_ = other.mask_;
-    }
-    head_ = other.head_;
-    size_ = other.size_;
-    return *this;
-}
-
-Core::RobEntry &
-Core::Rob::push()
-{
-    if (size_ == slots_.size())
-        panic("Core::Rob: push into a full ring of %zu", size_);
-    RobEntry &entry = at(nextSeq());
-    std::vector<std::uint64_t> waiters = std::move(entry.waiters);
-    waiters.clear();
-    entry = RobEntry{};
-    entry.waiters = std::move(waiters);
-    entry.seq = nextSeq();
-    ++size_;
-    return entry;
-}
-
-void
-Core::Rob::popFront()
-{
-    ++head_;
-    --size_;
 }
 
 void
@@ -193,7 +155,7 @@ Core::startContext(unsigned ctx_id,
     ctx.pcBias = pc_bias;
     ctx.stallUntil = 0;
     ctx.rob.clear();
-    dropScheduling(ctx_id, ctx.rob.headSeq());
+    dropScheduling(ctx_id, ctx.rob.headPos());
     ctx.lastIntWriter.fill(-1);
     ctx.lastFpWriter.fill(-1);
     ctx.inTx = false;
@@ -380,14 +342,14 @@ Core::rebuildWriterTables(Context &ctx)
 {
     ctx.lastIntWriter.fill(-1);
     ctx.lastFpWriter.fill(-1);
-    for (std::uint64_t seq = ctx.rob.headSeq(); seq < ctx.rob.nextSeq();
+    for (std::uint64_t seq = ctx.rob.headPos(); seq < ctx.rob.endPos();
          ++seq) {
         const RobEntry &entry = ctx.rob.at(seq);
         if (entry.dec->writesInt())
-            ctx.lastIntWriter[entry.inst.rd] =
+            ctx.lastIntWriter[entry.dec->inst.rd] =
                 static_cast<std::int64_t>(entry.seq);
         if (entry.dec->writesFp())
-            ctx.lastFpWriter[entry.inst.rd] =
+            ctx.lastFpWriter[entry.dec->inst.rd] =
                 static_cast<std::int64_t>(entry.seq);
     }
 }
@@ -410,7 +372,7 @@ Core::squashYounger(unsigned ctx_id, std::int64_t keep_seq)
                            static_cast<std::uint8_t>(ctx_id),
                            static_cast<std::uint16_t>(popped),
                            oldest_pc);
-    dropScheduling(ctx_id, ctx.rob.nextSeq());
+    dropScheduling(ctx_id, ctx.rob.endPos());
     rebuildWriterTables(ctx);
 }
 
@@ -418,23 +380,30 @@ void
 Core::dropScheduling(unsigned ctx_id, std::uint64_t first_gone)
 {
     Context &ctx = contexts_[ctx_id];
-    const auto erased = std::erase_if(completions_, [&](const Completion &c) {
+    std::erase_if(completions_, [&](const Completion &c) {
         return c.ctx == ctx_id && c.seq >= first_gone;
     });
-    if (erased)
-        std::make_heap(completions_.begin(), completions_.end(),
-                       std::greater<>{});
     while (!ctx.ready.empty() && ctx.ready.back() >= first_gone)
         ctx.ready.pop_back();
+    while (!ctx.stores.empty() && ctx.stores.back() >= first_gone)
+        ctx.stores.popBack();
     if (ctx.barrierSeq >= first_gone)
         ctx.barrierSeq = kNoSeq;
     // Gone numbers are reused by the next dispatch, so no survivor may
-    // still hold them as waiters (lists are in seq order).
-    for (std::uint64_t seq = ctx.rob.headSeq(); seq < ctx.rob.nextSeq();
+    // still hold them as waiters (lists are in seq order, inline
+    // before overflow).
+    while (!ctx.moreWaiters.empty() &&
+           ctx.moreWaiters.back().consumer >= first_gone) {
+        if (RobEntry *producer = ctx.rob.find(ctx.moreWaiters.back().producer))
+            --producer->numWaiters;
+        ctx.moreWaiters.pop_back();
+    }
+    for (std::uint64_t seq = ctx.rob.headPos(); seq < ctx.rob.endPos();
          ++seq) {
-        std::vector<std::uint64_t> &waiters = ctx.rob.at(seq).waiters;
-        while (!waiters.empty() && waiters.back() >= first_gone)
-            waiters.pop_back();
+        RobEntry &entry = ctx.rob.at(seq);
+        while (entry.numWaiters > 0 && entry.numWaiters <= kInlineWaiters &&
+               entry.waiters[entry.numWaiters - 1] >= first_gone)
+            --entry.numWaiters;
     }
 }
 
@@ -582,7 +551,7 @@ Core::nextEventCycle() const
     // Completions fire when an executing op's latency elapses, in
     // every context state, exactly like doCompletions.
     if (!completions_.empty())
-        next = std::min(next, std::max(completions_.front().finish, cycle_));
+        next = std::min(next, std::max(completions_.back().finish, cycle_));
     return next;
 }
 
@@ -613,12 +582,10 @@ void
 Core::doCompletions()
 {
     // nextEventCycle never lets fast-forward skip a completion, so
-    // every due item finishes at cycle_ and heap order is the old ROB
+    // every due item finishes at cycle_ and queue order is the old ROB
     // scan order: context, then sequence number.  A mispredict squash
     // erases younger items due in the same cycle before they pop.
-    while (!completions_.empty() && completions_.front().finish <= cycle_) {
-        std::pop_heap(completions_.begin(), completions_.end(),
-                      std::greater<>{});
+    while (!completions_.empty() && completions_.back().finish <= cycle_) {
         const Completion due = completions_.back();
         completions_.pop_back();
         completeEntry(due.ctx, contexts_[due.ctx].rob.at(due.seq));
@@ -634,15 +601,27 @@ Core::completeEntry(unsigned ctx_id, RobEntry &entry)
     // A faulted load produces no data: its dependents never become
     // ready ("instructions that are dependent on the replay handle do
     // not execute", §4.1.1) and die in the eventual squash.
+    auto wake = [&ctx](std::uint64_t seq) {
+        if (--ctx.rob.at(seq).pendingSrcs == 0)
+            ctx.ready.insert(
+                std::upper_bound(ctx.ready.begin(), ctx.ready.end(), seq),
+                seq);
+    };
     if (!entry.faulted) {
-        for (std::uint64_t seq : entry.waiters) {
-            if (--ctx.rob.at(seq).pendingSrcs == 0)
-                ctx.ready.insert(std::upper_bound(ctx.ready.begin(),
-                                                  ctx.ready.end(), seq),
-                                 seq);
-        }
+        for (unsigned i = 0;
+             i < std::min(entry.numWaiters, kInlineWaiters); ++i)
+            wake(entry.waiters[i]);
     }
-    entry.waiters.clear();
+    if (entry.numWaiters > kInlineWaiters) {
+        std::erase_if(ctx.moreWaiters, [&](const Waiter &waiter) {
+            if (waiter.producer != entry.seq)
+                return false;
+            if (!entry.faulted)
+                wake(waiter.consumer);
+            return true;
+        });
+    }
+    entry.numWaiters = 0;
 
     if (entry.dec->isCondBranch() && !entry.mispredictHandled) {
         entry.mispredictHandled = true;
@@ -650,7 +629,7 @@ Core::completeEntry(unsigned ctx_id, RobEntry &entry)
         if (entry.actualTaken != entry.predictedTaken) {
             ++ctx.stats.mispredicts;
             squashYounger(ctx_id, static_cast<std::int64_t>(entry.seq));
-            ctx.fetchPc = entry.actualTaken ? entry.inst.target
+            ctx.fetchPc = entry.actualTaken ? entry.dec->inst.target
                                             : entry.pc + 1;
             ctx.fetchStopped = false;
             if (config_.fenceOnPipelineFlush)
@@ -676,7 +655,7 @@ Core::retireOne(unsigned ctx_id)
         return false;
     }
 
-    const Instruction &inst = head.inst;
+    const Instruction &inst = head.dec->inst;
     const DecodedInst &dec = *head.dec;
 
     if (obs::tracing(obs_))
@@ -746,13 +725,15 @@ Core::retireOne(unsigned ctx_id)
 void
 Core::popHead(Context &ctx)
 {
-    const std::uint64_t seq = ctx.rob.headSeq();
+    const std::uint64_t seq = ctx.rob.headPos();
     ctx.rob.popFront();
+    if (!ctx.stores.empty() && ctx.stores.front() == seq)
+        ctx.stores.popFront();
     if (ctx.barrierSeq != seq)
         return;
     // The barrier retired: issue now runs up to the next one.
     ctx.barrierSeq = kNoSeq;
-    for (std::uint64_t s = ctx.rob.headSeq(); s < ctx.rob.nextSeq(); ++s) {
+    for (std::uint64_t s = ctx.rob.headPos(); s < ctx.rob.endPos(); ++s) {
         if (isBarrier(ctx.rob.at(s))) {
             ctx.barrierSeq = s;
             break;
@@ -808,7 +789,7 @@ void
 Core::executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency)
 {
     Context &ctx = contexts_[ctx_id];
-    const Instruction &inst = entry.inst;
+    const Instruction &inst = entry.dec->inst;
     const DecodedInst &dec = *entry.dec;
 
     std::uint64_t base = 0;
@@ -850,20 +831,30 @@ Core::executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency)
         return;
     }
 
-    // Load.  Exact-match forwarding from the youngest older store is
-    // the fast path; otherwise read memory and byte-merge any
-    // overlapping older stores (retired transactional stores first,
-    // then in-flight ROB stores in program order), which handles
-    // partial-width overlap precisely.
-    for (std::uint64_t seq = entry.seq; seq-- > ctx.rob.headSeq();) {
-        const RobEntry &older = ctx.rob.at(seq);
-        if (!older.dec->isStore() || !older.storeDataResolved)
+    // Load.  The youngest older store that overlaps it decides: an
+    // exact match (same address and width) forwards its value whole;
+    // any other overlap, or none, reads memory and byte-merges every
+    // overlapping older store (retired transactional stores first,
+    // then in-flight stores in program order), which handles
+    // partial-width overlap precisely.  issueReady has already made
+    // every older store's address, and every overlapping one's data,
+    // known.
+    const StoreQueue &stores = ctx.stores;
+    std::uint64_t older_end = stores.endPos();
+    while (older_end > stores.headPos() &&
+           stores.at(older_end - 1) > entry.seq)
+        --older_end;
+    for (std::uint64_t pos = older_end; pos-- > stores.headPos();) {
+        const RobEntry &older = ctx.rob.at(stores.at(pos));
+        if (!older.storeDataResolved ||
+            !overlaps(older.storeVa, older.storeLen, va, len))
             continue;
         if (older.storeVa == va && older.storeLen == len) {
             entry.result = older.storeValue;
             latency += config_.forwardLatency;
             return;
         }
+        break;
     }
 
     const mem::AccessResult access = hierarchy_.access(xlate.paddr);
@@ -892,12 +883,12 @@ Core::executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency)
     for (const TxStore &store : ctx.txStores)
         forwarded |= merge_bytes(store.pa, store.value, store.len,
                                  xlate.paddr);
-    for (std::uint64_t seq = ctx.rob.headSeq(); seq < entry.seq; ++seq) {
-        const RobEntry &other = ctx.rob.at(seq);
-        if (!other.dec->isStore() || !other.storeDataResolved)
+    for (std::uint64_t pos = stores.headPos(); pos < older_end; ++pos) {
+        const RobEntry &older = ctx.rob.at(stores.at(pos));
+        if (!older.storeDataResolved)
             continue;
-        forwarded |= merge_bytes(other.storeVa, other.storeValue,
-                                 other.storeLen, va);
+        forwarded |= merge_bytes(older.storeVa, older.storeValue,
+                                 older.storeLen, va);
     }
     if (forwarded)
         latency += config_.forwardLatency;
@@ -908,7 +899,7 @@ void
 Core::executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency)
 {
     Context &ctx = contexts_[ctx_id];
-    const Instruction &inst = entry.inst;
+    const Instruction &inst = entry.dec->inst;
     const DecodedInst &dec = *entry.dec;
 
     std::uint64_t s1 = 0;
@@ -1035,7 +1026,7 @@ Core::executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency)
 bool
 Core::issueReady(const Context &ctx, const RobEntry &entry) const
 {
-    const Instruction &inst = entry.inst;
+    const Instruction &inst = entry.dec->inst;
     const DecodedInst &dec = *entry.dec;
 
     // Operand readiness, kept by wakeup (watchSource/completeEntry).
@@ -1051,17 +1042,16 @@ Core::issueReady(const Context &ctx, const RobEntry &entry) const
         const VAddr load_va =
             base + static_cast<std::uint64_t>(inst.imm);
         const unsigned load_len = inst.op == Op::Ld32 ? 4 : 8;
-        for (std::uint64_t seq = ctx.rob.headSeq(); seq < entry.seq;
-             ++seq) {
-            const RobEntry &other = ctx.rob.at(seq);
-            if (!other.dec->isStore() || other.faulted)
+        const StoreQueue &stores = ctx.stores;
+        for (std::uint64_t pos = stores.headPos();
+             pos < stores.endPos() && stores.at(pos) < entry.seq; ++pos) {
+            const RobEntry &other = ctx.rob.at(stores.at(pos));
+            if (other.faulted)
                 continue;
             if (!other.storeResolved)
                 return false;
-            const bool overlap =
-                other.storeVa < load_va + load_len &&
-                load_va < other.storeVa + other.storeLen;
-            if (overlap && !other.storeDataResolved)
+            if (!other.storeDataResolved &&
+                overlaps(other.storeVa, other.storeLen, load_va, load_len))
                 return false;
         }
     }
@@ -1072,14 +1062,13 @@ bool
 Core::tryIssue(unsigned ctx_id, RobEntry &entry)
 {
     Context &ctx = contexts_[ctx_id];
-    const Instruction &inst = entry.inst;
+    const Instruction &inst = entry.dec->inst;
     const DecodedInst &dec = *entry.dec;
 
-    if (!issueReady(ctx, entry))
-        return false;
-
     // Port availability (shared across SMT contexts — the contention
-    // channel).
+    // channel) is the cheaper test, so it goes first.  A port conflict
+    // is traced only for an entry issueReady clears, which keeps traced
+    // event logs independent of the test order.
     const PortChoices choices = dec.ports;
     unsigned port = numPorts;
     if (choices.first != 0xFF && ports_.canIssue(choices.first, cycle_))
@@ -1088,13 +1077,15 @@ Core::tryIssue(unsigned ctx_id, RobEntry &entry)
              ports_.canIssue(choices.second, cycle_))
         port = choices.second;
     if (port == numPorts) {
-        if (obs::tracing(obs_))
+        if (obs::tracing(obs_) && issueReady(ctx, entry))
             obs_->trace.record(obs::EventKind::PortConflict,
                                static_cast<std::uint8_t>(ctx_id),
                                static_cast<std::uint16_t>(inst.op),
                                entry.pc);
         return false;
     }
+    if (!issueReady(ctx, entry))
+        return false;
 
     Cycles latency = 0;
     executeEntry(ctx_id, entry, latency);
@@ -1115,9 +1106,13 @@ Core::tryIssue(unsigned ctx_id, RobEntry &entry)
     ports_.occupy(port, cycle_, latency, dec.unpipelined());
     entry.state = RobEntry::State::Executing;
     entry.finishCycle = cycle_ + latency;
-    completions_.push_back({entry.finishCycle, ctx_id, entry.seq});
-    std::push_heap(completions_.begin(), completions_.end(),
-                   std::greater<>{});
+    // Short latencies dominate, so the insertion point is near the
+    // back and the move is short.
+    const Completion done{entry.finishCycle, ctx_id, entry.seq};
+    completions_.insert(std::upper_bound(completions_.begin(),
+                                         completions_.end(), done,
+                                         std::greater<>{}),
+                        done);
     ++issuedThisCycle_;
     return true;
 }
@@ -1131,7 +1126,8 @@ Core::doIssue()
     // starve one context of a shared port indefinitely.
     const unsigned start = static_cast<unsigned>(rng_.below(n));
     for (unsigned offset = 0; offset < n; ++offset) {
-        const unsigned ctx_id = (start + offset) % n;
+        const unsigned ctx_id =
+            start + offset < n ? start + offset : start + offset - n;
         Context &ctx = contexts_[ctx_id];
         if (ctx.state != CtxState::Running)
             continue;
@@ -1175,23 +1171,29 @@ Core::watchSource(Context &ctx, RobEntry &consumer, std::int64_t dep)
     ++consumer.pendingSrcs;
     // A faulted producer wakes no one; the consumer waits for the
     // squash.
-    if (producer->state != RobEntry::State::Done)
-        producer->waiters.push_back(consumer.seq);
+    if (producer->state == RobEntry::State::Done)
+        return;
+    if (producer->numWaiters < kInlineWaiters)
+        producer->waiters[producer->numWaiters] = consumer.seq;
+    else
+        ctx.moreWaiters.push_back({producer->seq, consumer.seq});
+    ++producer->numWaiters;
 }
 
 void
 Core::dispatchOne(unsigned ctx_id)
 {
     Context &ctx = contexts_[ctx_id];
-    const Instruction &inst = ctx.program->at(ctx.fetchPc);
-    // One memoized decode lookup replaces the predicate switches the
-    // pipeline stages used to re-run per entry; the pointer stays
-    // valid for the entry's whole ROB lifetime (the stream is owned
-    // by ctx.program, which outlives the ROB).
+    // One memoized decode lookup yields the instruction, its flags and
+    // its ports; the pointer stays valid for the entry's whole ROB
+    // lifetime (the stream is owned by ctx.program, which outlives the
+    // ROB).
     const DecodedInst &dec = ctx.stream->at(ctx.fetchPc);
+    const Instruction &inst = dec.inst;
 
+    const std::uint64_t seq = ctx.rob.endPos();
     RobEntry &entry = ctx.rob.push();
-    entry.inst = inst;
+    entry.seq = seq;
     entry.dec = &dec;
     entry.pc = ctx.fetchPc;
     if (ctx.serializeNext) {
@@ -1218,6 +1220,8 @@ Core::dispatchOne(unsigned ctx_id)
         ctx.ready.push_back(entry.seq);
     if (ctx.barrierSeq == kNoSeq && isBarrier(entry))
         ctx.barrierSeq = entry.seq;
+    if (dec.isStore())
+        ctx.stores.push() = entry.seq;
 
     // Next-fetch PC: branches predicted at fetch; Halt stops fetch.
     if (dec.isCondBranch()) {
@@ -1245,21 +1249,30 @@ Core::dispatchOne(unsigned ctx_id)
 void
 Core::doFetch()
 {
+    // The fetch group: slot s goes to the first context, rotating from
+    // (cycle + s) mod n, that can still dispatch.  Only a context's own
+    // dispatch changes whether it can, so a slot nobody takes ends the
+    // group.  One modulo per cycle; the rotation then wraps.
     const unsigned n = static_cast<unsigned>(contexts_.size());
+    unsigned first = static_cast<unsigned>(cycle_ % n);
     for (unsigned slot = 0; slot < config_.fetchWidth; ++slot) {
-        bool fetched = false;
-        for (unsigned offset = 0; offset < n && !fetched; ++offset) {
-            const unsigned ctx_id =
-                static_cast<unsigned>((cycle_ + slot + offset) % n);
-            Context &ctx = contexts_[ctx_id];
-            if (ctx.state != CtxState::Running || !ctx.program ||
-                ctx.fetchStopped ||
-                ctx.rob.size() >= config_.robPerContext) {
-                continue;
+        unsigned ctx_id = first;
+        unsigned offset = 0;
+        for (; offset < n; ++offset) {
+            const Context &ctx = contexts_[ctx_id];
+            if (ctx.state == CtxState::Running && ctx.program &&
+                !ctx.fetchStopped &&
+                ctx.rob.size() < config_.robPerContext) {
+                dispatchOne(ctx_id);
+                break;
             }
-            dispatchOne(ctx_id);
-            fetched = true;
+            if (++ctx_id == n)
+                ctx_id = 0;
         }
+        if (offset == n)
+            return;
+        if (++first == n)
+            first = 0;
     }
 }
 

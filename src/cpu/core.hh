@@ -10,9 +10,10 @@
  *    when their producers are complete and a port is free, and retire
  *    in order.  Scheduling is event-driven (DESIGN.md §18): the ROB
  *    is a ring indexed by sequence number, issued entries wait in one
- *    completion queue ordered by finish cycle, and producers wake
- *    their consumers onto a per-context ready list, so a tick touches
- *    only due completions and operand-ready entries.
+ *    completion queue ordered by finish cycle, producers wake their
+ *    consumers onto a per-context ready list, and loads order and
+ *    forward against a per-context store queue, so a tick touches
+ *    only due completions, operand-ready entries and older stores.
  *  - Memory ops translate through the MMU at issue: a TLB miss
  *    triggers a hardware page walk whose latency depends on where the
  *    page-table entries sit in the cache hierarchy.
@@ -37,14 +38,18 @@
 #define USCOPE_CPU_CORE_HH
 
 #include <array>
+#include <bit>
 #include <compare>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/types.hh"
 #include "cpu/isa.hh"
@@ -310,12 +315,16 @@ class Core
     void exportMetrics(obs::MetricRegistry &registry) const;
 
   private:
+    /** Waiters a ROB entry holds inline; four covers every producer
+     *  of the AES victim and the ALU loop. */
+    static constexpr unsigned kInlineWaiters = 4;
+
     /** One reorder-buffer entry. */
     struct RobEntry
     {
-        Instruction inst;
-        /** Memoized decode for inst (points into the context's shared
-         *  DecodedStream; kept alive by Context::program). */
+        /** The instruction and its memoized decode (points into the
+         *  context's shared DecodedStream; kept alive by
+         *  Context::program). */
         const DecodedInst *dec = nullptr;
         std::uint64_t seq = 0;
         std::uint64_t pc = 0;
@@ -354,71 +363,140 @@ class Core
         // producer has not turned Done.  A faulted producer never
         // wakes its consumers, so they wait for the squash (§4.1.1).
         unsigned pendingSrcs = 0;
-        /** Consumers to wake at Done, in dispatch (seq) order. */
-        std::vector<std::uint64_t> waiters;
+        /** Consumers to wake at Done, in dispatch (seq) order: the
+         *  first kInlineWaiters here, the rest in
+         *  Context::moreWaiters.  Inline storage keeps the entry
+         *  trivially copyable, so dispatch and restores never
+         *  allocate. */
+        std::array<std::uint64_t, kInlineWaiters> waiters{};
+        unsigned numWaiters = 0;
+    };
+
+    /** A consumer past its producer's inline waiter capacity. */
+    struct Waiter
+    {
+        std::uint64_t producer = 0;
+        std::uint64_t consumer = 0;
     };
 
     /**
-     * One context's ROB: a ring indexed by sequence number.  Live
-     * sequence numbers are contiguous — a squash rewinds the next
-     * number to just past the youngest survivor — so entry `seq` sits
-     * in slot `seq & mask` and finding it is O(1).  A number below
-     * headSeq() belongs to a retired entry.
+     * A power-of-two ring addressed by an ever-growing 64-bit
+     * position: element `pos` sits in slot `pos & mask`, the live
+     * positions are the contiguous range [headPos(), endPos()), and
+     * finding one is O(1).  It allocates nothing after construction,
+     * and assignment between rings of one capacity copies only the
+     * live slots, which keeps Machine::copyStateFrom (restores and
+     * snapshots) proportional to what is in flight.
      */
-    class Rob
+    template <typename T>
+    class Ring
     {
+        // push() rebuilds a slot over its previous occupant without
+        // destroying it.
+        static_assert(std::is_trivially_destructible_v<T>);
+
       public:
-        Rob() = default;
-        explicit Rob(unsigned capacity);
-        Rob(const Rob &) = default;
-        /** Copies only the live slots when the capacities match. */
-        Rob &operator=(const Rob &other);
+        Ring() = default;
+        explicit Ring(unsigned capacity)
+            : slots_(capacity ? std::bit_ceil(capacity) : 0),
+              mask_(slots_.empty() ? 0 : slots_.size() - 1)
+        {
+        }
+        Ring(const Ring &) = default;
+
+        Ring &
+        operator=(const Ring &other)
+        {
+            if (this == &other)
+                return *this;
+            if (slots_.size() == other.slots_.size()) {
+                // Dead slots are never read, so restores skip them.
+                for (std::uint64_t pos = other.head_; pos < other.endPos();
+                     ++pos)
+                    at(pos) = other.at(pos);
+            } else {
+                slots_ = other.slots_;
+                mask_ = other.mask_;
+            }
+            head_ = other.head_;
+            size_ = other.size_;
+            return *this;
+        }
 
         bool empty() const { return size_ == 0; }
         std::size_t size() const { return size_; }
-        /** Sequence number of the oldest entry (the next to retire). */
-        std::uint64_t headSeq() const { return head_; }
-        /** Sequence number the next dispatch gets. */
-        std::uint64_t nextSeq() const { return head_ + size_; }
+        /** Position of the oldest element. */
+        std::uint64_t headPos() const { return head_; }
+        /** Position the next push takes. */
+        std::uint64_t endPos() const { return head_ + size_; }
 
-        /** The live entry @p seq, or null if it is not in flight. */
-        const RobEntry *
-        find(std::uint64_t seq) const
+        /** The live element @p pos, or null if it is not in the ring. */
+        const T *
+        find(std::uint64_t pos) const
         {
-            // Unsigned wrap also rejects seq < head_.
-            return seq - head_ < size_ ? &slots_[seq & mask_] : nullptr;
+            // Unsigned wrap also rejects pos < head_.
+            return pos - head_ < size_ ? &slots_[pos & mask_] : nullptr;
         }
-        RobEntry *
-        find(std::uint64_t seq)
+        T *
+        find(std::uint64_t pos)
         {
-            return seq - head_ < size_ ? &slots_[seq & mask_] : nullptr;
+            return pos - head_ < size_ ? &slots_[pos & mask_] : nullptr;
         }
-        /** The live entry @p seq (the caller knows it is in flight). */
-        RobEntry &at(std::uint64_t seq) { return slots_[seq & mask_]; }
-        const RobEntry &
-        at(std::uint64_t seq) const
-        {
-            return slots_[seq & mask_];
-        }
-        RobEntry &front() { return at(head_); }
-        const RobEntry &front() const { return at(head_); }
-        RobEntry &back() { return at(head_ + size_ - 1); }
-        const RobEntry &back() const { return at(head_ + size_ - 1); }
+        /** The live element @p pos (the caller knows it is live). */
+        T &at(std::uint64_t pos) { return slots_[pos & mask_]; }
+        const T &at(std::uint64_t pos) const { return slots_[pos & mask_]; }
+        T &front() { return at(head_); }
+        const T &front() const { return at(head_); }
+        T &back() { return at(endPos() - 1); }
+        const T &back() const { return at(endPos() - 1); }
 
-        /** Append a fresh entry numbered nextSeq() (the slot keeps
-         *  its waiter list's capacity). */
-        RobEntry &push();
-        void popFront();
+        /**
+         * Append a default-initialised element at endPos(), built in
+         * place over the slot's previous occupant: a RobEntry runs its
+         * member initializers, a scalar must be assigned.  Value-
+         * initialising instead would zero the whole slot first, which
+         * costs dispatch ~10% (DESIGN.md §18).
+         */
+        T &
+        push()
+        {
+            if (size_ == slots_.size())
+                panic("Core::Ring: push into a full ring of %zu", size_);
+            return *::new (static_cast<void *>(&at(head_ + size_++))) T;
+        }
+        void popFront()
+        {
+            ++head_;
+            --size_;
+        }
         void popBack() { --size_; }
-        /** Drop everything; numbering continues at headSeq(). */
+        /** Drop everything; positions continue at headPos(). */
         void clear() { size_ = 0; }
 
       private:
-        std::vector<RobEntry> slots_;
+        std::vector<T> slots_;
         std::uint64_t mask_ = 0;
         std::uint64_t head_ = 0;
         std::size_t size_ = 0;
     };
+
+    /**
+     * One context's ROB, indexed by sequence number.  Live sequence
+     * numbers are contiguous — a squash rewinds the next number to
+     * just past the youngest survivor — so an entry's position is its
+     * sequence number.  A number below headPos() belongs to a retired
+     * entry.
+     */
+    using Rob = Ring<RobEntry>;
+
+    /**
+     * One context's store queue: the sequence numbers of its in-flight
+     * stores, oldest first.  Load ordering and store-to-load
+     * forwarding walk it instead of the ROB, so they cost O(older
+     * stores).  Positions are queue-private; the values are ROB
+     * sequence numbers.
+     */
+    using StoreQueue = Ring<std::uint64_t>;
 
     /** No such in-flight entry (Context::barrierSeq). */
     static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
@@ -430,7 +508,7 @@ class Core
         unsigned ctx = 0;
         std::uint64_t seq = 0;
 
-        /** Heap order: finish cycle, then doCompletions' old scan
+        /** Queue order: finish cycle, then doCompletions' old scan
          *  order — context, then sequence number. */
         auto operator<=>(const Completion &) const = default;
     };
@@ -462,9 +540,14 @@ class Core
         std::array<std::uint64_t, numFpRegs> fpRegs{};
 
         Rob rob;
+        /** The in-flight stores of `rob`, in ascending seq. */
+        StoreQueue stores;
         /** Waiting entries with every gated operand ready, oldest
          *  first: the only entries issue looks at. */
         std::vector<std::uint64_t> ready;
+        /** Waiters that overflowed their producer's inline storage,
+         *  in ascending consumer seq (normally empty). */
+        std::vector<Waiter> moreWaiters;
         /** Oldest in-flight barrier; nothing younger issues. */
         std::uint64_t barrierSeq = kNoSeq;
         std::array<std::int64_t, numIntRegs> lastIntWriter;
@@ -522,8 +605,8 @@ class Core
     void squashYounger(unsigned ctx_id, std::int64_t keep_seq);
 
     /** Forget entries from @p first_gone on (already popped from the
-     *  ring) in the completion queue, ready list, barrier and the
-     *  survivors' waiter lists. */
+     *  ring) in the completion queue, ready list, store queue, barrier
+     *  and the survivors' waiter lists. */
     void dropScheduling(unsigned ctx_id, std::uint64_t first_gone);
 
     /** Squash the whole context. */
@@ -541,7 +624,8 @@ class Core
 
     Cycles cycle_ = 0;
     std::vector<Context> contexts_;
-    /** Min-heap holding exactly one item per Executing entry. */
+    /** Exactly one item per Executing entry, sorted latest first, so
+     *  the next due completion is at the back. */
     std::vector<Completion> completions_;
     PortState ports_;
     BranchPredictor predictor_;

@@ -9,6 +9,7 @@ DecodedInst
 decodeOp(Op op)
 {
     DecodedInst d;
+    d.inst.op = op;
     std::uint32_t f = 0;
     if (isLoad(op))
         f |= DecodedInst::kLoad;
@@ -65,8 +66,10 @@ DecodedStream::DecodedStream(const std::vector<Instruction> &insts)
     : haltDec_(decodeOp(Op::Halt)), id_(nextStreamId())
 {
     decoded_.reserve(insts.size());
-    for (const Instruction &inst : insts)
+    for (const Instruction &inst : insts) {
         decoded_.push_back(decodeOp(inst.op));
+        decoded_.back().inst = inst;
+    }
 }
 
 } // namespace uscope::cpu

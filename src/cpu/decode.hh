@@ -30,7 +30,8 @@
 namespace uscope::cpu
 {
 
-/** One instruction's memoized decode: flags + port choices. */
+/** One instruction's memoized decode: the instruction itself, its
+ *  flags and port choices, so dispatch reads one table. */
 struct DecodedInst
 {
     enum Flag : std::uint32_t
@@ -53,6 +54,7 @@ struct DecodedInst
         kJmp = 1u << 15,
     };
 
+    Instruction inst;
     std::uint32_t flags = 0;
     PortChoices ports;
 
@@ -80,7 +82,8 @@ struct DecodedInst
     }
 };
 
-/** Decode @p op alone (the memoization's single source of truth). */
+/** Decode @p op alone (the memoization's single source of truth);
+ *  the result's instruction carries only the opcode. */
 DecodedInst decodeOp(Op op);
 
 /**

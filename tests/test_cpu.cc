@@ -902,6 +902,46 @@ struct GoldenModel
     }
 };
 
+/** Append the straight-line instruction @p inst to @p b. */
+void
+emit(ProgramBuilder &b, const Instruction &inst)
+{
+    switch (inst.op) {
+      case Op::Movi: b.movi(inst.rd, inst.imm); break;
+      case Op::Mov: b.mov(inst.rd, inst.rs1); break;
+      case Op::Add: b.add(inst.rd, inst.rs1, inst.rs2); break;
+      case Op::Addi: b.addi(inst.rd, inst.rs1, inst.imm); break;
+      case Op::Sub: b.sub(inst.rd, inst.rs1, inst.rs2); break;
+      case Op::And: b.and_(inst.rd, inst.rs1, inst.rs2); break;
+      case Op::Andi: b.andi(inst.rd, inst.rs1, inst.imm); break;
+      case Op::Or: b.or_(inst.rd, inst.rs1, inst.rs2); break;
+      case Op::Xor: b.xor_(inst.rd, inst.rs1, inst.rs2); break;
+      case Op::Shli:
+        b.shli(inst.rd, inst.rs1, static_cast<unsigned>(inst.imm));
+        break;
+      case Op::Shri:
+        b.shri(inst.rd, inst.rs1, static_cast<unsigned>(inst.imm));
+        break;
+      case Op::Mul: b.mul(inst.rd, inst.rs1, inst.rs2); break;
+      case Op::Div: b.div(inst.rd, inst.rs1, inst.rs2); break;
+      case Op::Fmovi:
+        b.fmovi(inst.rd,
+                std::bit_cast<double>(
+                    static_cast<std::uint64_t>(inst.imm)));
+        break;
+      case Op::Fmov: b.fmov(inst.rd, inst.rs1); break;
+      case Op::Fadd: b.fadd(inst.rd, inst.rs1, inst.rs2); break;
+      case Op::Fmul: b.fmul(inst.rd, inst.rs1, inst.rs2); break;
+      case Op::Ld: b.ld(inst.rd, inst.rs1, inst.imm); break;
+      case Op::Ld32: b.ld32(inst.rd, inst.rs1, inst.imm); break;
+      case Op::Ldf: b.ldf(inst.rd, inst.rs1, inst.imm); break;
+      case Op::St: b.st(inst.rs1, inst.imm, inst.rs2); break;
+      case Op::St32: b.st32(inst.rs1, inst.imm, inst.rs2); break;
+      case Op::Stf: b.stf(inst.rs1, inst.imm, inst.rs2); break;
+      default: break;
+    }
+}
+
 } // namespace
 
 class GoldenModelTest : public ::testing::TestWithParam<unsigned>
@@ -950,44 +990,8 @@ TEST_P(GoldenModelTest, RandomStraightLineProgramsMatch)
         golden.exec(inst);
     }
 
-    for (const Instruction &inst : insts) {
-        switch (inst.op) {
-          case Op::Movi: b.movi(inst.rd, inst.imm); break;
-          case Op::Mov: b.mov(inst.rd, inst.rs1); break;
-          case Op::Add: b.add(inst.rd, inst.rs1, inst.rs2); break;
-          case Op::Addi: b.addi(inst.rd, inst.rs1, inst.imm); break;
-          case Op::Sub: b.sub(inst.rd, inst.rs1, inst.rs2); break;
-          case Op::And: b.and_(inst.rd, inst.rs1, inst.rs2); break;
-          case Op::Andi: b.andi(inst.rd, inst.rs1, inst.imm); break;
-          case Op::Or: b.or_(inst.rd, inst.rs1, inst.rs2); break;
-          case Op::Xor: b.xor_(inst.rd, inst.rs1, inst.rs2); break;
-          case Op::Shli:
-            b.shli(inst.rd, inst.rs1,
-                   static_cast<unsigned>(inst.imm));
-            break;
-          case Op::Shri:
-            b.shri(inst.rd, inst.rs1,
-                   static_cast<unsigned>(inst.imm));
-            break;
-          case Op::Mul: b.mul(inst.rd, inst.rs1, inst.rs2); break;
-          case Op::Div: b.div(inst.rd, inst.rs1, inst.rs2); break;
-          case Op::Fmovi:
-            b.fmovi(inst.rd,
-                    std::bit_cast<double>(
-                        static_cast<std::uint64_t>(inst.imm)));
-            break;
-          case Op::Fmov: b.fmov(inst.rd, inst.rs1); break;
-          case Op::Fadd: b.fadd(inst.rd, inst.rs1, inst.rs2); break;
-          case Op::Fmul: b.fmul(inst.rd, inst.rs1, inst.rs2); break;
-          case Op::Ld: b.ld(inst.rd, inst.rs1, inst.imm); break;
-          case Op::Ld32: b.ld32(inst.rd, inst.rs1, inst.imm); break;
-          case Op::Ldf: b.ldf(inst.rd, inst.rs1, inst.imm); break;
-          case Op::St: b.st(inst.rs1, inst.imm, inst.rs2); break;
-          case Op::St32: b.st32(inst.rs1, inst.imm, inst.rs2); break;
-          case Op::Stf: b.stf(inst.rs1, inst.imm, inst.rs2); break;
-          default: break;
-        }
-    }
+    for (const Instruction &inst : insts)
+        emit(b, inst);
     b.halt();
 
     rig.start(b.build());
@@ -1007,6 +1011,84 @@ TEST_P(GoldenModelTest, RandomStraightLineProgramsMatch)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GoldenModelTest,
                          ::testing::Range(0u, 12u));
+
+// The store-queue slice of the oracle: every load and store lands at a
+// 2-byte-granular offset inside one 64-byte window, so partial-width
+// overlap between in-flight stores and loads is the common case.  Half
+// the stores take their data from the latest mul or div, so both
+// store-data paths run: known when the store executes, and read from
+// the register file when it retires.
+
+class StoreForwardGoldenTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(StoreForwardGoldenTest, OverlappingAccessesMatch)
+{
+    Rng rng(GetParam() * 7919 + 3);
+    CoreRig rig;
+    const VAddr window = 0x40000;
+    rig.mapRange(window, pageSize);
+
+    GoldenModel golden;
+    ProgramBuilder b;
+    b.movi(31, static_cast<std::int64_t>(window));
+    golden.intRegs[31] = window;
+
+    const Op ops[] = {Op::Movi, Op::Movi, Op::Addi, Op::Xor, Op::Mul,
+                      Op::Div, Op::Ld, Op::Ld, Op::Ld32, Op::Ld32,
+                      Op::St, Op::St, Op::St32, Op::St32};
+    Reg slow = 0;  // destination of the latest mul or div
+    for (int i = 0; i < 200; ++i) {
+        Instruction inst;
+        inst.op = ops[rng.below(std::size(ops))];
+        // Eight registers keep dependences dense.
+        inst.rd = static_cast<Reg>(rng.below(8));
+        inst.rs1 = static_cast<Reg>(rng.below(8));
+        inst.rs2 = static_cast<Reg>(rng.below(8));
+        inst.imm = static_cast<std::int64_t>(rng.next());
+        if (isMem(inst.op)) {
+            const unsigned len =
+                (inst.op == Op::Ld32 || inst.op == Op::St32) ? 4 : 8;
+            inst.rs1 = 31;
+            // Half the accesses share four aligned slots, so exact
+            // matches are common too.
+            inst.imm = static_cast<std::int64_t>(
+                rng.below(2) ? 8 * rng.below(4)
+                             : 2 * rng.below((64 - len) / 2 + 1));
+            if (isStore(inst.op) && rng.below(2))
+                inst.rs2 = slow;
+        }
+        if (inst.op == Op::Mul || inst.op == Op::Div)
+            slow = inst.rd;
+        emit(b, inst);
+        golden.exec(inst);
+        if (isLoad(inst.op)) {
+            // Fold every loaded value into r8, so a wrong one shows
+            // even after its register is overwritten.
+            const Instruction fold{Op::Xor, 8, 8, inst.rd, 0, 0};
+            emit(b, fold);
+            golden.exec(fold);
+        }
+    }
+    b.halt();
+
+    rig.start(b.build());
+    ASSERT_TRUE(rig.runToHalt(0, 5'000'000));
+
+    for (unsigned reg = 0; reg <= 8; ++reg)
+        EXPECT_EQ(rig.core.readIntReg(0, static_cast<Reg>(reg)),
+                  golden.intRegs[reg])
+            << "int reg " << reg << " seed " << GetParam();
+    const PAddr pa = *rig.table.lookupPpn(window) << pageShift;
+    for (unsigned offset = 0; offset < 64; offset += 8)
+        EXPECT_EQ(rig.mem.read64(pa + offset),
+                  golden.memory[window + offset])
+            << "offset " << offset << " seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreForwardGoldenTest,
+                         ::testing::Range(0u, 24u));
 
 // ---------------------------------------------------------------------
 // Scheduler edge cases: squash, wakeup, sequence-number reuse, ring
@@ -1193,14 +1275,41 @@ TEST(CoreSched, TxAbortWithCompletionsInFlight)
     EXPECT_PINNED(rig.core.stateDigest(), 0xcf0b8a94556c47a6ull);
 }
 
-// ---------------------------------------------------------------------
-// Golden pins: Core::stateDigest() (cycle, per-context CtxStats and
-// registers, port issue counts) at the end of each src/attack scenario
-// the registry goldens do not reach, and of three core-level programs.
-// The literals were taken before the scheduler rewrite; every machine
-// runs an explicit empty FaultPlan so USCOPE_FAULT_PLAN cannot move
-// them.
-// ---------------------------------------------------------------------
+TEST(CoreSched, WaiterOverflowWakesAndSquashes)
+{
+    // Eight subscriptions to one divide overflow its four inline
+    // waiters.  A mispredict squashes two inline and two overflowed
+    // consumers, and the right path re-dispatches three more into
+    // their sequence numbers before the divide completes and wakes
+    // every survivor exactly once.
+    CoreRig rig;
+    ProgramBuilder b;
+    b.movi(1, 1000).movi(3, 3).movi(5, 7)
+        .div(4, 1, 5)
+        .add(10, 4, 4)       // subscribes twice
+        .mul(6, 3, 3)
+        .movi(9, 9)
+        .beq(6, 9, "right")  // taken; a flushed predictor says not
+        .addi(11, 4, 100)    // wrong path
+        .addi(12, 4, 101)
+        .addi(13, 4, 102)
+        .addi(14, 4, 103)
+        .label("right")
+        .addi(15, 4, 3)
+        .addi(16, 4, 4)
+        .addi(17, 4, 5)
+        .add(18, 15, 17)
+        .halt();
+    rig.start(b.build());
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(rig.core.stats(0).mispredicts, 1u);
+    EXPECT_EQ(rig.core.readIntReg(0, 10), 284u);
+    for (Reg reg = 11; reg <= 14; ++reg)
+        EXPECT_EQ(rig.core.readIntReg(0, reg), 0u) << "r" << int{reg};
+    EXPECT_EQ(rig.core.readIntReg(0, 16), 146u);
+    EXPECT_EQ(rig.core.readIntReg(0, 18), 292u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0xa44d1b04153e26f8ull);
+}
 
 namespace
 {
@@ -1214,6 +1323,212 @@ quietMachine()
 }
 
 } // namespace
+
+// ---------------------------------------------------------------------
+// Store queue: each context's in-flight stores in seq order, which load
+// ordering and store-to-load forwarding walk instead of the ROB.  The
+// digests below were taken from the store-queue core and equal the
+// ROB-scanning core's wherever the forwarding fix does not apply.
+// ---------------------------------------------------------------------
+
+TEST(CoreSched, YoungerPartialStoreBlocksExactForward)
+{
+    // Both stores' data is known when they execute (the movis run
+    // ahead of the divide that holds retirement), so the load sees
+    // both in flight.  The younger 4-byte store overwrites the low
+    // half of the older 8-byte one: the load must merge, not forward
+    // the older store whole.
+    CoreRig rig;
+    rig.mapRange(0x10000, pageSize);
+    ProgramBuilder b;
+    b.movi(1, 0x10000)
+        .movi(2, 0x1122334455667788)
+        .movi(3, 0xAABBCCDD)
+        .movi(11, 7)
+        .div(10, 11, 11)
+        .st(1, 0, 2)
+        .st32(1, 0, 3)
+        .ld(4, 1, 0)
+        .halt();
+    rig.start(b.build());
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(rig.core.readIntReg(0, 4), 0x11223344AABBCCDDull);
+    EXPECT_EQ(rig.mem.read64(*rig.table.lookupPpn(0x10000) << pageShift),
+              0x11223344AABBCCDDull);
+    EXPECT_PINNED(rig.core.stateDigest(), 0x706470ce06ac4d5eull);
+}
+
+TEST(CoreSched, MispredictSquashesQueuedStores)
+{
+    // The wrong path queues two stores (and executes them: their base
+    // is ready) before the branch resolves; the right path
+    // re-dispatches into their sequence numbers with stores of its
+    // own.  Loads must see none of the squashed stores.
+    CoreRig rig;
+    rig.mapRange(0x10000, pageSize);
+    const PAddr pa = *rig.table.lookupPpn(0x10000) << pageShift;
+    ProgramBuilder b;
+    b.movi(1, 0x10000).movi(2, 111).movi(3, 3).movi(9, 9)
+        .mul(4, 3, 3)
+        .beq(4, 9, "right")  // taken; a flushed predictor says not
+        .st(1, 0, 2)         // wrong path
+        .st32(1, 20, 2)
+        .movi(2, 5)
+        .label("right")
+        .movi(5, 222)
+        .st(1, 16, 5)
+        .ld(6, 1, 0)
+        .ld(7, 1, 16)
+        .ld32(8, 1, 16)
+        .halt();
+    rig.start(b.build());
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(rig.core.stats(0).mispredicts, 1u);
+    EXPECT_EQ(rig.core.readIntReg(0, 2), 111u);
+    EXPECT_EQ(rig.core.readIntReg(0, 6), 0u);
+    EXPECT_EQ(rig.core.readIntReg(0, 7), 222u);
+    EXPECT_EQ(rig.core.readIntReg(0, 8), 222u);
+    EXPECT_EQ(rig.mem.read64(pa), 0u);
+    EXPECT_EQ(rig.mem.read64(pa + 16), 222u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0x3ff4fa21183bc44cull);
+}
+
+TEST(CoreSched, StoreFaultAtRobHead)
+{
+    // The store to a non-present page faults when it reaches the ROB
+    // head while a younger store and loads sit queued behind it; the
+    // handler maps the page on the second fault and the replay
+    // commits both stores in order.
+    CoreRig rig;
+    rig.mapRange(0x10000, pageSize);
+    rig.mapRange(0x30000, pageSize);
+    rig.table.setPresent(0x10000, false);
+    unsigned faults = 0;
+    bool store_fault = true;
+    rig.core.setFaultHandler([&](const FaultInfo &info) {
+        store_fault &= info.isStore && info.va == 0x10008;
+        if (++faults >= 2)
+            rig.table.setPresent(0x10000, true);
+        rig.mmu.invlpg(0x10000, 1);
+    });
+    ProgramBuilder b;
+    b.movi(1, 0x10000).movi(2, 42).movi(3, 43).movi(4, 0x30000)
+        .st(1, 8, 2)    // faults at the head
+        .st(4, 0, 3)
+        .ld(5, 4, 0)    // forwards from the younger store
+        .ld(6, 1, 8)    // same page as the faulting store
+        .add(7, 5, 6)
+        .halt();
+    rig.start(b.build());
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(faults, 2u);
+    EXPECT_TRUE(store_fault);
+    EXPECT_EQ(rig.core.readIntReg(0, 5), 43u);
+    EXPECT_EQ(rig.core.readIntReg(0, 6), 42u);
+    EXPECT_EQ(rig.core.readIntReg(0, 7), 85u);
+    EXPECT_EQ(rig.mem.read64(*rig.table.lookupPpn(0x10000) << pageShift |
+                             8),
+              42u);
+    EXPECT_EQ(rig.mem.read64(*rig.table.lookupPpn(0x30000) << pageShift),
+              43u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0x9f0b9d06e01daaa0ull);
+}
+
+TEST(CoreSched, StoreQueueWrapsAroundManyLaps)
+{
+    // A divide chain holds retirement while every iteration queues two
+    // stores and a load that forwards from the first: 1000 iterations
+    // push 2000 stores through a 128-slot queue ring.
+    CoreRig rig;
+    rig.mapRange(0x10000, pageSize);
+    const PAddr pa = *rig.table.lookupPpn(0x10000) << pageShift;
+    ProgramBuilder b;
+    b.movi(1, 0).movi(2, 1000).movi(4, 1000000).movi(5, 7)
+        .movi(6, 0x10000)
+        .label("loop")
+        .div(4, 4, 5)
+        .addi(3, 3, 1)
+        .st(6, 0, 3)
+        .addi(3, 3, 1)
+        .st32(6, 8, 3)
+        .ld(7, 6, 0)
+        .add(8, 8, 7)
+        .addi(1, 1, 1)
+        .blt(1, 2, "loop")
+        .halt();
+    rig.start(b.build());
+    bool saw_full = false;
+    for (int i = 0; i < 200000 && !rig.core.halted(0); ++i) {
+        rig.core.tick();
+        saw_full |= rig.core.robOccupancy(0) ==
+                    rig.core.config().robPerContext;
+    }
+    ASSERT_TRUE(rig.core.halted(0));
+    EXPECT_TRUE(saw_full);
+    EXPECT_EQ(rig.core.readIntReg(0, 3), 2000u);
+    EXPECT_EQ(rig.core.readIntReg(0, 8), 1000000u);  // sum of 2i + 1
+    EXPECT_EQ(rig.mem.read64(pa), 1999u);
+    EXPECT_EQ(rig.mem.read64(pa + 8), 2000u);
+    EXPECT_EQ(rig.core.stats(0).retired, 5u + 1000u * 9u + 1u);
+    EXPECT_PINNED(rig.core.stateDigest(), 0xf4463e9944ed67d4ull);
+}
+
+TEST(CoreSched, CopyStateWithStoresQueued)
+{
+    // Snapshot a whole machine (Core::copyStateFrom) while a divide
+    // holds retirement behind a window of queued stores and forwarding
+    // loads; the source and the copy must then run to Halt alike.
+    os::Machine source(quietMachine());
+    auto &kernel = source.kernel();
+    const os::Pid pid = kernel.createProcess("p");
+    const VAddr data = kernel.allocVirtual(pid, pageSize);
+    ProgramBuilder b;
+    b.movi(1, static_cast<std::int64_t>(data))
+        .movi(2, 0x1122334455667788)
+        .movi(3, 0xAABBCCDD)
+        .movi(11, 1000)
+        .movi(12, 7)
+        .div(10, 11, 12)
+        .st(1, 0, 2)
+        .st32(1, 4, 3)
+        .st(1, 8, 10)    // data resolves at retirement
+        .ld(4, 1, 0)     // byte-merges both
+        .ld32(5, 1, 4)   // forwards the 4-byte store
+        .ld(6, 1, 8)     // waits for the divide
+        .add(7, 4, 6)
+        .halt();
+    kernel.startOnContext(pid, 0,
+                          std::make_shared<const Program>(b.build()));
+    source.run(12);
+    // Everything from the divide on is in flight.
+    ASSERT_EQ(source.core().robOccupancy(0), 9u);
+
+    os::Machine copy(source.snapshot());
+    ASSERT_TRUE(source.runUntilHalted(0, 100000));
+    ASSERT_TRUE(copy.runUntilHalted(0, 100000));
+    EXPECT_EQ(source.core().readIntReg(0, 4), 0xAABBCCDD55667788ull);
+    EXPECT_EQ(source.core().readIntReg(0, 5), 0xAABBCCDDull);
+    EXPECT_EQ(source.core().readIntReg(0, 6), 142u);
+    EXPECT_EQ(copy.core().stateDigest(), source.core().stateDigest());
+    std::uint64_t copied[2] = {};
+    std::uint64_t original[2] = {};
+    ASSERT_TRUE(
+        copy.kernel().readVirtual(pid, data, copied, sizeof copied));
+    ASSERT_TRUE(
+        kernel.readVirtual(pid, data, original, sizeof original));
+    EXPECT_EQ(copied[0], original[0]);
+    EXPECT_EQ(copied[1], original[1]);
+    EXPECT_PINNED(copy.core().stateDigest(), 0x9ec59e0516792075ull);
+}
+
+// ---------------------------------------------------------------------
+// Golden pins: Core::stateDigest() (cycle, per-context CtxStats and
+// registers, port issue counts) at the end of each src/attack scenario
+// the registry goldens do not reach, and of three core-level programs.
+// The literals were taken before the scheduler rewrite; every machine
+// runs an explicit empty FaultPlan so USCOPE_FAULT_PLAN cannot move
+// them.
+// ---------------------------------------------------------------------
 
 TEST(CoreGolden, SingleSecret)
 {
