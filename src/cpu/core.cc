@@ -389,21 +389,15 @@ Core::dropScheduling(unsigned ctx_id, std::uint64_t first_gone)
         ctx.stores.popBack();
     if (ctx.barrierSeq >= first_gone)
         ctx.barrierSeq = kNoSeq;
-    // Gone numbers are reused by the next dispatch, so no survivor may
-    // still hold them as waiters (lists are in seq order, inline
-    // before overflow).
-    while (!ctx.moreWaiters.empty() &&
-           ctx.moreWaiters.back().consumer >= first_gone) {
-        if (RobEntry *producer = ctx.rob.find(ctx.moreWaiters.back().producer))
-            --producer->numWaiters;
-        ctx.moreWaiters.pop_back();
-    }
+    // Gone numbers are reused by the next dispatch, so no survivor's
+    // chain may still reach one.  Chains run youngest first, so the
+    // gone waiters are a prefix; their popped slots still hold their
+    // links until the next push.
     for (std::uint64_t seq = ctx.rob.headPos(); seq < ctx.rob.endPos();
          ++seq) {
-        RobEntry &entry = ctx.rob.at(seq);
-        while (entry.numWaiters > 0 && entry.numWaiters <= kInlineWaiters &&
-               entry.waiters[entry.numWaiters - 1] >= first_gone)
-            --entry.numWaiters;
+        std::uint64_t &link = ctx.rob.at(seq).firstWaiter;
+        while (link != kNoSeq && link / 2 >= first_gone)
+            link = ctx.rob.at(link / 2).nextWaiter[link % 2];
     }
 }
 
@@ -601,27 +595,18 @@ Core::completeEntry(unsigned ctx_id, RobEntry &entry)
     // A faulted load produces no data: its dependents never become
     // ready ("instructions that are dependent on the replay handle do
     // not execute", §4.1.1) and die in the eventual squash.
-    auto wake = [&ctx](std::uint64_t seq) {
-        if (--ctx.rob.at(seq).pendingSrcs == 0)
-            ctx.ready.insert(
-                std::upper_bound(ctx.ready.begin(), ctx.ready.end(), seq),
-                seq);
-    };
     if (!entry.faulted) {
-        for (unsigned i = 0;
-             i < std::min(entry.numWaiters, kInlineWaiters); ++i)
-            wake(entry.waiters[i]);
+        for (std::uint64_t link = entry.firstWaiter; link != kNoSeq;) {
+            const std::uint64_t seq = link / 2;
+            RobEntry &consumer = ctx.rob.at(seq);
+            link = consumer.nextWaiter[link % 2];
+            if (--consumer.pendingSrcs == 0)
+                ctx.ready.insert(std::upper_bound(ctx.ready.begin(),
+                                                  ctx.ready.end(), seq),
+                                 seq);
+        }
     }
-    if (entry.numWaiters > kInlineWaiters) {
-        std::erase_if(ctx.moreWaiters, [&](const Waiter &waiter) {
-            if (waiter.producer != entry.seq)
-                return false;
-            if (!entry.faulted)
-                wake(waiter.consumer);
-            return true;
-        });
-    }
-    entry.numWaiters = 0;
+    entry.firstWaiter = kNoSeq;
 
     if (entry.dec->isCondBranch() && !entry.mispredictHandled) {
         entry.mispredictHandled = true;
@@ -1158,7 +1143,8 @@ Core::isBarrier(const RobEntry &entry) const
 }
 
 void
-Core::watchSource(Context &ctx, RobEntry &consumer, std::int64_t dep)
+Core::watchSource(Context &ctx, RobEntry &consumer, unsigned src,
+                  std::int64_t dep)
 {
     if (dep < 0)
         return;
@@ -1173,11 +1159,8 @@ Core::watchSource(Context &ctx, RobEntry &consumer, std::int64_t dep)
     // squash.
     if (producer->state == RobEntry::State::Done)
         return;
-    if (producer->numWaiters < kInlineWaiters)
-        producer->waiters[producer->numWaiters] = consumer.seq;
-    else
-        ctx.moreWaiters.push_back({producer->seq, consumer.seq});
-    ++producer->numWaiters;
+    consumer.nextWaiter[src] = producer->firstWaiter;
+    producer->firstWaiter = 2 * consumer.seq + src;
 }
 
 void
@@ -1213,9 +1196,9 @@ Core::dispatchOne(unsigned ctx_id)
     // but the data (rs2) may arrive as late as retirement — mirroring
     // separate STA/STD micro-ops — so only the address is gated.
     if (dec.readsSrc1())
-        watchSource(ctx, entry, entry.dep1);
+        watchSource(ctx, entry, 0, entry.dep1);
     if (dec.readsSrc2() && !dec.isStore())
-        watchSource(ctx, entry, entry.dep2);
+        watchSource(ctx, entry, 1, entry.dep2);
     if (entry.pendingSrcs == 0)
         ctx.ready.push_back(entry.seq);
     if (ctx.barrierSeq == kNoSeq && isBarrier(entry))

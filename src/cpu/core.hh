@@ -315,9 +315,9 @@ class Core
     void exportMetrics(obs::MetricRegistry &registry) const;
 
   private:
-    /** Waiters a ROB entry holds inline; four covers every producer
-     *  of the AES victim and the ALU loop. */
-    static constexpr unsigned kInlineWaiters = 4;
+    /** No such in-flight entry (Context::barrierSeq, waiter
+     *  chains). */
+    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
 
     /** One reorder-buffer entry. */
     struct RobEntry
@@ -363,20 +363,14 @@ class Core
         // producer has not turned Done.  A faulted producer never
         // wakes its consumers, so they wait for the squash (§4.1.1).
         unsigned pendingSrcs = 0;
-        /** Consumers to wake at Done, in dispatch (seq) order: the
-         *  first kInlineWaiters here, the rest in
-         *  Context::moreWaiters.  Inline storage keeps the entry
-         *  trivially copyable, so dispatch and restores never
-         *  allocate. */
-        std::array<std::uint64_t, kInlineWaiters> waiters{};
-        unsigned numWaiters = 0;
-    };
-
-    /** A consumer past its producer's inline waiter capacity. */
-    struct Waiter
-    {
-        std::uint64_t producer = 0;
-        std::uint64_t consumer = 0;
+        /** Consumers to wake at Done: a chain of waiter links,
+         *  youngest first, ending in kNoSeq.  Link `2 * seq + i` is
+         *  source i of entry seq, whose nextWaiter[i] continues the
+         *  chain.  The chain lives in the consumers themselves, so
+         *  the entry stays trivially copyable and a producer has no
+         *  waiter limit. */
+        std::uint64_t firstWaiter = kNoSeq;
+        std::array<std::uint64_t, 2> nextWaiter{};
     };
 
     /**
@@ -498,9 +492,6 @@ class Core
      */
     using StoreQueue = Ring<std::uint64_t>;
 
-    /** No such in-flight entry (Context::barrierSeq). */
-    static constexpr std::uint64_t kNoSeq = ~std::uint64_t{0};
-
     /** An Executing entry's completion event. */
     struct Completion
     {
@@ -545,9 +536,6 @@ class Core
         /** Waiting entries with every gated operand ready, oldest
          *  first: the only entries issue looks at. */
         std::vector<std::uint64_t> ready;
-        /** Waiters that overflowed their producer's inline storage,
-         *  in ascending consumer seq (normally empty). */
-        std::vector<Waiter> moreWaiters;
         /** Oldest in-flight barrier; nothing younger issues. */
         std::uint64_t barrierSeq = kNoSeq;
         std::array<std::int64_t, numIntRegs> lastIntWriter;
@@ -578,9 +566,11 @@ class Core
     void doFetch();
 
     void dispatchOne(unsigned ctx_id);
-    /** Count @p dep against @p consumer's readiness and subscribe it
-     *  to the producer's wakeup, unless the value is available. */
-    void watchSource(Context &ctx, RobEntry &consumer, std::int64_t dep);
+    /** Count source @p src (producer @p dep) against @p consumer's
+     *  readiness and chain it to the producer's wakeup, unless the
+     *  value is available. */
+    void watchSource(Context &ctx, RobEntry &consumer, unsigned src,
+                     std::int64_t dep);
     /** Barriers block the issue of everything younger. */
     bool isBarrier(const RobEntry &entry) const;
     /** Operand + memory-ordering issue gate (no port/side effects);
@@ -606,7 +596,7 @@ class Core
 
     /** Forget entries from @p first_gone on (already popped from the
      *  ring) in the completion queue, ready list, store queue, barrier
-     *  and the survivors' waiter lists. */
+     *  and the survivors' waiter chains. */
     void dropScheduling(unsigned ctx_id, std::uint64_t first_gone);
 
     /** Squash the whole context. */

@@ -87,8 +87,8 @@ struct DecodedInst
 DecodedInst decodeOp(Op op);
 
 /**
- * The whole program's decode table, pc-indexed, with the same
- * beyond-the-end clamp as Program::at (a decoded Halt sentinel).
+ * The whole program's decode table, pc-indexed, with a decoded Halt
+ * sentinel beyond the end.  Program keeps its instructions only here.
  */
 class DecodedStream
 {

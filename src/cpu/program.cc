@@ -7,26 +7,17 @@
 namespace uscope::cpu
 {
 
-const Instruction Program::haltInst_{Op::Halt, 0, 0, 0, 0, 0};
-
 Program::Program()
-    : decoded_(std::make_shared<const DecodedStream>(insts_))
+    : decoded_(std::make_shared<const DecodedStream>(
+          std::vector<Instruction>{}))
 {
 }
 
 Program::Program(std::vector<Instruction> insts,
                  std::unordered_map<std::string, std::uint32_t> labels)
-    : insts_(std::move(insts)), labels_(std::move(labels)),
-      decoded_(std::make_shared<const DecodedStream>(insts_))
+    : labels_(std::move(labels)),
+      decoded_(std::make_shared<const DecodedStream>(insts))
 {
-}
-
-const Instruction &
-Program::at(std::uint64_t pc) const
-{
-    if (pc >= insts_.size())
-        return haltInst_;
-    return insts_[pc];
 }
 
 std::uint32_t
@@ -42,11 +33,11 @@ std::string
 Program::disassemble() const
 {
     std::string out;
-    for (std::size_t i = 0; i < insts_.size(); ++i) {
+    for (std::size_t i = 0; i < size(); ++i) {
         for (const auto &[name, idx] : labels_)
             if (idx == i)
                 out += format("%s:\n", name.c_str());
-        out += format("  %4zu: %s\n", i, insts_[i].toString().c_str());
+        out += format("  %4zu: %s\n", i, at(i).toString().c_str());
     }
     return out;
 }

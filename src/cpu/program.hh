@@ -32,15 +32,19 @@ class Program
     Program(std::vector<Instruction> insts,
             std::unordered_map<std::string, std::uint32_t> labels);
 
-    bool empty() const { return insts_.empty(); }
-    std::size_t size() const { return insts_.size(); }
+    bool empty() const { return size() == 0; }
+    std::size_t size() const { return decoded_->size(); }
 
     /** Instruction at @p pc; Halt beyond the end. */
-    const Instruction &at(std::uint64_t pc) const;
+    const Instruction &at(std::uint64_t pc) const
+    {
+        return decoded_->at(pc).inst;
+    }
 
     /**
-     * The memoized decode table (DESIGN.md §17).  Built eagerly in
-     * every constructor and shared by copies of the Program, so all
+     * The memoized decode table (DESIGN.md §17), which also holds the
+     * instructions.  Built eagerly in every constructor and shared by
+     * copies of the Program, so all
      * contexts, forks, and replay siblings running this program index
      * one immutable stream.  Never null.
      */
@@ -59,10 +63,8 @@ class Program
     std::string disassemble() const;
 
   private:
-    std::vector<Instruction> insts_;
     std::unordered_map<std::string, std::uint32_t> labels_;
     std::shared_ptr<const DecodedStream> decoded_;
-    static const Instruction haltInst_;
 };
 
 /** Fluent assembler for Program. */

@@ -1275,13 +1275,13 @@ TEST(CoreSched, TxAbortWithCompletionsInFlight)
     EXPECT_PINNED(rig.core.stateDigest(), 0xcf0b8a94556c47a6ull);
 }
 
-TEST(CoreSched, WaiterOverflowWakesAndSquashes)
+TEST(CoreSched, WaiterChainWakesAndSquashes)
 {
-    // Eight subscriptions to one divide overflow its four inline
-    // waiters.  A mispredict squashes two inline and two overflowed
-    // consumers, and the right path re-dispatches three more into
-    // their sequence numbers before the divide completes and wakes
-    // every survivor exactly once.
+    // Eight subscriptions to one divide, two of them from one
+    // consumer, form one waiter chain.  A mispredict squashes the four
+    // youngest consumers, and the right path re-dispatches three more
+    // into their sequence numbers before the divide completes and
+    // wakes every survivor exactly once.
     CoreRig rig;
     ProgramBuilder b;
     b.movi(1, 1000).movi(3, 3).movi(5, 7)
