@@ -13,6 +13,7 @@
 #include "cpu/program.hh"
 #include "crypto/aes.hh"
 #include "crypto/aes_codegen.hh"
+#include "mem/phys_mem.hh"
 #include "os/machine.hh"
 
 using namespace uscope;
@@ -230,6 +231,35 @@ BM_SnapshotRestore(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SnapshotRestore)->Arg(16)->Arg(1024)->UseManualTime();
+
+/**
+ * One PhysMem re-share after a window wrote state.range(0) pages, on
+ * a machine-sized memory: 12 pages in the 256-slot index, as the
+ * denoise_replay machine holds.  The writes hit the shared pages
+ * first (copy-on-write), then fresh ones; 256 pages grow the index,
+ * so that share starts from an empty one.  Only the share is timed.
+ */
+void
+BM_PhysMemReshare(benchmark::State &state)
+{
+    constexpr Ppn kMachinePages = 12;
+    mem::PhysMem source;
+    for (Ppn ppn = 0; ppn < kMachinePages; ++ppn)
+        source.write64(ppn << pageShift, ppn + 1);
+    mem::PhysMem target;
+    target.shareStateFrom(source);
+    const auto written = static_cast<Ppn>(state.range(0));
+    for (auto _ : state) {
+        for (Ppn ppn = 0; ppn < written; ++ppn)
+            target.write64(ppn << pageShift, ppn);
+        const auto start = std::chrono::steady_clock::now();
+        target.shareStateFrom(source);
+        state.SetIterationTime(std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - start).count());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PhysMemReshare)->Arg(0)->Arg(16)->Arg(256)->UseManualTime();
 
 /**
  * Construct and destroy a default machine: what every snapshot() and

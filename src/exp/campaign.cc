@@ -32,8 +32,9 @@ elapsedSeconds(std::chrono::steady_clock::time_point since)
  * prefixes describe *how a result was produced*, not the result:
  * `obs.trace.*` only appears when tracing is on (folding it in would
  * make `--obs=off` and `--obs=trace` disagree about identical
- * results); `mem.physmem.*` counts COW fast-reshares, which differ
- * between pooled/forked/cold machines reaching the same state.
+ * results); `mem.physmem.*` counts pages re-pointed by COW
+ * re-shares, which differ between pooled/forked/cold machines
+ * reaching the same state.
  */
 obs::MetricSnapshot
 withoutObsMeta(const obs::MetricSnapshot &snapshot)

@@ -1,6 +1,5 @@
 #include "mem/phys_mem.hh"
 
-#include <atomic>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -8,22 +7,6 @@
 
 namespace uscope::mem
 {
-
-namespace
-{
-
-/** Dirty lists past this size stop paying for themselves; poison the
- *  fast path instead of tracking further. */
-constexpr std::size_t kMaxDirtyTracked = 4096;
-
-std::uint64_t
-nextPhysMemId()
-{
-    static std::atomic<std::uint64_t> counter{1};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
 
 PageArena::PageRef
 PageArena::allocZeroed()
@@ -68,23 +51,8 @@ constexpr std::size_t kInitialSlots = 256;
 
 PhysMem::PhysMem(std::uint64_t size)
     : size_(size), arena_(std::make_shared<PageArena>()),
-      slots_(kInitialSlots), mask_(kInitialSlots - 1),
-      id_(nextPhysMemId())
+      slots_(kInitialSlots), mask_(kInitialSlots - 1)
 {
-}
-
-void
-PhysMem::markDirty(Ppn ppn)
-{
-    if (!shareOrigin_ || tableDiverged_)
-        return;
-    if (dirtyPpns_.size() >= kMaxDirtyTracked) {
-        tableDiverged_ = true;
-        dirtyPpns_.clear();
-        ++rebuildPoisons_;
-        return;
-    }
-    dirtyPpns_.push_back(ppn);
 }
 
 void
@@ -109,7 +77,6 @@ PhysMem::probe(Ppn ppn) const
 void
 PhysMem::grow()
 {
-    tableDiverged_ = true;
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.size() * 2, Slot{});
     mask_ = slots_.size() - 1;
@@ -127,10 +94,6 @@ std::uint8_t *
 PhysMem::pageFor(PAddr addr)
 {
     const Ppn ppn = pageNumber(addr);
-    // Every writable-page access can change bytes, including writes to
-    // already-private pages; targets sharing *from* this instance key
-    // their dirty-tracking validity off this epoch.
-    ++mutationEpoch_;
     std::size_t i = probe(ppn);
     if (slots_[i].ref == PageArena::kNullRef) {
         // Keep the load factor below ~2/3 so probes stay short.
@@ -141,11 +104,6 @@ PhysMem::pageFor(PAddr addr)
         slots_[i].ppn = ppn;
         slots_[i].ref = arena_->allocZeroed();
         ++used_;
-        // A fresh page changes the slot table's shape, not just a
-        // ref: the dirty-page re-share can no longer mirror the
-        // source's layout.
-        markDirty(ppn);
-        tableDiverged_ = true;
         return arena_->data(slots_[i].ref);
     }
     PageRef ref = slots_[i].ref;
@@ -155,7 +113,6 @@ PhysMem::pageFor(PAddr addr)
         arena_->decref(ref);
         slots_[i].ref = fresh;
         ref = fresh;
-        markDirty(ppn);
     }
     return arena_->data(ref);
 }
@@ -241,8 +198,6 @@ PhysMem::zeroPage(Ppn ppn)
     const std::size_t i = probe(ppn);
     if (slots_[i].ref == PageArena::kNullRef)
         return;
-    ++mutationEpoch_;
-    markDirty(ppn);
     if (arena_->refs(slots_[i].ref) > 1) {
         // Shared: swap in a fresh zero page instead of copying bytes
         // we are about to clear.
@@ -254,66 +209,30 @@ PhysMem::zeroPage(Ppn ppn)
 }
 
 void
-PhysMem::releaseAll()
-{
-    for (Slot &slot : slots_) {
-        if (slot.ref == PageArena::kNullRef)
-            continue;
-        arena_->decref(slot.ref);
-        slot = Slot{};
-    }
-    used_ = 0;
-    ++mutationEpoch_;
-    shareOrigin_ = nullptr;
-    dirtyPpns_.clear();
-    tableDiverged_ = false;
-}
-
-void
 PhysMem::shareStateFrom(const PhysMem &src)
 {
-    if (&src == this)
-        return;
-
-    // Fast path: re-share from the same source we last shared from,
-    // with neither side's slot table diverged and the source's bytes
-    // untouched since.  Only the slots written in between (a replay
-    // window's worth, typically dozens) need re-pointing; the index
-    // itself is bit-for-bit the source's already.
-    if (shareOrigin_ == &src && shareOriginId_ == src.id_ &&
-        shareOriginEpoch_ == src.mutationEpoch_ &&
-        arena_ == src.arena_ && !tableDiverged_) {
-        for (const Ppn ppn : dirtyPpns_) {
-            const std::size_t i = probe(ppn);
-            const PageRef mine = slots_[i].ref;
-            const PageRef theirs = src.slots_[i].ref;
-            if (mine == theirs)
-                continue;
-            arena_->incref(theirs);
-            arena_->decref(mine);
-            slots_[i].ref = theirs;
-        }
-        dirtyPpns_.clear();
-        ++mutationEpoch_;
-        ++sharesFast_;
-        return;
+    if (arena_ != src.arena_ || slots_.size() != src.slots_.size()) {
+        for (const Slot &slot : slots_)
+            if (slot.ref != PageArena::kNullRef)
+                arena_->decref(slot.ref);
+        arena_ = src.arena_;
+        slots_.assign(src.slots_.size(), Slot{});
+        mask_ = src.mask_;
     }
-
-    releaseAll();
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+        Slot &mine = slots_[i];
+        const Slot &theirs = src.slots_[i];
+        if (mine.ref == theirs.ref)
+            continue;
+        if (theirs.ref != PageArena::kNullRef)
+            arena_->incref(theirs.ref);
+        if (mine.ref != PageArena::kNullRef)
+            arena_->decref(mine.ref);
+        mine = theirs;
+        ++pagesRepointed_;
+    }
     size_ = src.size_;
-    arena_ = src.arena_;
-    slots_ = src.slots_;
-    mask_ = src.mask_;
     used_ = src.used_;
-    for (const Slot &slot : slots_)
-        if (slot.ref != PageArena::kNullRef)
-            arena_->incref(slot.ref);
-    ++sharesFull_;
-    shareOrigin_ = &src;
-    shareOriginId_ = src.id_;
-    shareOriginEpoch_ = src.mutationEpoch_;
-    dirtyPpns_.clear();
-    tableDiverged_ = false;
 }
 
 } // namespace uscope::mem

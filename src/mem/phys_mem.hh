@@ -13,9 +13,12 @@
  * pointer chase on the hot path).  Two PhysMem instances may share
  * pages copy-on-write via shareStateFrom(): both sides keep reading
  * the shared bytes for free, and whichever side writes a shared page
- * first gets a private copy (DESIGN.md §12).  Sharing is only legal
- * between instances owned by the same thread — refcounts are not
- * atomic by design (snapshots and forks are per-worker).
+ * first gets a private copy (DESIGN.md §12).  Within one arena a page
+ * ref is therefore a page version: a share copies only the index
+ * slots whose ref differs, the rule the caches apply to their version
+ * ids (§15, §17).  Sharing is only legal between instances owned by
+ * the same thread — refcounts are not atomic by design (snapshots and
+ * forks are per-worker).
  */
 
 #ifndef USCOPE_MEM_PHYS_MEM_HH
@@ -124,30 +127,25 @@ class PhysMem
     void zeroPage(Ppn ppn);
 
     /**
-     * Become a copy-on-write alias of @p src: adopt its arena, share
-     * every materialized page, and let first-writers (on either side)
-     * copy privately.  Own pages are released first.  Both instances
-     * must belong to the same thread from here on.
+     * Become a copy-on-write alias of @p src: make this index equal to
+     * src's, sharing every materialized page, and let first-writers
+     * (on either side) copy privately.  Both instances must belong to
+     * the same thread from here on.
      *
-     * Differential-replay fast path (DESIGN.md §15): re-sharing from
-     * the *same, unmutated* @p src this instance last shared from
-     * re-shares only the pages written since (tracked per write), so
-     * a per-replay restore costs O(pages dirtied in the window), not
-     * O(pages mapped) — the slab index is reused, not rebuilt.  Any
-     * deviation (different source, source mutated, fresh pages
-     * materialized, index grown) falls back to the full share.
+     * Copy what differs (DESIGN.md §15): a ref two instances both hold
+     * has refs > 1, so neither side writes it in place, and equal refs
+     * mean equal bytes.  One walk over the index re-points each slot
+     * whose ref differs from src's (incref theirs, decref mine), so a
+     * restore after a replay window costs one index scan plus a
+     * refcount swap per page the window wrote, from any source.  A
+     * source in another arena or with a different index size is
+     * shared from an empty index.
      */
     void shareStateFrom(const PhysMem &src);
 
-    /** Full-share count since construction (observability/tests). */
-    std::uint64_t sharesFull() const { return sharesFull_; }
-
-    /** Dirty-page fast-path share count (observability/tests). */
-    std::uint64_t sharesFast() const { return sharesFast_; }
-
-    /** Times dirty tracking overflowed kMaxDirtyTracked and poisoned
-     *  the fast path back to a full rebuild (observability/tests). */
-    std::uint64_t rebuildPoisons() const { return rebuildPoisons_; }
+    /** Slots shareStateFrom re-pointed since construction
+     *  (observability/tests). */
+    std::uint64_t pagesRepointed() const { return pagesRepointed_; }
 
     /** Number of pages materialized so far (for tests/stats). */
     std::size_t pagesAllocated() const { return used_; }
@@ -169,39 +167,14 @@ class PhysMem
 
     std::size_t probe(Ppn ppn) const;
     void grow();
-    void releaseAll();
     void checkBounds(PAddr addr, std::uint64_t len) const;
-
-    /** Note @p ppn as diverged from the last share source. */
-    void markDirty(Ppn ppn);
 
     std::uint64_t size_;
     std::shared_ptr<PageArena> arena_;
     std::vector<Slot> slots_; // open-addressed, power-of-two size
     std::size_t mask_;
     std::size_t used_ = 0;
-
-    // --- in-place re-share bookkeeping (DESIGN.md §15) -------------
-    /** Process-unique instance id; guards against a stale-pointer
-     *  (ABA) match on shareOrigin_. */
-    std::uint64_t id_;
-    /** Bumped on every own-side mutation; a share source whose epoch
-     *  moved invalidates cached dirty tracking in its targets. */
-    std::uint64_t mutationEpoch_ = 0;
-    /** Last share source (+ its id and epoch at share time). */
-    const PhysMem *shareOrigin_ = nullptr;
-    std::uint64_t shareOriginId_ = 0;
-    std::uint64_t shareOriginEpoch_ = 0;
-    /** PPNs whose slot diverged from the source since the share;
-     *  duplicates are harmless (re-pointing a slot is idempotent). */
-    std::vector<Ppn> dirtyPpns_;
-    /** Set when the slot table itself diverged (growth or fresh
-     *  materialization) — forces the full-share path. */
-    bool tableDiverged_ = false;
-
-    std::uint64_t sharesFull_ = 0;
-    std::uint64_t sharesFast_ = 0;
-    std::uint64_t rebuildPoisons_ = 0;
+    std::uint64_t pagesRepointed_ = 0;
 };
 
 } // namespace uscope::mem

@@ -18,19 +18,6 @@ sameStructure(const MachineConfig &a, const MachineConfig &b)
            a.fastForward == b.fastForward;
 }
 
-namespace
-{
-
-const MachineConfig &
-configOf(const Snapshot &snap)
-{
-    if (!snap.valid())
-        panic("Machine: invalid (empty or moved-from) Snapshot");
-    return snap.config();
-}
-
-} // namespace
-
 Machine::Machine(const MachineConfig &config)
     : config_(config),
       obs_(config.obs),
@@ -62,11 +49,6 @@ Machine::Machine(const MachineConfig &config)
             [this](unsigned ctx) { return faults_.issueJitter(ctx); });
         kernel_.setProbeNoise([this]() { return faults_.probeJitter(); });
     }
-}
-
-Machine::Machine(const Snapshot &snap) : Machine(configOf(snap))
-{
-    copyStateFrom(*snap.frozen_);
 }
 
 void
@@ -188,14 +170,12 @@ Machine::exportMetrics(obs::MetricRegistry &registry) const
     core_.exportMetrics(registry);
     kernel_.exportMetrics(registry);
     faults_.exportMetrics(registry);
-    // COW page-sharing telemetry (DESIGN.md §15).  Like obs.trace.*,
-    // these count host-side mechanics (how a state was reached, not
-    // what it is), so deterministicFingerprint strips the
+    // Pages re-pointed by COW re-shares (DESIGN.md §15).  Like
+    // obs.trace.*, this counts host-side mechanics (how a state was
+    // reached, not what it is), so deterministicFingerprint strips the
     // mem.physmem.* prefix.
-    registry.counter("mem.physmem.shares_full").set(mem_.sharesFull());
-    registry.counter("mem.physmem.shares_fast").set(mem_.sharesFast());
-    registry.counter("mem.physmem.rebuild_poisons")
-        .set(mem_.rebuildPoisons());
+    registry.counter("mem.physmem.pages_repointed")
+        .set(mem_.pagesRepointed());
     // Trace-loss accounting (DESIGN.md §14): lets a campaign assert
     // "no events were overwritten" from its MetricSnapshot without
     // parsing trace files.  Only exported while tracing so untraced

@@ -103,13 +103,6 @@ class Machine
   public:
     explicit Machine(const MachineConfig &config = MachineConfig{});
 
-    /**
-     * Construct a machine whose state equals @p snap (DESIGN.md §12).
-     * Pages are shared copy-on-write with the snapshot; everything
-     * else is copied.  Panics on an invalid (moved-from) snapshot.
-     */
-    explicit Machine(const Snapshot &snap);
-
     mem::PhysMem &mem() { return mem_; }
     mem::Hierarchy &hierarchy() { return hierarchy_; }
     vm::Mmu &mmu() { return mmu_; }
@@ -249,10 +242,11 @@ class Machine
 
 /**
  * A frozen Machine state (DESIGN.md §12): the product of
- * Machine::snapshot(), consumed by Machine(const Snapshot&) and
- * Machine::restoreFrom().  Internally a full state-clone machine that
- * is never ticked; it COW-shares pages with the machine it was taken
- * from and with every fork, so holding one is cheap.  Move-only.
+ * Machine::snapshot(), consumed by Machine::restoreFrom() alone (to
+ * start a machine from a snapshot, construct it from config() and
+ * restore).  Internally a full state-clone machine that is never
+ * ticked; it COW-shares pages with the machine it was taken from and
+ * with every fork, so holding one is cheap.  Move-only.
  * Thread confinement follows the Machine rule: a snapshot and all of
  * its forks belong to one simulating thread (page refcounts are
  * deliberately non-atomic).

@@ -1503,7 +1503,8 @@ TEST(CoreSched, CopyStateWithStoresQueued)
     // Everything from the divide on is in flight.
     ASSERT_EQ(source.core().robOccupancy(0), 9u);
 
-    os::Machine copy(source.snapshot());
+    os::Machine copy(source.config());
+    copy.restoreFrom(source.snapshot());
     ASSERT_TRUE(source.runUntilHalted(0, 100000));
     ASSERT_TRUE(copy.runUntilHalted(0, 100000));
     EXPECT_EQ(source.core().readIntReg(0, 4), 0xAABBCCDD55667788ull);

@@ -515,31 +515,41 @@ TEST(DiffReplayEngine, CrossInstanceRestoreMatchesInPlace)
     EXPECT_EQ(b.core().stats(0).retired, wantRetired);
 }
 
-TEST(DiffReplayEngine, PhysMemFastReshare)
+TEST(DiffReplayEngine, PhysMemReshareRepointsWrittenPages)
 {
-    // Repeated restores from one frozen snapshot take PhysMem's
-    // in-place dirty-page path after the first full share, and the
-    // fast path is bit-identical to the full one.
+    // A restore re-points only the PhysMem slots whose page differs
+    // from the snapshot's (DESIGN.md §15): none right after another
+    // restore, and exactly the pages the victim's run wrote after one.
+    // The count is work done, pinned like a fingerprint: the run
+    // stores to the handle page and the transmit page.
+    constexpr std::uint64_t kPagesWrittenPerRun = 2;
     os::Machine m;
     auto &kernel = m.kernel();
     const PfVictim victim = makePfVictim(kernel);
+    cpu::ProgramBuilder b;
+    b.movi(1, static_cast<std::int64_t>(victim.handle))
+        .movi(2, static_cast<std::int64_t>(victim.transmit))
+        .ld(3, 1, 0)
+        .ld(4, 2, 0)
+        .st(1, 8, 4)
+        .st(2, 8, 3)
+        .halt();
+    const auto program = share(b.build());
 
-    kernel.startOnContext(victim.pid, 0, victim.program);
+    kernel.startOnContext(victim.pid, 0, program);
     ASSERT_TRUE(m.runUntilHalted(0, kRunBudget));
     const os::Snapshot snap = m.snapshot();
 
-    const std::uint64_t full_before = m.mem().sharesFull();
-    m.restoreFrom(snap);  // first share: full (no tracked origin yet)
-    EXPECT_EQ(m.mem().sharesFull(), full_before + 1);
-
+    m.restoreFrom(snap);
     std::vector<Cycles> halts;
     for (int i = 0; i < 3; ++i) {
-        const std::uint64_t fast_before = m.mem().sharesFast();
+        const std::uint64_t before = m.mem().pagesRepointed();
         m.restoreFrom(snap);
-        EXPECT_EQ(m.mem().sharesFast(), fast_before + 1)
-            << "restore " << i << " should take the fast path";
+        EXPECT_EQ(m.mem().pagesRepointed() - before,
+                  i == 0 ? 0 : kPagesWrittenPerRun)
+            << "restore " << i;
         m.reseed(1000 + static_cast<std::uint64_t>(i % 2));
-        kernel.startOnContext(victim.pid, 0, victim.program);
+        kernel.startOnContext(victim.pid, 0, program);
         ASSERT_TRUE(m.runUntilHalted(0, kRunBudget));
         halts.push_back(m.cycle());
     }

@@ -7,7 +7,9 @@
  *
  *  - **COW isolation.** PhysMem instances sharing an arena via
  *    shareStateFrom() never observe each other's writes, and sharing
- *    allocates nothing until a write actually diverges a page.
+ *    allocates nothing until a write actually diverges a page.  A
+ *    re-share from any source re-points exactly the slots whose page
+ *    differs (DESIGN.md §15).
  *  - **Fork-vs-cold.** A trial forked from a post-warmup Snapshot and
  *    reseeded equals, bit for bit, a cold trial that runs the same
  *    warmup and reseeds at the same point — across fast-forward
@@ -16,8 +18,8 @@
  *    prefixCache × machinePool combination of the campaign runner.
  *  - **Versioned restore.** Repeated restoreFrom calls from one
  *    snapshot, which copy only the cache sets whose version ids
- *    differ (DESIGN.md §17), each equal a machine freshly constructed
- *    from the snapshot — also when a new snapshot lands at a
+ *    differ (DESIGN.md §17), each equal a newly constructed machine
+ *    restored from the snapshot — also when a new snapshot lands at a
  *    dropped one's address, when the snapshot's machine never ran,
  *    and when the two machines drew their set versions on different
  *    threads.
@@ -95,6 +97,124 @@ TEST(PhysMemCow, ZeroPageOnSharedPageStaysPrivate)
 }
 
 // ---------------------------------------------------------------------
+// PhysMem re-share: one slot walk re-points only the slots whose page
+// ref differs from the source's (DESIGN.md §15), from any source.
+// ---------------------------------------------------------------------
+
+constexpr std::uint64_t kReshareBytes = std::uint64_t{1} << 24;
+
+PAddr
+pageAddr(Ppn ppn)
+{
+    return ppn << pageShift;
+}
+
+/** Write a @p tag-derived word into each page in [first, first + n). */
+void
+writePages(mem::PhysMem &m, Ppn first, Ppn n, std::uint64_t tag)
+{
+    for (Ppn ppn = first; ppn < first + n; ++ppn)
+        m.write64(pageAddr(ppn) + 8, tag * 1000 + ppn);
+}
+
+/**
+ * After @p dst re-shared from @p src: dst reads src's bytes on every
+ * page in [0, @p span), holds as many pages, and the re-share
+ * re-pointed @p repointed slots since @p repointedBefore.  Then a
+ * write to dst stays private to dst.
+ */
+void
+expectReshared(mem::PhysMem &dst, const mem::PhysMem &src, Ppn span,
+               std::uint64_t repointedBefore, std::uint64_t repointed)
+{
+    EXPECT_EQ(dst.pagesRepointed() - repointedBefore, repointed);
+    EXPECT_EQ(dst.pagesAllocated(), src.pagesAllocated());
+    for (Ppn ppn = 0; ppn < span; ++ppn)
+        ASSERT_EQ(dst.read64(pageAddr(ppn) + 8),
+                  src.read64(pageAddr(ppn) + 8))
+            << "page " << ppn;
+
+    const std::uint64_t theirs = src.read64(pageAddr(0) + 8);
+    dst.write64(pageAddr(0) + 8, ~theirs);
+    EXPECT_EQ(dst.read64(pageAddr(0) + 8), ~theirs);
+    EXPECT_EQ(src.read64(pageAddr(0) + 8), theirs);
+}
+
+TEST(PhysMemCow, ReshareFromSiblingInSameArena)
+{
+    mem::PhysMem a(kReshareBytes);
+    writePages(a, 0, 10, 1);
+    mem::PhysMem b(kReshareBytes);
+    mem::PhysMem c(kReshareBytes);
+    b.shareStateFrom(a);
+    c.shareStateFrom(a);
+
+    // b diverges page 3 and materialises page 20; c diverges page 5.
+    writePages(b, 3, 1, 2);
+    writePages(b, 20, 1, 2);
+    writePages(c, 5, 1, 3);
+
+    const std::uint64_t before = b.pagesRepointed();
+    b.shareStateFrom(c);
+    expectReshared(b, c, 32, before, 3);
+}
+
+TEST(PhysMemCow, ReshareAfterTargetMaterialisedPages)
+{
+    mem::PhysMem a(kReshareBytes);
+    writePages(a, 0, 10, 1);
+    mem::PhysMem b(kReshareBytes);
+    b.shareStateFrom(a);
+    writePages(b, 100, 4, 2);
+
+    const std::uint64_t before = b.pagesRepointed();
+    b.shareStateFrom(a);
+    expectReshared(b, a, 128, before, 4);
+}
+
+TEST(PhysMemCow, ReshareAfterTargetGrewItsIndex)
+{
+    mem::PhysMem a(kReshareBytes);
+    writePages(a, 0, 10, 1);
+    mem::PhysMem b(kReshareBytes);
+    b.shareStateFrom(a);
+    // 200 pages overflow the 256-slot index's 2/3 load factor, so b's
+    // index doubles and no longer lines up with a's: the re-share
+    // starts from an empty index and re-points each of a's pages.
+    writePages(b, 100, 200, 2);
+
+    const std::uint64_t before = b.pagesRepointed();
+    b.shareStateFrom(a);
+    expectReshared(b, a, 320, before, 10);
+}
+
+TEST(PhysMemCow, ReshareAfterSourceWroteASharedPage)
+{
+    mem::PhysMem a(kReshareBytes);
+    writePages(a, 0, 10, 1);
+    mem::PhysMem b(kReshareBytes);
+    b.shareStateFrom(a);
+    writePages(a, 2, 1, 2);
+
+    const std::uint64_t before = b.pagesRepointed();
+    b.shareStateFrom(a);
+    EXPECT_EQ(b.read64(pageAddr(2) + 8), 2 * 1000 + 2u);
+    expectReshared(b, a, 16, before, 1);
+}
+
+TEST(PhysMemCow, ReshareFromAnotherArena)
+{
+    mem::PhysMem a(kReshareBytes);
+    writePages(a, 0, 10, 1);
+    mem::PhysMem b(kReshareBytes);
+    writePages(b, 5, 8, 2);
+
+    const std::uint64_t before = b.pagesRepointed();
+    b.shareStateFrom(a);
+    expectReshared(b, a, 16, before, 10);
+}
+
+// ---------------------------------------------------------------------
 // Machine-level fork and pooling, on an AES-victim workload.
 // ---------------------------------------------------------------------
 
@@ -147,9 +267,10 @@ runBody(os::Machine &machine, const Victim &v, std::uint64_t seed)
 }
 
 /** Every simulated metric the machine exports, plus the clock.
- *  mem.physmem.* counts host-side COW re-shares — how a state was
- *  reached, which is exactly what forked-vs-cold arms differ in —
- *  so it is dropped, as exp::deterministicFingerprint drops it. */
+ *  mem.physmem.* counts pages re-pointed by host-side COW re-shares
+ *  — how a state was reached, which is exactly what forked-vs-cold
+ *  arms differ in — so it is dropped, as
+ *  exp::deterministicFingerprint drops it. */
 std::string
 stateFingerprint(const os::Machine &machine)
 {
@@ -177,23 +298,18 @@ TEST(MachineFork, ForkedTrialIsBitIdenticalToColdTrial)
     cold.reseed(trialSeed);
     runBody(cold, coldVictim, trialSeed);
 
-    // Fork: run the same warmup once, snapshot, construct from the
-    // snapshot, reseed with the same trial seed, run the body.
+    // Fork: run the same warmup once, snapshot, restore a newly
+    // constructed machine from the snapshot, reseed with the same
+    // trial seed, run the body.
     os::Machine warm(config);
     const Victim victim = buildVictim(warm);
     const os::Snapshot snap = warm.snapshot();
-    os::Machine fork(snap);
+    os::Machine fork(snap.config());
+    fork.restoreFrom(snap);
     fork.reseed(trialSeed);
     runBody(fork, victim, trialSeed);
 
     EXPECT_EQ(stateFingerprint(fork), stateFingerprint(cold));
-
-    // restoreFrom (the pooled-fork path) lands on the same state.
-    os::Machine pooled(config);
-    pooled.restoreFrom(snap);
-    pooled.reseed(trialSeed);
-    runBody(pooled, victim, trialSeed);
-    EXPECT_EQ(stateFingerprint(pooled), stateFingerprint(cold));
 }
 
 TEST(MachineFork, SiblingForksDoNotInterfere)
@@ -205,7 +321,8 @@ TEST(MachineFork, SiblingForksDoNotInterfere)
     const os::Snapshot snap = warm.snapshot();
 
     // Reference: a lone fork running trial seed 1.
-    os::Machine lone(snap);
+    os::Machine lone(snap.config());
+    lone.restoreFrom(snap);
     lone.reseed(1);
     runBody(lone, victim, 1);
     const std::string reference = stateFingerprint(lone);
@@ -213,8 +330,10 @@ TEST(MachineFork, SiblingForksDoNotInterfere)
     // Two siblings off the same snapshot, run interleaved with
     // different seeds: COW isolation means sibling 1's result is
     // unaffected by sibling 2's writes to shared pages.
-    os::Machine fork1(snap);
-    os::Machine fork2(snap);
+    os::Machine fork1(snap.config());
+    fork1.restoreFrom(snap);
+    os::Machine fork2(snap.config());
+    fork2.restoreFrom(snap);
     fork1.reseed(1);
     fork2.reseed(2);
     runBody(fork2, victim, 2);
@@ -222,7 +341,8 @@ TEST(MachineFork, SiblingForksDoNotInterfere)
     EXPECT_EQ(stateFingerprint(fork1), reference);
 
     // The snapshot itself stayed frozen: a third fork still works.
-    os::Machine fork3(snap);
+    os::Machine fork3(snap.config());
+    fork3.restoreFrom(snap);
     fork3.reseed(1);
     runBody(fork3, victim, 1);
     EXPECT_EQ(stateFingerprint(fork3), reference);
@@ -268,8 +388,11 @@ TEST(VersionedRestore, RepeatedRestoresEqualFreshMachines)
         if (k == 3)
             pooled.hierarchy().l2().invalidateAll();
         pooled.restoreFrom(snap);
-        // The full-copy reference: a machine constructed from snap.
-        os::Machine fresh(snap);
+        // The full-copy reference: a new machine restored from snap
+        // copies every page and cache set (its arena and set ids
+        // share nothing with the snapshot's).
+        os::Machine fresh(snap.config());
+        fresh.restoreFrom(snap);
         EXPECT_EQ(fullState(pooled), fullState(fresh)) << "restore " << k;
 
         pooled.reseed(100 + k);
@@ -284,7 +407,8 @@ TEST(VersionedRestore, RepeatedRestoresEqualFreshMachines)
     const os::Machine idle(config);
     const os::Snapshot idle_snap = idle.snapshot();
     pooled.restoreFrom(idle_snap);
-    os::Machine fresh(idle_snap);
+    os::Machine fresh(idle_snap.config());
+    fresh.restoreFrom(idle_snap);
     EXPECT_EQ(fullState(pooled), fullState(fresh));
     for (const mem::Cache *level :
          {&pooled.hierarchy().l1(), &pooled.hierarchy().l2(),
@@ -316,7 +440,8 @@ TEST(VersionedRestore, ReusedSnapshotSlotIsNotTheOldSnapshot)
     const os::Snapshot b = warm.snapshot();
 
     pooled.restoreFrom(b);
-    os::Machine fresh(b);
+    os::Machine fresh(b.config());
+    fresh.restoreFrom(b);
     EXPECT_EQ(fullState(pooled), fullState(fresh));
 }
 
@@ -343,7 +468,8 @@ TEST(VersionedRestore, CrossThreadCopyEqualsFreshMachine)
 
     const os::Snapshot snap = a.snapshot();
     b.restoreFrom(snap);
-    os::Machine fresh(snap);
+    os::Machine fresh(snap.config());
+    fresh.restoreFrom(snap);
     EXPECT_EQ(fullState(b), fullState(fresh));
 }
 
