@@ -13,8 +13,12 @@
 #include "cpu/program.hh"
 #include "crypto/aes.hh"
 #include "crypto/aes_codegen.hh"
+#include "exp/campaign.hh"
+#include "exp/checkpoint.hh"
 #include "mem/phys_mem.hh"
+#include "obs/metrics.hh"
 #include "os/machine.hh"
+#include "svc/registry.hh"
 
 using namespace uscope;
 
@@ -277,6 +281,74 @@ BM_MachineConstruct(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MachineConstruct);
+
+/**
+ * An 8-trial aes_prefix_replay campaign as the campaign daemon holds
+ * it when it finishes: every trial came back over the wire as a
+ * checkpoint record, so payloads are pre-serialised.  Each trial
+ * carries the recipe's 54 metrics.
+ */
+const exp::CampaignResult &
+prefixCampaign()
+{
+    static const exp::CampaignResult result = [] {
+        svc::CampaignRequest request;
+        request.recipe = "aes_prefix_replay";
+        request.trials = 8;
+        request.masterSeed = 42;
+        exp::CampaignSpec spec = svc::buildSpec(request);
+        spec.workers = 1;
+        exp::CampaignResult out = exp::runCampaign(std::move(spec));
+        for (exp::TrialResult &trial : out.trials)
+            trial = *exp::CampaignCheckpoint::parseTrial(
+                exp::CampaignCheckpoint::serializeTrial(trial));
+        return out;
+    }();
+    return result;
+}
+
+/** The daemon's fingerprint of a finished prefix_svc campaign. */
+void
+BM_CampaignFingerprint(benchmark::State &state)
+{
+    const exp::CampaignResult &result = prefixCampaign();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(exp::deterministicFingerprint(result));
+    state.counters["metrics"] = static_cast<double>(
+        result.trials.front().output.metrics.size());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CampaignFingerprint);
+
+/** One trial record out (worker) and back in (daemon). */
+void
+BM_TrialRecordRoundTrip(benchmark::State &state)
+{
+    const exp::TrialResult &trial = prefixCampaign().trials.front();
+    for (auto _ : state) {
+        const std::string record =
+            exp::CampaignCheckpoint::serializeTrial(trial);
+        benchmark::DoNotOptimize(
+            exp::CampaignCheckpoint::parseTrial(record));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TrialRecordRoundTrip);
+
+/** A trial's metric export: a machine's components into a fresh
+ *  registry, then the name-sorted snapshot. */
+void
+BM_MetricsExport(benchmark::State &state)
+{
+    const os::Machine machine;
+    for (auto _ : state) {
+        obs::MetricRegistry registry;
+        machine.exportMetrics(registry);
+        benchmark::DoNotOptimize(registry.snapshot());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MetricsExport);
 
 } // namespace
 

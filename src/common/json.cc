@@ -1,6 +1,6 @@
 #include "common/json.hh"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -9,6 +9,70 @@
 namespace uscope::json
 {
 
+void
+appendInt(std::string &out, std::int64_t v)
+{
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void
+appendUint(std::string &out, std::uint64_t v)
+{
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void
+appendDouble(std::string &out, double v)
+{
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    // Sign, 17 digits, point and a 3-digit exponent: 24 chars at most.
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                  std::chars_format::general, 17)
+                        .ptr);
+}
+
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    // Bytes that need no escape are appended a run at a time.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default: {
+            constexpr const char *hex = "0123456789abcdef";
+            const char code[] = {'\\', 'u', '0', '0', hex[c >> 4],
+                                 hex[c & 0xf]};
+            out.append(code, sizeof code);
+          }
+        }
+    }
+    out.append(s.data() + run, s.size() - run);
+}
+
+void
+appendString(std::string &out, std::string_view s)
+{
+    out += '"';
+    appendEscaped(out, s);
+    out += '"';
+}
+
 Value &
 Value::set(std::string key, Value v)
 {
@@ -16,14 +80,17 @@ Value::set(std::string key, Value v)
         type_ = Type::Object;
     if (type_ != Type::Object)
         panic("json::Value::set on a non-object");
-    for (auto &entry : object_) {
-        if (entry.first == key) {
-            entry.second = std::move(v);
-            return *this;
-        }
-    }
-    object_.emplace_back(std::move(key), std::move(v));
+    member(std::move(key)) = std::move(v);
     return *this;
+}
+
+Value &
+Value::member(std::string key)
+{
+    for (auto &entry : object_)
+        if (entry.first == key)
+            return entry.second;
+    return object_.emplace_back(std::move(key), Value{}).second;
 }
 
 Value
@@ -119,14 +186,11 @@ Value::entries() const
     return type_ == Type::Object ? object_ : empty;
 }
 
-namespace
-{
-
 /**
  * Recursive-descent parser.  Every method clears `ok` on malformed
  * input instead of throwing; parse() checks once at the end.
  */
-struct Parser
+struct Value::Parser
 {
     const std::string &s;
     std::size_t pos = 0;
@@ -232,36 +296,40 @@ struct Parser
         if (pos >= s.size() || s[pos] != '"')
             return ok = false, out;
         ++pos;
+        // Bytes up to the next quote, backslash or control character
+        // are appended a run at a time.
+        std::size_t run = pos;
         while (pos < s.size()) {
-            const char c = s[pos];
+            const auto c = static_cast<unsigned char>(s[pos]);
+            if (c >= 0x20 && c != '"' && c != '\\') {
+                ++pos;
+                continue;
+            }
+            out.append(s, run, pos - run);
             if (c == '"') {
                 ++pos;
                 return out;
             }
-            if (c == '\\') {
-                ++pos;
-                if (pos >= s.size())
-                    return ok = false, out;
-                switch (s[pos++]) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': appendUnicodeEscape(out); break;
-                  default: ok = false; return out;
-                }
-                if (!ok)
-                    return out;
-            } else if (static_cast<unsigned char>(c) < 0x20) {
+            if (c < 0x20)
                 return ok = false, out; // bare control character
-            } else {
-                out += c;
-                ++pos;
+            ++pos;
+            if (pos >= s.size())
+                return ok = false, out;
+            switch (s[pos++]) {
+              case '"': out += '"'; break;
+              case '\\': out += '\\'; break;
+              case '/': out += '/'; break;
+              case 'b': out += '\b'; break;
+              case 'f': out += '\f'; break;
+              case 'n': out += '\n'; break;
+              case 'r': out += '\r'; break;
+              case 't': out += '\t'; break;
+              case 'u': appendUnicodeEscape(out); break;
+              default: ok = false; return out;
             }
+            if (!ok)
+                return out;
+            run = pos;
         }
         ok = false; // unterminated
         return out;
@@ -293,25 +361,31 @@ struct Parser
             while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9')
                 ++pos;
         }
-        const std::string text = s.substr(start, pos - start);
-        if (text.empty() || text == "-")
+        const char *first = s.data() + start;
+        const char *last = s.data() + pos;
+        if (first == last || (negative && last - first == 1))
             return ok = false, Value{};
-        errno = 0;
-        char *end = nullptr;
+        // Integers that overflow their type fall through to double.
         if (integral && !negative) {
-            const std::uint64_t v =
-                std::strtoull(text.c_str(), &end, 10);
-            if (end == text.c_str() + text.size() && errno == 0)
+            std::uint64_t v = 0;
+            const auto [end, ec] = std::from_chars(first, last, v);
+            if (end == last && ec == std::errc())
                 return Value{v};
         } else if (integral) {
-            const std::int64_t v = std::strtoll(text.c_str(), &end, 10);
-            if (end == text.c_str() + text.size() && errno == 0)
+            std::int64_t v = 0;
+            const auto [end, ec] = std::from_chars(first, last, v);
+            if (end == last && ec == std::errc())
                 return Value{v};
         }
-        errno = 0;
-        const double d = std::strtod(text.c_str(), &end);
-        if (end != text.c_str() + text.size())
+        double d = 0.0;
+        const auto [end, ec] = std::from_chars(first, last, d);
+        if (end != last)
             return ok = false, Value{};
+        if (ec == std::errc::result_out_of_range) {
+            // from_chars leaves d unset here; strtod gives the same
+            // ±HUGE_VAL or underflowed value it always parsed to.
+            d = std::strtod(std::string(first, last).c_str(), nullptr);
+        }
         return Value{d};
     }
 
@@ -334,10 +408,9 @@ struct Parser
                 std::string key = string();
                 if (!ok || !consume(':'))
                     return ok = false, Value{};
-                Value member = value(depth + 1);
+                out.member(std::move(key)) = value(depth + 1);
                 if (!ok)
                     return Value{};
-                out.set(std::move(key), std::move(member));
             } while (consume(','));
             if (!consume('}'))
                 ok = false;
@@ -378,8 +451,6 @@ struct Parser
     }
 };
 
-} // namespace
-
 std::optional<Value>
 Value::parse(const std::string &text)
 {
@@ -402,24 +473,11 @@ Value::size() const
 }
 
 std::string
-Value::escape(const std::string &s)
+Value::escape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += format("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
+    appendEscaped(out, s);
     return out;
 }
 
@@ -438,7 +496,7 @@ newline(std::string &out, int indent, int depth)
 } // namespace
 
 void
-Value::dumpTo(std::string &out, int indent, int depth) const
+Value::write(std::string &out, int indent, int depth) const
 {
     switch (type_) {
       case Type::Null:
@@ -448,22 +506,16 @@ Value::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Type::Int:
-        out += format("%lld", static_cast<long long>(int_));
+        appendInt(out, int_);
         break;
       case Type::Uint:
-        out += format("%llu", static_cast<unsigned long long>(uint_));
+        appendUint(out, uint_);
         break;
       case Type::Double:
-        // JSON has no NaN/Inf; %.17g round-trips every finite double.
-        if (!std::isfinite(double_))
-            out += "null";
-        else
-            out += format("%.17g", double_);
+        appendDouble(out, double_);
         break;
       case Type::String:
-        out += '"';
-        out += escape(string_);
-        out += '"';
+        appendString(out, string_);
         break;
       case Type::Raw:
         out += string_;
@@ -478,7 +530,7 @@ Value::dumpTo(std::string &out, int indent, int depth) const
             if (i)
                 out += indent < 0 ? "," : ",";
             newline(out, indent, depth + 1);
-            array_[i].dumpTo(out, indent, depth + 1);
+            array_[i].write(out, indent, depth + 1);
         }
         newline(out, indent, depth);
         out += ']';
@@ -493,10 +545,9 @@ Value::dumpTo(std::string &out, int indent, int depth) const
             if (i)
                 out += ",";
             newline(out, indent, depth + 1);
-            out += '"';
-            out += escape(object_[i].first);
-            out += indent < 0 ? "\":" : "\": ";
-            object_[i].second.dumpTo(out, indent, depth + 1);
+            appendString(out, object_[i].first);
+            out += indent < 0 ? ":" : ": ";
+            object_[i].second.write(out, indent, depth + 1);
         }
         newline(out, indent, depth);
         out += '}';
@@ -508,7 +559,7 @@ std::string
 Value::dump(int indent) const
 {
     std::string out;
-    dumpTo(out, indent, 0);
+    write(out, indent, 0);
     return out;
 }
 

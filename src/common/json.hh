@@ -2,15 +2,22 @@
  * @file
  * A minimal, dependency-free JSON value + writer/reader shared by
  * result export (src/exp), observability export (src/obs), and the
- * campaign-service wire protocol (src/svc).  Historically write-only
- * (the simulator produced results, external tooling consumed them);
- * the service daemon made the reverse direction load-bearing — clients
- * submit campaign specs as JSON — so parse() and the read accessors
- * below exist now.  Result export remains write-only: nothing in the
- * simulator parses its own reports back in.
+ * campaign-service wire protocol (src/svc).  Clients submit campaign
+ * specs as JSON, so parse() and the read accessors below exist next to
+ * the writer.
+ *
+ * Every token has one spelling, written by the append*() functions
+ * below: integers as std::to_chars writes them, doubles as
+ * std::to_chars(..., chars_format::general, 17) — by definition the
+ * same bytes as printf("%.17g"), which round-trips every finite
+ * double — non-finite doubles as null (JSON has no NaN), and strings
+ * escaped in place.  Value::dump() calls them, and so do the writers
+ * that emit hot documents straight from their structs without building
+ * a Value tree (campaign fingerprints, metric snapshots, svc result
+ * frames), so both forms are byte-identical.
  *
  * Objects preserve insertion order so dumps are deterministic and
- * diffable; non-finite doubles serialize as null (JSON has no NaN).
+ * diffable.
  */
 
 #ifndef USCOPE_COMMON_JSON_HH
@@ -19,11 +26,25 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace uscope::json
 {
+
+/** Append @p v as a JSON integer. */
+void appendInt(std::string &out, std::int64_t v);
+void appendUint(std::string &out, std::uint64_t v);
+
+/** Append @p v as "%.17g" would print it, or null when non-finite. */
+void appendDouble(std::string &out, double v);
+
+/** Append @p s JSON-escaped, without surrounding quotes. */
+void appendEscaped(std::string &out, std::string_view s);
+
+/** Append @p s as a quoted, escaped JSON string. */
+void appendString(std::string &out, std::string_view s);
 
 /** One JSON value: null, bool, number, string, array, or object. */
 class Value
@@ -121,6 +142,9 @@ class Value
      */
     std::string dump(int indent = -1) const;
 
+    /** Append the compact dump() to @p out. */
+    void dumpTo(std::string &out) const { write(out, -1, 0); }
+
     /**
      * Number of non-finite doubles (NaN/Inf) anywhere in this value.
      * JSON has no token for them, so dump() writes null in their
@@ -131,12 +155,17 @@ class Value
     std::size_t nonFiniteCount() const;
 
     /** JSON-escape @p s (no surrounding quotes). */
-    static std::string escape(const std::string &s);
+    static std::string escape(std::string_view s);
 
   private:
+    struct Parser;
+
     explicit Value(Type type) : type_(type) {}
 
-    void dumpTo(std::string &out, int indent, int depth) const;
+    /** The object member named @p key, appended as null if absent. */
+    Value &member(std::string key);
+
+    void write(std::string &out, int indent, int depth) const;
 
     Type type_ = Type::Null;
     bool bool_ = false;

@@ -135,7 +135,7 @@ Core::exportMetrics(obs::MetricRegistry &registry) const
     registry.counter("core.stall_cycles").set(sum.stallCycles);
     registry.gauge("core.cycles").set(static_cast<double>(cycle_));
     for (unsigned port = 0; port < numPorts; ++port)
-        registry.counter(format("core.ports.p%u.issues", port))
+        registry.counter("core.ports.p" + std::to_string(port) + ".issues")
             .set(ports_.issues(port));
 }
 

@@ -28,27 +28,15 @@ elapsedSeconds(std::chrono::steady_clock::time_point since)
 }
 
 /**
- * Strip host-mechanics meta-counters from a snapshot copy.  Two
- * prefixes describe *how a result was produced*, not the result:
- * `obs.trace.*` only appears when tracing is on (folding it in would
- * make `--obs=off` and `--obs=trace` disagree about identical
- * results); `mem.physmem.*` counts pages re-pointed by COW
- * re-shares, which differ between pooled/forked/cold machines
- * reaching the same state.
+ * Metric name prefixes that describe *how a result was produced*, not
+ * the result, and so stay out of fingerprints: `obs.trace.*` only
+ * appears when tracing is on (folding it in would make `--obs=off`
+ * and `--obs=trace` disagree about identical results);
+ * `mem.physmem.*` counts pages re-pointed by COW re-shares, which
+ * differ between pooled/forked/cold machines reaching the same state.
  */
-obs::MetricSnapshot
-withoutObsMeta(const obs::MetricSnapshot &snapshot)
-{
-    obs::MetricSnapshot out = snapshot;
-    out.values.erase(
-        std::remove_if(out.values.begin(), out.values.end(),
-                       [](const obs::MetricValue &v) {
-                           return v.name.rfind("obs.trace.", 0) == 0 ||
-                                  v.name.rfind("mem.physmem.", 0) == 0;
-                       }),
-        out.values.end());
-    return out;
-}
+constexpr std::string_view kObsMetaPrefixes[] = {"obs.trace.",
+                                                 "mem.physmem."};
 
 } // namespace
 
@@ -207,6 +195,41 @@ CampaignAggregate::toJson() const
     return v;
 }
 
+void
+CampaignAggregate::appendJson(
+    std::string &out,
+    std::span<const std::string_view> skipMetricPrefixes) const
+{
+    out += "{\"ok\":";
+    json::appendUint(out, ok);
+    out += ",\"failed\":";
+    json::appendUint(out, failed);
+    out += ",\"timed_out\":";
+    json::appendUint(out, timedOut);
+    out += ",\"retried\":";
+    json::appendUint(out, retried);
+    out += ",\"sim_cycles\":";
+    json::appendUint(out, simCycles);
+    out += ",\"metric\":";
+    obs::appendJson(out, metric);
+    out += ",\"scope\":{\"handle_faults\":";
+    json::appendUint(out, scope.handleFaults);
+    out += ",\"pivot_faults\":";
+    json::appendUint(out, scope.pivotFaults);
+    out += ",\"foreign_faults\":";
+    json::appendUint(out, scope.foreignFaults);
+    out += ",\"episodes\":";
+    json::appendUint(out, scope.episodes);
+    out += ",\"total_replays\":";
+    json::appendUint(out, scope.totalReplays);
+    out += '}';
+    const std::size_t before = out.size();
+    out += ",\"metrics\":";
+    if (metrics.appendJson(out, skipMetricPrefixes) == 0)
+        out.resize(before); // toJson() omits an empty "metrics"
+    out += '}';
+}
+
 double
 CampaignResult::trialsPerSecond() const
 {
@@ -247,6 +270,36 @@ CampaignResult::toJson(bool include_trials) const
         v.set("trial_results", std::move(detail));
     }
     return v;
+}
+
+void
+CampaignResult::appendJson(std::string &out) const
+{
+    out += "{\"campaign\":";
+    json::appendString(out, name);
+    out += ",\"trials\":";
+    json::appendUint(out, trialCount);
+    out += ",\"master_seed\":";
+    json::appendUint(out, masterSeed);
+    out += ",\"workers\":";
+    json::appendUint(out, workers);
+    out += ",\"resumed_trials\":";
+    json::appendUint(out, resumedTrials);
+    out += ",\"worker_deaths\":";
+    json::appendUint(out, workerDeaths);
+    out += ",\"wall_seconds\":";
+    json::appendDouble(out, wallSeconds);
+    out += ",\"trials_per_second\":";
+    json::appendDouble(out, trialsPerSecond());
+    out += ",\"sim_cycles_per_second\":";
+    json::appendDouble(out, simCyclesPerSecond());
+    out += ",\"aggregate\":";
+    aggregate.appendJson(out);
+    if (!prof.empty()) {
+        out += ",\"prof\":";
+        prof.toJson().dumpTo(out);
+    }
+    out += '}';
 }
 
 CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec))
@@ -543,18 +596,15 @@ aggregateTrials(const std::vector<TrialResult> &results)
 std::string
 deterministicFingerprint(const CampaignResult &result)
 {
-    // obs.trace.* counters describe the *observation* (how many events
-    // the ring recorded), not the result, and only exist when tracing
-    // is on — they are filtered so fingerprints are byte-identical
+    // The meta-counters are filtered so fingerprints are byte-identical
     // across every ObsLevel (the §14 invariance contract).
-    CampaignAggregate aggregate = result.aggregate;
-    aggregate.metrics = withoutObsMeta(aggregate.metrics);
-    std::string fp = aggregate.toJson().dump();
+    std::string fp;
+    result.aggregate.appendJson(fp, kObsMetaPrefixes);
     for (const TrialResult &trial : result.trials) {
         fp += '\n';
-        fp += trial.output.payload.dump();
-        fp += withoutObsMeta(trial.output.metrics).toJson().dump();
-        fp += json::Value(trial.output.simCycles).dump();
+        trial.output.payload.dumpTo(fp);
+        trial.output.metrics.appendJson(fp, kObsMetaPrefixes);
+        json::appendUint(fp, trial.output.simCycles);
         fp += trialStatusName(trial.status);
     }
     return fp;

@@ -32,8 +32,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.hh"
@@ -378,6 +380,16 @@ struct CampaignAggregate
     std::size_t retried = 0;
 
     json::Value toJson() const;
+
+    /**
+     * Append toJson().dump() to @p out without building the tree,
+     * leaving out metrics whose names start with one of
+     * @p skipMetricPrefixes (and the "metrics" member when none is
+     * left).
+     */
+    void appendJson(
+        std::string &out,
+        std::span<const std::string_view> skipMetricPrefixes = {}) const;
 };
 
 /** Everything a campaign produced. */
@@ -409,6 +421,10 @@ struct CampaignResult
 
     /** Full report (schema documented in DESIGN.md §src/exp). */
     json::Value toJson(bool include_trials = true) const;
+
+    /** Append toJson(false).dump() to @p out without building the
+     *  tree: the campaign service's result frame carries it. */
+    void appendJson(std::string &out) const;
 };
 
 /**
@@ -488,6 +504,12 @@ CampaignAggregate aggregateTrials(const std::vector<TrialResult> &results);
  * attempt counts).  Two runs of the same spec must produce identical
  * fingerprints regardless of worker count, fast-forward mode, prefix
  * caching, checkpoint resume, or in-process vs service dispatch.
+ *
+ * Host-mechanics meta-counters (`obs.trace.*`, `mem.physmem.*`) are
+ * left out.  The text is written straight from the structs, and is
+ * byte-identical to the dump of the aggregate's toJson() followed,
+ * per trial, by a newline, the payload dump, the metrics dump, the
+ * sim cycles and the status name.
  */
 std::string deterministicFingerprint(const CampaignResult &result);
 

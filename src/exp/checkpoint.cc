@@ -1,8 +1,7 @@
 #include "exp/checkpoint.hh"
 
 #include <bit>
-#include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <fcntl.h>
 #include <filesystem>
@@ -25,30 +24,39 @@ constexpr const char *trialMagic = "uscope-trial-v1";
 constexpr const char *manifestMagic = "uscope-campaign-v1";
 
 /** Doubles persist as the hex of their bit pattern — the only text
- *  encoding that round-trips NaN payloads and signed zeros exactly. */
-std::string
-hexBits(double value)
+ *  encoding that round-trips NaN payloads and signed zeros exactly.
+ *  Always 16 lowercase digits. */
+void
+appendHexBits(std::string &out, double value)
 {
-    return format("%016llx",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(value)));
+    char buf[16];
+    char *end = std::to_chars(buf, buf + sizeof buf,
+                              std::bit_cast<std::uint64_t>(value), 16)
+                    .ptr;
+    out.append(sizeof buf - static_cast<std::size_t>(end - buf), '0');
+    out.append(buf, end);
 }
 
-std::string
-summaryFields(const Summary &summary)
+void
+appendSummary(std::string &out, const Summary &summary)
 {
-    return format("%llu ",
-                  static_cast<unsigned long long>(summary.count())) +
-           hexBits(summary.mean()) + ' ' + hexBits(summary.m2()) + ' ' +
-           hexBits(summary.rawMin()) + ' ' + hexBits(summary.rawMax());
+    json::appendUint(out, summary.count());
+    for (const double part : {summary.mean(), summary.m2(),
+                              summary.rawMin(), summary.rawMax()}) {
+        out += ' ';
+        appendHexBits(out, part);
+    }
 }
 
 /** Append `key <len>\n<bytes>\n` — the length prefix makes arbitrary
  *  bytes (exception texts, JSON dumps) safe to embed. */
 void
-appendBlob(std::string &out, const char *key, const std::string &bytes)
+appendBlob(std::string &out, const char *key, std::string_view bytes)
 {
-    out += format("%s %zu\n", key, bytes.size());
+    out += key;
+    out += ' ';
+    json::appendUint(out, bytes.size());
+    out += '\n';
     out += bytes;
     out += '\n';
 }
@@ -56,15 +64,17 @@ appendBlob(std::string &out, const char *key, const std::string &bytes)
 /**
  * Cursor over the serialized text.  Every accessor clears `ok` on
  * malformed input instead of throwing, so parseTrial reduces to a
- * straight-line read followed by one validity check.
+ * straight-line read followed by one validity check.  Numbers are
+ * unsigned digit strings: a sign, a base prefix or anything but
+ * digits after them fails the read.
  */
 struct Reader
 {
-    const std::string &s;
+    std::string_view s;
     std::size_t pos = 0;
     bool ok = true;
 
-    std::string
+    std::string_view
     word()
     {
         while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\n'))
@@ -78,36 +88,32 @@ struct Reader
     }
 
     void
-    expect(const char *token)
+    expect(std::string_view token)
     {
         if (word() != token)
             ok = false;
     }
 
     std::uint64_t
-    u64()
+    number(std::string_view w, int base)
     {
-        const std::string w = word();
-        if (!ok || w.empty())
-            return 0;
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(w.c_str(), &end, 10);
-        if (end != w.c_str() + w.size())
+        std::uint64_t v = 0;
+        const auto [end, ec] =
+            std::from_chars(w.data(), w.data() + w.size(), v, base);
+        if (ec != std::errc() || end != w.data() + w.size())
             ok = false;
         return v;
     }
 
+    std::uint64_t u64() { return number(word(), 10); }
+
     double
     bits()
     {
-        const std::string w = word();
-        if (!ok || w.size() != 16)
-            return ok = false, 0.0;
-        char *end = nullptr;
-        const std::uint64_t v = std::strtoull(w.c_str(), &end, 16);
-        if (end != w.c_str() + w.size())
+        const std::string_view w = word();
+        if (w.size() != 16)
             ok = false;
-        return std::bit_cast<double>(v);
+        return std::bit_cast<double>(number(w, 16));
     }
 
     Summary
@@ -123,15 +129,15 @@ struct Reader
 
     /** The bytes of a length-prefixed blob: exactly one '\n' after the
      *  length token, then @p len raw bytes. */
-    std::string
-    blob(std::size_t len)
+    std::string_view
+    blob(std::uint64_t len)
     {
-        if (pos >= s.size() || s[pos] != '\n' || pos + 1 + len > s.size()) {
+        if (pos >= s.size() || s[pos] != '\n' || len > s.size() - pos - 1) {
             ok = false;
             return {};
         }
         ++pos;
-        std::string bytes = s.substr(pos, len);
+        const std::string_view bytes = s.substr(pos, len);
         pos += len;
         return bytes;
     }
@@ -151,7 +157,7 @@ readFile(const std::string &path)
 }
 
 std::optional<TrialStatus>
-statusFromName(const std::string &name)
+statusFromName(std::string_view name)
 {
     for (TrialStatus status :
          {TrialStatus::Ok, TrialStatus::Failed, TrialStatus::TimedOut,
@@ -169,46 +175,53 @@ CampaignCheckpoint::serializeTrial(const TrialResult &result)
 {
     std::string out;
     out += trialMagic;
+    out += "\nindex ";
+    json::appendUint(out, result.index);
+    out += "\nseed ";
+    json::appendUint(out, result.seed);
+    out += "\nstatus ";
+    out += trialStatusName(result.status);
+    out += "\nattempts ";
+    json::appendUint(out, result.attempts);
+    out += "\nwall ";
+    appendHexBits(out, result.wallSeconds);
+    out += "\nsim_cycles ";
+    json::appendUint(out, result.output.simCycles);
     out += '\n';
-    out += format("index %llu\n",
-                  static_cast<unsigned long long>(result.index));
-    out += format("seed %llu\n",
-                  static_cast<unsigned long long>(result.seed));
-    out += format("status %s\n", trialStatusName(result.status));
-    out += format("attempts %u\n", result.attempts);
-    out += "wall " + hexBits(result.wallSeconds) + '\n';
-    out += format("sim_cycles %llu\n",
-                  static_cast<unsigned long long>(result.output.simCycles));
     appendBlob(out, "error", result.error);
     appendBlob(out, "payload",
                result.output.payload.isNull()
                    ? std::string()
                    : result.output.payload.dump());
-    out += "metric " + summaryFields(result.output.metric) + '\n';
+    out += "metric ";
+    appendSummary(out, result.output.metric);
     const ms::MicroscopeStats &scope = result.output.scope;
-    out += format("scope %llu %llu %llu %llu %llu\n",
-                  static_cast<unsigned long long>(scope.handleFaults),
-                  static_cast<unsigned long long>(scope.pivotFaults),
-                  static_cast<unsigned long long>(scope.foreignFaults),
-                  static_cast<unsigned long long>(scope.episodes),
-                  static_cast<unsigned long long>(scope.totalReplays));
-    out += format("metrics %zu\n", result.output.metrics.values.size());
+    out += "\nscope";
+    for (const std::uint64_t count :
+         {scope.handleFaults, scope.pivotFaults, scope.foreignFaults,
+          scope.episodes, scope.totalReplays}) {
+        out += ' ';
+        json::appendUint(out, count);
+    }
+    out += "\nmetrics ";
+    json::appendUint(out, result.output.metrics.values.size());
+    out += '\n';
     for (const obs::MetricValue &value : result.output.metrics.values) {
         switch (value.kind) {
           case obs::MetricKind::Counter:
             appendBlob(out, "counter", value.name);
-            out += format("%llu\n",
-                          static_cast<unsigned long long>(value.counter));
+            json::appendUint(out, value.counter);
             break;
           case obs::MetricKind::Gauge:
             appendBlob(out, "gauge", value.name);
-            out += hexBits(value.gauge) + '\n';
+            appendHexBits(out, value.gauge);
             break;
           case obs::MetricKind::Latency:
             appendBlob(out, "latency", value.name);
-            out += summaryFields(value.latency) + '\n';
+            appendSummary(out, value.latency);
             break;
         }
+        out += '\n';
     }
     out += "end\n";
     return out;
@@ -240,9 +253,9 @@ CampaignCheckpoint::parseTrial(const std::string &text)
     r.expect("error");
     out.error = r.blob(r.u64());
     r.expect("payload");
-    const std::string payload = r.blob(r.u64());
+    const std::string_view payload = r.blob(r.u64());
     if (!payload.empty())
-        out.output.payload = json::Value::raw(payload);
+        out.output.payload = json::Value::raw(std::string(payload));
     r.expect("metric");
     out.output.metric = r.summary();
     r.expect("scope");
@@ -253,10 +266,15 @@ CampaignCheckpoint::parseTrial(const std::string &text)
     out.output.scope.totalReplays = r.u64();
     r.expect("metrics");
     const std::uint64_t entries = r.u64();
+    std::vector<obs::MetricValue> &values = out.output.metrics.values;
     for (std::uint64_t i = 0; r.ok && i < entries; ++i) {
         obs::MetricValue value;
-        const std::string kind = r.word();
+        const std::string_view kind = r.word();
         value.name = r.blob(r.u64());
+        // A snapshot is sorted by unique name; anything else is not
+        // one this code wrote.
+        if (!values.empty() && !(values.back().name < value.name))
+            return std::nullopt;
         if (kind == "counter") {
             value.kind = obs::MetricKind::Counter;
             value.counter = r.u64();
@@ -269,7 +287,7 @@ CampaignCheckpoint::parseTrial(const std::string &text)
         } else {
             return std::nullopt;
         }
-        out.output.metrics.values.push_back(std::move(value));
+        values.push_back(std::move(value));
     }
     r.expect("end");
     if (!r.ok || out.attempts == 0)
@@ -296,13 +314,15 @@ CampaignCheckpoint::manifestText() const
     out += manifestMagic;
     out += '\n';
     appendBlob(out, "name", name_);
-    out += format("trials %llu\n",
-                  static_cast<unsigned long long>(trials_));
-    out += format("master_seed %llu\n",
-                  static_cast<unsigned long long>(masterSeed_));
-    out += format("cycle_budget %llu\n",
-                  static_cast<unsigned long long>(cycleBudget_));
-    out += format("max_retries %u\n", maxRetries_);
+    out += "trials ";
+    json::appendUint(out, trials_);
+    out += "\nmaster_seed ";
+    json::appendUint(out, masterSeed_);
+    out += "\ncycle_budget ";
+    json::appendUint(out, cycleBudget_);
+    out += "\nmax_retries ";
+    json::appendUint(out, maxRetries_);
+    out += '\n';
     return out;
 }
 

@@ -12,13 +12,14 @@
  * and because trials are bit-deterministic in their seed, the resumed
  * campaign's aggregate is bit-identical to an uninterrupted run.
  *
- * The serialization is a self-describing text format, not JSON — the
- * JSON layer is write-only by design (common/json.hh) and, more
- * importantly, doubles must round-trip *bit-exactly* for the resumed
- * aggregate to match, so every double is stored as the hex of its bit
- * pattern.  Trial payloads (arbitrary json::Value trees) are stored as
- * their compact dump and restored as json::Value::raw, which re-emits
- * the original bytes verbatim.
+ * The serialization is a self-describing text format, not JSON:
+ * doubles must round-trip *bit-exactly* for the resumed aggregate to
+ * match, so every double is stored as the 16 hex digits of its bit
+ * pattern, and every integer as bare decimal digits (no sign).  Trial
+ * payloads (arbitrary json::Value trees) are stored as their compact
+ * dump and restored as json::Value::raw, which re-emits the original
+ * bytes verbatim.  The same record is the campaign service's trial
+ * frame payload, so its bytes are pinned by a test.
  *
  * Failed trials are deliberately *not* persisted: a failure may have
  * been caused by whatever interrupted the campaign, so a resume

@@ -37,6 +37,38 @@ MetricValue::toJson() const
     return json::Value();
 }
 
+void
+appendJson(std::string &out, const Summary &summary)
+{
+    out += "{\"count\":";
+    json::appendUint(out, summary.count());
+    out += ",\"mean\":";
+    json::appendDouble(out, summary.mean());
+    out += ",\"stddev\":";
+    json::appendDouble(out, summary.stddev());
+    out += ",\"min\":";
+    json::appendDouble(out, summary.min());
+    out += ",\"max\":";
+    json::appendDouble(out, summary.max());
+    out += '}';
+}
+
+void
+MetricValue::appendJson(std::string &out) const
+{
+    switch (kind) {
+      case MetricKind::Counter:
+        json::appendUint(out, counter);
+        break;
+      case MetricKind::Gauge:
+        json::appendDouble(out, gauge);
+        break;
+      case MetricKind::Latency:
+        obs::appendJson(out, latency);
+        break;
+    }
+}
+
 const MetricValue *
 MetricSnapshot::find(const std::string &name) const
 {
@@ -50,9 +82,46 @@ MetricSnapshot::find(const std::string &name) const
     return &*it;
 }
 
+namespace
+{
+
+/** Fold @p rhs, a metric of the same name, into @p into. */
+void
+combine(MetricValue &into, const MetricValue &rhs)
+{
+    if (into.kind != rhs.kind)
+        panic("MetricSnapshot::merge: '%s' is a %s here but a %s "
+              "in the other snapshot",
+              into.name.c_str(), metricKindName(into.kind),
+              metricKindName(rhs.kind));
+    switch (into.kind) {
+      case MetricKind::Counter:
+        into.counter += rhs.counter;
+        break;
+      case MetricKind::Gauge:
+        into.gauge += rhs.gauge;
+        break;
+      case MetricKind::Latency:
+        into.latency.merge(rhs.latency);
+        break;
+    }
+}
+
+} // namespace
+
 void
 MetricSnapshot::merge(const MetricSnapshot &other)
 {
+    // The trials of one campaign export the same names: fold in place.
+    if (std::equal(values.begin(), values.end(), other.values.begin(),
+                   other.values.end(),
+                   [](const MetricValue &a, const MetricValue &b) {
+                       return a.name == b.name;
+                   })) {
+        for (std::size_t i = 0; i < values.size(); ++i)
+            combine(values[i], other.values[i]);
+        return;
+    }
     // Merge-join of two name-sorted vectors; preserves sortedness.
     std::vector<MetricValue> merged;
     merged.reserve(values.size() + other.values.size());
@@ -71,23 +140,7 @@ MetricSnapshot::merge(const MetricSnapshot &other)
             continue;
         }
         MetricValue combined = std::move(values[i++]);
-        const MetricValue &rhs = other.values[j++];
-        if (combined.kind != rhs.kind)
-            panic("MetricSnapshot::merge: '%s' is a %s here but a %s "
-                  "in the other snapshot",
-                  combined.name.c_str(), metricKindName(combined.kind),
-                  metricKindName(rhs.kind));
-        switch (combined.kind) {
-          case MetricKind::Counter:
-            combined.counter += rhs.counter;
-            break;
-          case MetricKind::Gauge:
-            combined.gauge += rhs.gauge;
-            break;
-          case MetricKind::Latency:
-            combined.latency.merge(rhs.latency);
-            break;
-        }
+        combine(combined, other.values[j++]);
         merged.push_back(std::move(combined));
     }
     values = std::move(merged);
@@ -115,8 +168,30 @@ MetricSnapshot::toJson() const
     return out;
 }
 
+std::size_t
+MetricSnapshot::appendJson(
+    std::string &out, std::span<const std::string_view> skipPrefixes) const
+{
+    out += '{';
+    std::size_t written = 0;
+    for (const MetricValue &value : values) {
+        if (std::any_of(skipPrefixes.begin(), skipPrefixes.end(),
+                        [&](std::string_view prefix) {
+                            return value.name.starts_with(prefix);
+                        }))
+            continue;
+        if (written++)
+            out += ',';
+        json::appendString(out, value.name);
+        out += ':';
+        value.appendJson(out);
+    }
+    out += '}';
+    return written;
+}
+
 MetricRegistry::Slot &
-MetricRegistry::slot(const std::string &name, MetricKind kind)
+MetricRegistry::slot(std::string_view name, MetricKind kind)
 {
     const auto it = index_.find(name);
     if (it != index_.end()) {
@@ -124,30 +199,30 @@ MetricRegistry::slot(const std::string &name, MetricKind kind)
         if (existing.kind != kind)
             panic("MetricRegistry: '%s' already registered as a %s, "
                   "now requested as a %s",
-                  name.c_str(), metricKindName(existing.kind),
+                  existing.name.c_str(), metricKindName(existing.kind),
                   metricKindName(kind));
         return existing;
     }
-    index_.emplace(name, slots_.size());
-    slots_.push_back(Slot{name, kind, Counter{}, Gauge{},
-                          LatencyStat{}});
-    return slots_.back();
+    Slot &added = slots_.emplace_back(
+        Slot{std::string(name), kind, Counter{}, Gauge{}, LatencyStat{}});
+    index_.emplace(added.name, slots_.size() - 1);
+    return added;
 }
 
 Counter &
-MetricRegistry::counter(const std::string &name)
+MetricRegistry::counter(std::string_view name)
 {
     return slot(name, MetricKind::Counter).counter;
 }
 
 Gauge &
-MetricRegistry::gauge(const std::string &name)
+MetricRegistry::gauge(std::string_view name)
 {
     return slot(name, MetricKind::Gauge).gauge;
 }
 
 LatencyStat &
-MetricRegistry::latency(const std::string &name)
+MetricRegistry::latency(std::string_view name)
 {
     return slot(name, MetricKind::Latency).latency;
 }
@@ -155,21 +230,20 @@ MetricRegistry::latency(const std::string &name)
 MetricSnapshot
 MetricRegistry::snapshot() const
 {
+    // Sort pointers, then copy each slot once, in name order.
+    std::vector<const Slot *> order;
+    order.reserve(slots_.size());
+    for (const Slot &s : slots_)
+        order.push_back(&s);
+    std::sort(order.begin(), order.end(),
+              [](const Slot *a, const Slot *b) { return a->name < b->name; });
     MetricSnapshot snap;
-    snap.values.reserve(slots_.size());
-    for (const Slot &s : slots_) {
-        MetricValue value;
-        value.name = s.name;
-        value.kind = s.kind;
-        value.counter = s.counter.value();
-        value.gauge = s.gauge.value();
-        value.latency = s.latency.summary();
-        snap.values.push_back(std::move(value));
-    }
-    std::sort(snap.values.begin(), snap.values.end(),
-              [](const MetricValue &a, const MetricValue &b) {
-                  return a.name < b.name;
-              });
+    snap.values.reserve(order.size());
+    for (const Slot *s : order)
+        snap.values.push_back(MetricValue{s->name, s->kind,
+                                          s->counter.value(),
+                                          s->gauge.value(),
+                                          s->latency.summary()});
     return snap;
 }
 

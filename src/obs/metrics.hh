@@ -32,7 +32,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -93,7 +95,14 @@ struct MetricValue
     Summary latency;
 
     uscope::json::Value toJson() const;
+
+    /** Append toJson().dump() to @p out. */
+    void appendJson(std::string &out) const;
 };
+
+/** Append {"count","mean","stddev","min","max"} of @p summary — the
+ *  compact dump of a latency metric's toJson(). */
+void appendJson(std::string &out, const Summary &summary);
 
 /**
  * An immutable, name-sorted capture of a registry.  Snapshots are the
@@ -130,6 +139,15 @@ struct MetricSnapshot
 
     /** {"name": value-or-summary-object, ...} in name order. */
     uscope::json::Value toJson() const;
+
+    /**
+     * Append toJson().dump() to @p out without building the tree,
+     * leaving out every metric whose name starts with one of
+     * @p skipPrefixes.  Returns the number of metrics written.
+     */
+    std::size_t
+    appendJson(std::string &out,
+               std::span<const std::string_view> skipPrefixes = {}) const;
 };
 
 /** The registry components export into. */
@@ -141,9 +159,9 @@ class MetricRegistry
     MetricRegistry &operator=(const MetricRegistry &) = delete;
 
     /** Find-or-create; panics if @p name exists with another kind. */
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    LatencyStat &latency(const std::string &name);
+    Counter &counter(std::string_view name);
+    Gauge &gauge(std::string_view name);
+    LatencyStat &latency(std::string_view name);
 
     std::size_t size() const { return slots_.size(); }
 
@@ -160,11 +178,12 @@ class MetricRegistry
         LatencyStat latency;
     };
 
-    Slot &slot(const std::string &name, MetricKind kind);
+    Slot &slot(std::string_view name, MetricKind kind);
 
-    /** deque: stable addresses for handed-out references. */
+    /** deque: stable addresses for handed-out references, and for the
+     *  slot names the index keys view. */
     std::deque<Slot> slots_;
-    std::unordered_map<std::string, std::size_t> index_;
+    std::unordered_map<std::string_view, std::size_t> index_;
 };
 
 } // namespace uscope::obs

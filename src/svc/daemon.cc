@@ -1088,7 +1088,8 @@ struct Daemon::Impl
                 obs::ProfScope timer(&prof, "prof.svc.merge");
                 result.aggregate = exp::aggregateTrials(c.results);
             }
-            result.trials = c.results;
+            // The campaign is erased below; its trials move out.
+            result.trials = std::move(c.results);
             const std::string fingerprint = exp::fnv1aHex(
                 exp::deterministicFingerprint(result));
 
@@ -1115,6 +1116,8 @@ struct Daemon::Impl
                       c.sched->steals(), fingerprint.c_str());
 
             if (Session *client = sessionByKey(c.clientKey)) {
+                std::string report;
+                result.appendJson(report);
                 client->conn.send(
                     json::Value::object()
                         .set("type", "result")
@@ -1126,8 +1129,7 @@ struct Daemon::Impl
                                  c.sched->steals()))
                         .set("credits", creditsJson(c))
                         .set("result",
-                             result.toJson(
-                                 /*include_trials=*/false)));
+                             json::Value::raw(std::move(report))));
             }
             it = campaigns.erase(it);
         }
@@ -1217,9 +1219,11 @@ struct Daemon::Impl
                 return; // campaign already finished (overlap race)
             const std::size_t index = field(msg, "index");
             const std::size_t shard = field(msg, "shard");
+            const json::Value *data = msg.get("data");
             std::optional<exp::TrialResult> trial =
-                exp::CampaignCheckpoint::parseTrial(
-                    stringField(msg, "data"));
+                data ? exp::CampaignCheckpoint::parseTrial(
+                           data->asString())
+                     : std::nullopt;
             if (!trial || trial->index != index) {
                 log_.warn("worker %d sent an unparseable trial %zu "
                           "for campaign %llu",

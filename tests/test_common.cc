@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <vector>
@@ -382,6 +384,100 @@ TEST(Json, NonFiniteDoublesSerializeAsNullAndAreCounted)
 
     EXPECT_EQ(json::Value(0.25).nonFiniteCount(), 0u);
     EXPECT_EQ(json::Value("NaN").nonFiniteCount(), 0u);
+}
+
+TEST(Json, NumbersMatchPrintf)
+{
+    // The token writer must spell every number exactly as the printf
+    // formats it replaced, or every fingerprint and frame would move.
+    const double doubles[] = {
+        0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1.0 / 3.0, 2.5e-300,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), DBL_MIN / 3.0,
+        DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, 1e21, -1e21, 1e22, 1e-7,
+        1e-5, 100.0, 1e16, 1e17, 12345.678, 123456789012345678.0,
+        9007199254740991.0, 9007199254740992.0, 9007199254740994.0,
+        0.30000000000000004, 3.141592653589793, std::nextafter(1.0, 2.0)};
+    for (const double d : doubles)
+        EXPECT_EQ(json::Value(d).dump(), format("%.17g", d)) << d;
+
+    const std::int64_t ints[] = {
+        0, 1, -1, 9, 10, -10, (std::int64_t{1} << 53) - 1,
+        std::int64_t{1} << 53, (std::int64_t{1} << 53) + 1,
+        -(std::int64_t{1} << 53) - 1,
+        std::numeric_limits<std::int64_t>::max(),
+        std::numeric_limits<std::int64_t>::min()};
+    for (const std::int64_t v : ints)
+        EXPECT_EQ(json::Value(v).dump(),
+                  format("%lld", static_cast<long long>(v)));
+
+    const std::uint64_t uints[] = {
+        0, 1, 10, (std::uint64_t{1} << 53) - 1, std::uint64_t{1} << 53,
+        (std::uint64_t{1} << 53) + 1, std::uint64_t{1} << 63,
+        std::numeric_limits<std::uint64_t>::max()};
+    for (const std::uint64_t v : uints)
+        EXPECT_EQ(json::Value(v).dump(),
+                  format("%llu", static_cast<unsigned long long>(v)));
+
+    // What the writer spells parses back to the same value (an
+    // integral double reads back as an integer, so -0 loses its sign).
+    for (const double d : doubles)
+        EXPECT_EQ(json::Value::parse(json::Value(d).dump())->asDouble(), d);
+    for (const std::int64_t v : ints)
+        EXPECT_EQ(json::Value::parse(json::Value(v).dump())->asI64(), v);
+    for (const std::uint64_t v : uints)
+        EXPECT_EQ(json::Value::parse(json::Value(v).dump())->asU64(), v);
+
+    // Integers beyond 64 bits parse as doubles, and exponents beyond a
+    // double's range as strtod reads them.
+    EXPECT_EQ(json::Value::parse("18446744073709551616")->type(),
+              json::Value::Type::Double);
+    EXPECT_EQ(json::Value::parse("-9223372036854775809")->asDouble(),
+              -9223372036854775808.0);
+    EXPECT_TRUE(std::isinf(json::Value::parse("1e999")->asDouble()));
+    EXPECT_EQ(json::Value::parse("-1e-999")->asDouble(), 0.0);
+    for (const char *bad : {"-", "+1", "1e", "--1", "0x10", ".", "1.5.2"})
+        EXPECT_FALSE(json::Value::parse(bad).has_value()) << bad;
+}
+
+TEST(Json, ParseStringRuns)
+{
+    const auto str = [](const std::string &text) {
+        const auto v = json::Value::parse(text);
+        return v && v->isString() ? v->asString() : std::string("<bad>");
+    };
+    EXPECT_EQ(str(R"("")"), "");
+    EXPECT_EQ(str(R"("plain run")"), "plain run");
+    EXPECT_EQ(str(R"("\nstart")"), "\nstart");
+    EXPECT_EQ(str(R"("mid\tdle")"), "mid\tdle");
+    EXPECT_EQ(str(R"("end\\")"), "end\\");
+    EXPECT_EQ(str(R"("\"\\\/\b\f\n\r\t")"), "\"\\/\b\f\n\r\t");
+    EXPECT_EQ(str(R"("a\u0041b\u00e9c")"), "aAb\xc3\xa9" "c");
+    // A surrogate pair is one 4-byte code point (U+1F600).
+    EXPECT_EQ(str(R"("x\ud83d\ude00y")"), "x\xf0\x9f\x98\x80y");
+    EXPECT_EQ(str(R"("\ud83d")"), "<bad>");       // lone high half
+    EXPECT_EQ(str(R"("\ude00")"), "<bad>");       // lone low half
+    EXPECT_EQ(str(R"("\ud83d\u0041")"), "<bad>"); // high + non-low
+    EXPECT_EQ(str(R"("\u12")"), "<bad>");         // short escape
+    EXPECT_EQ(str(R"("\q")"), "<bad>");           // unknown escape
+    EXPECT_EQ(str("\"bare\x01" "control\""), "<bad>");
+    EXPECT_EQ(str("\"bare\nnewline\""), "<bad>");
+    EXPECT_EQ(str(R"("unterminated)"), "<bad>");
+    EXPECT_EQ(str(R"("ends in escape\)"), "<bad>");
+
+    // Every byte the writer escapes parses back to itself, as a key and
+    // as a value, and the parse dumps back to the same text.
+    std::string all;
+    for (int c = 1; c < 256; ++c)
+        all += static_cast<char>(c);
+    const std::string doc =
+        json::Value::object().set(all, all).set("k", "v").dump();
+    const auto parsed = json::Value::parse(doc);
+    ASSERT_TRUE(parsed.has_value());
+    ASSERT_NE(parsed->get(all), nullptr);
+    EXPECT_EQ(parsed->get(all)->asString(), all);
+    EXPECT_EQ(parsed->dump(), doc);
+    EXPECT_EQ(json::Value::escape("a\x01\"b\x1f"), "a\\u0001\\\"b\\u001f");
 }
 
 TEST(Histogram, RenderContainsBars)

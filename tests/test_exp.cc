@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -800,6 +801,193 @@ TEST(Campaign, DyingWorkerDegradesGracefully)
 }
 
 // ---------------------------------------------------------------------
+// Fingerprint text.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** @p snapshot without the host-mechanics meta-counters. */
+obs::MetricSnapshot
+stripMeta(const obs::MetricSnapshot &snapshot)
+{
+    obs::MetricSnapshot out = snapshot;
+    std::erase_if(out.values, [](const obs::MetricValue &v) {
+        return v.name.starts_with("obs.trace.") ||
+               v.name.starts_with("mem.physmem.");
+    });
+    return out;
+}
+
+/** The fingerprint text as json::Value trees spell it: the oracle the
+ *  direct writer in deterministicFingerprint must match byte for
+ *  byte. */
+std::string
+treeFingerprint(const exp::CampaignResult &result)
+{
+    exp::CampaignAggregate aggregate = result.aggregate;
+    aggregate.metrics = stripMeta(aggregate.metrics);
+    std::string fp = aggregate.toJson().dump();
+    for (const exp::TrialResult &trial : result.trials) {
+        fp += '\n';
+        fp += trial.output.payload.dump();
+        fp += stripMeta(trial.output.metrics).toJson().dump();
+        fp += json::Value(trial.output.simCycles).dump();
+        fp += exp::trialStatusName(trial.status);
+    }
+    return fp;
+}
+
+/** A double from the corners: non-finite, signed zero, subnormal,
+ *  huge, or plain. */
+double
+randomDouble(Rng &rng)
+{
+    switch (rng.below(8)) {
+      case 0: return std::numeric_limits<double>::quiet_NaN();
+      case 1:
+        return rng.chance(0.5) ? std::numeric_limits<double>::infinity()
+                               : -std::numeric_limits<double>::infinity();
+      case 2: return -0.0;
+      case 3: return std::numeric_limits<double>::denorm_min() *
+                     static_cast<double>(rng.below(1000));
+      case 4: return std::bit_cast<double>(rng.next() >> 2);
+      default: return (rng.uniform() - 0.5) * 1e6;
+    }
+}
+
+/** A short string that may need escaping. */
+std::string
+randomText(Rng &rng)
+{
+    static const char *const pieces[] = {"a", "key", "\"", "\\", "\n",
+                                         "\t", "\x01", "\x1f", "\xc3\xa9",
+                                         "/", " "};
+    std::string out;
+    for (std::uint64_t i = rng.below(6); i > 0; --i)
+        out += pieces[rng.below(std::size(pieces))];
+    return out;
+}
+
+json::Value
+randomPayload(Rng &rng, int depth)
+{
+    switch (rng.below(depth > 2 ? 5 : 7)) {
+      case 0: return json::Value();
+      case 1: return json::Value(rng.chance(0.5));
+      case 2: return json::Value(static_cast<std::int64_t>(rng.next()));
+      case 3: return json::Value(randomDouble(rng));
+      case 4: return json::Value(randomText(rng));
+      case 5: {
+        json::Value array = json::Value::array();
+        for (std::uint64_t i = rng.below(4); i > 0; --i)
+            array.push(randomPayload(rng, depth + 1));
+        return array;
+      }
+      default: {
+        json::Value object = json::Value::object();
+        for (std::uint64_t i = rng.below(4); i > 0; --i)
+            object.set(randomText(rng), randomPayload(rng, depth + 1));
+        return object;
+      }
+    }
+}
+
+/** A finished campaign with random trials, aggregated as the runner
+ *  does.  A metric's kind is a function of its name, so the
+ *  aggregate merge never sees a kind clash. */
+exp::CampaignResult
+randomCampaign(std::uint64_t seed)
+{
+    static const char *const names[] = {
+        "cpu.retired", "mem.physmem.pages_repointed", "obs.trace.events",
+        "obs.trace.dropped", "vm.walks", "weird \"name\"\\\n",
+        "\x01" "ctl", "mem.l1d.misses", "obs.tracer", "mem.physmemx",
+        "z.latency", "\xc3\xa9t\xc3\xa9"};
+    Rng rng(seed);
+    exp::CampaignResult result;
+    result.name = randomText(rng);
+    result.trialCount = 1 + rng.below(6);
+    result.masterSeed = rng.next();
+    result.workers = static_cast<unsigned>(rng.below(9));
+    result.wallSeconds = rng.uniform();
+    for (std::size_t i = 0; i < result.trialCount; ++i) {
+        exp::TrialResult trial;
+        trial.index = i;
+        trial.seed = rng.next();
+        trial.status = static_cast<exp::TrialStatus>(rng.below(4));
+        trial.output.simCycles = rng.next();
+        trial.output.scope.episodes = rng.below(100);
+        for (std::uint64_t s = rng.below(3); s > 0; --s)
+            trial.output.metric.add(randomDouble(rng));
+        if (rng.chance(0.8))
+            trial.output.payload = randomPayload(rng, 0);
+        if (rng.chance(0.2))
+            trial.output.payload =
+                json::Value::raw(trial.output.payload.dump());
+        // One trial in eight has no metrics, one in eight only the
+        // meta-counters (names[1..3]).
+        const std::uint64_t shape = rng.below(8);
+        obs::MetricRegistry registry;
+        for (std::size_t n = 0; n < std::size(names); ++n) {
+            const bool meta = n >= 1 && n <= 3;
+            if (shape == 0 || (shape == 1 && !meta) || rng.chance(0.4))
+                continue;
+            switch (n % 3) {
+              case 0: registry.counter(names[n]).set(rng.next()); break;
+              case 1:
+                registry.gauge(names[n]).set(randomDouble(rng));
+                break;
+              default:
+                for (std::uint64_t s = rng.below(3); s > 0; --s)
+                    registry.latency(names[n]).record(randomDouble(rng));
+            }
+        }
+        trial.output.metrics = registry.snapshot();
+        result.trials.push_back(std::move(trial));
+    }
+    result.aggregate = exp::aggregateTrials(result.trials);
+    return result;
+}
+
+} // namespace
+
+TEST(Fingerprint, DirectTextMatchesTreeOracle)
+{
+    bool sawEmptyMetrics = false;
+    bool sawMetaOnly = false;
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        const exp::CampaignResult result = randomCampaign(seed);
+        ASSERT_EQ(exp::deterministicFingerprint(result),
+                  treeFingerprint(result))
+            << "seed " << seed;
+        // The service's result frame spells the report the same way.
+        std::string report;
+        result.appendJson(report);
+        ASSERT_EQ(report, result.toJson(false).dump()) << "seed " << seed;
+        for (const exp::TrialResult &trial : result.trials) {
+            sawEmptyMetrics |= trial.output.metrics.empty();
+            sawMetaOnly |= !trial.output.metrics.empty() &&
+                           stripMeta(trial.output.metrics).empty();
+        }
+    }
+    EXPECT_TRUE(sawEmptyMetrics);
+    EXPECT_TRUE(sawMetaOnly);
+
+    // An aggregate whose metrics are all meta-counters drops its
+    // "metrics" member, exactly as the tree form does.
+    exp::CampaignResult meta;
+    obs::MetricRegistry registry;
+    registry.counter("obs.trace.events").set(3);
+    meta.trials.resize(1);
+    meta.trials[0].output.metrics = registry.snapshot();
+    meta.aggregate = exp::aggregateTrials(meta.trials);
+    EXPECT_EQ(exp::deterministicFingerprint(meta), treeFingerprint(meta));
+    EXPECT_EQ(exp::deterministicFingerprint(meta).find("metrics"),
+              std::string::npos);
+}
+
+// ---------------------------------------------------------------------
 // Checkpoint / resume.
 // ---------------------------------------------------------------------
 
@@ -846,6 +1034,9 @@ TEST(Checkpoint, TrialSerializationRoundTripsBitExactly)
     // The acid test: serializing the parse reproduces every byte,
     // i.e. every double round-tripped through its bit pattern.
     EXPECT_EQ(exp::CampaignCheckpoint::serializeTrial(*parsed), text);
+    // The record format is pinned: old checkpoints must keep loading.
+    EXPECT_EQ(text.size(), 464u);
+    EXPECT_EQ(exp::fnv1aHex(text), "0x62965294a49ff8f0");
 }
 
 TEST(Checkpoint, MalformedTrialFilesAreRejected)
@@ -862,6 +1053,45 @@ TEST(Checkpoint, MalformedTrialFilesAreRejected)
     // Any truncation invalidates the record.
     EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(
                      text.substr(0, text.size() / 2))
+                     .has_value());
+
+    // Numbers are bare digits: a sign is corruption, not a value.
+    const auto edited = [&](const std::string &from,
+                            const std::string &to) {
+        std::string out = text;
+        const std::size_t at = out.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return out.replace(at, from.size(), to);
+    };
+    for (const auto &[from, to] :
+         {std::pair<std::string, std::string>{"\nindex 0\n",
+                                              "\nindex -1\n"},
+          {"\nattempts 1\n", "\nattempts +1\n"},
+          {"\nsim_cycles 0\n", "\nsim_cycles 0x0\n"},
+          {"\nwall 0000000000000000\n", "\nwall +000000000000000\n"},
+          {"\nwall 0000000000000000\n", "\nwall 0x00000000000000\n"}})
+        EXPECT_FALSE(
+            exp::CampaignCheckpoint::parseTrial(edited(from, to))
+                .has_value())
+            << to;
+
+    // Metric names must be sorted and unique, as snapshots are.
+    exp::TrialResult named;
+    obs::MetricRegistry registry;
+    registry.counter("a").set(1);
+    registry.counter("b").set(2);
+    named.output.metrics = registry.snapshot();
+    const std::string sorted =
+        exp::CampaignCheckpoint::serializeTrial(named);
+    EXPECT_TRUE(exp::CampaignCheckpoint::parseTrial(sorted).has_value());
+    std::swap(named.output.metrics.values[0],
+              named.output.metrics.values[1]);
+    EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(
+                     exp::CampaignCheckpoint::serializeTrial(named))
+                     .has_value());
+    named.output.metrics.values[0].name = "b";
+    EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(
+                     exp::CampaignCheckpoint::serializeTrial(named))
                      .has_value());
 }
 
