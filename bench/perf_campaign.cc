@@ -1,15 +1,12 @@
 /**
  * @file
  * A/B throughput benchmarks for the campaign runner.  One runner
- * drives six sections; each is a table of arms that run the same
- * campaign in different configurations:
+ * drives five sections, numbered 1 and 3-6; each is a table of arms
+ * that run the same campaign in different configurations:
  *
  *  1. **sharding** (Fig.-10 port contention) — 1 against 4 workers.
  *     Trials are independent CPU-bound simulations, so on >= 4 cores
  *     the 4-worker arm must be >= 2x faster.
- *  2. **fastforward** (Fig.-11 AES replay) — MachineConfig::fastForward
- *     off and on at 1 worker, and on at 4 workers (DESIGN.md §10).
- *     The speedup is reported, not gated.
  *  3. **prefix** (aes_prefix_replay) — the warmup re-run cold before
  *     every trial against forked from a per-worker post-warmup
  *     snapshot (§12), with and without the machine pool.  Gate:
@@ -37,7 +34,11 @@
  *
  * Each section writes bench-results/BENCH_<name>.json and
  * BENCH_<name>_fp_{off,on}.txt, the first and the last arm's
- * fingerprint.  `--section=N` runs section N alone.
+ * fingerprint.  `--section=N` runs section N alone; a number that
+ * names no section is an error.  Number 2 stays retired: its
+ * fast-forward off/on A/B went with the option (DESIGN.md §10), and
+ * its last measurement is BENCH_perf_campaign.json and
+ * BENCH_fastforward.json in the repository root.
  */
 
 #include <algorithm>
@@ -47,6 +48,7 @@
 #include <filesystem>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -236,12 +238,11 @@ recipeSpec(const char *recipe, std::size_t trials, unsigned workers,
 // ---------------------------------------------------------------------
 // Sections 1-5: registry recipes.  Each trial count is sized so that
 // the arms run for >= 1 s per repetition on a 4-core host, except the
-// 4-worker arms of sections 2 and 4 (about 0.3 s and 0.6 s), which
-// would otherwise stretch the full bench well past four minutes.
+// 4-worker arm of section 4 (about 0.6 s), which would otherwise
+// stretch the full bench well past four minutes.
 // ---------------------------------------------------------------------
 
 constexpr std::size_t shardTrials = 96;
-constexpr std::size_t ffTrials = 1000;
 constexpr std::size_t prefixTrials = 1500;
 constexpr std::size_t svcTrials = 1600;
 constexpr std::size_t obsTrials = 1200;
@@ -268,34 +269,6 @@ shardingSection()
     // reported but not gated.
     s.ratios = {{"scaling", 0, 1, hw >= 4 ? 2.0 : 0.0,
                  std::numeric_limits<double>::infinity(), true}};
-    return s;
-}
-
-/** The fig11_aes_replay recipe with fast-forward pinned through the
- *  spec's machine factory (the recipe builds its machines from it). */
-exp::CampaignSpec
-fig11Spec(unsigned workers, bool fast_forward)
-{
-    exp::CampaignSpec spec =
-        recipeSpec("fig11_aes_replay", ffTrials, workers);
-    spec.machineFactory = [fast_forward](const exp::TrialContext &) {
-        os::MachineConfig config;
-        config.fastForward = fast_forward;
-        return config;
-    };
-    return spec;
-}
-
-Section
-fastForwardSection()
-{
-    Section s{2, "fastforward",
-              "Fig.-11 AES replay, fast-forward off and on",
-              ffTrials, {}, {}, {}};
-    s.arms = {campaignArm("ff_off", fig11Spec(1, false)),
-              campaignArm("ff_on", fig11Spec(1, true)),
-              campaignArm("ff_on", fig11Spec(4, true))};
-    s.ratios = {{"speedup", 0, 1}};
     return s;
 }
 
@@ -718,28 +691,33 @@ main(int argc, char **argv)
 
     // --section=N is this bench's own flag; the shared parser applies
     // --log-level and --log-json.
-    unsigned only = 0;
+    std::optional<unsigned> only;
     std::vector<char *> rest = {argv[0]};
     for (int i = 1; i < argc; ++i) {
         if (std::string(argv[i]).rfind("--section=", 0) == 0) {
             only = static_cast<unsigned>(
                 obs::requireUnsignedFlag("--section", argv[i] + 10, 6));
-            if (only == 0)
-                panic("--section: sections are numbered 1-6");
         } else {
             rest.push_back(argv[i]);
         }
     }
     obs::parseBenchObsOptions(static_cast<int>(rest.size()), rest.data(),
                               "");
-    std::filesystem::create_directories("bench-results");
 
     const std::vector<Section> sections = {
-        shardingSection(), fastForwardSection(), prefixSection(),
-        svcSection(),      obsSection(),         diffReplaySection()};
+        shardingSection(), prefixSection(), svcSection(), obsSection(),
+        diffReplaySection()};
+    const auto selected = [&only](const Section &s) {
+        return !only || s.number == *only;
+    };
+    if (std::none_of(sections.begin(), sections.end(), selected)) {
+        std::fprintf(stderr, "--section=%u names no section\n", *only);
+        return 2;
+    }
+    std::filesystem::create_directories("bench-results");
     bool ok = true;
     for (const Section &s : sections)
-        if (!only || s.number == only)
+        if (selected(s))
             ok = runSection(s) && ok;
     return ok ? 0 : 1;
 }

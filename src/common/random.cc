@@ -161,6 +161,8 @@ mix64(std::uint64_t x)
 std::uint64_t
 fnv1a64(const std::string &s)
 {
+    // Not kFnv1aBasis: this basis is one digit short, and every
+    // pinned fingerprint depends on it (see random.hh).
     std::uint64_t h = 1469598103934665603ull;
     for (unsigned char c : s) {
         h ^= c;

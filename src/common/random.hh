@@ -29,10 +29,30 @@ std::uint64_t mix64(std::uint64_t x);
 
 /**
  * 64-bit FNV-1a of @p s, with an offset basis one digit short of the
- * standard one.  Pinned campaign fingerprints are the only reason
- * left for that basis: they were all derived with it, so it stays.
+ * standard one: 1469598103934665603 (0x14650fb0739d0383) where FNV
+ * specifies 14695981039346656037 (0xcbf29ce484222325).  It stays
+ * because every pinned campaign fingerprint was derived with it;
+ * correcting it would move all of them at once.
  */
 std::uint64_t fnv1a64(const std::string &s);
+
+/** The standard 64-bit FNV offset basis: where fnv1aMix chains start. */
+constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ull;
+
+/**
+ * Fold @p v into the FNV-1a hash @p h one byte at a time, least
+ * significant first.  The state digests (Core, Cache, Hierarchy)
+ * chain it from kFnv1aBasis over their words.
+ */
+constexpr std::uint64_t
+fnv1aMix(std::uint64_t h, std::uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xFF;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
 
 /**
  * Xoshiro256** PRNG (Blackman & Vigna).  Small, fast, and good enough

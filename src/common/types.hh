@@ -27,11 +27,12 @@ using PAddr = std::uint64_t;
 using Cycles = std::uint64_t;
 
 /**
- * Sentinel "no pending event" cycle returned by the components'
- * nextEventCycle() methods (see DESIGN.md §10): a component with no
- * deferred state reports this, and the minimum across components is
- * the earliest cycle at which ticking can change architectural or
- * stats state.
+ * Sentinel "no pending event" cycle returned by nextEventCycle() (see
+ * DESIGN.md §10): the core and the fault injector report it when
+ * nothing is in flight or scheduled, and os::Machine's minimum of the
+ * two is the earliest cycle at which ticking can change architectural
+ * or stats state.  As a run budget it means "no limit": os::Machine's
+ * run loop saturates its limit here instead of wrapping.
  */
 constexpr Cycles kNoEventCycle = ~Cycles{0};
 

@@ -272,13 +272,8 @@ Core::robOccupancy(unsigned ctx_id) const
 std::uint64_t
 Core::stateDigest() const
 {
-    std::uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 1099511628211ull;
-        }
-    };
+    std::uint64_t h = kFnv1aBasis;
+    auto mix = [&h](std::uint64_t v) { h = fnv1aMix(h, v); };
     mix(cycle_);
     for (const Context &ctx : contexts_) {
         const CtxStats &s = ctx.stats;
@@ -465,18 +460,6 @@ Core::tick()
     doFetch();
 
     ++cycle_;
-}
-
-bool
-Core::runUntil(const std::function<bool()> &pred, Cycles max_cycles)
-{
-    const Cycles limit = cycle_ + max_cycles;
-    while (cycle_ < limit) {
-        if (pred())
-            return true;
-        tick();
-    }
-    return pred();
 }
 
 Cycles

@@ -215,8 +215,8 @@ class Core
      * Must NOT touch this core's own RNG stream — fastForwardTo
      * advances that stream by one draw per skipped cycle, so any
      * extra draw there would break fast-forward bit-identity.
-     * Injector-owned streams are safe: issues happen at identical
-     * cycles in both modes.
+     * Injector-owned streams are safe: issues happen at the same
+     * cycles whether the clock jumps or ticks.
      */
     using IssueJitterHook = std::function<Cycles(unsigned ctx)>;
     void setIssueJitterHook(IssueJitterHook hook);
@@ -232,12 +232,6 @@ class Core
 
     /** Advance the whole core by one cycle. */
     void tick();
-
-    /** Tick until @p pred() or @p max_cycles elapse; false on timeout.
-     *  Always cycle-by-cycle; event-driven fast-forward lives in
-     *  os::Machine, which combines every component's nextEventCycle().
-     */
-    bool runUntil(const std::function<bool()> &pred, Cycles max_cycles);
 
     /**
      * Earliest cycle at which calling tick() can change architectural

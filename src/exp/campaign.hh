@@ -502,8 +502,8 @@ CampaignAggregate aggregateTrials(const std::vector<TrialResult> &results);
  * every trial's payload, metrics, sim cycles, and status — everything
  * except wall-clock noise (wall seconds, worker counts, retry
  * attempt counts).  Two runs of the same spec must produce identical
- * fingerprints regardless of worker count, fast-forward mode, prefix
- * caching, checkpoint resume, or in-process vs service dispatch.
+ * fingerprints regardless of worker count, prefix caching,
+ * checkpoint resume, or in-process vs service dispatch.
  *
  * Host-mechanics meta-counters (`obs.trace.*`, `mem.physmem.*`) are
  * left out.  The text is written straight from the structs, and is

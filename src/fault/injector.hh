@@ -15,9 +15,9 @@
  *
  *  - **Event-coupled noise** (port jitter, probe timer jitter, dropped
  *    monitor samples) is drawn at the perturbed event itself from
- *    dedicated streams.  The triggering events occur at identical
- *    cycles in both fast-forward modes (the §10 contract), so the draw
- *    sequences — and therefore the noise — are identical too.
+ *    dedicated streams.  The triggering events occur at the cycles a
+ *    cycle-by-cycle run would reach them (the §10 contract), so the
+ *    draw sequences — and therefore the noise — are identical too.
  *
  * Every injected event is counted under the `fault.*` metric namespace
  * and, when tracing is enabled, recorded as an EventKind::FaultInject

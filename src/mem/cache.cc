@@ -6,6 +6,7 @@
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 
 namespace uscope::mem
 {
@@ -231,13 +232,8 @@ Cache::copyStateFrom(const Cache &other)
 std::uint64_t
 Cache::stateDigest() const
 {
-    std::uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 1099511628211ull;
-        }
-    };
+    std::uint64_t h = kFnv1aBasis;
+    auto mix = [&h](std::uint64_t v) { h = fnv1aMix(h, v); };
     for (unsigned set = 0; set < numSets_; ++set) {
         for (unsigned w = 0; w < assoc_; ++w) {
             // An empty set digests as the all-zero ways it stands for.

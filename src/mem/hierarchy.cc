@@ -150,14 +150,10 @@ Hierarchy::copyStateFrom(const Hierarchy &other)
 std::uint64_t
 Hierarchy::stateDigest() const
 {
-    std::uint64_t h = 14695981039346656037ull;
+    std::uint64_t h = kFnv1aBasis;
     for (std::uint64_t d : {l1_.stateDigest(), l2_.stateDigest(),
-                            l3_.stateDigest()}) {
-        for (unsigned i = 0; i < 8; ++i) {
-            h ^= (d >> (8 * i)) & 0xFF;
-            h *= 1099511628211ull;
-        }
-    }
+                            l3_.stateDigest()})
+        h = fnv1aMix(h, d);
     return h;
 }
 

@@ -143,16 +143,6 @@ class Hierarchy
     /** Combined FNV digest of all cache state (tests). */
     std::uint64_t stateDigest() const;
 
-    /**
-     * Earliest cycle at which ticking can change this component's
-     * state (fast-forward contract, DESIGN.md §10).  The hierarchy is
-     * synchronous — access() charges hit/miss latency at the call and
-     * fills immediately — so it never holds time: always
-     * kNoEventCycle.  The hook is the plug-in point for future
-     * outstanding-fill (MSHR) models.
-     */
-    Cycles nextEventCycle() const { return kNoEventCycle; }
-
     /** Register mem.l1d/l2/l3.* counters from the cache stats. */
     void exportMetrics(obs::MetricRegistry &registry) const;
 

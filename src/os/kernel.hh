@@ -244,16 +244,6 @@ class Kernel
     using ProbeNoise = std::function<Cycles()>;
     void setProbeNoise(ProbeNoise noise) { probeNoise_ = std::move(noise); }
 
-    /**
-     * Earliest cycle at which ticking can change this component's
-     * state (fast-forward contract, DESIGN.md §10).  Fault handling
-     * is synchronous — handleFault() runs inside the faulting tick
-     * and charges handler time as a core stall — so the kernel never
-     * holds time of its own: always kNoEventCycle.  The hook is the
-     * plug-in point for future deferred-work (softirq-style) models.
-     */
-    Cycles nextEventCycle() const { return kNoEventCycle; }
-
     /** Register os.faults.* plus per-process page-table counters. */
     void exportMetrics(obs::MetricRegistry &registry) const;
 

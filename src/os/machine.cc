@@ -14,8 +14,7 @@ sameStructure(const MachineConfig &a, const MachineConfig &b)
 {
     return a.physMemBytes == b.physMemBytes && a.mem == b.mem &&
            a.mmu == b.mmu && a.core == b.core && a.costs == b.costs &&
-           a.obs == b.obs && a.fault == b.fault &&
-           a.fastForward == b.fastForward;
+           a.obs == b.obs && a.fault == b.fault;
 }
 
 Machine::Machine(const MachineConfig &config)
@@ -102,64 +101,61 @@ Machine::reseed(std::uint64_t seed)
 Cycles
 Machine::nextEventCycle() const
 {
-    Cycles next = core_.nextEventCycle();
-    next = std::min(next, mmu_.walker().nextEventCycle());
-    next = std::min(next, hierarchy_.nextEventCycle());
-    next = std::min(next, kernel_.nextEventCycle());
-    next = std::min(next, faults_.nextEventCycle());
-    return next;
+    return std::min(core_.nextEventCycle(), faults_.nextEventCycle());
 }
+
+namespace
+{
+
+/**
+ * The machine's one stepping loop (DESIGN.md §10): until @p pred()
+ * holds or @p max_cycles pass, tick where an event is due and jump the
+ * clock to the next event everywhere else.  A template, so run()'s
+ * constant predicate compiles away instead of costing a call per step.
+ */
+template <typename Pred>
+bool
+stepUntil(Machine &m, const Pred &pred, Cycles max_cycles)
+{
+    // Saturate: an unbounded budget must not wrap the limit to a
+    // cycle already in the past.
+    const Cycles limit = max_cycles > kNoEventCycle - m.cycle()
+                             ? kNoEventCycle
+                             : m.cycle() + max_cycles;
+    while (m.cycle() < limit) {
+        if (pred())
+            return true;
+        const Cycles next = m.nextEventCycle();
+        if (next > m.cycle()) {
+            // The jump is clamped so callers asking for exactly n
+            // cycles (trial budgets!) never overshoot.
+            m.core().fastForwardTo(std::min(next, limit));
+        } else {
+            m.tick();
+        }
+    }
+    return pred();
+}
+
+} // namespace
 
 void
 Machine::run(Cycles n)
 {
-    const Cycles limit = core_.cycle() + n;
-    if (!config_.fastForward) {
-        while (core_.cycle() < limit)
-            tick();
-        return;
-    }
-    while (core_.cycle() < limit) {
-        const Cycles next = nextEventCycle();
-        if (next > core_.cycle()) {
-            // The jump is clamped so callers asking for exactly n
-            // cycles (trial budgets!) never overshoot.
-            core_.fastForwardTo(std::min(next, limit));
-        } else {
-            tick();
-        }
-    }
+    stepUntil(*this, [] { return false; }, n);
 }
 
 bool
 Machine::runUntilHalted(unsigned ctx, Cycles max_cycles)
 {
-    return runUntil([this, ctx]() { return core_.halted(ctx); },
-                    max_cycles);
+    return stepUntil(
+        *this, [this, ctx] { return core_.halted(ctx); }, max_cycles);
 }
 
 bool
 Machine::runUntil(const std::function<bool()> &pred, Cycles max_cycles)
 {
-    const Cycles limit = core_.cycle() + max_cycles;
-    if (!config_.fastForward) {
-        while (core_.cycle() < limit) {
-            if (pred())
-                return true;
-            tick();
-        }
-        return pred();
-    }
-    while (core_.cycle() < limit) {
-        if (pred())
-            return true;
-        const Cycles next = nextEventCycle();
-        if (next > core_.cycle())
-            core_.fastForwardTo(std::min(next, limit));
-        else
-            tick();
-    }
-    return pred();
+    return stepUntil(*this, pred, max_cycles);
 }
 
 void

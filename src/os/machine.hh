@@ -78,14 +78,6 @@ struct MachineConfig
     fault::FaultPlan fault = fault::FaultPlan::environmentDefault();
     /** Master seed; sub-components derive their own streams. */
     Seed seed;
-    /**
-     * Event-driven fast-forward: Machine::run/runUntil jump the clock
-     * over provably inert cycles (the minimum of every component's
-     * nextEventCycle()) instead of ticking one by one.  Results are
-     * bit-identical either way (see DESIGN.md §10); off exists for
-     * differential testing and debugging.
-     */
-    bool fastForward = true;
 };
 
 /**
@@ -127,20 +119,22 @@ class Machine
     Cycles cycle() const { return core_.cycle(); }
 
     /**
-     * Advance exactly @p n cycles.  With config().fastForward this
-     * elides inert cycles via nextEventCycle() but lands on exactly
-     * the same state a cycle-by-cycle run would reach.
+     * Advance exactly @p n cycles.  Event-driven fast-forward
+     * (DESIGN.md §10) jumps the clock over inert cycles via
+     * nextEventCycle() but lands on exactly the state a cycle-by-cycle
+     * run would reach.  Every budget here saturates: kNoEventCycle
+     * means "no limit", never a wrap into the past.
      */
     void run(Cycles n);
 
     /**
-     * Tick until context @p ctx halts or @p max_cycles pass.
+     * Run until context @p ctx halts or @p max_cycles pass.
      * @return true if the context halted.
      */
     bool runUntilHalted(unsigned ctx, Cycles max_cycles);
 
     /**
-     * Tick until @p pred() holds or @p max_cycles pass.
+     * Run until @p pred() holds or @p max_cycles pass.
      *
      * @p pred must be a pure function of machine state (stats,
      * registers, memory, context states) — not of the raw cycle
@@ -152,11 +146,11 @@ class Machine
 
     /**
      * Earliest cycle at which ticking can change architectural or
-     * stats state: the minimum of every time-holding component's
-     * nextEventCycle() (core in-flight ops; the fault injector's next
-     * scheduled injection; the walker, hierarchy and kernel are
-     * synchronous today and report kNoEventCycle — the hooks are the
-     * plug-in points for future MSHR/async-fill models).
+     * stats state: the minimum of the core's (in-flight ops, stalls)
+     * and the fault injector's (next scheduled injection)
+     * nextEventCycle().  The walker, hierarchy and kernel are
+     * synchronous — they charge their latency inside the tick that
+     * calls them — so they hold no time of their own.
      * kNoEventCycle when nothing is in flight anywhere.
      */
     Cycles nextEventCycle() const;

@@ -97,15 +97,6 @@ class Walker
     /** Wire the owning Machine's observability hub (may be null). */
     void setObserver(obs::Observer *observer) { obs_ = observer; }
 
-    /**
-     * Earliest cycle at which ticking can change this component's
-     * state (fast-forward contract, DESIGN.md §10).  The walker is
-     * synchronous — walk() charges its full latency at the call — so
-     * it never holds time: always kNoEventCycle.  The hook is the
-     * plug-in point for a future overlapped/MSHR-style walker.
-     */
-    Cycles nextEventCycle() const { return kNoEventCycle; }
-
     /** Register vm.walker.* counters and the latency summary. */
     void exportMetrics(obs::MetricRegistry &registry) const;
 

@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <ios>
 
 #include "attack/control_flow.hh"
@@ -77,10 +78,24 @@ struct CoreRig
             0, 1, table.root(), 0);
     }
 
+    /** Tick until @p pred() holds or @p max cycles pass; false on
+     *  timeout. */
+    bool
+    runUntil(const std::function<bool()> &pred, Cycles max)
+    {
+        const Cycles limit = core.cycle() + max;
+        while (core.cycle() < limit) {
+            if (pred())
+                return true;
+            core.tick();
+        }
+        return pred();
+    }
+
     bool
     runToHalt(unsigned ctx = 0, Cycles max = 1'000'000)
     {
-        return core.runUntil([&]() { return core.halted(ctx); }, max);
+        return runUntil([&]() { return core.halted(ctx); }, max);
     }
 };
 
@@ -536,7 +551,7 @@ TEST(CoreTest, SmtDividerContentionIsMeasurable)
         noise.addi(5, 5, -1).bne(5, 6, "loop").halt();
 
         rig.start(noise.build(), 1);
-        rig.core.runUntil([]() { return false; }, 100);  // warm up
+        rig.runUntil([]() { return false; }, 100);  // warm up
         rig.start(meas.build(), 0);
         EXPECT_TRUE(rig.runToHalt(0, 100000));
         return rig.core.readIntReg(0, 12);
@@ -624,10 +639,10 @@ TEST(CoreTest, TxAbortRollsBackRegistersAndStores)
     rig.start(b.build());
 
     // Let the transaction get going, then abort it from "outside".
-    rig.core.runUntil([&]() { return rig.core.inTransaction(0); },
+    rig.runUntil([&]() { return rig.core.inTransaction(0); },
                       100000);
     ASSERT_TRUE(rig.core.inTransaction(0));
-    rig.core.runUntil([]() { return false; }, 200);
+    rig.runUntil([]() { return false; }, 200);
     ASSERT_TRUE(rig.core.abortTransaction(0));
     ASSERT_TRUE(rig.runToHalt());
     EXPECT_EQ(rig.core.readIntReg(0, 9), 1u);    // abort path ran
@@ -654,10 +669,10 @@ TEST(CoreTest, TxAbortsOnWriteSetEviction)
         .movi(9, 1)
         .halt();
     rig.start(b.build());
-    rig.core.runUntil([&]() { return rig.core.inTransaction(0); },
+    rig.runUntil([&]() { return rig.core.inTransaction(0); },
                       100000);
     // Wait until the store has retired into the write set.
-    rig.core.runUntil([]() { return false; }, 3000);
+    rig.runUntil([]() { return false; }, 3000);
     rig.core.notifyLineEvicted(pa);
     ASSERT_TRUE(rig.runToHalt());
     EXPECT_EQ(rig.core.readIntReg(0, 9), 1u);
@@ -777,7 +792,7 @@ TEST(CoreTest, StallContextBlocksProgress)
     b.movi(1, 1).halt();
     rig.start(b.build());
     rig.core.stallContext(0, 500);
-    rig.core.runUntil([]() { return false; }, 100);
+    rig.runUntil([]() { return false; }, 100);
     EXPECT_EQ(rig.core.contextState(0), CtxState::Stalled);
     EXPECT_FALSE(rig.core.halted(0));
     ASSERT_TRUE(rig.runToHalt());
@@ -1260,10 +1275,10 @@ TEST(CoreSched, TxAbortWithCompletionsInFlight)
         .mul(7, 6, 5)
         .halt();
     rig.start(b.build());
-    rig.core.runUntil([&]() { return rig.core.inTransaction(0); },
+    rig.runUntil([&]() { return rig.core.inTransaction(0); },
                       100000);
     ASSERT_TRUE(rig.core.inTransaction(0));
-    rig.core.runUntil([]() { return false; }, 203);
+    rig.runUntil([]() { return false; }, 203);
     ASSERT_TRUE(rig.core.abortTransaction(0));
     ASSERT_TRUE(rig.runToHalt());
     EXPECT_EQ(rig.core.readIntReg(0, 9), 1u);
@@ -1649,9 +1664,9 @@ TEST(CoreGolden, PreemptMidWindow)
         .add(10, 9, 7)
         .halt();
     rig.start(b.build());
-    rig.core.runUntil([&]() { return faults == 2; }, 1'000'000);
+    rig.runUntil([&]() { return faults == 2; }, 1'000'000);
     ASSERT_EQ(faults, 2u);
-    rig.core.runUntil([]() { return false; }, 20);
+    rig.runUntil([]() { return false; }, 20);
     rig.core.preemptContext(0, 300);
     ASSERT_TRUE(rig.runToHalt());
     EXPECT_EQ(faults, 4u);

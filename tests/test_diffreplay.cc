@@ -8,8 +8,9 @@
  * byte-identical results — stats, metrics, traces, fingerprints — to
  * one that re-simulates the prefix before every iteration.  The
  * identity must hold across fault plans (quiet and chaos), worker
- * counts, and fast-forward modes, because each of those is itself
- * fingerprint-invariant.
+ * counts, and stepping (the machine's fast-forwarding loop or the
+ * every-cycle reference of every_cycle.hh), because each of those is
+ * itself fingerprint-invariant.
  *
  * Three recipe shapes cover the restore surface:
  *  - page-fault replay through the Microscope engine's episode
@@ -31,11 +32,15 @@
 #include "common/logging.hh"
 #include "core/microscope.hh"
 #include "cpu/program.hh"
+#include "every_cycle.hh"
 #include "exp/campaign.hh"
 #include "fault/plan.hh"
 #include "os/machine.hh"
 
 using namespace uscope;
+using test::kEveryCycle;
+using test::kMachineLoop;
+using test::Runner;
 
 namespace
 {
@@ -81,10 +86,12 @@ makePfVictim(os::Kernel &kernel)
  * (replay 1 is the prefix, replay 2 the measured window), re-entered
  * kIterations times.  With @p diff the re-entry restores the engine's
  * episode snapshot; without it, the pre-arm snapshot is restored and
- * the prefix re-simulated — the two must be bit-identical.
+ * the prefix re-simulated — the two must be bit-identical.  @p runner
+ * advances the machine.
  */
 exp::TrialOutput
-pageFaultTrial(const exp::TrialContext &ctx, bool diff)
+pageFaultTrial(const exp::TrialContext &ctx, bool diff,
+               const Runner &runner)
 {
     exp::TrialOutput out;
     os::Machine m(ctx.machine);
@@ -124,7 +131,8 @@ pageFaultTrial(const exp::TrialContext &ctx, bool diff)
     const auto runPrefix = [&]() {
         scope.arm();
         kernel.startOnContext(victim.pid, 0, victim.program);
-        const bool reached = m.runUntil(
+        const bool reached = runner.runUntil(
+            m,
             [&]() {
                 return diff ? scope.episodeSnapshotPending()
                             : scope.replaysThisEpisode() >= 1;
@@ -149,7 +157,7 @@ pageFaultTrial(const exp::TrialContext &ctx, bool diff)
         }
         // The window: replay 2 measures and ends the episode; the
         // victim then retires its loads and halts.
-        if (!m.runUntilHalted(0, kRunBudget))
+        if (!runner.runUntilHalted(m, 0, kRunBudget))
             throw std::runtime_error("window never halted");
     }
 
@@ -182,10 +190,12 @@ enum class ManualKind { Tsx, ControlFlow };
  * the Microscope engine.  The prefix runs the victim to a retired-
  * instruction boundary; each iteration either restores the boundary
  * snapshot (@p diff) or restores the pre-start snapshot and re-runs
- * the prefix, then reseeds and runs the rest of the program.
+ * the prefix, then reseeds and runs the rest of the program, all
+ * through @p runner.
  */
 exp::TrialOutput
-manualTrial(const exp::TrialContext &ctx, bool diff, ManualKind kind)
+manualTrial(const exp::TrialContext &ctx, bool diff, ManualKind kind,
+            const Runner &runner)
 {
     exp::TrialOutput out;
     os::Machine m(ctx.machine);
@@ -200,8 +210,8 @@ manualTrial(const exp::TrialContext &ctx, bool diff, ManualKind kind)
     constexpr std::uint64_t kBoundary = 5;
     const auto runPrefix = [&]() {
         kernel.startOnContext(victim.pid, 0, victim.program);
-        const bool reached = m.runUntil(
-            [&]() { return m.core().stats(0).retired >= kBoundary; },
+        const bool reached = runner.runUntil(
+            m, [&]() { return m.core().stats(0).retired >= kBoundary; },
             kRunBudget);
         if (!reached)
             throw std::runtime_error("prefix never reached boundary");
@@ -221,7 +231,7 @@ manualTrial(const exp::TrialContext &ctx, bool diff, ManualKind kind)
             runPrefix();
         }
         m.reseed(seed);
-        if (!m.runUntilHalted(0, kRunBudget))
+        if (!runner.runUntilHalted(m, 0, kRunBudget))
             throw std::runtime_error("window never halted");
         for (const VAddr va : {victim.transmitA, victim.transmitB}) {
             if (va != 0)
@@ -253,41 +263,39 @@ manualTrial(const exp::TrialContext &ctx, bool diff, ManualKind kind)
     return out;
 }
 
-using TrialFn =
-    std::function<exp::TrialOutput(const exp::TrialContext &, bool)>;
+using TrialFn = std::function<exp::TrialOutput(
+    const exp::TrialContext &, bool, const Runner &)>;
 
 exp::CampaignResult
 runMatrixCampaign(const char *name, const TrialFn &trial, bool diff,
-                  bool chaos, bool ff, unsigned workers)
+                  bool chaos, const Runner &runner, unsigned workers)
 {
     exp::CampaignSpec spec;
     spec.name = name;
     spec.trials = 3;
     spec.masterSeed = 7;
     spec.workers = workers;
-    spec.machineFactory = [chaos, ff](const exp::TrialContext &) {
+    spec.machineFactory = [chaos](const exp::TrialContext &) {
         os::MachineConfig config;
         config.fault =
             chaos ? fault::FaultPlan::chaos() : fault::FaultPlan{};
-        config.fastForward = ff;
         return config;
     };
-    spec.body = [&trial, diff](const exp::TrialContext &ctx) {
-        return trial(ctx, diff);
+    spec.body = [&trial, diff, runner](const exp::TrialContext &ctx) {
+        return trial(ctx, diff, runner);
     };
     return exp::runCampaign(std::move(spec));
 }
 
 /**
  * The matrix: one reference campaign (differential replay off), then
- * every (diff, fast-forward, workers) cell must fingerprint
- * identically.
+ * every (diff, stepping, workers) cell must fingerprint identically.
  */
 void
 expectMatrixIdentity(const char *name, const TrialFn &trial, bool chaos)
 {
     const exp::CampaignResult ref =
-        runMatrixCampaign(name, trial, false, chaos, true, 1);
+        runMatrixCampaign(name, trial, false, chaos, kMachineLoop, 1);
     ASSERT_EQ(ref.aggregate.ok, ref.trialCount)
         << "reference campaign must succeed, or the identity check "
            "is vacuous";
@@ -296,19 +304,21 @@ expectMatrixIdentity(const char *name, const TrialFn &trial, bool chaos)
     struct Cell
     {
         bool diff;
-        bool ff;
+        Runner runner;
         unsigned workers;
     };
     const Cell cells[] = {
-        {false, false, 4}, {true, true, 1},  {true, true, 2},
-        {true, true, 4},   {true, false, 1}, {true, false, 2},
-        {true, false, 4},
+        {false, kEveryCycle, 4}, {true, kMachineLoop, 1},
+        {true, kMachineLoop, 2}, {true, kMachineLoop, 4},
+        {true, kEveryCycle, 1},  {true, kEveryCycle, 2},
+        {true, kEveryCycle, 4},
     };
     for (const Cell &cell : cells) {
         const exp::CampaignResult got = runMatrixCampaign(
-            name, trial, cell.diff, chaos, cell.ff, cell.workers);
+            name, trial, cell.diff, chaos, cell.runner, cell.workers);
         EXPECT_EQ(exp::deterministicFingerprint(got), want)
-            << "diff=" << cell.diff << " ff=" << cell.ff
+            << "diff=" << cell.diff
+            << " everyCycle=" << cell.runner.everyCycle
             << " workers=" << cell.workers;
     }
 }
@@ -343,32 +353,36 @@ TEST(DiffReplayMatrix, PageFaultChaos)
 
 TEST(DiffReplayMatrix, TsxQuiet)
 {
-    const TrialFn fn = [](const exp::TrialContext &ctx, bool diff) {
-        return manualTrial(ctx, diff, ManualKind::Tsx);
+    const TrialFn fn = [](const exp::TrialContext &ctx, bool diff,
+                          const Runner &runner) {
+        return manualTrial(ctx, diff, ManualKind::Tsx, runner);
     };
     expectMatrixIdentity("diff_tsx_quiet", fn, false);
 }
 
 TEST(DiffReplayMatrix, TsxChaos)
 {
-    const TrialFn fn = [](const exp::TrialContext &ctx, bool diff) {
-        return manualTrial(ctx, diff, ManualKind::Tsx);
+    const TrialFn fn = [](const exp::TrialContext &ctx, bool diff,
+                          const Runner &runner) {
+        return manualTrial(ctx, diff, ManualKind::Tsx, runner);
     };
     expectMatrixIdentity("diff_tsx_chaos", fn, true);
 }
 
 TEST(DiffReplayMatrix, ControlFlowQuiet)
 {
-    const TrialFn fn = [](const exp::TrialContext &ctx, bool diff) {
-        return manualTrial(ctx, diff, ManualKind::ControlFlow);
+    const TrialFn fn = [](const exp::TrialContext &ctx, bool diff,
+                          const Runner &runner) {
+        return manualTrial(ctx, diff, ManualKind::ControlFlow, runner);
     };
     expectMatrixIdentity("diff_cf_quiet", fn, false);
 }
 
 TEST(DiffReplayMatrix, ControlFlowChaos)
 {
-    const TrialFn fn = [](const exp::TrialContext &ctx, bool diff) {
-        return manualTrial(ctx, diff, ManualKind::ControlFlow);
+    const TrialFn fn = [](const exp::TrialContext &ctx, bool diff,
+                          const Runner &runner) {
+        return manualTrial(ctx, diff, ManualKind::ControlFlow, runner);
     };
     expectMatrixIdentity("diff_cf_chaos", fn, true);
 }
@@ -446,10 +460,10 @@ TEST(DiffReplayEngine, TraceBitIdentity)
     // With event tracing on, the differential arm's trace (restored
     // ring + window events) must equal the re-simulated arm's
     // (re-recorded prefix + window events), event for event.
-    const exp::TrialOutput on = pageFaultTrial(soloContext(99, true),
-                                               /*diff=*/true);
-    const exp::TrialOutput off = pageFaultTrial(soloContext(99, true),
-                                                /*diff=*/false);
+    const exp::TrialOutput on = pageFaultTrial(
+        soloContext(99, true), /*diff=*/true, kMachineLoop);
+    const exp::TrialOutput off = pageFaultTrial(
+        soloContext(99, true), /*diff=*/false, kMachineLoop);
     EXPECT_FALSE(on.trace.empty());
     EXPECT_EQ(on.trace.total, off.trace.total);
     EXPECT_EQ(on.trace.dropped, off.trace.dropped);

@@ -1,33 +1,50 @@
 /**
  * @file
- * Differential bit-identity suite for event-driven fast-forward
- * (DESIGN.md §10).
+ * Bit-identity suite for event-driven fast-forward (DESIGN.md §10).
  *
- * MachineConfig::fastForward lets Machine::run/runUntil jump the clock
- * over provably inert cycles.  The contract is that this is purely a
- * wall-clock optimization: every stat counter, MetricSnapshot, trace
- * event, and campaign JSON fingerprint must match the cycle-by-cycle
- * baseline bit for bit.  This suite enforces the contract on
- * fig10-shaped (port contention) and fig11-shaped (AES replay)
- * workloads, with fast-forward on and off, at 1/2/4 workers — and is
- * run under TSan in CI, where the worker sweep doubles as a race
- * check on the skip path.  Machine-level cases pin the core's RNG
- * stream across skips long enough to take Rng::discard's jump, at 1,
- * 2 and 3 SMT contexts.
+ * Machine::run/runUntil jump the clock over provably inert cycles.
+ * The contract is that this is purely a wall-clock optimization:
+ * every stat counter, MetricSnapshot, trace event, and campaign JSON
+ * fingerprint must match a cycle-by-cycle run bit for bit.  The
+ * cycle-by-cycle reference is the test-owned loop in every_cycle.hh.
+ *
+ *  - Machine-level cases run twin machines, one through the machine's
+ *    own loop and one through the reference, and compare them: idle
+ *    and fault-handler skips long enough to take Rng::discard's jump
+ *    at 1, 2 and 3 SMT contexts, landing on the limit, an unbounded
+ *    budget, and a fig10-shaped replay scenario (control-flow victim, divider
+ *    monitor, long page walks, dense faults, tracing on).
+ *  - Registry recipes (fig10 port contention, fig11 AES replay, quiet
+ *    and under dense faults, and the traced runFig11 event log) build
+ *    their own machines beyond a test's reach, so they are pinned as
+ *    literals captured from the every-cycle arm of the former
+ *    fast-forward switch, where both arms agreed.  Each fault plan is
+ *    set explicitly so USCOPE_FAULT_PLAN=chaos cannot move a pin.  The
+ *    campaigns run at 1/2/4 workers, and the suite runs under TSan in
+ *    CI, where the worker sweep doubles as a race check on the skip
+ *    path.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
+#include <tuple>
+#include <utility>
 
 #include "attack/aes_attack.hh"
+#include "attack/monitor.hh"
+#include "attack/victims.hh"
+#include "core/microscope.hh"
 #include "cpu/program.hh"
+#include "every_cycle.hh"
 #include "exp/campaign.hh"
 #include "os/machine.hh"
 #include "svc/registry.hh"
 
 using namespace uscope;
+using test::kEveryCycle;
+using test::kMachineLoop;
+using test::Runner;
 
 namespace
 {
@@ -38,15 +55,14 @@ namespace
 using exp::deterministicFingerprint;
 
 /**
- * A registry recipe with an explicit machine: fast-forward and the
- * fault plan both come from the spec's machine factory.  The plan is
- * pinned even when empty, so a USCOPE_FAULT_PLAN=chaos environment
- * cannot make the quiet arms noisy.
+ * A registry recipe with an explicit machine: the fault plan comes
+ * from the spec's machine factory.  The plan is pinned even when
+ * empty, so a USCOPE_FAULT_PLAN=chaos environment cannot make the
+ * quiet campaigns noisy.
  */
 exp::CampaignSpec
 recipeSpec(const char *recipe, const char *name, std::size_t trials,
-           bool fast_forward, unsigned workers,
-           const fault::FaultPlan &plan)
+           unsigned workers, const fault::FaultPlan &plan)
 {
     svc::CampaignRequest request;
     request.recipe = recipe;
@@ -54,10 +70,8 @@ recipeSpec(const char *recipe, const char *name, std::size_t trials,
     request.trials = trials;
     exp::CampaignSpec spec = svc::buildSpec(request);
     spec.workers = workers;
-    spec.machineFactory = [fast_forward,
-                           plan](const exp::TrialContext &) {
+    spec.machineFactory = [plan](const exp::TrialContext &) {
         os::MachineConfig config;
-        config.fastForward = fast_forward;
         config.fault = plan;
         return config;
     };
@@ -66,27 +80,24 @@ recipeSpec(const char *recipe, const char *name, std::size_t trials,
 
 /** Fig.-10-shaped: SMT port-contention sweep, div vs mul arms. */
 exp::CampaignSpec
-fig10Spec(bool fast_forward, unsigned workers,
-          const fault::FaultPlan &plan = {})
+fig10Spec(unsigned workers, const fault::FaultPlan &plan = {})
 {
-    return recipeSpec("fig10_port_contention", "ff_fig10", 4,
-                      fast_forward, workers, plan);
+    return recipeSpec("fig10_port_contention", "ff_fig10", 4, workers,
+                      plan);
 }
 
 /** Fig.-11-shaped: one AES replay timeline per trial, random keys. */
 exp::CampaignSpec
-fig11Spec(bool fast_forward, unsigned workers,
-          const fault::FaultPlan &plan = {})
+fig11Spec(unsigned workers, const fault::FaultPlan &plan = {})
 {
-    return recipeSpec("fig11_aes_replay", "ff_fig11", 3, fast_forward,
-                      workers, plan);
+    return recipeSpec("fig11_aes_replay", "ff_fig11", 3, workers, plan);
 }
 
 /**
- * A dense FaultPlan for the noisy differential runs: every fault class
- * fires inside these small workloads, so the fingerprint covers the
- * scheduled-injection path (nextEventCycle interplay) and all three
- * event-coupled noise streams under fast-forward.
+ * A dense FaultPlan for the noisy runs: every fault class fires inside
+ * these small workloads, so they cover the scheduled-injection path
+ * (nextEventCycle interplay) and all three event-coupled noise
+ * streams.
  */
 fault::FaultPlan
 denseFaults()
@@ -104,41 +115,50 @@ denseFaults()
 
 /** fig10Spec under the dense fault plan. */
 exp::CampaignSpec
-noisyFig10Spec(bool fast_forward, unsigned workers)
+noisyFig10Spec(unsigned workers)
 {
-    exp::CampaignSpec spec =
-        fig10Spec(fast_forward, workers, denseFaults());
+    exp::CampaignSpec spec = fig10Spec(workers, denseFaults());
     spec.name = "ff_fig10_noisy";
     return spec;
 }
 
 /** fig11Spec under the dense fault plan. */
 exp::CampaignSpec
-noisyFig11Spec(bool fast_forward, unsigned workers)
+noisyFig11Spec(unsigned workers)
 {
-    exp::CampaignSpec spec =
-        fig11Spec(fast_forward, workers, denseFaults());
+    exp::CampaignSpec spec = fig11Spec(workers, denseFaults());
     spec.name = "ff_fig11_noisy";
     return spec;
 }
 
-/** Run @p make over ff on/off × 1/2/4 workers; all must agree. */
+/**
+ * Run @p make at 1/2/4 workers; each fingerprint must equal @p pin,
+ * exp::fnv1aHex of the every-cycle run's fingerprint.
+ */
 void
-expectBitIdenticalEverywhere(
-    exp::CampaignSpec (*make)(bool, unsigned))
+expectPinnedAtEveryWorkerCount(exp::CampaignSpec (*make)(unsigned),
+                               const char *pin)
 {
-    const std::string baseline =
-        deterministicFingerprint(exp::runCampaign(make(false, 1)));
-    ASSERT_FALSE(baseline.empty());
-    for (const bool fast_forward : {false, true}) {
-        for (const unsigned workers : {1u, 2u, 4u}) {
-            const exp::CampaignResult result =
-                exp::runCampaign(make(fast_forward, workers));
-            EXPECT_EQ(deterministicFingerprint(result), baseline)
-                << "fast_forward=" << fast_forward
-                << " workers=" << workers;
-        }
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        const exp::CampaignResult result = exp::runCampaign(make(workers));
+        EXPECT_EQ(exp::fnv1aHex(deterministicFingerprint(result)), pin)
+            << "workers=" << workers;
     }
+}
+
+/** An event log as text, one event per line, for digests and diffs. */
+std::string
+eventLogText(const obs::EventLog &log)
+{
+    std::string text = std::to_string(log.total) + " " +
+                       std::to_string(log.dropped) + "\n";
+    for (const obs::Event &e : log.events) {
+        text += std::to_string(e.cycle) + " " +
+                std::to_string(static_cast<unsigned>(e.kind)) + " " +
+                std::to_string(e.a) + " " + std::to_string(e.b) + " " +
+                std::to_string(e.addr) + "\n";
+    }
+    return text;
 }
 
 /**
@@ -150,10 +170,10 @@ constexpr Cycles kHandlerCycles = 27'800;
 
 /** Idle: nothing in flight, so one skip covers the whole span. */
 void
-idleSkip(os::Machine &machine)
+idleSkip(os::Machine &machine, const Runner &runner)
 {
     ASSERT_EQ(machine.nextEventCycle(), kNoEventCycle);
-    machine.run(3 * Rng::kDiscardJumpMin + 5);
+    runner.run(machine, 3 * Rng::kDiscardJumpMin + 5);
 }
 
 /**
@@ -162,7 +182,7 @@ idleSkip(os::Machine &machine)
  * handler's stall is one skip between two busy stretches.
  */
 void
-faultHandlerSkip(os::Machine &machine)
+faultHandlerSkip(os::Machine &machine, const Runner &runner)
 {
     auto &kernel = machine.kernel();
     const os::Pid pid = kernel.createProcess("victim");
@@ -177,36 +197,38 @@ faultHandlerSkip(os::Machine &machine)
         .halt();
     kernel.startOnContext(pid, 0,
                           std::make_shared<const cpu::Program>(b.build()));
-    ASSERT_TRUE(machine.runUntilHalted(0, 2 * kHandlerCycles));
+    ASSERT_TRUE(runner.runUntilHalted(machine, 0, 2 * kHandlerCycles));
     ASSERT_GE(kernel.handlerCycles(), kHandlerCycles);
 }
 
 /** Both skips, fault handler first. */
 void
-faultThenIdleSkip(os::Machine &machine)
+faultThenIdleSkip(os::Machine &machine, const Runner &runner)
 {
-    faultHandlerSkip(machine);
-    idleSkip(machine);
+    faultHandlerSkip(machine, runner);
+    idleSkip(machine, runner);
 }
+
+using Prelude = void (*)(os::Machine &, const Runner &);
 
 /**
  * Run @p prelude on a quiet machine with @p contexts SMT contexts,
- * then a divide loop on every context for a fixed span: the SMT issue
- * rotation settles each divider conflict, so the metrics snapshot
- * after it reads the core's RNG stream.  @p reseed swaps that stream
- * out between the two, for the control that shows it does.
+ * then a divide loop on every context for a fixed span, both through
+ * @p runner: the SMT issue rotation settles each divider conflict, so
+ * the metrics snapshot after it reads the core's RNG stream.
+ * @p reseed swaps that stream out between the two, for the control
+ * that shows it does.
  */
 std::pair<std::string, Cycles>
-preludeThenContend(unsigned contexts, void (*prelude)(os::Machine &),
-                   bool fast_forward, bool reseed = false)
+preludeThenContend(unsigned contexts, Prelude prelude,
+                   const Runner &runner, bool reseed = false)
 {
     os::MachineConfig config;
     config.core.numContexts = contexts;
     config.costs.faultBase = kHandlerCycles;
     config.fault = fault::FaultPlan{};
-    config.fastForward = fast_forward;
     os::Machine machine(config);
-    prelude(machine);
+    prelude(machine, runner);
     if (reseed)
         machine.core().reseed(0x5EED);
     auto &kernel = machine.kernel();
@@ -223,38 +245,99 @@ preludeThenContend(unsigned contexts, void (*prelude)(os::Machine &),
         kernel.startOnContext(
             pid, ctx, std::make_shared<const cpu::Program>(b.build()));
     }
-    machine.run(4000);
+    runner.run(machine, 4000);
     return {machine.metricsSnapshot().toJson().dump(), machine.cycle()};
 }
 
 /** Fast-forward leaves the same snapshot as a cycle-by-cycle run. */
 void
-expectStreamKept(unsigned contexts, void (*prelude)(os::Machine &))
+expectStreamKept(unsigned contexts, Prelude prelude)
 {
-    const auto baseline = preludeThenContend(contexts, prelude, false);
-    EXPECT_EQ(preludeThenContend(contexts, prelude, true), baseline)
+    const auto baseline =
+        preludeThenContend(contexts, prelude, kEveryCycle);
+    EXPECT_EQ(preludeThenContend(contexts, prelude, kMachineLoop),
+              baseline)
         << contexts << " contexts";
     // With one context the rotation has nothing to decide; with more,
     // a different stream must show, or the check above is vacuous.
     if (contexts > 1) {
-        EXPECT_NE(preludeThenContend(contexts, prelude, true, true),
-                  baseline)
+        EXPECT_NE(
+            preludeThenContend(contexts, prelude, kMachineLoop, true),
+            baseline)
             << contexts << " contexts";
     }
+}
+
+/** What the replay scenario leaves behind. */
+struct ReplayOutcome
+{
+    obs::MetricSnapshot metrics;
+    ms::MicroscopeStats scope;
+    std::string events;
+    Cycles cycle = 0;
+};
+
+/**
+ * A fig10-shaped replay, test-owned so it can take the runner: the
+ * control-flow victim on context 0 replays its divide window under a
+ * Microscope recipe with the longest page walks while the divider
+ * monitor samples on context 1, with dense faults and tracing on.
+ * It crosses the replay, fault-handler and injector paths a registry
+ * pin covers, against the every-cycle loop itself.
+ */
+ReplayOutcome
+replayScenario(const Runner &runner)
+{
+    os::MachineConfig config;
+    config.fault = denseFaults();
+    config.obs.traceEvents = true;
+    os::Machine machine(config);
+    auto &kernel = machine.kernel();
+    const attack::VictimImage victim =
+        attack::buildControlFlowVictim(kernel, /*secret=*/true);
+    const attack::MonitorImage monitor =
+        attack::buildDivContentionMonitor(kernel, /*samples=*/40,
+                                          /*cont=*/4);
+
+    ms::Microscope scope(machine);
+    ms::AttackRecipe recipe;
+    recipe.victim = victim.pid;
+    recipe.replayHandle = victim.handle + 0x20;
+    recipe.confidence = 4;
+    recipe.walkPlan = ms::PageWalkPlan::longest();
+    scope.setRecipe(std::move(recipe));
+
+    scope.arm();
+    kernel.startOnContext(victim.pid, 0, victim.program);
+    kernel.startOnContext(monitor.pid, 1, monitor.program);
+    EXPECT_TRUE(runner.runUntil(
+        machine, [&machine] { return machine.core().halted(1); },
+        10'000'000));
+    scope.disarm();
+    EXPECT_TRUE(runner.runUntilHalted(machine, 0, 1'000'000));
+
+    obs::MetricRegistry registry;
+    machine.exportMetrics(registry);
+    scope.exportMetrics(registry);
+    return {registry.snapshot(), scope.stats(),
+            eventLogText(machine.observer().trace.drain()),
+            machine.cycle()};
 }
 
 } // namespace
 
 TEST(FastForward, Fig10FingerprintBitIdenticalAcrossModesAndWorkers)
 {
-    expectBitIdenticalEverywhere(
-        [](bool ff, unsigned workers) { return fig10Spec(ff, workers); });
+    expectPinnedAtEveryWorkerCount(
+        [](unsigned workers) { return fig10Spec(workers); },
+        "0xb1869c870d803ef9");
 }
 
 TEST(FastForward, Fig11FingerprintBitIdenticalAcrossModesAndWorkers)
 {
-    expectBitIdenticalEverywhere(
-        [](bool ff, unsigned workers) { return fig11Spec(ff, workers); });
+    expectPinnedAtEveryWorkerCount(
+        [](unsigned workers) { return fig11Spec(workers); },
+        "0x2cfb31f70528602d");
 }
 
 TEST(FastForward, NoisyFig10FingerprintBitIdenticalEverywhere)
@@ -262,21 +345,21 @@ TEST(FastForward, NoisyFig10FingerprintBitIdenticalEverywhere)
     // The §11 contract: a scheduled injection holds the event horizon,
     // so fast-forward lands on every firing cycle and the whole fault
     // schedule — and everything downstream of it — is bit-identical
-    // with the skip path on or off, at any worker count.
-    expectBitIdenticalEverywhere(noisyFig10Spec);
+    // to a cycle-by-cycle run, at any worker count.
+    expectPinnedAtEveryWorkerCount(noisyFig10Spec, "0xf0d722c34193ccbc");
 }
 
 TEST(FastForward, NoisyFig11FingerprintBitIdenticalEverywhere)
 {
-    expectBitIdenticalEverywhere(noisyFig11Spec);
+    expectPinnedAtEveryWorkerCount(noisyFig11Spec, "0xe7ed38f3dfa16633");
 }
 
 TEST(FastForward, NoisyRunsActuallyInjectFaults)
 {
-    // Guard against the noisy differential tests passing vacuously:
-    // the dense plan must fire visibly inside these small workloads.
+    // Guard against the noisy pins holding vacuously: the dense plan
+    // must fire visibly inside these small workloads.
     const exp::CampaignResult result =
-        exp::runCampaign(noisyFig10Spec(true, 1));
+        exp::runCampaign(noisyFig10Spec(1));
     const obs::MetricValue *interrupts =
         result.aggregate.metrics.find("fault.interrupts");
     ASSERT_NE(interrupts, nullptr);
@@ -292,49 +375,69 @@ TEST(FastForward, TracedFig11EventLogIsBitIdentical)
     // Event-trace spans are part of the bit-identity contract: with
     // tracing enabled the skip logic must refuse to elide cycles that
     // would have recorded events (e.g. per-cycle PortConflict retries).
-    const auto run = [](bool fast_forward) {
-        attack::AesAttackConfig config;
-        for (unsigned i = 0; i < 16; ++i) {
-            config.key[i] = static_cast<std::uint8_t>(i);
-            config.plaintext[i] = static_cast<std::uint8_t>(0x20 + i);
-        }
-        config.machine.obs.traceEvents = true;
-        config.machine.fastForward = fast_forward;
-        return attack::runFig11(config);
-    };
-    const attack::Fig11Result on = run(true);
-    const attack::Fig11Result off = run(false);
-
-    EXPECT_EQ(on.events.total, off.events.total);
-    EXPECT_EQ(on.events.dropped, off.events.dropped);
-    ASSERT_EQ(on.events.events.size(), off.events.events.size());
-    for (std::size_t i = 0; i < on.events.events.size(); ++i) {
-        const obs::Event &a = on.events.events[i];
-        const obs::Event &b = off.events.events[i];
-        EXPECT_EQ(a.cycle, b.cycle) << "event " << i;
-        EXPECT_EQ(a.kind, b.kind) << "event " << i;
-        EXPECT_EQ(a.a, b.a) << "event " << i;
-        EXPECT_EQ(a.b, b.b) << "event " << i;
-        EXPECT_EQ(a.addr, b.addr) << "event " << i;
+    // The pins are the every-cycle run's log: its counts, the
+    // fnv1aHex of eventLogText, and the run's length.
+    attack::AesAttackConfig config;
+    for (unsigned i = 0; i < 16; ++i) {
+        config.key[i] = static_cast<std::uint8_t>(i);
+        config.plaintext[i] = static_cast<std::uint8_t>(0x20 + i);
     }
+    config.machine.obs.traceEvents = true;
+    config.machine.fault = fault::FaultPlan{};
+    const attack::Fig11Result result = attack::runFig11(config);
+
+    EXPECT_EQ(result.events.total, 3791u);
+    EXPECT_EQ(result.events.dropped, 0u);
+    EXPECT_EQ(result.events.events.size(), 3791u);
+    EXPECT_EQ(exp::fnv1aHex(eventLogText(result.events)),
+              "0x545f3814d865478b");
+    EXPECT_EQ(result.totalCycles, 38062u);
 }
 
 TEST(FastForward, RunLandsExactlyOnTheLimit)
 {
     // An idle machine has no pending events at all; the jump must
-    // clamp to the requested cycle count, never overshoot it.  The
-    // premise requires a noiseless machine: pin an empty FaultPlan so
-    // a USCOPE_FAULT_PLAN=chaos environment (the CI chaos job) cannot
+    // clamp to the requested cycle count, never overshoot it, and
+    // leave what the every-cycle twin leaves.  The premise requires a
+    // noiseless machine: pin an empty FaultPlan so a
+    // USCOPE_FAULT_PLAN=chaos environment (the CI chaos job) cannot
     // schedule injections that would hold the event horizon finite.
     os::MachineConfig mcfg;
     mcfg.fault = fault::FaultPlan{};
-    os::Machine machine(mcfg);
-    ASSERT_TRUE(machine.config().fastForward);
-    EXPECT_EQ(machine.nextEventCycle(), kNoEventCycle);
-    machine.run(12345);
-    EXPECT_EQ(machine.cycle(), 12345u);
-    machine.run(1);
-    EXPECT_EQ(machine.cycle(), 12346u);
+    const auto runTo = [&mcfg](const Runner &runner) {
+        os::Machine machine(mcfg);
+        EXPECT_EQ(machine.nextEventCycle(), kNoEventCycle);
+        runner.run(machine, 12345);
+        EXPECT_EQ(machine.cycle(), 12345u);
+        runner.run(machine, 1);
+        EXPECT_EQ(machine.cycle(), 12346u);
+        return machine.metricsSnapshot().toJson().dump();
+    };
+    EXPECT_EQ(runTo(kMachineLoop), runTo(kEveryCycle));
+}
+
+TEST(FastForward, UnboundedBudgetRunsToTheHalt)
+{
+    // kNoEventCycle as a budget means "no limit".  Added to a nonzero
+    // cycle it must saturate, not wrap into the past and run nothing.
+    const auto haltCycle = [](const Runner &runner, Cycles budget) {
+        os::MachineConfig config;
+        config.fault = fault::FaultPlan{};
+        os::Machine machine(config);
+        runner.run(machine, 10);
+        auto &kernel = machine.kernel();
+        const os::Pid pid = kernel.createProcess("short");
+        cpu::ProgramBuilder b;
+        b.movi(1, 1).movi(2, 2).halt();
+        kernel.startOnContext(
+            pid, 0, std::make_shared<const cpu::Program>(b.build()));
+        EXPECT_TRUE(runner.runUntilHalted(machine, 0, budget));
+        return machine.cycle();
+    };
+    const Cycles bounded = haltCycle(kEveryCycle, 1'000'000);
+    EXPECT_EQ(bounded, 14u);
+    EXPECT_EQ(haltCycle(kMachineLoop, kNoEventCycle), bounded);
+    EXPECT_EQ(haltCycle(kEveryCycle, kNoEventCycle), bounded);
 }
 
 TEST(FastForward, RngStreamMatchesCycleByCycleRun)
@@ -343,15 +446,13 @@ TEST(FastForward, RngStreamMatchesCycleByCycleRun)
     // so the core's RNG stream — and with it every downstream decision
     // — stays aligned with the baseline.  Compare full machine state
     // via the metrics snapshot after a mixed idle/busy run.
-    const auto snapshot = [](bool fast_forward) {
-        os::MachineConfig config;
-        config.fastForward = fast_forward;
-        os::Machine machine(config);
-        machine.run(5000);
+    const auto snapshot = [](const Runner &runner) {
+        os::Machine machine;
+        runner.run(machine, 5000);
         return std::pair(machine.metricsSnapshot().toJson().dump(),
                          machine.cycle());
     };
-    EXPECT_EQ(snapshot(true), snapshot(false));
+    EXPECT_EQ(snapshot(kMachineLoop), snapshot(kEveryCycle));
 }
 
 TEST(FastForward, IdleSkipPastTheJumpThresholdKeepsTheStream)
@@ -370,4 +471,27 @@ TEST(FastForward, OneAndThreeContextsKeepTheStream)
     // draws), so it replays each draw and must agree all the same.
     for (const unsigned contexts : {1u, 3u})
         expectStreamKept(contexts, faultThenIdleSkip);
+}
+
+TEST(FastForward, ReplayScenarioMatchesEveryCycleRun)
+{
+    const ReplayOutcome fast = replayScenario(kMachineLoop);
+    const ReplayOutcome slow = replayScenario(kEveryCycle);
+    // Not vacuous: the window replayed, faults fired, events recorded.
+    EXPECT_GT(fast.scope.totalReplays, 0u);
+    const obs::MetricValue *interrupts =
+        fast.metrics.find("fault.interrupts");
+    ASSERT_NE(interrupts, nullptr);
+    EXPECT_GT(interrupts->counter, 0u);
+    EXPECT_GT(fast.events.size(), 100u);
+
+    EXPECT_EQ(fast.metrics.toJson().dump(), slow.metrics.toJson().dump());
+    EXPECT_EQ(fast.cycle, slow.cycle);
+    const auto fields = [](const ms::MicroscopeStats &s) {
+        return std::tuple(s.handleFaults, s.pivotFaults, s.foreignFaults,
+                          s.episodes, s.totalReplays,
+                          s.replayCounterSaturations);
+    };
+    EXPECT_EQ(fields(fast.scope), fields(slow.scope));
+    EXPECT_EQ(fast.events, slow.events);
 }

@@ -12,10 +12,12 @@
  *    differs (DESIGN.md §15).
  *  - **Fork-vs-cold.** A trial forked from a post-warmup Snapshot and
  *    reseeded equals, bit for bit, a cold trial that runs the same
- *    warmup and reseeds at the same point — across fast-forward
- *    on/off, fault plans (including USCOPE_FAULT_PLAN=chaos, which
- *    the CI chaos job exports), worker counts 1/2/4, and every
- *    prefixCache × machinePool combination of the campaign runner.
+ *    warmup and reseeds at the same point — whether the machine's
+ *    fast-forwarding loop or the every-cycle reference of
+ *    every_cycle.hh steps it, across fault plans (including
+ *    USCOPE_FAULT_PLAN=chaos, which the CI chaos job exports), worker
+ *    counts 1/2/4, and every prefixCache × machinePool combination of
+ *    the campaign runner.
  *  - **Versioned restore.** Repeated restoreFrom calls from one
  *    snapshot, which copy only the cache sets whose version ids
  *    differ (DESIGN.md §17), each equal a newly constructed machine
@@ -45,11 +47,15 @@
 #include "core/microscope.hh"
 #include "crypto/aes.hh"
 #include "crypto/aes_codegen.hh"
+#include "every_cycle.hh"
 #include "exp/campaign.hh"
 #include "mem/phys_mem.hh"
 #include "os/machine.hh"
 
 using namespace uscope;
+using test::kEveryCycle;
+using test::kMachineLoop;
+using test::Runner;
 
 namespace
 {
@@ -229,9 +235,10 @@ struct Victim
     std::shared_ptr<const cpu::Program> program;
 };
 
-/** The warmup prefix: enclave build + one warm decryption. */
+/** The warmup prefix: enclave build + one warm decryption, run
+ *  through @p runner. */
 Victim
-buildVictim(os::Machine &machine)
+buildVictim(os::Machine &machine, const Runner &runner = kMachineLoop)
 {
     Victim v;
     const crypto::AesKey dec(victimKey, 128, true);
@@ -247,7 +254,7 @@ buildVictim(os::Machine &machine)
     crypto::encryptBlock(enc, warm_plain, ct);
     crypto::loadCiphertext(kernel, v.pid, v.layout, ct);
     kernel.startOnContext(v.pid, 0, v.program);
-    machine.runUntilHalted(0, 50'000'000);
+    runner.runUntilHalted(machine, 0, 50'000'000);
     return v;
 }
 
@@ -493,10 +500,11 @@ campaignFingerprint(const exp::CampaignResult &result)
  * runs a warm decryption; each trial replays one MicroScope episode
  * against its own ciphertext.  The machine keeps its config defaults,
  * so the CI chaos job's USCOPE_FAULT_PLAN=chaos flows into every arm.
+ * @p runner steps both the warmup and the body.
  */
 exp::CampaignSpec
 prefixCampaign(bool prefix_cache, bool pool, unsigned workers,
-               bool fast_forward = true)
+               const Runner &runner = kMachineLoop)
 {
     exp::CampaignSpec spec;
     spec.name = "snapshot_prefix";
@@ -505,16 +513,10 @@ prefixCampaign(bool prefix_cache, bool pool, unsigned workers,
     spec.workers = workers;
     spec.prefixCache = prefix_cache;
     spec.machinePool = pool;
-    spec.machineFactory =
-        [fast_forward](const exp::TrialContext &) {
-            os::MachineConfig config;
-            config.fastForward = fast_forward;
-            return config;
-        };
-    spec.warmup = [](os::Machine &m) -> std::shared_ptr<const void> {
-        return std::make_shared<Victim>(buildVictim(m));
+    spec.warmup = [runner](os::Machine &m) -> std::shared_ptr<const void> {
+        return std::make_shared<Victim>(buildVictim(m, runner));
     };
-    spec.body = [](const exp::TrialContext &ctx) {
+    spec.body = [runner](const exp::TrialContext &ctx) {
         os::Machine &m = *ctx.fork;
         const auto *v = static_cast<const Victim *>(ctx.warmupData);
 
@@ -543,7 +545,7 @@ prefixCampaign(bool prefix_cache, bool pool, unsigned workers,
 
         scope.arm();
         m.kernel().startOnContext(v->pid, 0, v->program);
-        m.runUntilHalted(0, 50'000'000);
+        runner.runUntilHalted(m, 0, 50'000'000);
         scope.disarm();
 
         exp::TrialOutput out;
@@ -582,11 +584,16 @@ TEST(PrefixCampaign, FingerprintInvariantAcrossCachePoolAndWorkers)
 
 TEST(PrefixCampaign, FingerprintInvariantWithFastForwardOff)
 {
-    const std::string slow = campaignFingerprint(exp::runCampaign(
-        prefixCampaign(false, false, 1, /*fast_forward=*/false)));
-    const std::string forked = campaignFingerprint(exp::runCampaign(
-        prefixCampaign(true, true, 2, /*fast_forward=*/false)));
+    // The every-cycle reference steps both arms here, and they must
+    // equal the machine's own loop.
+    const std::string slow = campaignFingerprint(
+        exp::runCampaign(prefixCampaign(false, false, 1, kEveryCycle)));
+    const std::string forked = campaignFingerprint(
+        exp::runCampaign(prefixCampaign(true, true, 2, kEveryCycle)));
     EXPECT_EQ(forked, slow);
+    EXPECT_EQ(campaignFingerprint(
+                  exp::runCampaign(prefixCampaign(false, false, 1))),
+              slow);
 }
 
 TEST(PrefixCampaign, RetriedTrialsReForkDeterministically)
