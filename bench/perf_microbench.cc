@@ -238,10 +238,11 @@ BENCHMARK(BM_SnapshotRestore)->Arg(16)->Arg(1024)->UseManualTime();
 
 /**
  * One PhysMem re-share after a window wrote state.range(0) pages, on
- * a machine-sized memory: 12 pages in the 256-slot index, as the
- * denoise_replay machine holds.  The writes hit the shared pages
- * first (copy-on-write), then fresh ones; 256 pages grow the index,
- * so that share starts from an empty one.  Only the share is timed.
+ * a machine-sized memory: 12 pages, as the denoise_replay machine
+ * holds, all in the directory's first leaf of 512.  The writes hit
+ * the shared pages first (copy-on-write), then fresh ones, which the
+ * share releases; with none written the share compares one leaf id
+ * (DESIGN.md §17).  Only the share is timed.
  */
 void
 BM_PhysMemReshare(benchmark::State &state)

@@ -1,8 +1,6 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <cstring>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
@@ -10,31 +8,6 @@
 
 namespace uscope::mem
 {
-
-namespace
-{
-
-/**
- * A fresh set version id, unique across the process (DESIGN.md §17).
- * Each thread draws from a private block of ids and refills it from
- * one global counter, so the hot path is a thread-local increment.
- * Id 0 is never drawn: it names the empty set.
- */
-std::uint64_t
-freshSetVersion()
-{
-    constexpr std::uint64_t kBlock = 1u << 12;
-    static std::atomic<std::uint64_t> nextBlock{1};
-    thread_local std::uint64_t next = 0;
-    thread_local std::uint64_t end = 0;
-    if (next == end) {
-        next = nextBlock.fetch_add(kBlock);
-        end = next + kBlock;
-    }
-    return next++;
-}
-
-} // anonymous namespace
 
 Cache::Cache(std::string name, std::uint64_t size, unsigned assoc)
     : name_(std::move(name)), assoc_(assoc)
@@ -49,13 +22,7 @@ Cache::Cache(std::string name, std::uint64_t size, unsigned assoc)
     numSets_ = static_cast<unsigned>(sets);
     ways_ = std::make_unique_for_overwrite<Way[]>(
         static_cast<std::size_t>(numSets_) * assoc_);
-    setVer_.resize(numSets_);
-}
-
-void
-Cache::touchSet(unsigned set)
-{
-    setVer_[set] = freshSetVersion();
+    setVer_.cover(numSets_);
 }
 
 unsigned
@@ -102,7 +69,7 @@ Cache::access(PAddr addr)
     Way *way = findWay(addr);
     if (way) {
         way->lruStamp = ++clock_;
-        touchSet(setIndex(addr));
+        setVer_.touch(setIndex(addr));
         ++stats_.hits;
         return true;
     }
@@ -117,7 +84,7 @@ Cache::insert(PAddr addr)
         // Already resident (races between walker and core fills);
         // treat as a touch.
         way->lruStamp = ++clock_;
-        touchSet(setIndex(addr));
+        setVer_.touch(setIndex(addr));
         return std::nullopt;
     }
 
@@ -144,7 +111,7 @@ Cache::insert(PAddr addr)
     victim->valid = true;
     victim->tag = tagOf(addr);
     victim->lruStamp = ++clock_;
-    touchSet(set);
+    setVer_.touch(set);
     return evicted;
 }
 
@@ -153,7 +120,7 @@ Cache::invalidate(PAddr addr)
 {
     if (Way *way = findWay(addr)) {
         way->valid = false;
-        touchSet(setIndex(addr));
+        setVer_.touch(setIndex(addr));
         ++stats_.invalidations;
         return true;
     }
@@ -172,7 +139,7 @@ Cache::invalidateAll()
             stats_.invalidations += way.valid;
             way.valid = false;
         }
-        touchSet(set);
+        setVer_.touch(set);
     }
 }
 
@@ -204,27 +171,13 @@ Cache::copyStateFrom(const Cache &other)
         panic("Cache %s: copyStateFrom a %ux%u cache into %ux%u",
               name_.c_str(), other.numSets_, other.assoc_, numSets_,
               assoc_);
-    // Equal ids imply equal contents, so only differing sets travel.
-    // Most sets match; a memcmp per chunk of ids skips them about
-    // four times faster than comparing one id at a time.
-    constexpr unsigned kChunk = 32;
-    for (unsigned first = 0; first < numSets_; first += kChunk) {
-        const unsigned last = std::min(first + kChunk, numSets_);
-        if (std::memcmp(&setVer_[first], &other.setVer_[first],
-                        (last - first) * sizeof(std::uint64_t)) == 0)
-            continue;
-        for (unsigned set = first; set < last; ++set) {
-            if (setVer_[set] == other.setVer_[set])
-                continue;
-            // An empty source set needs no way bytes: id 0 says it all.
-            if (other.setVer_[set] != 0) {
-                const std::size_t base =
-                    static_cast<std::size_t>(set) * assoc_;
-                std::copy_n(&other.ways_[base], assoc_, &ways_[base]);
-            }
-            setVer_[set] = other.setVer_[set];
-        }
-    }
+    // An empty source set needs no way bytes: id 0 says it all.
+    setsCopied_ += setVer_.copyFrom(
+        other.setVer_, [&](std::size_t set, std::uint64_t theirs) {
+            if (theirs != 0)
+                std::copy_n(&other.ways_[set * assoc_], assoc_,
+                            &ways_[set * assoc_]);
+        });
     clock_ = other.clock_;
     stats_ = other.stats_;
 }

@@ -14,9 +14,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
+#include "mem/versioned_table.hh"
 
 namespace uscope::mem
 {
@@ -91,11 +91,16 @@ class Cache
     /**
      * Adopt @p other's ways, LRU clock, and stats (snapshot forking,
      * DESIGN.md §12).  Only the sets whose version ids differ are
-     * copied (DESIGN.md §17), so a copy costs O(sets) compares plus
-     * O(nonempty sets that differ) way copies.  Panics unless both
-     * caches share the same geometry.
+     * copied (DESIGN.md §17), so a copy costs one compare per leaf of
+     * 64 sets plus a scan of each leaf that differs and a way copy
+     * per nonempty set that differs.  Panics unless both caches share
+     * the same geometry.
      */
     void copyStateFrom(const Cache &other);
+
+    /** Sets copyStateFrom found differing since construction
+     *  (observability/tests). */
+    std::uint64_t setsCopied() const { return setsCopied_; }
 
     /**
      * FNV-1a digest of the complete mutable state (ways, LRU clock,
@@ -114,9 +119,6 @@ class Cache
         std::uint64_t lruStamp;
     };
 
-    /** Give set @p set a fresh version id: its ways just changed. */
-    void touchSet(unsigned set);
-
     std::uint64_t tagOf(PAddr addr) const;
     Way *findWay(PAddr addr);
     const Way *findWay(PAddr addr) const;
@@ -127,16 +129,12 @@ class Cache
     /** numSets_ * assoc_, row-major by set; uninitialised until the
      *  set is first filled (its version id turns nonzero). */
     std::unique_ptr<Way[]> ways_;
-    /**
-     * One version id per set: equal ids imply equal set contents,
-     * across every cache of every thread.  0 is an empty set whose
-     * ways are not materialised, as construction leaves every set;
-     * every way mutation draws a fresh process-unique id, and
-     * copyStateFrom adopts the source's.
-     */
-    std::vector<std::uint64_t> setVer_;
+    /** One version id per set, drawn afresh by every way mutation;
+     *  0 is an empty set whose ways are not materialised. */
+    VersionedTable<std::uint64_t, 0> setVer_;
     std::uint64_t clock_ = 0;    ///< monotonic stamp source for LRU.
     CacheStats stats_;
+    std::uint64_t setsCopied_ = 0;
 };
 
 } // namespace uscope::mem

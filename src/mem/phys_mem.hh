@@ -8,17 +8,18 @@
  * Timing is modelled separately by the cache hierarchy — PhysMem is the
  * functional backing store.
  *
- * Storage is a slab arena of refcounted page slots plus an
- * open-addressed PPN → slot index (no per-page heap node, no hash-map
- * pointer chase on the hot path).  Two PhysMem instances may share
+ * Storage is a slab arena of refcounted page slots plus a directory of
+ * page refs indexed by PPN, in leaves of 64 (no per-page heap node,
+ * no hashing on the hot path: PPNs are dense because the frame
+ * allocator bump-allocates them).  Two PhysMem instances may share
  * pages copy-on-write via shareStateFrom(): both sides keep reading
  * the shared bytes for free, and whichever side writes a shared page
  * first gets a private copy (DESIGN.md §12).  Within one arena a page
- * ref is therefore a page version: a share copies only the index
- * slots whose ref differs, the rule the caches apply to their version
- * ids (§15, §17).  Sharing is only legal between instances owned by
- * the same thread — refcounts are not atomic by design (snapshots and
- * forks are per-worker).
+ * ref is therefore a page version, and the directory is a
+ * VersionedTable: a share copies only the refs that differ, by the
+ * rule the caches apply to their set versions (§17).  Sharing is only
+ * legal between instances owned by the same thread — refcounts are
+ * not atomic by design (snapshots and forks are per-worker).
  */
 
 #ifndef USCOPE_MEM_PHYS_MEM_HH
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/versioned_table.hh"
 
 namespace uscope::mem
 {
@@ -69,13 +71,6 @@ class PageArena
                 << pageShift);
     }
 
-    const std::uint8_t *data(PageRef ref) const
-    {
-        return slabs_[ref >> slabPagesShift].get() +
-               (static_cast<std::size_t>(ref & slabPagesMask)
-                << pageShift);
-    }
-
   private:
     // 64 pages (256 KiB) per slab: large enough to amortize the
     // allocation, small enough that tiny tests stay tiny.
@@ -101,10 +96,18 @@ class PhysMem
     std::uint64_t size() const { return size_; }
 
     /** Read @p len (1/2/4/8) bytes, little-endian, at @p addr. */
-    std::uint64_t read(PAddr addr, unsigned len) const;
+    std::uint64_t read(PAddr addr, unsigned len) const
+    {
+        std::uint64_t val = 0;
+        readBytes(addr, &val, len);
+        return val;
+    }
 
     /** Write the low @p len bytes of @p val, little-endian, at @p addr. */
-    void write(PAddr addr, std::uint64_t val, unsigned len);
+    void write(PAddr addr, std::uint64_t val, unsigned len)
+    {
+        writeBytes(addr, &val, len);
+    }
 
     std::uint8_t read8(PAddr addr) const { return read(addr, 1); }
     std::uint32_t read32(PAddr addr) const
@@ -127,23 +130,18 @@ class PhysMem
     void zeroPage(Ppn ppn);
 
     /**
-     * Become a copy-on-write alias of @p src: make this index equal to
-     * src's, sharing every materialized page, and let first-writers
-     * (on either side) copy privately.  Both instances must belong to
-     * the same thread from here on.
-     *
-     * Copy what differs (DESIGN.md §15): a ref two instances both hold
-     * has refs > 1, so neither side writes it in place, and equal refs
-     * mean equal bytes.  One walk over the index re-points each slot
-     * whose ref differs from src's (incref theirs, decref mine), so a
-     * restore after a replay window costs one index scan plus a
-     * refcount swap per page the window wrote, from any source.  A
-     * source in another arena or with a different index size is
-     * shared from an empty index.
+     * Become a copy-on-write alias of @p src, sharing every
+     * materialized page; first-writers (on either side) copy
+     * privately.  Both instances must belong to the same thread from
+     * here on.  Only the directory entries whose ref differs from
+     * src's are re-pointed (DESIGN.md §17), so a restore after a
+     * replay window costs one compare per leaf plus a refcount swap
+     * per page the window wrote.  A source in another arena is shared
+     * from an empty directory.
      */
     void shareStateFrom(const PhysMem &src);
 
-    /** Slots shareStateFrom re-pointed since construction
+    /** Refs shareStateFrom re-pointed since construction
      *  (observability/tests). */
     std::uint64_t pagesRepointed() const { return pagesRepointed_; }
 
@@ -153,26 +151,19 @@ class PhysMem
   private:
     using PageRef = PageArena::PageRef;
 
-    struct Slot
-    {
-        Ppn ppn = 0;
-        PageRef ref = PageArena::kNullRef; // kNullRef == empty slot
-    };
-
     /** Writable page bytes for @p addr (materializes, un-shares). */
     std::uint8_t *pageFor(PAddr addr);
 
     /** Readable page bytes for @p addr, or nullptr if untouched. */
     const std::uint8_t *pageForConst(PAddr addr) const;
 
-    std::size_t probe(Ppn ppn) const;
-    void grow();
     void checkBounds(PAddr addr, std::uint64_t len) const;
 
     std::uint64_t size_;
     std::shared_ptr<PageArena> arena_;
-    std::vector<Slot> slots_; // open-addressed, power-of-two size
-    std::size_t mask_;
+    /** PPN -> page ref, kNullRef where no page is materialized;
+     *  sized to the highest leaf touched. */
+    VersionedTable<PageRef, PageArena::kNullRef> pages_;
     std::size_t used_ = 0;
     std::uint64_t pagesRepointed_ = 0;
 };

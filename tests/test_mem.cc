@@ -487,6 +487,46 @@ TEST(CacheCopy, ChainedCopiesEqualTheirSource)
     }
 }
 
+TEST(CacheCopy, RandomStreamsOverLeavesEqualTheirSource)
+{
+    // 256 sets of 2 ways: four leaves of 64 sets (DESIGN.md §17).
+    // Short bursts of hits, direct inserts (a touch when the line is
+    // resident, else a fill), invalidations and wipes leave most
+    // leaves alone, so copies in every direction mix skipped leaves
+    // with scanned ones.
+    constexpr std::uint64_t kSize = 256 * 2 * lineSize;
+    Cache a("c", kSize, 2);
+    Cache b("c", kSize, 2);
+    Cache c("c", kSize, 2);
+    Cache *caches[] = {&a, &b, &c};
+    Rng rng(11);
+    for (int round = 0; round < 3000; ++round) {
+        Cache &cache = *caches[rng.below(3)];
+        const std::uint64_t steps = rng.below(6);
+        for (std::uint64_t i = 0; i < steps; ++i) {
+            const PAddr addr = rng.below(1024) * lineSize;
+            const std::uint64_t op = rng.below(32);
+            if (op == 0)
+                cache.invalidateAll();
+            else if (op < 4)
+                cache.invalidate(addr);
+            else if (op < 12)
+                cache.insert(addr);
+            else
+                cache.access(addr);
+        }
+        const std::uint64_t dst = rng.below(3);
+        const std::uint64_t src = (dst + 1 + rng.below(2)) % 3;
+        caches[dst]->copyStateFrom(*caches[src]);
+        ASSERT_EQ(caches[dst]->stateDigest(), caches[src]->stateDigest())
+            << "round " << round;
+        // A second copy finds nothing left to move.
+        const std::uint64_t copied = caches[dst]->setsCopied();
+        caches[dst]->copyStateFrom(*caches[src]);
+        ASSERT_EQ(caches[dst]->setsCopied(), copied) << "round " << round;
+    }
+}
+
 TEST(HierarchyCopy, ChainedCopiesEqualTheirSource)
 {
     Hierarchy a(MemConfig{}, 9);

@@ -8,8 +8,8 @@
  *  - **COW isolation.** PhysMem instances sharing an arena via
  *    shareStateFrom() never observe each other's writes, and sharing
  *    allocates nothing until a write actually diverges a page.  A
- *    re-share from any source re-points exactly the slots whose page
- *    differs (DESIGN.md §15).
+ *    re-share from any source re-points exactly the directory entries
+ *    whose page differs (DESIGN.md §17).
  *  - **Fork-vs-cold.** A trial forked from a post-warmup Snapshot and
  *    reseeded equals, bit for bit, a cold trial that runs the same
  *    warmup and reseeds at the same point — whether the machine's
@@ -33,8 +33,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -103,8 +106,9 @@ TEST(PhysMemCow, ZeroPageOnSharedPageStaysPrivate)
 }
 
 // ---------------------------------------------------------------------
-// PhysMem re-share: one slot walk re-points only the slots whose page
-// ref differs from the source's (DESIGN.md §15), from any source.
+// PhysMem re-share: the directory's copy re-points only the entries
+// whose page ref differs from the source's (DESIGN.md §17), from any
+// source.
 // ---------------------------------------------------------------------
 
 constexpr std::uint64_t kReshareBytes = std::uint64_t{1} << 24;
@@ -126,7 +130,7 @@ writePages(mem::PhysMem &m, Ppn first, Ppn n, std::uint64_t tag)
 /**
  * After @p dst re-shared from @p src: dst reads src's bytes on every
  * page in [0, @p span), holds as many pages, and the re-share
- * re-pointed @p repointed slots since @p repointedBefore.  Then a
+ * re-pointed @p repointed entries since @p repointedBefore.  Then a
  * write to dst stays private to dst.
  */
 void
@@ -184,14 +188,14 @@ TEST(PhysMemCow, ReshareAfterTargetGrewItsIndex)
     writePages(a, 0, 10, 1);
     mem::PhysMem b(kReshareBytes);
     b.shareStateFrom(a);
-    // 200 pages overflow the 256-slot index's 2/3 load factor, so b's
-    // index doubles and no longer lines up with a's: the re-share
-    // starts from an empty index and re-points each of a's pages.
+    // b's 200 fresh pages grow its directory past a's.  They are the
+    // entries that differ: the re-share releases each of them and
+    // leaves a's ten shared pages alone.
     writePages(b, 100, 200, 2);
 
     const std::uint64_t before = b.pagesRepointed();
     b.shareStateFrom(a);
-    expectReshared(b, a, 320, before, 10);
+    expectReshared(b, a, 320, before, 200);
 }
 
 TEST(PhysMemCow, ReshareAfterSourceWroteASharedPage)
@@ -218,6 +222,67 @@ TEST(PhysMemCow, ReshareFromAnotherArena)
     const std::uint64_t before = b.pagesRepointed();
     b.shareStateFrom(a);
     expectReshared(b, a, 16, before, 10);
+}
+
+TEST(PhysMemCow, RandomStreamsOverLeavesMatchAModel)
+{
+    // Four directory leaves of 64 pages, the last one cut short by
+    // size(); the candidate pages sit at leaf edges and include the
+    // last page below size().  Three instances in one arena write,
+    // zero and re-share in every direction, and now and then re-share
+    // from a blank instance, which empties them.  After every step
+    // each one reads exactly its own model: no write leaks into
+    // another.
+    constexpr Ppn kPages = 3 * 64 + 10;
+    const Ppn candidates[] = {0, 1, 63, 64, 127, 128, 191, kPages - 1};
+    const PAddr offsets[] = {0, pageSize - 8};
+    using Model = std::map<Ppn, std::array<std::uint64_t, 2>>;
+    mem::PhysMem a(kPages << pageShift);
+    mem::PhysMem b(kPages << pageShift);
+    mem::PhysMem c(kPages << pageShift);
+    const mem::PhysMem blank(kPages << pageShift);
+    mem::PhysMem *mems[] = {&a, &b, &c};
+    Model models[3];
+    a.shareStateFrom(blank);
+    b.shareStateFrom(blank);
+    c.shareStateFrom(blank);
+    Rng rng(5);
+    for (int step = 0; step < 4000; ++step) {
+        const std::uint64_t who = rng.below(3);
+        const Ppn ppn = candidates[rng.below(std::size(candidates))];
+        const std::uint64_t op = rng.below(10);
+        if (op == 0) {
+            mems[who]->zeroPage(ppn);
+            if (auto it = models[who].find(ppn); it != models[who].end())
+                it->second = {};
+        } else if (op == 1) {
+            mems[who]->shareStateFrom(blank);
+            models[who].clear();
+        } else if (op < 4) {
+            const std::uint64_t src = (who + 1 + rng.below(2)) % 3;
+            mems[who]->shareStateFrom(*mems[src]);
+            models[who] = models[src];
+        } else {
+            const std::uint64_t word = rng.below(2);
+            const std::uint64_t value = rng.next();
+            mems[who]->write64(pageAddr(ppn) + offsets[word], value);
+            models[who][ppn][word] = value;
+        }
+        for (unsigned m = 0; m < 3; ++m) {
+            ASSERT_EQ(mems[m]->pagesAllocated(), models[m].size())
+                << "step " << step << " instance " << m;
+            for (const Ppn page : candidates) {
+                const auto it = models[m].find(page);
+                for (unsigned word = 0; word < 2; ++word)
+                    ASSERT_EQ(mems[m]->read64(pageAddr(page) +
+                                              offsets[word]),
+                              it == models[m].end() ? 0
+                                                    : it->second[word])
+                        << "step " << step << " instance " << m
+                        << " page " << page;
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -478,6 +543,52 @@ TEST(VersionedRestore, CrossThreadCopyEqualsFreshMachine)
     os::Machine fresh(snap.config());
     fresh.restoreFrom(snap);
     EXPECT_EQ(fullState(b), fullState(fresh));
+}
+
+/** Copy work a machine's restores did so far: the sets each cache
+ *  level found differing, then the pages its memory re-pointed. */
+std::array<std::uint64_t, 4>
+copyWork(os::Machine &machine)
+{
+    const mem::Hierarchy &h = machine.hierarchy();
+    return {h.l1().setsCopied(), h.l2().setsCopied(),
+            h.l3().setsCopied(), machine.mem().pagesRepointed()};
+}
+
+/** What a restore of @p machine from @p snap copied. */
+std::array<std::uint64_t, 4>
+restoreWork(os::Machine &machine, const os::Snapshot &snap)
+{
+    std::array<std::uint64_t, 4> work = copyWork(machine);
+    machine.restoreFrom(snap);
+    const std::array<std::uint64_t, 4> after = copyWork(machine);
+    for (std::size_t i = 0; i < work.size(); ++i)
+        work[i] = after[i] - work[i];
+    return work;
+}
+
+TEST(VersionedRestore, CopyWorkIsPinned)
+{
+    // The sets and pages a restore moves are work done, a function
+    // of the seed and the code: pinned like a fingerprint.  A restore
+    // right after a restore moves nothing; after one seeded AES
+    // decryption it moves exactly what that window touched.
+    constexpr std::array<std::uint64_t, 4> kNothing = {0, 0, 0, 0};
+    constexpr std::array<std::uint64_t, 4> kAfterBody = {16, 9, 9, 2};
+    os::MachineConfig config;
+    config.seed = 7001;
+    os::Machine warm(config);
+    const Victim victim = buildVictim(warm);
+    const os::Snapshot snap = warm.snapshot();
+
+    os::Machine pooled(config);
+    pooled.restoreFrom(snap);
+    for (int k = 0; k < 3; ++k) {
+        EXPECT_EQ(restoreWork(pooled, snap), kNothing) << "restore " << k;
+        pooled.reseed(100);
+        runBody(pooled, victim, 100);
+        EXPECT_EQ(restoreWork(pooled, snap), kAfterBody) << "restore " << k;
+    }
 }
 
 // ---------------------------------------------------------------------
