@@ -343,13 +343,6 @@ Microscope::episodeSnapshot() const
 }
 
 void
-Microscope::dropEpisodeSnapshot()
-{
-    episodeSnap_ = os::Snapshot{};
-    snapPending_ = false;
-}
-
-void
 Microscope::adoptEpisodeState(const EpisodeState &state)
 {
     // Machine restores wipe the kernel's fault-module registration

@@ -172,9 +172,6 @@ class Microscope : public os::FaultModule
     /** Engine loop position as of takeEpisodeSnapshot(). */
     const EpisodeState &episodeState() const { return episodeSt_; }
 
-    /** Drop the captured snapshot (frees its COW pages). */
-    void dropEpisodeSnapshot();
-
     /**
      * One differential replay iteration: restore the machine from the
      * captured episode snapshot, reseed every stream with @p seed (a

@@ -11,12 +11,11 @@
 #define USCOPE_MEM_CACHE_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "common/types.hh"
-#include "mem/versioned_table.hh"
+#include "mem/lru_sets.hh"
 
 namespace uscope::mem
 {
@@ -40,23 +39,36 @@ class Cache
     /**
      * @param name  Name used in stats dumps ("L1D", "L2", "L3").
      * @param size  Capacity in bytes.
-     * @param assoc Associativity (ways per set).
+     * @param assoc Associativity (ways per set, 1 to 64).
      */
-    Cache(std::string name, std::uint64_t size, unsigned assoc);
+    Cache(std::string name, std::uint64_t size, unsigned assoc)
+        : name_(std::move(name)),
+          sets_(name_, size % lineSize == 0 ? size / lineSize : 0, assoc),
+          setShift_(log2i(sets_.numSets()))
+    {
+    }
 
     const std::string &name() const { return name_; }
-    unsigned numSets() const { return numSets_; }
-    unsigned assoc() const { return assoc_; }
+    unsigned numSets() const { return sets_.numSets(); }
+    unsigned assoc() const { return sets_.assoc(); }
 
     /** True if the line holding @p addr is present (no LRU update). */
-    bool contains(PAddr addr) const;
+    bool contains(PAddr addr) const
+    {
+        return sets_.find(setIndex(addr), tagOf(addr)) != nullptr;
+    }
 
     /**
      * Access the line holding @p addr.  On a hit, refresh LRU and
      * return true.  On a miss, return false and leave the set
      * unchanged (call insert() to fill).
      */
-    bool access(PAddr addr);
+    bool access(PAddr addr)
+    {
+        const bool hit = sets_.lookup(setIndex(addr), tagOf(addr));
+        ++(hit ? stats_.hits : stats_.misses);
+        return hit;
+    }
 
     /**
      * Fill the line holding @p addr, evicting the LRU way if the set
@@ -67,16 +79,28 @@ class Cache
     std::optional<PAddr> insert(PAddr addr);
 
     /** Remove the line holding @p addr.  @return true if it was there. */
-    bool invalidate(PAddr addr);
+    bool invalidate(PAddr addr)
+    {
+        const bool hit = sets_.invalidate(setIndex(addr), tagOf(addr));
+        stats_.invalidations += hit;
+        return hit;
+    }
 
     /** Drop every line (e.g., on a simulated WBINVD). */
-    void invalidateAll();
+    void invalidateAll()
+    {
+        stats_.invalidations +=
+            sets_.invalidateIf([](const auto &) { return true; });
+    }
 
     /** Number of valid lines currently resident (tests/stats). */
-    std::size_t occupancy() const;
+    std::size_t occupancy() const { return sets_.occupancy(); }
 
     /** Set index this cache maps @p addr to (for eviction-set tests). */
-    unsigned setIndex(PAddr addr) const;
+    unsigned setIndex(PAddr addr) const
+    {
+        return static_cast<unsigned>(lineNumber(addr) & (numSets() - 1));
+    }
 
     /**
      * Base address of the line resident at (@p set, @p way), or
@@ -96,11 +120,15 @@ class Cache
      * per nonempty set that differs.  Panics unless both caches share
      * the same geometry.
      */
-    void copyStateFrom(const Cache &other);
+    void copyStateFrom(const Cache &other)
+    {
+        sets_.copyFrom(other.sets_);
+        stats_ = other.stats_;
+    }
 
     /** Sets copyStateFrom found differing since construction
      *  (observability/tests). */
-    std::uint64_t setsCopied() const { return setsCopied_; }
+    std::uint64_t setsCopied() const { return sets_.setsCopied(); }
 
     /**
      * FNV-1a digest of the complete mutable state (ways, LRU clock,
@@ -111,30 +139,21 @@ class Cache
     std::uint64_t stateDigest() const;
 
   private:
-    /** Trivial, so a cache's ways can be allocated uninitialised. */
-    struct Way
+    std::uint64_t tagOf(PAddr addr) const
     {
-        bool valid;
-        std::uint64_t tag;
-        std::uint64_t lruStamp;
-    };
-
-    std::uint64_t tagOf(PAddr addr) const;
-    Way *findWay(PAddr addr);
-    const Way *findWay(PAddr addr) const;
+        return lineNumber(addr) >> setShift_;
+    }
+    /** Base address of the line with @p tag in @p set. */
+    PAddr lineOf(std::uint64_t tag, unsigned set) const
+    {
+        return ((tag << setShift_) | set) << lineShift;
+    }
 
     std::string name_;
-    unsigned numSets_;
-    unsigned assoc_;
-    /** numSets_ * assoc_, row-major by set; uninitialised until the
-     *  set is first filled (its version id turns nonzero). */
-    std::unique_ptr<Way[]> ways_;
-    /** One version id per set, drawn afresh by every way mutation;
-     *  0 is an empty set whose ways are not materialised. */
-    VersionedTable<std::uint64_t, 0> setVer_;
-    std::uint64_t clock_ = 0;    ///< monotonic stamp source for LRU.
+    /** One way per line, keyed by tag. */
+    LruSets<std::uint64_t> sets_;
+    unsigned setShift_;    ///< log2 of the set count.
     CacheStats stats_;
-    std::uint64_t setsCopied_ = 0;
 };
 
 } // namespace uscope::mem

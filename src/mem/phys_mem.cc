@@ -45,6 +45,19 @@ PhysMem::PhysMem(std::uint64_t size)
 {
 }
 
+PhysMem::~PhysMem()
+{
+    releasePages();
+}
+
+void
+PhysMem::releasePages()
+{
+    pages_.copyFrom({}, [this](std::size_t ppn, PageRef) {
+        arena_->decref(pages_[ppn]);
+    });
+}
+
 void
 PhysMem::checkBounds(PAddr addr, std::uint64_t len) const
 {
@@ -148,9 +161,7 @@ PhysMem::shareStateFrom(const PhysMem &src)
 {
     if (arena_ != src.arena_) {
         // Refs from two arenas do not compare: empty the directory.
-        pages_.copyFrom({}, [this](std::size_t ppn, PageRef) {
-            arena_->decref(pages_[ppn]);
-        });
+        releasePages();
         arena_ = src.arena_;
     }
     pagesRepointed_ += pages_.copyFrom(

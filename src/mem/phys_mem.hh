@@ -64,6 +64,9 @@ class PageArena
 
     std::uint32_t refs(PageRef ref) const { return refs_[ref]; }
 
+    /** Slots some instance still holds (tests). */
+    std::size_t pagesInUse() const { return refs_.size() - free_.size(); }
+
     std::uint8_t *data(PageRef ref)
     {
         return slabs_[ref >> slabPagesShift].get() +
@@ -92,6 +95,10 @@ class PhysMem
 
     PhysMem(const PhysMem &) = delete;
     PhysMem &operator=(const PhysMem &) = delete;
+
+    /** Releases every page, so a dead sharer's pages go back to the
+     *  arena and stop forcing copy-on-write on the survivors. */
+    ~PhysMem();
 
     std::uint64_t size() const { return size_; }
 
@@ -148,6 +155,10 @@ class PhysMem
     /** Number of pages materialized so far (for tests/stats). */
     std::size_t pagesAllocated() const { return used_; }
 
+    /** Arena slots in use by every instance sharing this one's arena
+     *  (tests). */
+    std::size_t arenaPagesInUse() const { return arena_->pagesInUse(); }
+
   private:
     using PageRef = PageArena::PageRef;
 
@@ -158,6 +169,9 @@ class PhysMem
     const std::uint8_t *pageForConst(PAddr addr) const;
 
     void checkBounds(PAddr addr, std::uint64_t len) const;
+
+    /** Drop this instance's ref to every page: an empty directory. */
+    void releasePages();
 
     std::uint64_t size_;
     std::shared_ptr<PageArena> arena_;

@@ -14,6 +14,7 @@
 #include "common/random.hh"
 #include "core/microscope.hh"
 #include "os/machine.hh"
+#include "svc/wire.hh"
 
 namespace uscope::svc
 {
@@ -90,14 +91,6 @@ CampaignRequest::identityKey() const
 namespace
 {
 
-std::uint64_t
-u64Param(const CampaignRequest &req, const char *key,
-         std::uint64_t fallback)
-{
-    const json::Value *v = req.params.get(key);
-    return v ? v->asU64(fallback) : fallback;
-}
-
 /**
  * Machine-less deterministic number crunching: the service's own
  * test workload.  Microseconds per trial, yet it exercises the full
@@ -108,7 +101,7 @@ u64Param(const CampaignRequest &req, const char *key,
 exp::CampaignSpec
 selftestRecipe(const CampaignRequest &req)
 {
-    const std::uint64_t work = u64Param(req, "work", 2000);
+    const std::uint64_t work = field(req.params, "work", 2000);
     // Failure-mode hooks for the service's escalation suites: trial
     // `hang_index` sleeps `hang_ms` before computing — long enough
     // (with compressed DaemonConfig timings) to trip the daemon's
@@ -116,8 +109,8 @@ selftestRecipe(const CampaignRequest &req)
     // output whenever it *is* allowed to finish (a sleep changes no
     // results).
     const std::uint64_t hang_index =
-        u64Param(req, "hang_index", ~std::uint64_t{0});
-    const std::uint64_t hang_ms = u64Param(req, "hang_ms", 60000);
+        field(req.params, "hang_index", ~std::uint64_t{0});
+    const std::uint64_t hang_ms = field(req.params, "hang_ms", 60000);
     exp::CampaignSpec spec;
     spec.trials = 32;
     spec.structureKey = "selftest";
@@ -154,11 +147,11 @@ exp::CampaignSpec
 fig10Recipe(const CampaignRequest &req)
 {
     const auto samples =
-        static_cast<unsigned>(u64Param(req, "samples", 120));
+        static_cast<unsigned>(field(req.params, "samples", 120));
     const auto replays =
-        static_cast<unsigned>(u64Param(req, "replays", 8));
+        static_cast<unsigned>(field(req.params, "replays", 8));
     const auto threshold =
-        static_cast<Cycles>(u64Param(req, "threshold", 120));
+        static_cast<Cycles>(field(req.params, "threshold", 120));
     exp::CampaignSpec spec;
     spec.trials = 8;
     spec.structureKey = "fig10_port_contention";

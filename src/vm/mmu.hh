@@ -32,6 +32,7 @@ struct MmuConfig
     unsigned l2TlbAssoc = 12;
     /** Extra cycles paid when the L1 TLB misses but the L2 hits. */
     Cycles l2TlbLatency = 7;
+    /** PWC entries, one fully-associative set (1 to 64). */
     unsigned pwcCapacity = 32;
     /** Fixed per-level walker sequencing cost. */
     Cycles walkStepCost = 2;

@@ -39,7 +39,7 @@ struct WalkResult
     /** True when the translation failed (leaf absent or unmapped). */
     bool fault = false;
     /** Translation to install in the TLBs (valid when !fault). */
-    TlbEntry entry;
+    TlbEntry entry{};
     /** Total walk latency in cycles. */
     Cycles latency = 0;
     /** Number of page-table entry fetches performed. */

@@ -224,6 +224,30 @@ TEST(PhysMemCow, ReshareFromAnotherArena)
     expectReshared(b, a, 16, before, 10);
 }
 
+TEST(PhysMemCow, DeadSharersReleaseTheirPages)
+{
+    // A sharer that dies, as a dropped snapshot's frozen memory does,
+    // gives its page refs back, so the live memory's next write to a
+    // page it shared is in place and the arena holds only live pages.
+    mem::PhysMem live(kReshareBytes);
+    writePages(live, 0, 8, 1);
+    for (std::uint64_t k = 0; k < 100; ++k) {
+        {
+            mem::PhysMem sharer(kReshareBytes);
+            sharer.shareStateFrom(live);
+        }
+        live.write64(pageAddr(0) + 8, k);
+    }
+    EXPECT_EQ(live.arenaPagesInUse(), live.pagesAllocated());
+
+    // A living sharer still forces the copy.
+    mem::PhysMem sharer(kReshareBytes);
+    sharer.shareStateFrom(live);
+    live.write64(pageAddr(0) + 8, 100);
+    EXPECT_EQ(live.arenaPagesInUse(), live.pagesAllocated() + 1);
+    EXPECT_EQ(sharer.read64(pageAddr(0) + 8), 99u);
+}
+
 TEST(PhysMemCow, RandomStreamsOverLeavesMatchAModel)
 {
     // Four directory leaves of 64 pages, the last one cut short by
@@ -435,13 +459,18 @@ TEST(MachineFork, StructuralMismatchIsRejected)
 // cache sets whose version ids differ from the snapshot's.
 // ---------------------------------------------------------------------
 
-/** stateFingerprint plus the cache contents, which the exported
- *  hit/miss counters do not pin down. */
+/** stateFingerprint plus the cache, TLB and PWC contents, which the
+ *  exported hit/miss counters do not pin down. */
 std::string
 fullState(os::Machine &machine)
 {
-    return stateFingerprint(machine) + "#" +
-           std::to_string(machine.hierarchy().stateDigest());
+    const vm::Mmu &mmu = machine.mmu();
+    std::string state = stateFingerprint(machine);
+    for (std::uint64_t digest :
+         {machine.hierarchy().stateDigest(), mmu.l1Tlb().stateDigest(),
+          mmu.l2Tlb().stateDigest(), mmu.pwc().stateDigest()})
+        state += "#" + std::to_string(digest);
+    return state;
 }
 
 TEST(VersionedRestore, RepeatedRestoresEqualFreshMachines)
@@ -546,22 +575,26 @@ TEST(VersionedRestore, CrossThreadCopyEqualsFreshMachine)
 }
 
 /** Copy work a machine's restores did so far: the sets each cache
- *  level found differing, then the pages its memory re-pointed. */
-std::array<std::uint64_t, 4>
+ *  level found differing, the pages its memory re-pointed, then the
+ *  sets of the L1 TLB, the L2 TLB and the PWC. */
+std::array<std::uint64_t, 7>
 copyWork(os::Machine &machine)
 {
     const mem::Hierarchy &h = machine.hierarchy();
-    return {h.l1().setsCopied(), h.l2().setsCopied(),
-            h.l3().setsCopied(), machine.mem().pagesRepointed()};
+    const vm::Mmu &mmu = machine.mmu();
+    return {h.l1().setsCopied(),      h.l2().setsCopied(),
+            h.l3().setsCopied(),      machine.mem().pagesRepointed(),
+            mmu.l1Tlb().setsCopied(), mmu.l2Tlb().setsCopied(),
+            mmu.pwc().setsCopied()};
 }
 
 /** What a restore of @p machine from @p snap copied. */
-std::array<std::uint64_t, 4>
+std::array<std::uint64_t, 7>
 restoreWork(os::Machine &machine, const os::Snapshot &snap)
 {
-    std::array<std::uint64_t, 4> work = copyWork(machine);
+    std::array<std::uint64_t, 7> work = copyWork(machine);
     machine.restoreFrom(snap);
-    const std::array<std::uint64_t, 4> after = copyWork(machine);
+    const std::array<std::uint64_t, 7> after = copyWork(machine);
     for (std::size_t i = 0; i < work.size(); ++i)
         work[i] = after[i] - work[i];
     return work;
@@ -573,8 +606,10 @@ TEST(VersionedRestore, CopyWorkIsPinned)
     // of the seed and the code: pinned like a fingerprint.  A restore
     // right after a restore moves nothing; after one seeded AES
     // decryption it moves exactly what that window touched.
-    constexpr std::array<std::uint64_t, 4> kNothing = {0, 0, 0, 0};
-    constexpr std::array<std::uint64_t, 4> kAfterBody = {16, 9, 9, 2};
+    constexpr std::array<std::uint64_t, 7> kNothing = {0, 0, 0, 0,
+                                                       0, 0, 0};
+    constexpr std::array<std::uint64_t, 7> kAfterBody = {16, 9, 9, 2,
+                                                         8, 0, 0};
     os::MachineConfig config;
     config.seed = 7001;
     os::Machine warm(config);

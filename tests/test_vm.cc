@@ -329,6 +329,97 @@ TEST(PwcTest, PcidSeparation)
 }
 
 // ---------------------------------------------------------------------
+// TLB and PWC copies: only the sets whose version ids differ move
+// (DESIGN.md §17), and every copy equals its source.
+// ---------------------------------------------------------------------
+
+TEST(TlbCopy, RandomStreamsOverLeavesEqualTheirSource)
+{
+    // 256 sets of 2 ways: four leaves of 64 sets.  Short bursts of
+    // lookups, fills, INVLPGs, PCID flushes and full flushes over
+    // three PCIDs leave most leaves alone, so copies in every
+    // direction mix skipped leaves with scanned ones.  Now and then a
+    // never-filled TLB empties the destination.
+    Tlb a("t", 512, 2);
+    Tlb b("t", 512, 2);
+    Tlb c("t", 512, 2);
+    const Tlb fresh("t", 512, 2);
+    Tlb *tlbs[] = {&a, &b, &c};
+    Rng rng(13);
+    for (int round = 0; round < 3000; ++round) {
+        Tlb &tlb = *tlbs[rng.below(3)];
+        const std::uint64_t steps = rng.below(6);
+        for (std::uint64_t i = 0; i < steps; ++i) {
+            const Vpn vpn = rng.below(1024);
+            const Pcid pcid = static_cast<Pcid>(1 + rng.below(3));
+            const std::uint64_t op = rng.below(64);
+            if (op == 0)
+                tlb.invalidateAll();
+            else if (op == 1)
+                tlb.invalidatePcid(pcid);
+            else if (op < 8)
+                tlb.invalidate(vpn, pcid);
+            else if (op < 24)
+                tlb.insert(vpn, pcid, {rng.below(1 << 20), rng.below(64)});
+            else
+                tlb.lookup(vpn, pcid);
+        }
+        const std::uint64_t dst = rng.below(3);
+        const std::uint64_t src = (dst + 1 + rng.below(2)) % 3;
+        const Tlb &from = rng.below(50) == 0 ? fresh : *tlbs[src];
+        tlbs[dst]->copyStateFrom(from);
+        ASSERT_EQ(tlbs[dst]->stateDigest(), from.stateDigest())
+            << "round " << round;
+        ASSERT_EQ(tlbs[dst]->occupancy(), from.occupancy());
+        // A second copy finds nothing left to move.
+        const std::uint64_t copied = tlbs[dst]->setsCopied();
+        tlbs[dst]->copyStateFrom(from);
+        ASSERT_EQ(tlbs[dst]->setsCopied(), copied) << "round " << round;
+    }
+    EXPECT_THROW(a.copyStateFrom(Tlb("t", 512, 4)), SimPanic);
+}
+
+TEST(PwcCopy, RandomStreamsEqualTheirSource)
+{
+    // Neighbouring pages share their upper-level prefixes, so fills,
+    // hits at every level, evictions and per-page flushes all occur.
+    Pwc a(8);
+    Pwc b(8);
+    Pwc c(8);
+    const Pwc fresh(8);
+    Pwc *pwcs[] = {&a, &b, &c};
+    Rng rng(17);
+    for (int round = 0; round < 3000; ++round) {
+        Pwc &pwc = *pwcs[rng.below(3)];
+        const std::uint64_t steps = rng.below(6);
+        for (std::uint64_t i = 0; i < steps; ++i) {
+            const VAddr va = rng.below(64) << 30 | rng.below(4) << 21;
+            const Pcid pcid = static_cast<Pcid>(1 + rng.below(2));
+            const std::uint64_t op = rng.below(32);
+            if (op == 0)
+                pwc.invalidateAll();
+            else if (op < 6)
+                pwc.invalidate(va, pcid);
+            else if (op < 16)
+                pwc.insert(va, pcid, static_cast<Level>(rng.below(3)),
+                           rng.below(1 << 20) << pageShift);
+            else
+                pwc.lookup(va, pcid);
+        }
+        const std::uint64_t dst = rng.below(3);
+        const std::uint64_t src = (dst + 1 + rng.below(2)) % 3;
+        const Pwc &from = rng.below(50) == 0 ? fresh : *pwcs[src];
+        pwcs[dst]->copyStateFrom(from);
+        ASSERT_EQ(pwcs[dst]->stateDigest(), from.stateDigest())
+            << "round " << round;
+        ASSERT_EQ(pwcs[dst]->occupancy(), from.occupancy());
+        const std::uint64_t copied = pwcs[dst]->setsCopied();
+        pwcs[dst]->copyStateFrom(from);
+        ASSERT_EQ(pwcs[dst]->setsCopied(), copied) << "round " << round;
+    }
+}
+
+// ---------------------------------------------------------------------
 // Walker
 // ---------------------------------------------------------------------
 
