@@ -8,6 +8,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <set>
+#include <string>
+#include <thread>
+
+#include <unistd.h>
 
 #include "core/microscope.hh"
 #include "cpu/program.hh"
@@ -18,7 +25,10 @@
 #include "mem/phys_mem.hh"
 #include "obs/metrics.hh"
 #include "os/machine.hh"
+#include "svc/client.hh"
+#include "svc/daemon.hh"
 #include "svc/registry.hh"
+#include "svc/worker.hh"
 
 using namespace uscope;
 
@@ -379,6 +389,99 @@ BM_MetricsExport(benchmark::State &state)
 }
 BENCHMARK(BM_MetricsExport);
 
+/**
+ * One cold start and stop of the campaign service (DESIGN.md §13): a
+ * 2-worker daemon on a thread, a client that connects and pings, the
+ * one-trial-per-worker selftest campaigns until both workers have run
+ * a trial, then shutdown and join.  The counters split each start into
+ * those three phases.  The workers re-exec this binary (main() calls
+ * svc::maybeRunWorkerMain first).  20 iterations keep a 3-repetition
+ * run at 60 daemons, one pair of workers at a time.
+ */
+void
+BM_ServiceColdStart(benchmark::State &state)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto msSince = [](Clock::time_point from) {
+        return std::chrono::duration<double, std::milli>(Clock::now() -
+                                                         from)
+            .count();
+    };
+    svc::CampaignRequest warm;
+    warm.recipe = "selftest";
+    warm.trials = 2;
+    warm.masterSeed = 1;
+    unsigned serial = 0;
+    double ping_ms = 0;
+    double warmup_ms = 0;
+    double stop_ms = 0;
+    for (auto _ : state) {
+        svc::DaemonConfig config;
+        config.socketPath = "/tmp/uscope_coldstart_" +
+                            std::to_string(::getpid()) + "_" +
+                            std::to_string(serial++);
+        config.workers = 2;
+        Clock::time_point phase = Clock::now();
+        std::thread daemon([&config] { svc::Daemon(config).run(); });
+        svc::Client client(config.socketPath, 10000);
+        std::string error;
+        if (!client.connected() || !client.ping())
+            error = "the daemon did not answer a ping";
+        ping_ms += msSince(phase);
+        phase = Clock::now();
+        // A worker still starting gets no shard; selftest campaigns
+        // take microseconds, so the budget is time, not tries.
+        const Clock::time_point give_up = phase + std::chrono::seconds(10);
+        std::set<std::string> warmed;
+        while (error.empty() && warmed.size() < 2) {
+            const svc::SubmitResult result = client.submit(warm);
+            if (!result.ok)
+                error = "a warm-up campaign failed: " + result.error;
+            else if (Clock::now() > give_up)
+                error = "a worker never ran a warm-up trial";
+            if (result.credits.isObject())
+                for (const auto &[worker, credit] : result.credits.entries())
+                    if (svc::field(credit, "run") > 0)
+                        warmed.insert(worker);
+        }
+        warmup_ms += msSince(phase);
+        phase = Clock::now();
+        if (!client.connected() || !client.shutdownDaemon()) {
+            std::fprintf(stderr, "BM_ServiceColdStart: the daemon did not "
+                                 "acknowledge shutdown\n");
+            std::abort();
+        }
+        daemon.join();
+        stop_ms += msSince(phase);
+        if (!error.empty()) {
+            state.SkipWithError(error.c_str());
+            break;
+        }
+    }
+    const auto perStart = [](double total) {
+        return benchmark::Counter(total, benchmark::Counter::kAvgIterations);
+    };
+    state.counters["first_ping_ms"] = perStart(ping_ms);
+    state.counters["warmup_ms"] = perStart(warmup_ms);
+    state.counters["stop_ms"] = perStart(stop_ms);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServiceColdStart)->Iterations(20)->Unit(benchmark::kMillisecond);
+
 } // namespace
 
-BENCHMARK_MAIN();
+int
+main(int argc, char **argv)
+{
+    // BM_ServiceColdStart's daemon re-execs this binary as its workers;
+    // the marker check must come before google-benchmark sees argv.
+    int worker_exit = 0;
+    if (svc::maybeRunWorkerMain(argc, argv, &worker_exit))
+        return worker_exit;
+    benchmark::Initialize(&argc, argv);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    benchmark::RunSpecifiedBenchmarks();
+    benchmark::Shutdown();
+    return 0;
+}

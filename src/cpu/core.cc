@@ -59,6 +59,7 @@ void
 Core::copyStateFrom(const Core &other)
 {
     rng_ = other.rng_;
+    owedDraws_ = other.owedDraws_;
     cycle_ = other.cycle_;
     contexts_ = other.contexts_;
     completions_ = other.completions_;
@@ -539,15 +540,15 @@ Core::fastForwardTo(Cycles target)
         panic("Core::fastForwardTo: target %llu behind cycle %llu",
               static_cast<unsigned long long>(target),
               static_cast<unsigned long long>(cycle_));
-    // Each skipped tick would have drawn once for the SMT issue
-    // rotation (doIssue does so unconditionally); consume the same
-    // draws so the stream stays aligned with a cycle-by-cycle run.
-    // below() of a power of two takes exactly one raw draw, so the
-    // span is one discard (a jump once it passes the break-even);
+    // Each skipped tick would have taken or owed one draw for the SMT
+    // issue rotation; account for the same draws so the stream stays
+    // aligned with a cycle-by-cycle run.  below() of a power of two
+    // takes exactly one raw draw, so the span is owed and later
+    // settled by one discard (a jump once it passes the break-even);
     // any other bound may reject draws, so each one is replayed.
     const auto n = static_cast<std::uint64_t>(contexts_.size());
     if (isPowerOf2(n)) {
-        rng_.discard(target - cycle_);
+        owedDraws_ += target - cycle_;
     } else {
         for (Cycles c = cycle_; c < target; ++c)
             (void)rng_.below(n);
@@ -982,7 +983,12 @@ Core::executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency)
         latency = config_.rdtscLatency;
         break;
       case Op::Rdrand:
-        entry.result = rdrandSource_ ? rdrandSource_() : rng_.next();
+        if (rdrandSource_) {
+            entry.result = rdrandSource_();
+        } else {
+            settleDraws();
+            entry.result = rng_.next();
+        }
         latency = config_.rdrandLatency;
         break;
     }
@@ -1091,8 +1097,20 @@ Core::doIssue()
     const unsigned n = static_cast<unsigned>(contexts_.size());
     // Randomized SMT priority: a fixed rotation can phase-lock with
     // even execution latencies (e.g., the 24-cycle divider) and
-    // starve one context of a shared port indefinitely.
-    const unsigned start = static_cast<unsigned>(rng_.below(n));
+    // starve one context of a shared port indefinitely.  With fewer
+    // than two Running contexts the order cannot matter, so a power
+    // of two context count owes the draw instead of taking it.
+    unsigned start = 0;
+    if (isPowerOf2(n) &&
+        std::count_if(contexts_.begin(), contexts_.end(),
+                      [](const Context &ctx) {
+                          return ctx.state == CtxState::Running;
+                      }) < 2) {
+        ++owedDraws_;
+    } else {
+        settleDraws();
+        start = static_cast<unsigned>(rng_.below(n));
+    }
     for (unsigned offset = 0; offset < n; ++offset) {
         const unsigned ctx_id =
             start + offset < n ? start + offset : start + offset - n;

@@ -253,9 +253,10 @@ class Core
      * Jump the clock to @p target without ticking.  The caller must
      * guarantee target <= nextEventCycle().  The RNG stream skips the
      * span's per-cycle SMT-arbitration draws, so it stays
-     * bit-identical to a cycle-by-cycle run: one Rng::discard (an
-     * O(log k) jump for long spans) when numContexts is a power of
-     * two, else a below() replay per cycle (DESIGN.md §10).
+     * bit-identical to a cycle-by-cycle run: when numContexts is a
+     * power of two the span joins the owed draws (settled by one
+     * Rng::discard, an O(log k) jump for long spans, before the next
+     * real draw), else a below() replay per cycle (DESIGN.md §10).
      */
     void fastForwardTo(Cycles target);
 
@@ -298,7 +299,12 @@ class Core
 
     /** Re-derive the SMT-arbitration stream from @p seed (fork
      *  reseed; leaves all architectural state and stats alone). */
-    void reseed(std::uint64_t seed) { rng_.seed(seed); }
+    void
+    reseed(std::uint64_t seed)
+    {
+        rng_.seed(seed);
+        owedDraws_ = 0;
+    }
 
     /** Wire the owning Machine's observability hub (may be null);
      *  binds the hub's event clock to this core's cycle counter. */
@@ -600,11 +606,31 @@ class Core
 
     std::uint64_t biasedPc(const Context &ctx, std::uint64_t pc) const;
 
+    /** Take the owed SMT-arbitration draws from rng_ (one discard). */
+    void
+    settleDraws()
+    {
+        if (owedDraws_ != 0) {
+            rng_.discard(owedDraws_);
+            owedDraws_ = 0;
+        }
+    }
+
     mem::PhysMem &mem_;
     mem::Hierarchy &hierarchy_;
     vm::Mmu &mmu_;
     CoreConfig config_;
     Rng rng_;
+    /**
+     * SMT-arbitration draws counted but not yet taken from rng_ (power
+     * of two context counts only).  A tick with fewer than two Running
+     * contexts, and every fast-forwarded cycle, owes its draw instead
+     * of taking it: the rotation order cannot matter then.  below() of
+     * a power of two is exactly one raw draw, so settleDraws()'s one
+     * discard before the next real draw leaves that draw bit-identical
+     * to the one an eager run takes (DESIGN.md §10).
+     */
+    std::uint64_t owedDraws_ = 0;
 
     Cycles cycle_ = 0;
     std::vector<Context> contexts_;

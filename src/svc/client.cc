@@ -18,19 +18,15 @@ constexpr Logger log_{"svc.client"};
 
 Client::Client(const std::string &socket_path, int connect_timeout_ms)
 {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(connect_timeout_ms);
-    for (;;) {
-        const int fd = connectUnix(socket_path);
-        if (fd >= 0) {
-            conn_ = Conn(fd);
-            return;
-        }
-        if (std::chrono::steady_clock::now() >= deadline)
-            return; // connected() == false; callers decide
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+    // connected() stays false on a timeout; callers decide.
+    retryUntil(std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(connect_timeout_ms),
+               std::chrono::milliseconds(20), [&] {
+                   const int fd = connectUnix(socket_path);
+                   if (fd >= 0)
+                       conn_ = Conn(fd);
+                   return fd >= 0;
+               });
 }
 
 std::optional<json::Value>

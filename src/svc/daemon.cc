@@ -1527,27 +1527,24 @@ struct Daemon::Impl
             if (Session *s = sessionByKey(slot.sessionKey))
                 s->conn.send(json::Value::object()
                                  .set("type", "shutdown"));
+            else if (slot.pid >= 0)
+                // Still starting: it holds no shard, and no shutdown
+                // frame can reach it once the listener closes.
+                ::kill(slot.pid, SIGKILL);
         }
         // Grace period, then the axe.
-        const Clock::time_point deadline =
-            Clock::now() + std::chrono::seconds(2);
-        for (;;) {
-            bool any = false;
-            for (WorkerSlot &slot : slots) {
-                if (slot.pid < 0)
-                    continue;
-                int status = 0;
-                const pid_t r =
-                    ::waitpid(slot.pid, &status, WNOHANG);
-                if (r == slot.pid)
-                    slot.pid = -1;
-                else
-                    any = true;
-            }
-            if (!any || Clock::now() > deadline)
-                break;
-            ::usleep(20 * 1000);
-        }
+        retryUntil(Clock::now() + std::chrono::seconds(2),
+                   std::chrono::milliseconds(20), [&] {
+                       bool any = false;
+                       for (WorkerSlot &slot : slots) {
+                           if (slot.pid >= 0 &&
+                               ::waitpid(slot.pid, nullptr, WNOHANG) ==
+                                   slot.pid)
+                               slot.pid = -1;
+                           any = any || slot.pid >= 0;
+                       }
+                       return !any;
+                   });
         for (WorkerSlot &slot : slots) {
             if (slot.pid < 0)
                 continue;

@@ -1,7 +1,9 @@
 #include "svc/wire.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <thread>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -342,6 +344,25 @@ waitReadable(int fd, int timeout_ms)
             return false;
         if (errno != EINTR)
             return false;
+    }
+}
+
+bool
+retryUntil(std::chrono::steady_clock::time_point deadline,
+           std::chrono::microseconds max_wait,
+           const std::function<bool()> &attempt)
+{
+    std::chrono::microseconds wait{100};
+    for (;;) {
+        if (attempt())
+            return true;
+        const auto now = std::chrono::steady_clock::now();
+        if (now >= deadline)
+            return false;
+        std::this_thread::sleep_for(
+            std::min<std::chrono::steady_clock::duration>(wait,
+                                                          deadline - now));
+        wait = std::min(wait * 2, max_wait);
     }
 }
 

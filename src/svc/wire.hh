@@ -29,8 +29,10 @@
 #ifndef USCOPE_SVC_WIRE_HH
 #define USCOPE_SVC_WIRE_HH
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -193,6 +195,19 @@ int acceptUnix(int listen_fd);
 /** poll() @p fd for readability; true when readable (or hung up)
  *  within @p timeout_ms. */
 bool waitReadable(int fd, int timeout_ms);
+
+/**
+ * Call @p attempt until it returns true or @p deadline passes; false
+ * when every attempt failed.  The first wait is 0.1 ms and each wait
+ * doubles up to @p max_wait, never sleeping past the deadline, so the
+ * last attempt runs at or after it.  Every start-up and stop wait of
+ * the service goes through here (DESIGN.md §13): a peer that is ready
+ * within a millisecond is seen within about a millisecond, and a slow
+ * one is polled no more often than every @p max_wait.
+ */
+bool retryUntil(std::chrono::steady_clock::time_point deadline,
+                std::chrono::microseconds max_wait,
+                const std::function<bool()> &attempt);
 
 } // namespace uscope::svc
 

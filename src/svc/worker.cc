@@ -262,11 +262,11 @@ runWorkerMain(const WorkerOptions &options)
 {
     // The daemon may still be mid-listen when a worker launches.
     int fd = -1;
-    for (int attempt = 0; attempt < 100 && fd < 0; ++attempt) {
-        fd = connectUnix(options.socketPath);
-        if (fd < 0)
-            ::usleep(50 * 1000);
-    }
+    retryUntil(Clock::now() + std::chrono::seconds(5),
+               std::chrono::milliseconds(50), [&] {
+                   fd = connectUnix(options.socketPath);
+                   return fd >= 0;
+               });
     if (fd < 0) {
         log_.warn("worker %d: cannot connect to '%s'", options.id,
                   options.socketPath.c_str());

@@ -44,6 +44,10 @@ struct MmuConfig
 /** Outcome of one address translation. */
 struct TranslateResult
 {
+    /** Leaves walk unbuilt: a TLB hit, the path every memory micro-op
+     *  takes, writes only the four fields before it. */
+    TranslateResult() {}
+
     /** Page fault: leaf absent/non-present.  paddr is invalid. */
     bool fault = false;
     /** Translated physical address (valid when !fault). */
@@ -52,8 +56,13 @@ struct TranslateResult
     Cycles latency = 0;
     /** True when a hardware page walk was needed. */
     bool walked = false;
-    /** Walk detail (valid when walked). */
-    WalkResult walk;
+    /** Walk detail, valid only when walked (a TLB hit never writes
+     *  it; WalkResult is trivially copyable, so assigning it is what
+     *  starts its lifetime). */
+    union
+    {
+        WalkResult walk;
+    };
 };
 
 /** The per-core MMU shared by both SMT contexts. */

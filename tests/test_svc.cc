@@ -29,6 +29,10 @@
  *    worker dead (queue + bounded respawns + cancel), SIGTERM/drain
  *    persistence with restart auto-resume, and the
  *    whole e2e layer re-run under the ChaosPlan preset.
+ *  - Start and stop (DESIGN.md §13): a client that connects to a
+ *    listener bound after it started and gives up at its deadline,
+ *    and shutdowns that leave no worker process behind, also when
+ *    they come before the workers have said hello.
  *
  * The e2e tests use the machine-less "selftest" recipe: microseconds
  * per trial, so kill/steal/respawn round-trips run in test time.
@@ -37,6 +41,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -48,6 +53,7 @@
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -613,6 +619,74 @@ creditTotals(const json::Value &credits)
         restored += s ? s->asU64() : 0;
     }
     return {run, restored};
+}
+
+// ---------------------------------------------------------------------
+// Start and stop: the backoff waits (svc::retryUntil) that replaced the
+// fixed-interval connect and reap loops.
+// ---------------------------------------------------------------------
+
+TEST(SvcStartStop, ClientConnectsToAListenerThatBindsLater)
+{
+    const std::string path = uniquePath("late");
+    int listen_fd = -1;
+    std::thread binder([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        listen_fd = svc::listenUnix(path);
+    });
+    svc::Client client(path, 5000);
+    binder.join();
+    EXPECT_TRUE(client.connected());
+    ::close(listen_fd);
+    ::unlink(path.c_str());
+}
+
+TEST(SvcStartStop, ClientGivesUpAtItsDeadline)
+{
+    const auto start = std::chrono::steady_clock::now();
+    svc::Client client(uniquePath("nobody"), 50);
+    const auto waited = std::chrono::steady_clock::now() - start;
+    EXPECT_FALSE(client.connected());
+    EXPECT_GE(waited, std::chrono::milliseconds(50));
+    EXPECT_LT(waited, std::chrono::seconds(1));
+}
+
+TEST(SvcStartStop, ShutdownReapsEveryWorker)
+{
+    {
+        svc::DaemonConfig config;
+        config.socketPath = uniquePath("reap");
+        config.workers = 2;
+        DaemonFixture daemon(std::move(config));
+        svc::Client client(daemon.config.socketPath);
+        ASSERT_TRUE(client.connected());
+        const svc::SubmitResult result =
+            client.submit(selftestRequest(8, 3));
+        ASSERT_TRUE(result.ok) << result.error;
+    }
+    // The daemon ran on a thread of this process, so its workers were
+    // this process's children: none may be left, exited or not.
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(SvcStartStop, ShutdownBeforeWorkersSayHelloIsPrompt)
+{
+    // The fixture's destructor connects and asks for shutdown at once,
+    // so the request lands while both workers are still exec'ing: they
+    // hold no shard and must not wait out the 2 s reaping grace.
+    svc::DaemonConfig config;
+    config.socketPath = uniquePath("early");
+    config.workers = 2;
+    std::optional<DaemonFixture> daemon(std::in_place, std::move(config));
+    const auto start = std::chrono::steady_clock::now();
+    daemon.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(SvcService, FingerprintMatchesInProcessRun)
