@@ -74,7 +74,7 @@ appendString(std::string &out, std::string_view s)
 }
 
 Value &
-Value::set(std::string key, Value v)
+Value::set(std::string key, Value v) &
 {
     if (type_ == Type::Null)
         type_ = Type::Object;
@@ -102,7 +102,7 @@ Value::raw(std::string serialized)
 }
 
 Value &
-Value::push(Value v)
+Value::push(Value v) &
 {
     if (type_ == Type::Null)
         type_ = Type::Array;

@@ -129,10 +129,18 @@ class Value
     static std::optional<Value> parse(const std::string &text);
 
     /** Object insert (keeps insertion order); returns *this to chain. */
-    Value &set(std::string key, Value v);
+    Value &set(std::string key, Value v) &;
 
     /** Array append; returns *this to chain. */
-    Value &push(Value v);
+    Value &push(Value v) &;
+
+    /** The same on a temporary: the chain stays an rvalue, so a value
+     *  built in one expression moves on instead of being copied. */
+    Value &&set(std::string key, Value v) &&
+    {
+        return std::move(set(std::move(key), std::move(v)));
+    }
+    Value &&push(Value v) && { return std::move(push(std::move(v))); }
 
     std::size_t size() const;
 

@@ -574,22 +574,27 @@ TrialExecutor::runTrial(const CampaignSpec &spec, std::size_t index,
     return result;
 }
 
+void
+CampaignAggregate::add(const TrialResult &trial)
+{
+    switch (trial.status) {
+      case TrialStatus::Ok: ++ok; break;
+      case TrialStatus::Failed: ++failed; break;
+      case TrialStatus::TimedOut: ++timedOut; break;
+      case TrialStatus::Retried: ++retried; break;
+    }
+    metric.merge(trial.output.metric);
+    scope.merge(trial.output.scope);
+    metrics.merge(trial.output.metrics);
+    simCycles += trial.output.simCycles;
+}
+
 CampaignAggregate
 aggregateTrials(const std::vector<TrialResult> &results)
 {
     CampaignAggregate aggregate;
-    for (const TrialResult &trial : results) {
-        switch (trial.status) {
-          case TrialStatus::Ok: ++aggregate.ok; break;
-          case TrialStatus::Failed: ++aggregate.failed; break;
-          case TrialStatus::TimedOut: ++aggregate.timedOut; break;
-          case TrialStatus::Retried: ++aggregate.retried; break;
-        }
-        aggregate.metric.merge(trial.output.metric);
-        aggregate.scope.merge(trial.output.scope);
-        aggregate.metrics.merge(trial.output.metrics);
-        aggregate.simCycles += trial.output.simCycles;
-    }
+    for (const TrialResult &trial : results)
+        aggregate.add(trial);
     return aggregate;
 }
 

@@ -379,6 +379,10 @@ struct CampaignAggregate
     /** Succeeded-after-retry trials (disjoint from `ok`). */
     std::size_t retried = 0;
 
+    /** Fold one trial in: its status count and the four merges.
+     *  Trials must be added in index order. */
+    void add(const TrialResult &trial);
+
     json::Value toJson() const;
 
     /**
@@ -490,10 +494,10 @@ class CampaignCheckpoint;
 
 /**
  * Fold @p results (which must be in trial-index order) into a
- * CampaignAggregate — status counts, Summary/scope/metric merges, sim
- * cycle totals.  Shared by CampaignRunner and the campaign service
- * daemon so a service-dispatched campaign aggregates bit-identically
- * to an in-process run of the same spec.
+ * CampaignAggregate, one CampaignAggregate::add each.  Shared by
+ * CampaignRunner and the campaign service so a service-dispatched
+ * campaign aggregates bit-identically to an in-process run of the
+ * same spec.
  */
 CampaignAggregate aggregateTrials(const std::vector<TrialResult> &results);
 

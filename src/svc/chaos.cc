@@ -31,7 +31,6 @@ struct ChaosState
     ChaosPlan plan = ChaosPlan::environmentDefault();
     std::uint64_t role = 0;
     Rng streams[SiteCount];
-    bool planOverridden = false;
 
     ChaosState() { reseed(); }
 
@@ -49,6 +48,16 @@ state()
 {
     static ChaosState *st = new ChaosState;
     return *st;
+}
+
+/** One draw of site @p site's stream: true with probability
+ *  @p rate (a member of the plan), never when chaos is off. */
+bool
+draw(Site site, double ChaosPlan::*rate)
+{
+    ChaosState &st = state();
+    std::lock_guard<std::mutex> lock(st.mu);
+    return st.plan.enabled() && st.streams[site].chance(st.plan.*rate);
 }
 
 } // namespace
@@ -147,7 +156,6 @@ setChaosPlan(const ChaosPlan &plan)
     ChaosState &st = state();
     std::lock_guard<std::mutex> lock(st.mu);
     st.plan = plan;
-    st.planOverridden = true;
     st.reseed();
 }
 
@@ -189,50 +197,35 @@ chaosTearDelayUs()
 bool
 chaosDropHeartbeat()
 {
-    ChaosState &st = state();
-    std::lock_guard<std::mutex> lock(st.mu);
-    return st.plan.enabled() &&
-           st.streams[SiteHeartbeat].chance(st.plan.heartbeatDropRate);
+    return draw(SiteHeartbeat, &ChaosPlan::heartbeatDropRate);
 }
 
 int
 chaosHeartbeatDelayMs()
 {
-    ChaosState &st = state();
-    std::lock_guard<std::mutex> lock(st.mu);
-    if (!st.plan.enabled() ||
-        !st.streams[SiteHeartbeat].chance(st.plan.heartbeatDelayRate))
-        return 0;
-    return st.plan.heartbeatDelayMs;
+    return draw(SiteHeartbeat, &ChaosPlan::heartbeatDelayRate)
+               ? chaosPlan().heartbeatDelayMs
+               : 0;
 }
 
 bool
 chaosSigstop()
 {
-    ChaosState &st = state();
-    std::lock_guard<std::mutex> lock(st.mu);
-    return st.plan.enabled() &&
-           st.streams[SiteSigstop].chance(st.plan.sigstopRate);
+    return draw(SiteSigstop, &ChaosPlan::sigstopRate);
 }
 
 int
 chaosClientStallMs()
 {
-    ChaosState &st = state();
-    std::lock_guard<std::mutex> lock(st.mu);
-    if (!st.plan.enabled() ||
-        !st.streams[SiteStall].chance(st.plan.clientStallRate))
-        return 0;
-    return st.plan.clientStallMs;
+    return draw(SiteStall, &ChaosPlan::clientStallRate)
+               ? chaosPlan().clientStallMs
+               : 0;
 }
 
 bool
 chaosAbortMerge()
 {
-    ChaosState &st = state();
-    std::lock_guard<std::mutex> lock(st.mu);
-    return st.plan.enabled() &&
-           st.streams[SiteAbort].chance(st.plan.abortMergeRate);
+    return draw(SiteAbort, &ChaosPlan::abortMergeRate);
 }
 
 } // namespace uscope::svc

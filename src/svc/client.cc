@@ -1,5 +1,6 @@
 #include "svc/client.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -45,31 +46,83 @@ Client::nextMessage(int timeout_ms)
             return std::nullopt;
         if (!waitReadable(conn_.fd(), timeout_ms))
             return std::nullopt;
-        if (!conn_.pump() && !conn_.open()) {
-            // Drain whatever arrived with the hangup.
-            if (std::optional<json::Value> msg = conn_.next())
-                return msg;
-            return std::nullopt;
-        }
+        if (!conn_.pump() && !conn_.open())
+            return conn_.next(); // whatever arrived with the hangup
     }
+}
+
+bool
+Client::roundTrip(const char *type, const char *reply_type,
+                  int timeout_ms)
+{
+    if (!conn_.send(json::Value::object().set("type", type)))
+        return false;
+    const std::optional<json::Value> reply = nextMessage(timeout_ms);
+    return reply && stringField(*reply, "type") == reply_type;
 }
 
 bool
 Client::ping(int timeout_ms)
 {
-    if (!conn_.send(json::Value::object().set("type", "ping")))
-        return false;
-    const std::optional<json::Value> reply = nextMessage(timeout_ms);
-    return reply && stringField(*reply, "type") == "pong";
+    return roundTrip("ping", "pong", timeout_ms);
 }
 
-/** The shared submit/attach wait loop: stream updates until a
+namespace
+{
+
+/** Fold a terminal frame (result, cancelled, error) into @p out; false
+ *  for any other frame. */
+bool
+takeOutcome(const json::Value &frame, const std::string &type,
+            SubmitResult &out)
+{
+    if (type == "result") {
+        out.ok = true;
+        out.fingerprint = stringField(frame, "fingerprint");
+        out.workerDeaths =
+            static_cast<unsigned>(field(frame, "worker_deaths"));
+        out.steals = field(frame, "steals");
+        if (const json::Value *result = frame.get("result"))
+            out.resultJson = result->dump();
+    } else if (type == "cancelled") {
+        out.cancelled = true;
+        out.error = stringField(frame, "reason");
+        out.totalTrials = field(frame, "total");
+        if (const json::Value *agg = frame.get("aggregate"))
+            out.partialJson = agg->dump();
+    } else if (type == "error") {
+        out.error = stringField(frame, "message");
+        out.notFound = stringField(frame, "code") == "not_found";
+        return true;
+    } else {
+        return false;
+    }
+    out.campaignId = field(frame, "campaign");
+    if (const json::Value *credits = frame.get("credits"))
+        out.credits = *credits;
+    return true;
+}
+
+} // namespace
+
+/** The shared submit/attach path: send, then stream updates until a
  *  terminal frame (result, cancelled, not-found, error). */
 SubmitResult
-Client::waitOutcome(
-    const std::function<void(const json::Value &)> &on_update)
+Client::follow(const char *type, const CampaignRequest &request,
+               std::size_t stream_every,
+               const std::function<void(const json::Value &)> &on_update)
 {
     SubmitResult out;
+    json::Value msg = json::Value::object()
+                          .set("type", type)
+                          .set("request", request.toJson());
+    if (stream_every)
+        msg.set("stream_every",
+                static_cast<std::uint64_t>(stream_every));
+    if (!conn_.send(msg)) {
+        out.error = std::string("daemon connection lost on ") + type;
+        return out;
+    }
     // No overall timeout: a campaign takes as long as it takes.  The
     // per-wait timeout only bounds how often we notice a dead daemon.
     for (;;) {
@@ -81,44 +134,19 @@ Client::waitOutcome(
             }
             continue;
         }
-        const std::string type = stringField(*frame, "type");
-        if (type == "accepted" || type == "attached") {
+        const std::string kind = stringField(*frame, "type");
+        if (kind == "accepted" || kind == "attached") {
             out.campaignId = field(*frame, "campaign");
             out.totalTrials = field(*frame, "total");
             out.resumedTrials = field(*frame, "resumed");
-        } else if (type == "update") {
+        } else if (kind == "update") {
             ++out.updates;
             if (on_update)
                 on_update(*frame);
-        } else if (type == "result") {
-            out.ok = true;
-            out.campaignId = field(*frame, "campaign");
-            out.fingerprint = stringField(*frame, "fingerprint");
-            out.workerDeaths =
-                static_cast<unsigned>(field(*frame, "worker_deaths"));
-            out.steals = field(*frame, "steals");
-            if (const json::Value *credits = frame->get("credits"))
-                out.credits = *credits;
-            if (const json::Value *result = frame->get("result"))
-                out.resultJson = result->dump();
-            return out;
-        } else if (type == "cancelled") {
-            out.cancelled = true;
-            out.campaignId = field(*frame, "campaign");
-            out.error = stringField(*frame, "reason");
-            out.totalTrials = field(*frame, "total");
-            if (const json::Value *agg = frame->get("aggregate"))
-                out.partialJson = agg->dump();
-            if (const json::Value *credits = frame->get("credits"))
-                out.credits = *credits;
-            return out;
-        } else if (type == "error") {
-            out.error = stringField(*frame, "message");
-            out.notFound =
-                stringField(*frame, "code") == "not_found";
+        } else if (takeOutcome(*frame, kind, out)) {
             return out;
         } else {
-            log_.warn("unexpected frame type '%s'", type.c_str());
+            log_.warn("unexpected frame type '%s'", kind.c_str());
         }
     }
 }
@@ -128,18 +156,7 @@ Client::submit(const CampaignRequest &request,
                std::size_t stream_every,
                const std::function<void(const json::Value &)> &on_update)
 {
-    json::Value msg = json::Value::object()
-                          .set("type", "submit")
-                          .set("request", request.toJson());
-    if (stream_every)
-        msg.set("stream_every",
-                static_cast<std::uint64_t>(stream_every));
-    if (!conn_.send(msg)) {
-        SubmitResult out;
-        out.error = "daemon connection lost on submit";
-        return out;
-    }
-    return waitOutcome(on_update);
+    return follow("submit", request, stream_every, on_update);
 }
 
 SubmitResult
@@ -147,63 +164,42 @@ Client::attach(const CampaignRequest &request,
                std::size_t stream_every,
                const std::function<void(const json::Value &)> &on_update)
 {
-    json::Value msg = json::Value::object()
-                          .set("type", "attach")
-                          .set("request", request.toJson());
-    if (stream_every)
-        msg.set("stream_every",
-                static_cast<std::uint64_t>(stream_every));
-    if (!conn_.send(msg)) {
-        SubmitResult out;
-        out.error = "daemon connection lost on attach";
-        return out;
+    return follow("attach", request, stream_every, on_update);
+}
+
+std::optional<json::Value>
+Client::awaitReply(const json::Value &msg,
+                   std::initializer_list<std::string_view> types,
+                   int timeout_ms)
+{
+    if (!conn_.send(msg))
+        return std::nullopt;
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(timeout_ms);
+    // Skip any in-flight update (or result) frames from a concurrent
+    // submit on this connection.
+    for (;;) {
+        std::optional<json::Value> reply = nextMessage(timeout_ms);
+        if (reply && std::find(types.begin(), types.end(),
+                               stringField(*reply, "type")) != types.end())
+            return reply;
+        if (!conn_.open() || std::chrono::steady_clock::now() >= deadline)
+            return std::nullopt;
     }
-    return waitOutcome(on_update);
 }
 
 SubmitResult
 Client::roundTripCancel(const json::Value &msg, int timeout_ms)
 {
     SubmitResult out;
-    if (!conn_.send(msg)) {
-        out.error = "daemon connection lost on cancel";
-        return out;
-    }
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(timeout_ms);
-    // Skip any in-flight update frames from a concurrent submit on
-    // this connection; the reply is the next cancelled/error frame.
-    for (;;) {
-        const std::optional<json::Value> frame = nextMessage(timeout_ms);
-        if (!frame) {
-            if (!conn_.open() ||
-                std::chrono::steady_clock::now() >= deadline) {
-                out.error = "no cancel reply from daemon";
-                return out;
-            }
-            continue;
-        }
-        const std::string type = stringField(*frame, "type");
-        if (type == "cancelled") {
-            out.cancelled = true;
-            out.ok = true;
-            out.campaignId = field(*frame, "campaign");
-            out.error = stringField(*frame, "reason");
-            out.totalTrials = field(*frame, "total");
-            if (const json::Value *agg = frame->get("aggregate"))
-                out.partialJson = agg->dump();
-            if (const json::Value *credits = frame->get("credits"))
-                out.credits = *credits;
-            return out;
-        }
-        if (type == "error") {
-            out.error = stringField(*frame, "message");
-            out.notFound =
-                stringField(*frame, "code") == "not_found";
-            return out;
-        }
-    }
+    const std::optional<json::Value> reply =
+        awaitReply(msg, {"cancelled", "error"}, timeout_ms);
+    if (!reply)
+        out.error = "no cancel reply from daemon";
+    else if (takeOutcome(*reply, stringField(*reply, "type"), out))
+        out.ok = out.cancelled;
+    return out;
 }
 
 SubmitResult
@@ -227,39 +223,20 @@ Client::cancel(const CampaignRequest &request, int timeout_ms)
 bool
 Client::drainDaemon(int timeout_ms)
 {
-    if (!conn_.send(json::Value::object().set("type", "drain")))
-        return false;
-    const std::optional<json::Value> reply = nextMessage(timeout_ms);
-    return reply && stringField(*reply, "type") == "draining";
+    return roundTrip("drain", "draining", timeout_ms);
 }
 
 std::optional<json::Value>
 Client::stats(int timeout_ms)
 {
-    if (!conn_.send(json::Value::object().set("type", "stats")))
-        return std::nullopt;
-    // Skip any in-flight update frames from a concurrent submit on
-    // this connection; the stats reply is the next "stats" frame.
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(timeout_ms);
-    for (;;) {
-        const std::optional<json::Value> reply =
-            nextMessage(timeout_ms);
-        if (reply && stringField(*reply, "type") == "stats")
-            return reply;
-        if (!reply || std::chrono::steady_clock::now() >= deadline)
-            return std::nullopt;
-    }
+    return awaitReply(json::Value::object().set("type", "stats"),
+                      {"stats"}, timeout_ms);
 }
 
 bool
 Client::shutdownDaemon(int timeout_ms)
 {
-    if (!conn_.send(json::Value::object().set("type", "shutdown")))
-        return false;
-    const std::optional<json::Value> reply = nextMessage(timeout_ms);
-    return reply && stringField(*reply, "type") == "ok";
+    return roundTrip("shutdown", "ok", timeout_ms);
 }
 
 } // namespace uscope::svc

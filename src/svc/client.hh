@@ -12,8 +12,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/json.hh"
 #include "svc/registry.hh"
@@ -132,8 +134,18 @@ class Client
 
   private:
     std::optional<json::Value> nextMessage(int timeout_ms);
-    SubmitResult waitOutcome(
+    /** Send {"type": @p type}; true when @p reply_type answers. */
+    bool roundTrip(const char *type, const char *reply_type,
+                   int timeout_ms);
+    SubmitResult follow(
+        const char *type, const CampaignRequest &request,
+        std::size_t stream_every,
         const std::function<void(const json::Value &)> &on_update);
+    /** Send @p msg; the first reply of one of @p types, if any. */
+    std::optional<json::Value>
+    awaitReply(const json::Value &msg,
+               std::initializer_list<std::string_view> types,
+               int timeout_ms);
     SubmitResult roundTripCancel(const json::Value &msg,
                                  int timeout_ms);
 

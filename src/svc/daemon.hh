@@ -1,51 +1,13 @@
 /**
  * @file
- * uscope-campaignd: the sharded campaign service daemon
- * (DESIGN.md §13).
- *
- * One single-threaded poll() loop owns everything: the listening
- * AF_UNIX socket, every worker and client connection, the shard
- * schedulers, and the in-index-order result tables.  Workers are
- * *processes* (fork + exec of the daemon's own binary with the
+ * uscope-campaignd: the sharded campaign service daemon (DESIGN.md
+ * §13).  Every policy decision lives in svc::Scheduler
+ * (`svc/scheduler.hh`, which also tells a submission's lifecycle);
+ * the daemon is its I/O driver.  One single-threaded poll() loop owns
+ * the listening AF_UNIX socket, every connection and every worker
+ * *process* (fork + exec of the daemon's own binary with the
  * --uscope-worker marker), so a crashing trial — or a kill -9 — costs
- * one worker, never the daemon; trials execute only in children.
- *
- * Lifecycle of a submission:
- *
- *   client  --submit{request}-->  daemon
- *   daemon: buildSpec, (stateDir? attach checkpoint dir, preload
- *           completed trials), cut trials into shards
- *   daemon  --shard{lo,hi,request,checkpoint_dir}-->  idle workers
- *   worker  --trial{index,data}-->  daemon   (deduped, in results[])
- *   daemon  --update{partial aggregate}-->  client  (every N trials)
- *   idle worker?  steal: split the fattest live shard; victim gets
- *           --shrink{hi}-->, thief gets the upper half as a new shard
- *   worker death (hangup, SIGCHLD, or heartbeat timeout while busy):
- *           its shards return to the pending pool and a respawned
- *           worker resumes them — bit-identically, via the checkpoint
- *           when one is attached, by deterministic re-execution
- *           otherwise
- *   all trials done: aggregateTrials in index order, fingerprint via
- *           exp::deterministicFingerprint,
- *           --result{fingerprint,result}-->  client
- *
- * Durability: with a stateDir, each campaign's checkpoint directory
- * is keyed by the *request identity* (recipe, params, seeds —
- * CampaignRequest::identityKey), so resubmitting the same
- * request after a daemon restart resumes from persisted trials
- * instead of starting over.  Accepted campaigns additionally persist
- * a pending manifest under <stateDir>/pending/; a restarted daemon
- * scans it and resumes every interrupted campaign on its own, so a
- * SIGKILLed daemon loses no work and a reconnecting client can
- * {"type":"attach"} to the auto-resumed campaign by request identity.
- *
- * Failure handling (DESIGN.md §16): campaigns can be cancelled
- * ({"type":"cancel"}, partial aggregate returned, checkpoint kept);
- * dead workers respawn after a fixed kRespawnDelaySec; a busy worker
- * silent past trialWarnSec warns, past heartbeatTimeoutSec is
- * SIGKILLed, and a trial that keeps killing workers is recorded
- * TimedOut; SIGTERM (or a {"type":"drain"} message) drains in-flight
- * shards to a trial boundary, persists manifests and exits cleanly.
+ * one worker, never the daemon.
  */
 
 #ifndef USCOPE_SVC_DAEMON_HH

@@ -1,27 +1,21 @@
 /**
  * @file
- * The daemon's shard scheduler (DESIGN.md §13): pure bookkeeping, no
- * sockets, no time — which is what makes the steal/death state
- * machine unit-testable in isolation.
+ * One campaign's shard table (DESIGN.md §13), owned by svc::Scheduler:
+ * pure bookkeeping, no sockets, no time.
  *
  * A campaign's [0, trials) grid is cut into contiguous shards, one
- * per worker initially.  A worker that runs dry *steals*: the
- * scheduler splits the live shard with the most remaining work at its
- * midpoint, hands the upper half to the thief as a new shard, and
- * reports whom it robbed so the daemon can send the victim a shrink
- * message.  The victim learns of the split asynchronously — it may
- * complete a few trials past the new boundary first.  That overlap is
- * *harmless by design*: trials are bit-deterministic in their seed,
- * so duplicate executions produce byte-identical results and the
- * done-bitmap dedup here makes whichever report arrives second a
- * no-op (the same argument makes checkpoint-file write races benign —
- * both writers rename identical bytes into place).
+ * per worker initially.  A worker that runs dry *steals*: the live
+ * shard with the most remaining work is split at its midpoint, the
+ * upper half goes to the thief, and the victim is named so it can be
+ * sent a shrink.  The victim may complete a few trials past the new
+ * boundary before the shrink lands.  That overlap is harmless: trials
+ * are bit-deterministic in their seed, and the done-bitmap here makes
+ * whichever report arrives second a no-op.
  *
  * Worker death returns its live shards to the pending pool.  `next`
- * (the low-water mark of reported trials) survives, so the
- * reassignment resumes where the daemon's knowledge ends; trials the
- * dead worker completed-but-checkpointed beyond that are restored,
- * not re-run, by exp::runShardRange on the inheriting worker.
+ * (the low-water mark of reported trials) survives, so the inheriting
+ * worker resumes there, restoring rather than re-running whatever the
+ * dead worker had checkpointed beyond it.
  */
 
 #ifndef USCOPE_SVC_SHARD_HH

@@ -91,12 +91,8 @@ Conn::~Conn()
 }
 
 Conn::Conn(Conn &&other) noexcept
-    : fd_(other.fd_), failed_(other.failed_),
-      buffered_(other.buffered_), badFrames_(other.badFrames_),
-      splitter_(std::move(other.splitter_)),
-      out_(std::move(other.out_)), outOff_(other.outOff_)
 {
-    other.fd_ = -1;
+    *this = std::move(other);
 }
 
 Conn &

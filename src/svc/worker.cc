@@ -1,5 +1,6 @@
 #include "svc/worker.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -69,12 +70,10 @@ struct WorkerLoop
     }
 
     void
-    heartbeat(bool force = false)
+    heartbeat()
     {
         const auto now = Clock::now();
-        if (!force &&
-            now - lastBeat <
-                std::chrono::milliseconds(opts.heartbeatMs))
+        if (now - lastBeat < std::chrono::milliseconds(opts.heartbeatMs))
             return;
         lastBeat = now;
         // Chaos sites: a skipped or late beat is indistinguishable
@@ -164,9 +163,7 @@ WorkerLoop::runShard(const json::Value &msg)
         while (std::optional<json::Value> m = conn.next()) {
             const std::string type = stringField(*m, "type");
             if (type == "shrink" && field(*m, "shard") == shard_id) {
-                const std::size_t new_hi = field(*m, "hi");
-                if (new_hi < hi)
-                    hi = new_hi;
+                hi = std::min<std::size_t>(hi, field(*m, "hi"));
             } else if (type == "shutdown") {
                 shutdown = true;
             } else {

@@ -29,6 +29,9 @@
  *    worker dead (queue + bounded respawns + cancel), SIGTERM/drain
  *    persistence with restart auto-resume, and the
  *    whole e2e layer re-run under the ChaosPlan preset.
+ *  - The scheduler alone (DESIGN.md §13, §16): svc::Scheduler on a
+ *    fake clock with no process and no sleep, one test per failure
+ *    path and a seeded property test over random interleavings.
  *  - Start and stop (DESIGN.md §13): a client that connects to a
  *    listener bound after it started and gives up at its deadline,
  *    and shutdowns that leave no worker process behind, also when
@@ -46,9 +49,12 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -57,13 +63,16 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "exp/campaign.hh"
+#include "exp/checkpoint.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/prof.hh"
 #include "svc/chaos.hh"
 #include "svc/client.hh"
 #include "svc/daemon.hh"
 #include "svc/registry.hh"
+#include "svc/scheduler.hh"
 #include "svc/shard.hh"
 #include "svc/wire.hh"
 #include "svc/worker.hh"
@@ -1493,6 +1502,693 @@ TEST(SvcLifecycle, ChaosPresetLeavesFingerprintsByteIdentical)
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_GE(updates, 1u);
     EXPECT_EQ(result.fingerprint, inProcessFingerprint(request));
+}
+
+// ---------------------------------------------------------------------
+// The scheduler on a fake clock (DESIGN.md §13, §16): no process, no
+// socket, no sleep.  The rig plays the daemon and its workers: it
+// answers each Spawn with a made-up pid, says hello for the workers,
+// reports the trials of the shards they are sent (computed in-process)
+// and fails the test when an action targets a worker that is dead or
+// has not said hello.
+// ---------------------------------------------------------------------
+
+using Kind = svc::Action::Kind;
+using Ev = svc::Event::Kind;
+
+svc::DaemonConfig
+rigConfig(unsigned workers, std::string state_dir = {})
+{
+    svc::DaemonConfig config;
+    config.socketPath = "unused";
+    config.workers = workers;
+    config.stateDir = std::move(state_dir);
+    return config;
+}
+
+json::Value
+frame(const char *type)
+{
+    return json::Value::object().set("type", type);
+}
+
+struct SchedRig
+{
+    /** One played worker process. */
+    struct Worker
+    {
+        bool alive = false;
+        bool connected = false;
+        bool busy = false;
+        /** Skipped by step() (a wedged process). */
+        bool silent = false;
+        std::uint64_t campaign = 0;
+        std::size_t shard = 0;
+        std::size_t lo = 0;
+        std::size_t next = 0;
+        std::size_t hi = 0;
+        /** A shrink not read yet (lagShrinks): the steal overlap. */
+        std::optional<std::size_t> shrinkTo;
+        std::shared_ptr<exp::CampaignCheckpoint> checkpoint;
+    };
+
+    svc::Scheduler sched;
+    double now = 0.0;
+    std::vector<Worker> workers;
+    /** Every frame sent to each client session, in order. */
+    std::map<std::uint64_t, std::vector<json::Value>> inbox;
+    /** Pending manifests by path, as the daemon would have them. */
+    std::map<std::string, std::string> manifests;
+    /** The in-process run of each campaign id, whose trials the
+     *  played workers report. */
+    std::map<std::uint64_t, exp::CampaignResult> runs;
+    std::vector<svc::Action> last;
+    std::size_t spawns = 0;
+    std::size_t kills = 0;
+    bool stopped = false;
+    /** Played workers honour a shrink only at a later step, chosen by
+     *  this stream, so they may report past the new boundary. */
+    Rng *lagShrinks = nullptr;
+
+    explicit SchedRig(const svc::DaemonConfig &config)
+        : sched(config), workers(config.workers)
+    {
+    }
+
+    std::size_t
+    count(Kind kind) const
+    {
+        return static_cast<std::size_t>(std::count_if(
+            last.begin(), last.end(),
+            [&](const svc::Action &a) { return a.kind == kind; }));
+    }
+
+    /** Frames of @p type the last event sent to worker @p id. */
+    std::vector<json::Value>
+    sentTo(std::size_t id, const char *type) const
+    {
+        std::vector<json::Value> out;
+        for (const svc::Action &a : last)
+            if (a.kind == Kind::ToWorker && a.target == id &&
+                svc::stringField(a.frame, "type") == type)
+                out.push_back(a.frame);
+        return out;
+    }
+
+    /** The last frame of @p type client @p key received. */
+    std::optional<json::Value>
+    received(std::uint64_t key, const char *type)
+    {
+        const std::vector<json::Value> &frames = inbox[key];
+        for (auto it = frames.rbegin(); it != frames.rend(); ++it)
+            if (svc::stringField(*it, "type") == type)
+                return *it;
+        return std::nullopt;
+    }
+
+    /** Carry out one event's actions, as the daemon would. */
+    const std::vector<svc::Action> &
+    absorb(const svc::Scheduler::Actions &actions)
+    {
+        // A copy: answering a Spawn calls back into the scheduler.
+        last = actions;
+        for (const svc::Action &a : last) {
+            const auto id = static_cast<std::size_t>(a.target);
+            switch (a.kind) {
+              case Kind::ToClient:
+                inbox[a.target].push_back(a.frame);
+                break;
+              case Kind::ToWorker:
+                EXPECT_TRUE(id < workers.size() && workers[id].connected)
+                    << "frame to worker " << id
+                    << ", which is dead or has not said hello";
+                if (id < workers.size() && workers[id].connected)
+                    deliver(workers[id], a.frame);
+                break;
+              case Kind::Spawn:
+                EXPECT_FALSE(workers[id].alive) << "spawn of live " << id;
+                workers[id] = Worker{};
+                workers[id].alive = true;
+                ++spawns;
+                sched.spawned(now, static_cast<int>(id),
+                              1000 + static_cast<long>(id));
+                break;
+              case Kind::Kill:
+                EXPECT_TRUE(workers[id].alive) << "kill of dead " << id;
+                workers[id] = Worker{};
+                ++kills;
+                break;
+              case Kind::WriteManifest:
+                manifests[a.path] = a.frame.dump();
+                break;
+              case Kind::RemoveManifest:
+                manifests.erase(a.path);
+                break;
+              case Kind::Merged:
+                break;
+              case Kind::Stop:
+                stopped = true;
+                break;
+            }
+        }
+        return last;
+    }
+
+    void
+    deliver(Worker &w, const json::Value &msg)
+    {
+        const std::string type = svc::stringField(msg, "type");
+        if (type == "shrink" && svc::field(msg, "shard") == w.shard) {
+            const std::size_t hi = svc::field(msg, "hi");
+            if (lagShrinks)
+                w.shrinkTo = std::min(w.shrinkTo.value_or(hi), hi);
+            else
+                w.hi = std::min(w.hi, hi);
+        }
+        if (type != "shard")
+            return;
+        w.busy = true;
+        w.campaign = svc::field(msg, "campaign");
+        w.shard = svc::field(msg, "shard");
+        w.lo = w.next = svc::field(msg, "lo");
+        w.hi = svc::field(msg, "hi");
+        w.shrinkTo.reset();
+        const std::optional<svc::CampaignRequest> request =
+            svc::CampaignRequest::fromJson(*msg.get("request"));
+        exp::CampaignSpec spec = svc::buildSpec(*request);
+        if (!runs.count(w.campaign))
+            runs[w.campaign] = exp::runCampaign(spec);
+        spec.checkpointDir = svc::stringField(msg, "checkpoint_dir");
+        w.checkpoint.reset();
+        if (!spec.checkpointDir.empty())
+            w.checkpoint = std::make_shared<exp::CampaignCheckpoint>(spec);
+    }
+
+    const std::vector<svc::Action> &
+    event(Ev kind, std::uint64_t source = 0,
+          const json::Value *msg = nullptr)
+    {
+        return absorb(sched.on({kind, now, source, msg, {}}));
+    }
+
+    const std::vector<svc::Action> &
+    tick(double dt = 0.0)
+    {
+        now += dt;
+        return event(Ev::Tick);
+    }
+
+    void
+    hello(std::size_t id)
+    {
+        workers[id].connected = true;
+        event(Ev::WorkerHello, id);
+    }
+
+    /** The first tick spawns every slot; each says hello. */
+    void
+    boot()
+    {
+        tick();
+        for (std::size_t id = 0; id < workers.size(); ++id)
+            hello(id);
+    }
+
+    const std::vector<svc::Action> &
+    client(std::uint64_t key, const json::Value &msg)
+    {
+        return event(Ev::ClientFrame, key, &msg);
+    }
+
+    const std::vector<svc::Action> &
+    submit(std::uint64_t key, const svc::CampaignRequest &request,
+           std::uint64_t stream_every = 0)
+    {
+        return client(key, frame("submit")
+                               .set("request", request.toJson())
+                               .set("stream_every", stream_every));
+    }
+
+    json::Value
+    stats()
+    {
+        client(99, frame("stats"));
+        return inbox[99].back();
+    }
+
+    const std::vector<svc::Action> &
+    fromWorker(std::size_t id, const json::Value &msg)
+    {
+        return event(Ev::WorkerFrame, id, &msg);
+    }
+
+    /** Worker @p id reports trial @p index of its current shard. */
+    const std::vector<svc::Action> &
+    report(std::size_t id, std::size_t index)
+    {
+        const Worker &w = workers[id];
+        const exp::TrialResult &trial = runs.at(w.campaign).trials[index];
+        if (w.checkpoint)
+            w.checkpoint->store(trial);
+        return fromWorker(
+            id, frame("trial")
+                    .set("id", static_cast<std::uint64_t>(id))
+                    .set("campaign", w.campaign)
+                    .set("shard", static_cast<std::uint64_t>(w.shard))
+                    .set("index", static_cast<std::uint64_t>(index))
+                    .set("restored", false)
+                    .set("data", exp::CampaignCheckpoint::serializeTrial(
+                                     trial)));
+    }
+
+    /** Worker @p id's next move: its next trial, or shard_done at the
+     *  end of its shard, or a heartbeat when idle. */
+    const std::vector<svc::Action> &
+    step(std::size_t id)
+    {
+        Worker &w = workers[id];
+        if (w.shrinkTo && lagShrinks && lagShrinks->chance(0.5)) {
+            w.hi = std::min(w.hi, *w.shrinkTo);
+            w.shrinkTo.reset();
+        }
+        if (!w.busy)
+            return fromWorker(id, frame("heartbeat"));
+        if (w.next < w.hi)
+            return report(id, w.next++);
+        w.busy = false;
+        return fromWorker(id,
+                          frame("shard_done")
+                              .set("campaign", w.campaign)
+                              .set("shard",
+                                   static_cast<std::uint64_t>(w.shard)));
+    }
+
+    /** Worker @p id's process exits, or its connection drops. */
+    const std::vector<svc::Action> &
+    die(std::size_t id, Ev how)
+    {
+        event(how, id);
+        workers[id] = Worker{};
+        return last;
+    }
+
+    /** Let every live worker say hello and every busy, unsilenced one
+     *  step, ticking between rounds, until client @p key has a frame
+     *  of @p type. */
+    std::optional<json::Value>
+    runUntil(std::uint64_t key, const char *type)
+    {
+        for (int round = 0; round < 10000; ++round) {
+            if (std::optional<json::Value> f = received(key, type))
+                return f;
+            for (std::size_t id = 0; id < workers.size(); ++id) {
+                if (workers[id].alive && !workers[id].connected)
+                    hello(id);
+                if (workers[id].busy && !workers[id].silent)
+                    step(id);
+            }
+            tick(0.001);
+        }
+        return std::nullopt;
+    }
+};
+
+std::uint64_t
+statsMetric(const json::Value &stats, const char *key)
+{
+    const json::Value *v = stats.get("metrics")->get(key);
+    return v ? v->asU64() : 0;
+}
+
+std::string
+aggregateOf(const exp::CampaignResult &run,
+            std::initializer_list<std::size_t> indices)
+{
+    std::vector<exp::TrialResult> done;
+    for (std::size_t i : indices)
+        done.push_back(run.trials[i]);
+    return exp::aggregateTrials(done).toJson().dump();
+}
+
+TEST(SvcScheduler, WorkerDeathReturnsItsShardAndRespawnsAfterTheDelay)
+{
+    SchedRig rig(rigConfig(2));
+    rig.boot();
+    EXPECT_EQ(rig.spawns, 2u);
+    const svc::CampaignRequest request = selftestRequest(8, 41);
+    rig.submit(1, request);
+    ASSERT_EQ(rig.sentTo(0, "shard").size(), 1u);
+    ASSERT_EQ(rig.sentTo(1, "shard").size(), 1u);
+    rig.step(0);
+    rig.step(0);
+
+    rig.now += 1.0;
+    rig.die(0, Ev::WorkerExited);
+    EXPECT_EQ(rig.count(Kind::Kill), 0u); // it exited on its own
+    json::Value stats = rig.stats();
+    const json::Value &shard0 =
+        stats.get("campaigns")->items()[0].get("shards")->items()[0];
+    EXPECT_EQ(shard0.get("owner")->asI64(), -1); // back in the pool
+    EXPECT_EQ(shard0.get("next")->asU64(), 2u);  // resumes at trial 2
+    EXPECT_EQ(statsMetric(stats, "svc.daemon.worker_deaths"), 1u);
+
+    rig.tick(0.9 * svc::kRespawnDelaySec);
+    EXPECT_EQ(rig.count(Kind::Spawn), 0u);
+    rig.tick(0.2 * svc::kRespawnDelaySec);
+    ASSERT_EQ(rig.count(Kind::Spawn), 1u);
+    EXPECT_EQ(rig.last.front().target, 0u);
+    rig.hello(0);
+    rig.tick();
+    const std::vector<json::Value> resumed = rig.sentTo(0, "shard");
+    ASSERT_EQ(resumed.size(), 1u);
+    EXPECT_EQ(svc::field(resumed[0], "lo"), 2u);
+
+    const std::optional<json::Value> result = rig.runUntil(1, "result");
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(svc::stringField(*result, "fingerprint"),
+              inProcessFingerprint(request));
+    EXPECT_EQ(svc::field(*result, "worker_deaths"), 1u);
+
+    // While draining, a dead slot stays dead.
+    for (std::size_t id : {0u, 1u})
+        while (rig.workers[id].busy)
+            rig.step(id);
+    rig.submit(1, selftestRequest(8, 43));
+    rig.client(2, frame("drain"));
+    rig.die(1, Ev::WorkerExited);
+    rig.tick(4 * svc::kRespawnDelaySec); // well inside the drain grace
+    EXPECT_FALSE(rig.stopped);           // worker 0 is still busy
+    EXPECT_EQ(rig.count(Kind::Spawn), 0u);
+}
+
+TEST(SvcScheduler, HeartbeatTimeoutKillsOnlyASilentBusyWorker)
+{
+    svc::DaemonConfig config = rigConfig(2);
+    config.trialWarnSec = 10.0;
+    config.heartbeatTimeoutSec = 30.0;
+    SchedRig rig(config);
+    rig.boot();
+    rig.submit(1, selftestRequest(1, 5)); // one shard: worker 1 idles
+    ASSERT_TRUE(rig.workers[0].busy);
+    ASSERT_FALSE(rig.workers[1].busy);
+
+    rig.tick(29.0);
+    EXPECT_EQ(rig.count(Kind::Kill), 0u);
+    rig.tick(2.0);
+    ASSERT_EQ(rig.count(Kind::Kill), 1u);
+    EXPECT_EQ(rig.last.front().target, 0u);
+    // The idle worker, as silent, was not touched; it inherits the
+    // returned shard in the same tick.
+    EXPECT_TRUE(rig.workers[1].alive);
+    EXPECT_EQ(rig.sentTo(1, "shard").size(), 1u);
+
+    const json::Value stats = rig.stats();
+    EXPECT_EQ(statsMetric(stats, "svc.daemon.worker_deaths"), 1u);
+    EXPECT_EQ(statsMetric(stats, "svc.daemon.trial_warns"), 1u);
+    EXPECT_EQ(stats.get("worker_table")->items()[0].get("kills")->asU64(),
+              1u);
+}
+
+TEST(SvcScheduler, StuckTrialWarnsOnceKillsAtTheTimeoutThenTimesOut)
+{
+    svc::DaemonConfig config = rigConfig(1);
+    config.trialWarnSec = 1.0;
+    config.heartbeatTimeoutSec = 2.0;
+    config.trialKillLimit = 2;
+    SchedRig rig(config);
+    rig.boot();
+    rig.submit(1, selftestRequest(4, 47));
+    rig.step(0);
+    rig.step(0); // trials 0 and 1; then it wedges on trial 2
+    const auto warns = [&] {
+        return statsMetric(rig.stats(), "svc.daemon.trial_warns");
+    };
+    const auto timeouts = [&] {
+        return statsMetric(rig.stats(), "svc.daemon.trial_timeouts");
+    };
+
+    rig.tick(1.5);
+    EXPECT_EQ(warns(), 1u);
+    rig.tick(0.1);
+    EXPECT_EQ(warns(), 1u); // once per silence
+    rig.fromWorker(0, frame("heartbeat")); // re-arms the warning
+    rig.tick(1.5);
+    EXPECT_EQ(warns(), 2u);
+    EXPECT_EQ(rig.count(Kind::Kill), 0u);
+    rig.tick(0.6); // 2.1 s since the heartbeat
+    EXPECT_EQ(rig.count(Kind::Kill), 1u);
+    EXPECT_EQ(timeouts(), 0u); // one kill: retry
+
+    rig.tick(svc::kRespawnDelaySec + 0.01);
+    ASSERT_EQ(rig.count(Kind::Spawn), 1u);
+    rig.hello(0);
+    rig.tick();
+    ASSERT_EQ(rig.sentTo(0, "shard").size(), 1u);
+    EXPECT_EQ(svc::field(rig.sentTo(0, "shard")[0], "lo"), 2u);
+    rig.tick(2.1); // wedged again on trial 2
+    EXPECT_EQ(rig.count(Kind::Kill), 1u);
+    EXPECT_EQ(timeouts(), 1u); // second kill: give up on trial 2
+
+    const std::optional<json::Value> result = rig.runUntil(1, "result");
+    ASSERT_TRUE(result.has_value());
+    const auto parsed = json::Value::parse(result->dump());
+    ASSERT_TRUE(parsed.has_value());
+    const json::Value *aggregate =
+        parsed->get("result")->get("aggregate");
+    EXPECT_EQ(aggregate->get("timed_out")->asU64(), 1u);
+    EXPECT_EQ(aggregate->get("ok")->asU64(), 3u);
+}
+
+TEST(SvcScheduler, DrainShrinksRefusesKeepsManifestsAndResumeReloads)
+{
+    const std::string state_dir = uniquePath("sched_drain");
+    const svc::CampaignRequest request = selftestRequest(8, 53);
+    std::map<std::string, std::string> manifests;
+    {
+        SchedRig rig(rigConfig(2, state_dir));
+        rig.boot();
+        rig.submit(1, request);
+        ASSERT_EQ(rig.manifests.size(), 1u);
+        rig.step(0);
+        rig.step(0);
+        rig.step(1); // trials 0, 1 and 4 are checkpointed
+
+        rig.client(2, frame("drain"));
+        for (std::size_t id : {0u, 1u}) {
+            const std::vector<json::Value> shrinks = rig.sentTo(id, "shrink");
+            ASSERT_EQ(shrinks.size(), 1u);
+            EXPECT_EQ(svc::field(shrinks[0], "hi"), 0u);
+        }
+        EXPECT_TRUE(rig.received(1, "draining").has_value());
+        EXPECT_TRUE(rig.received(2, "draining").has_value());
+
+        rig.submit(3, selftestRequest(4, 59));
+        const std::optional<json::Value> refusal = rig.received(3, "error");
+        ASSERT_TRUE(refusal.has_value());
+        EXPECT_NE(svc::stringField(*refusal, "message").find("draining"),
+                  std::string::npos);
+
+        rig.tick();
+        EXPECT_FALSE(rig.stopped); // both workers are still busy
+        rig.step(0);
+        rig.step(1); // each stops at its trial boundary
+        rig.tick();
+        EXPECT_TRUE(rig.stopped);
+        EXPECT_EQ(rig.manifests.size(), 1u);
+        manifests = rig.manifests;
+    }
+
+    SchedRig rig(rigConfig(2, state_dir));
+    rig.boot();
+    for (const auto &[path, text] : manifests) {
+        const std::optional<json::Value> manifest = json::Value::parse(text);
+        rig.absorb(rig.sched.on(
+            {Ev::PendingManifest, rig.now, 0, &*manifest, path}));
+    }
+    const json::Value stats = rig.stats();
+    ASSERT_EQ(stats.get("campaigns")->items().size(), 1u);
+    EXPECT_EQ(
+        stats.get("campaigns")->items()[0].get("resumed")->asU64(), 3u);
+
+    rig.client(4, frame("attach").set("request", request.toJson()));
+    EXPECT_TRUE(rig.received(4, "attached").has_value());
+    const std::optional<json::Value> result = rig.runUntil(4, "result");
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(svc::stringField(*result, "fingerprint"),
+              inProcessFingerprint(request));
+    EXPECT_TRUE(rig.manifests.empty());
+    std::error_code ec;
+    std::filesystem::remove_all(state_dir, ec);
+}
+
+TEST(SvcScheduler, CancelSendsThePartialToOwnerAndCancellerOnce)
+{
+    const std::string state_dir = uniquePath("sched_cancel");
+    SchedRig rig(rigConfig(2, state_dir));
+    rig.boot();
+    const svc::CampaignRequest request = selftestRequest(8, 61);
+    rig.submit(1, request);
+    ASSERT_EQ(rig.manifests.size(), 1u);
+    rig.step(0);
+    rig.step(1);
+    rig.step(0); // trials 0, 4 and 1
+
+    rig.client(2, frame("cancel").set("request", request.toJson()));
+    EXPECT_EQ(rig.sentTo(0, "shrink").size(), 1u);
+    EXPECT_EQ(rig.sentTo(1, "shrink").size(), 1u);
+    EXPECT_EQ(rig.count(Kind::RemoveManifest), 1u);
+    EXPECT_TRUE(rig.manifests.empty());
+    ASSERT_EQ(rig.inbox[1].size(), 2u); // accepted, cancelled
+    ASSERT_EQ(rig.inbox[2].size(), 1u);
+    const json::Value &cancelled = rig.inbox[2].front();
+    EXPECT_EQ(rig.inbox[1].back().dump(), cancelled.dump());
+    EXPECT_EQ(svc::stringField(cancelled, "type"), "cancelled");
+    EXPECT_EQ(svc::field(cancelled, "completed"), 3u);
+    EXPECT_EQ(cancelled.get("aggregate")->dump(),
+              aggregateOf(rig.runs.at(1), {0, 1, 4}));
+    const auto [run, restored] = creditTotals(*cancelled.get("credits"));
+    EXPECT_EQ(run + restored, 3u);
+    EXPECT_FALSE(svc::stringField(cancelled, "checkpoint_dir").empty());
+
+    // The campaign is gone: a second cancel finds nothing.
+    rig.client(2, frame("cancel").set("campaign", std::uint64_t(1)));
+    const std::optional<json::Value> again = rig.received(2, "error");
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(svc::stringField(*again, "code"), "not_found");
+    std::error_code ec;
+    std::filesystem::remove_all(state_dir, ec);
+}
+
+TEST(SvcScheduler, DuplicateReportFromAStealOverlapIsCreditedOnce)
+{
+    SchedRig rig(rigConfig(2));
+    rig.boot();
+    const svc::CampaignRequest request = selftestRequest(8, 67);
+    rig.submit(1, request); // worker 0: [0, 4), worker 1: [4, 8)
+    for (int i = 0; i < 5; ++i)
+        rig.step(1); // trials 4-7, then shard_done
+    rig.tick();      // worker 1 steals [2, 4) from worker 0
+    ASSERT_EQ(rig.sentTo(0, "shrink").size(), 1u);
+    EXPECT_EQ(svc::field(rig.sentTo(0, "shrink")[0], "hi"), 2u);
+    ASSERT_EQ(rig.sentTo(1, "shard").size(), 1u);
+    rig.step(0);
+    rig.step(0);      // trials 0 and 1
+    rig.report(0, 2); // past its new end: the shrink raced trial 2
+    rig.step(1);      // the thief's trial 2 repeats it
+    EXPECT_EQ(rig.stats()
+                  .get("campaigns")
+                  ->items()[0]
+                  .get("completed")
+                  ->asU64(),
+              7u);
+
+    const std::optional<json::Value> result = rig.runUntil(1, "result");
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(svc::stringField(*result, "fingerprint"),
+              inProcessFingerprint(request));
+    const json::Value *credits = result->get("credits");
+    EXPECT_EQ(credits->get("0")->get("run")->asU64(), 3u);
+    EXPECT_EQ(credits->get("1")->get("run")->asU64(), 5u);
+    EXPECT_EQ(statsMetric(rig.stats(), "svc.daemon.trials_completed"), 8u);
+}
+
+TEST(SvcScheduler, RandomInterleavingsCreditEveryTrialExactlyOnce)
+{
+    // Deaths, silences, lagging shrinks, duplicate reports and a
+    // cancel, interleaved from fixed seeds.  Whatever the order, the
+    // credits sum to the completed count, every trial is recorded
+    // once (so an uncancelled campaign's fingerprint is the in-process
+    // one), and no action targets a dead or unconnected worker (the
+    // rig checks each one).
+    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Rng rng(seed);
+        svc::DaemonConfig config = rigConfig(3);
+        config.trialWarnSec = 0.2;
+        config.heartbeatTimeoutSec = 0.5;
+        config.trialKillLimit = 1000; // a slow trial is never given up
+        SchedRig rig(config);
+        rig.lagShrinks = &rng;
+        rig.boot();
+        const svc::CampaignRequest first = selftestRequest(12, 2 * seed);
+        const svc::CampaignRequest second =
+            selftestRequest(10, 2 * seed + 1);
+        rig.submit(1, first, /*stream_every=*/1);
+        rig.submit(2, second);
+
+        for (int n = 0; n < 300; ++n) {
+            const std::size_t id = rng.below(3);
+            SchedRig::Worker &w = rig.workers[id];
+            switch (rng.below(20)) {
+              case 0:
+                if (w.alive)
+                    rig.die(id, rng.chance(0.5) ? Ev::WorkerExited
+                                                : Ev::WorkerLost);
+                break;
+              case 1:
+              case 2:
+                if (w.connected && w.busy && w.next > w.lo)
+                    rig.report(id, w.lo + rng.below(w.next - w.lo));
+                break;
+              case 3:
+                w.silent = !w.silent;
+                break;
+              case 4:
+                if (n >= 60 && rng.chance(0.1))
+                    rig.client(3, frame("cancel").set("campaign",
+                                                      std::uint64_t(2)));
+                break;
+              case 5:
+                rig.tick(0.3);
+                break;
+              case 6:
+                if (w.alive && !w.connected)
+                    rig.hello(id);
+                break;
+              default:
+                if (w.connected && !w.silent)
+                    rig.step(id);
+                rig.tick(0.01);
+                break;
+            }
+            if (n % 10 == 0) {
+                const json::Value stats = rig.stats();
+                for (const json::Value &c :
+                     stats.get("campaigns")->items()) {
+                    const auto [run, restored] =
+                        creditTotals(*c.get("credits"));
+                    EXPECT_EQ(run + restored, c.get("completed")->asU64());
+                }
+            }
+        }
+        for (SchedRig::Worker &w : rig.workers)
+            w.silent = false;
+
+        const std::optional<json::Value> result = rig.runUntil(1, "result");
+        ASSERT_TRUE(result.has_value());
+        EXPECT_EQ(svc::stringField(*result, "fingerprint"),
+                  inProcessFingerprint(first));
+        auto [run, restored] = creditTotals(*result->get("credits"));
+        EXPECT_EQ(run + restored, 12u);
+        std::uint64_t recorded = 12;
+
+        std::optional<json::Value> end = rig.received(2, "cancelled");
+        if (!end) {
+            end = rig.runUntil(2, "result");
+            ASSERT_TRUE(end.has_value());
+            EXPECT_EQ(svc::stringField(*end, "fingerprint"),
+                      inProcessFingerprint(second));
+            recorded += 10;
+        } else {
+            recorded += svc::field(*end, "completed");
+        }
+        std::tie(run, restored) = creditTotals(*end->get("credits"));
+        EXPECT_EQ(run + restored, end->get("result")
+                                      ? 10u
+                                      : svc::field(*end, "completed"));
+        EXPECT_EQ(statsMetric(rig.stats(), "svc.daemon.trials_completed"),
+                  recorded);
+    }
 }
 
 } // namespace
