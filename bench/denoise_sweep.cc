@@ -303,7 +303,7 @@ main(int argc, char **argv)
         fig11.push_back(
             runCell(fig11Cell(replays, opt), "fig11", replays, opt));
 
-    exp::JsonFileSink sink(opt.outDir, /*include_trials=*/true);
+    exp::JsonFileSink sink(opt.outDir);
     for (const auto *cells : {&fig10, &fig11})
         for (const Cell &cell : *cells)
             sink.consume(cell.result);

@@ -301,7 +301,10 @@ main(int argc, char **argv)
         obs::printMetrics(campaign.aggregate.metrics);
     }
     if (obsOpts.trace) {
-        if (obs::writeChromeTrace(obsOpts.tracePath, fig11Detail.events))
+        obs::TraceSpill spill;
+        spill.log = fig11Detail.events;
+        if (obs::writeTraceFile(obsOpts.tracePath,
+                                obs::mergeChromeTraces({spill})))
             std::printf("\nreplay timeline (Chrome trace-event JSON, "
                         "open in ui.perfetto.dev): %s\n",
                         obsOpts.tracePath.c_str());

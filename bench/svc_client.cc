@@ -10,7 +10,7 @@
  *       --stream-every=1 --out=run.ndjson --fingerprint-out=fp.txt
  *
  * `--inprocess` runs the *same* request through exp::runCampaign in
- * this process instead of the service — same recipe registry, same
+ * this process instead of the service — same recipe table, same
  * spec construction — producing the reference fingerprint a service
  * run must match byte for byte.  `--wait-ready` pings until the
  * daemon answers; `--shutdown` asks it to exit.
@@ -53,7 +53,7 @@ usage(const char *argv0)
         "       %s stats --socket=PATH [--watch=SECS] [--json]\n"
         "       %s trace --dir=DIR --out=PATH\n"
         "\n"
-        "  --recipe=NAME         registered recipe to run\n"
+        "  --recipe=NAME         built-in recipe to run\n"
         "  --name=NAME           campaign name (default: recipe)\n"
         "  --trials=N            trial count (0 = recipe default)\n"
         "  --seed=N              master seed (default 42)\n"
@@ -240,14 +240,9 @@ traceMain(const std::string &dir, const std::string &out_path)
         return 1;
     }
     const std::size_t count = spills.size();
-    const std::string merged =
-        obs::mergeChromeTraces(std::move(spills));
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        std::fprintf(stderr, "cannot write '%s'\n", out_path.c_str());
+    if (!obs::writeTraceFile(out_path,
+                             obs::mergeChromeTraces(std::move(spills))))
         return 1;
-    }
-    out << merged;
     std::printf("merged %zu spill(s) from '%s' into %s\n", count,
                 dir.c_str(), out_path.c_str());
     return 0;
@@ -369,15 +364,15 @@ main(int argc, char **argv)
             watch_seconds = static_cast<int>(*n);
         } else if (auto v = valueOf("--dir="))
             trace_dir = *v;
-        else if (auto v = valueOf("--log-level=")) {
-            LogConfig lc = logConfig();
-            if (auto level = parseLogLevel(*v))
-                lc.level = *level;
-            configureLog(lc);
-        } else if (arg == "--log-json") {
-            LogConfig lc = logConfig();
-            lc.json = true;
-            configureLog(lc);
+        else if (const LogFlag log = applyLogFlag(arg);
+                 log != LogFlag::NotLogFlag) {
+            if (log == LogFlag::BadValue) {
+                std::fprintf(stderr,
+                             "--log-level: bad value '%s' (expected "
+                             "error|warn|info|debug)\n",
+                             valueOf("--log-level=").value_or("").c_str());
+                return 2;
+            }
         } else if (arg == "--json")
             stats_json = true;
         else if (arg == "--inprocess")

@@ -1,5 +1,6 @@
 #include "common/fsio.hh"
 
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <fcntl.h>
@@ -11,6 +12,18 @@
 
 namespace uscope
 {
+
+std::string
+sanitizeFileName(const std::string &name)
+{
+    std::string out;
+    for (char c : name)
+        out += (std::isalnum(static_cast<unsigned char>(c)) ||
+                c == '-' || c == '_')
+                   ? c
+                   : '_';
+    return out.empty() ? std::string("campaign") : out;
+}
 
 void
 fsyncDirectory(const std::string &dir)

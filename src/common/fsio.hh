@@ -1,11 +1,11 @@
 /**
  * @file
  * Durable filesystem primitives shared by every layer that persists
- * state: campaign checkpoints (src/exp), the service daemon's shard
- * manifests, and the observability trace spills (src/obs).  Moved
- * here from exp/checkpoint so obs can use them without depending on
- * the experiment layer (the same exp -> common promotion the JSON
- * library went through).
+ * state: campaign checkpoints and reports (src/exp), the service
+ * daemon's shard manifests, and the observability trace files
+ * (src/obs).  Moved here from exp/checkpoint so obs can use them
+ * without depending on the experiment layer (the same exp -> common
+ * promotion the JSON library went through).
  */
 
 #ifndef USCOPE_COMMON_FSIO_HH
@@ -33,6 +33,14 @@ namespace uscope
  * to the old atomic-only behavior with a warning.
  */
 void writeFileAtomic(const std::string &path, const std::string &content);
+
+/**
+ * @p name as one path component: every byte but an ASCII letter,
+ * digit, `-` or `_` becomes `_`, and an empty name becomes
+ * `campaign`.  It names durable checkpoint directories, so its bytes
+ * must not change.
+ */
+std::string sanitizeFileName(const std::string &name);
 
 /**
  * fsync a directory so a rename inside it survives power loss.  Some

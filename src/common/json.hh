@@ -80,17 +80,9 @@ class Value
 
     Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
-    bool isBool() const { return type_ == Type::Bool; }
     bool isString() const { return type_ == Type::String; }
     bool isArray() const { return type_ == Type::Array; }
     bool isObject() const { return type_ == Type::Object; }
-
-    bool
-    isNumber() const
-    {
-        return type_ == Type::Int || type_ == Type::Uint ||
-               type_ == Type::Double;
-    }
 
     // -----------------------------------------------------------------
     // Read accessors (the svc wire protocol's view of a parsed value).

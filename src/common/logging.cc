@@ -44,28 +44,17 @@ emitLock()
 }
 
 void
-emitLine(LogLevel level, const char *component,
-         const std::uint64_t *cycle, const std::string &msg)
+emitLine(LogLevel level, const char *component, const std::string &msg)
 {
     const double ts = secondsSinceStart();
-    std::string line;
-    if (sinkJson.load(std::memory_order_relaxed)) {
-        line = format("{\"ts\":%.6f,\"level\":\"%s\",\"component\":"
-                      "\"%s\"",
-                      ts, logLevelName(level), component);
-        if (cycle)
-            line += format(",\"cycle\":%llu",
-                           static_cast<unsigned long long>(*cycle));
-        line += format(",\"msg\":\"%s\"}",
-                       json::Value::escape(msg).c_str());
-    } else {
-        line = format("[%9.3fs] %-5s %s: ", ts, logLevelName(level),
-                      component);
-        if (cycle)
-            line += format("@%llu ",
-                           static_cast<unsigned long long>(*cycle));
-        line += msg;
-    }
+    const std::string line =
+        sinkJson.load(std::memory_order_relaxed)
+            ? format("{\"ts\":%.6f,\"level\":\"%s\",\"component\":"
+                     "\"%s\",\"msg\":\"%s\"}",
+                     ts, logLevelName(level), component,
+                     json::Value::escape(msg).c_str())
+            : format("[%9.3fs] %-5s %s: %s", ts, logLevelName(level),
+                     component, msg.c_str());
     std::lock_guard<std::mutex> guard(emitLock());
     std::fprintf(stderr, "%s\n", line.c_str());
     // Structured output is often tailed live (svc_client stats
@@ -131,7 +120,7 @@ warn(const char *fmt, ...)
         return;
     std::va_list ap;
     va_start(ap, fmt);
-    simLog.vlog(LogLevel::Warn, nullptr, fmt, ap);
+    simLog.vlog(LogLevel::Warn, fmt, ap);
     va_end(ap);
 }
 
@@ -203,6 +192,28 @@ configureLogFromEnv()
     configureLog(config);
 }
 
+LogFlag
+applyLogFlag(const std::string &arg)
+{
+    const std::string levelFlag = "--log-level";
+    LogConfig config = logConfig();
+    if (arg == "--log-json") {
+        config.json = true;
+    } else if (arg == levelFlag || arg.rfind(levelFlag + "=", 0) == 0) {
+        const std::optional<LogLevel> level =
+            arg == levelFlag
+                ? std::nullopt
+                : parseLogLevel(arg.substr(levelFlag.size() + 1));
+        if (!level)
+            return LogFlag::BadValue;
+        config.level = *level;
+    } else {
+        return LogFlag::NotLogFlag;
+    }
+    configureLog(config);
+    return LogFlag::Applied;
+}
+
 bool
 logEnabled(LogLevel level)
 {
@@ -211,12 +222,11 @@ logEnabled(LogLevel level)
 }
 
 void
-Logger::vlog(LogLevel level, const std::uint64_t *cycle,
-             const char *fmt, std::va_list ap) const
+Logger::vlog(LogLevel level, const char *fmt, std::va_list ap) const
 {
     if (!logEnabled(level))
         return;
-    emitLine(level, component_, cycle, vformat(fmt, ap));
+    emitLine(level, component_, vformat(fmt, ap));
 }
 
 #define USCOPE_LOG_FRONT(name, level)                                  \
@@ -226,7 +236,7 @@ Logger::vlog(LogLevel level, const std::uint64_t *cycle,
             return;                                                    \
         std::va_list ap;                                               \
         va_start(ap, fmt);                                             \
-        vlog(level, nullptr, fmt, ap);                                 \
+        vlog(level, fmt, ap);                                          \
         va_end(ap);                                                    \
     }
 
@@ -236,27 +246,5 @@ USCOPE_LOG_FRONT(info, LogLevel::Info)
 USCOPE_LOG_FRONT(debug, LogLevel::Debug)
 
 #undef USCOPE_LOG_FRONT
-
-void
-Logger::infoAt(std::uint64_t cycle, const char *fmt, ...) const
-{
-    if (!logEnabled(LogLevel::Info))
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    vlog(LogLevel::Info, &cycle, fmt, ap);
-    va_end(ap);
-}
-
-void
-Logger::debugAt(std::uint64_t cycle, const char *fmt, ...) const
-{
-    if (!logEnabled(LogLevel::Debug))
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    vlog(LogLevel::Debug, &cycle, fmt, ap);
-    va_end(ap);
-}
 
 } // namespace uscope

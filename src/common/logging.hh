@@ -20,8 +20,7 @@
  * Every line carries a monotonic wall timestamp (seconds since
  * process start — steady_clock, so log deltas are real durations even
  * if NTP steps the wall clock mid-campaign), a severity, and the
- * component tag; the `*At` variants add the simulated cycle for
- * sim-correlated diagnostics.  Two output shapes, chosen per process:
+ * component tag.  Two output shapes, chosen per process:
  *
  *   pretty (default):  [  12.345s] warn  svc.daemon: message
  *   NDJSON (--log-json / USCOPE_LOG=json):
@@ -30,11 +29,12 @@
  *
  * Configuration is per-process: `configureLogFromEnv()` reads
  * `USCOPE_LOG` (comma-separated tokens: a level name `error|warn|
- * info|debug`, and/or `json`); daemons and workers also accept
- * `--log-level=L` / `--log-json` and forward them to children so one
- * flag configures the whole worker tree.  The level gates every line,
- * warn() included: a warn() from deep inside a Machine is dropped at
- * --log-level=error like any other warn line.
+ * info|debug`, and/or `json`); every binary also accepts
+ * `--log-level=L` / `--log-json` (parsed by applyLogFlag), and the
+ * daemon forwards them to its workers so one flag configures the
+ * whole worker tree.  The level gates every line, warn() included: a
+ * warn() from deep inside a Machine is dropped at --log-level=error
+ * like any other warn line.
  *
  * The observation-must-not-perturb contract: logging formats and
  * emits only — it never touches simulation state, and campaign
@@ -50,7 +50,6 @@
 #define USCOPE_COMMON_LOGGING_HH
 
 #include <cstdarg>
-#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -126,6 +125,22 @@ LogConfig logConfig();
  */
 void configureLogFromEnv();
 
+/** What applyLogFlag made of one command-line argument. */
+enum class LogFlag
+{
+    /** Not `--log-level=...` or `--log-json`; the sink is untouched. */
+    NotLogFlag,
+    /** A log flag, now applied to the process-wide sink. */
+    Applied,
+    /** `--log-level` without one of error|warn|info|debug; the sink is
+     *  untouched and the caller reports its own usage error. */
+    BadValue,
+};
+
+/** Apply @p arg to the sink if it is `--log-level=LEVEL` or
+ *  `--log-json`. */
+LogFlag applyLogFlag(const std::string &arg);
+
 /** True when a line at @p level would be emitted (cheap gate for
  *  callers that want to skip formatting work entirely). */
 bool logEnabled(LogLevel level);
@@ -154,16 +169,8 @@ class Logger
     void debug(const char *fmt, ...) const
         __attribute__((format(printf, 2, 3)));
 
-    /** Cycle-correlated variants: the line additionally carries the
-     *  simulated cycle (pretty: `@cycle`, NDJSON: `"cycle":N`). */
-    void infoAt(std::uint64_t cycle, const char *fmt, ...) const
-        __attribute__((format(printf, 3, 4)));
-    void debugAt(std::uint64_t cycle, const char *fmt, ...) const
-        __attribute__((format(printf, 3, 4)));
-
     /** The core emitter the convenience fronts funnel into. */
-    void vlog(LogLevel level, const std::uint64_t *cycle,
-              const char *fmt, std::va_list ap) const;
+    void vlog(LogLevel level, const char *fmt, std::va_list ap) const;
 
   private:
     const char *component_;

@@ -1,7 +1,6 @@
 #include "common/stats.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -76,11 +75,9 @@ Summary::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double lo, double hi, unsigned nbuckets,
-                     bool keep_raw)
+Histogram::Histogram(double lo, double hi, unsigned nbuckets)
     : lo_(lo), hi_(hi),
       bucketWidth_((hi - lo) / nbuckets),
-      keepRaw_(keep_raw),
       buckets_(nbuckets, 0)
 {
     if (!(hi > lo) || nbuckets == 0)
@@ -92,8 +89,6 @@ void
 Histogram::add(double sample)
 {
     summary_.add(sample);
-    if (keepRaw_)
-        samples_.push_back(sample);
     if (sample < lo_) {
         ++underflow_;
     } else if (sample >= hi_) {
@@ -103,67 +98,6 @@ Histogram::add(double sample)
         idx = std::min(idx, buckets_.size() - 1);
         ++buckets_[idx];
     }
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    if (lo_ != other.lo_ || hi_ != other.hi_ ||
-        buckets_.size() != other.buckets_.size()) {
-        fatal("Histogram::merge: shape mismatch "
-              "([%g, %g)/%zu vs [%g, %g)/%zu)",
-              lo_, hi_, buckets_.size(),
-              other.lo_, other.hi_, other.buckets_.size());
-    }
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    underflow_ += other.underflow_;
-    overflow_ += other.overflow_;
-    if (keepRaw_) {
-        samples_.insert(samples_.end(), other.samples_.begin(),
-                        other.samples_.end());
-    }
-    summary_.merge(other.summary_);
-}
-
-std::uint64_t
-Histogram::countAbove(double threshold) const
-{
-    if (!keepRaw_ && summary_.count())
-        panic("Histogram::countAbove on a keep_raw=false histogram "
-              "with %llu samples",
-              static_cast<unsigned long long>(summary_.count()));
-    std::uint64_t n = 0;
-    for (double s : samples_)
-        if (s > threshold)
-            ++n;
-    return n;
-}
-
-double
-Histogram::percentile(double fraction) const
-{
-    if (!keepRaw_ && summary_.count())
-        panic("Histogram::percentile on a keep_raw=false histogram "
-              "with %llu samples",
-              static_cast<unsigned long long>(summary_.count()));
-    if (samples_.empty())
-        return 0.0;
-    // Clamp out-of-range (or NaN) fractions: a negative pos would make
-    // the size_t cast below undefined behaviour.  NaN fails both
-    // comparisons, so it falls through to 0.0 (the minimum).
-    if (!(fraction >= 0.0))
-        fraction = 0.0;
-    else if (fraction > 1.0)
-        fraction = 1.0;
-    std::vector<double> sorted = samples_;
-    std::sort(sorted.begin(), sorted.end());
-    const double pos = fraction * static_cast<double>(sorted.size() - 1);
-    const auto idx = static_cast<std::size_t>(pos);
-    if (idx + 1 >= sorted.size())
-        return sorted.back();
-    const double frac = pos - static_cast<double>(idx);
-    return sorted[idx] * (1.0 - frac) + sorted[idx + 1] * frac;
 }
 
 double

@@ -19,7 +19,7 @@ namespace uscope
 
 /**
  * Streaming summary of a sequence of samples: count, mean, min, max,
- * variance (Welford), and arbitrary-threshold exceedance counting.
+ * variance (Welford).
  */
 class Summary
 {
@@ -67,9 +67,8 @@ class Summary
 
 /**
  * Fixed-width-bucket histogram over [lo, hi); samples outside the range
- * are counted in underflow/overflow buckets.  Also retains the raw
- * sample vector so harnesses can post-process (threshold counts,
- * percentiles) and dump series for EXPERIMENTS.md.
+ * are counted in underflow/overflow buckets.  Renders as text, e.g.
+ * the Figure-10 latency distributions.
  */
 class Histogram
 {
@@ -78,45 +77,16 @@ class Histogram
      * @param lo       Lowest bucketed value.
      * @param hi       One past the highest bucketed value.
      * @param nbuckets Number of equal-width buckets.
-     * @param keep_raw Retain every raw sample (default on).
      */
-    Histogram(double lo, double hi, unsigned nbuckets,
-              bool keep_raw = true);
+    Histogram(double lo, double hi, unsigned nbuckets);
 
     void add(double sample);
-
-    /**
-     * Fold @p other into this histogram: bucket counts add, raw
-     * samples concatenate, summaries merge.  Both histograms must
-     * have the same [lo, hi) range and bucket count.
-     */
-    void merge(const Histogram &other);
 
     std::uint64_t count() const { return summary_.count(); }
     const Summary &summary() const { return summary_; }
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
     std::uint64_t underflow() const { return underflow_; }
     std::uint64_t overflow() const { return overflow_; }
-    const std::vector<double> &samples() const { return samples_; }
-
-    /** True when raw samples are retained (keep_raw at construction). */
-    bool keepRaw() const { return keepRaw_; }
-
-    /**
-     * Number of samples strictly greater than @p threshold.  Requires
-     * raw samples: calling this on a populated keep_raw=false
-     * histogram is a simulator bug and panics (it would otherwise
-     * silently report 0).
-     */
-    std::uint64_t countAbove(double threshold) const;
-
-    /**
-     * Value below which @p fraction of the samples fall.  Requires raw
-     * samples: calling this on a populated keep_raw=false histogram is
-     * a simulator bug and panics (it would otherwise silently return
-     * garbage).
-     */
-    double percentile(double fraction) const;
 
     /** Lower edge of bucket @p idx. */
     double bucketLo(unsigned idx) const;
@@ -128,11 +98,9 @@ class Histogram
     double lo_;
     double hi_;
     double bucketWidth_;
-    bool keepRaw_;
     std::vector<std::uint64_t> buckets_;
     std::uint64_t underflow_ = 0;
     std::uint64_t overflow_ = 0;
-    std::vector<double> samples_;
     Summary summary_;
 };
 

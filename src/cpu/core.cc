@@ -166,16 +166,6 @@ Core::startContext(unsigned ctx_id,
     ctx.state = CtxState::Running;
 }
 
-void
-Core::stopContext(unsigned ctx_id)
-{
-    Context &ctx = ctxAt(ctx_id);
-    squashAll(ctx_id);
-    ctx.program.reset();
-    ctx.stream = nullptr;
-    ctx.state = CtxState::Idle;
-}
-
 CtxState
 Core::contextState(unsigned ctx_id) const
 {
@@ -240,22 +230,10 @@ Core::readIntReg(unsigned ctx_id, Reg reg) const
     return ctxAt(ctx_id).intRegs.at(reg);
 }
 
-void
-Core::writeIntReg(unsigned ctx_id, Reg reg, std::uint64_t value)
-{
-    ctxAt(ctx_id).intRegs.at(reg) = value;
-}
-
 double
 Core::readFpReg(unsigned ctx_id, Reg reg) const
 {
     return asDouble(ctxAt(ctx_id).fpRegs.at(reg));
-}
-
-void
-Core::writeFpReg(unsigned ctx_id, Reg reg, double value)
-{
-    ctxAt(ctx_id).fpRegs.at(reg) = asBits(value);
 }
 
 const CtxStats &

@@ -182,9 +182,6 @@ class Core
                       std::uint64_t entry, Pcid pcid, PAddr pt_root,
                       std::uint64_t pc_bias);
 
-    /** Stop and clear a context. */
-    void stopContext(unsigned ctx);
-
     /** Program loaded on @p ctx (null while idle). */
     const std::shared_ptr<const Program> &contextProgram(unsigned ctx) const
     {
@@ -224,11 +221,9 @@ class Core
     /** Squash everything in flight and restart fetch at @p pc. */
     void redirectContext(unsigned ctx, std::uint64_t pc);
 
-    /** Architectural register access (setup and result readback). */
+    /** Architectural register reads (result readback). */
     std::uint64_t readIntReg(unsigned ctx, Reg reg) const;
-    void writeIntReg(unsigned ctx, Reg reg, std::uint64_t value);
     double readFpReg(unsigned ctx, Reg reg) const;
-    void writeFpReg(unsigned ctx, Reg reg, double value);
 
     /** Advance the whole core by one cycle. */
     void tick();

@@ -50,12 +50,6 @@ class Program
      */
     const DecodedStream &decoded() const { return *decoded_; }
 
-    /** The refcounted stream itself (for lifetime-extending callers). */
-    const std::shared_ptr<const DecodedStream> &decodedStream() const
-    {
-        return decoded_;
-    }
-
     /** Index of a named label; fatal if unknown. */
     std::uint32_t label(const std::string &name) const;
 

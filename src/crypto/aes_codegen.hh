@@ -45,9 +45,6 @@ struct AesVictimLayout
 
     /** VA of one table by index 0..4. */
     VAddr tableVa(unsigned table) const;
-
-    /** VA of rk word @p w. */
-    VAddr rkVa(unsigned w) const { return rk + 4ull * w; }
 };
 
 /**

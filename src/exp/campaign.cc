@@ -113,46 +113,6 @@ toJson(const Summary &summary)
 }
 
 json::Value
-toJson(const Histogram &histogram, std::size_t max_raw_samples)
-{
-    json::Value v = json::Value::object()
-                        .set("summary", toJson(histogram.summary()))
-                        .set("underflow", histogram.underflow())
-                        .set("overflow", histogram.overflow());
-    json::Value buckets = json::Value::array();
-    for (std::uint64_t count : histogram.buckets())
-        buckets.push(count);
-    v.set("buckets", std::move(buckets));
-
-    if (!histogram.keepRaw())
-        return v;
-
-    const std::vector<double> &raw = histogram.samples();
-    json::Value samples = json::Value::array();
-    std::uint64_t dropped = 0;
-    if (max_raw_samples == 0 || raw.size() <= max_raw_samples) {
-        for (double sample : raw)
-            samples.push(sample);
-    } else {
-        // Deterministic stride sampling: every k-th sample, where k
-        // depends only on the sizes — not on threads or time.
-        const std::size_t stride =
-            (raw.size() + max_raw_samples - 1) / max_raw_samples;
-        for (std::size_t i = 0; i < raw.size(); i += stride)
-            samples.push(raw[i]);
-        dropped = raw.size() - (raw.size() + stride - 1) / stride;
-        log_.warn("histogram JSON export: %llu of %zu raw samples "
-                  "dropped (cap %zu, stride %zu)",
-                  static_cast<unsigned long long>(dropped), raw.size(),
-                  max_raw_samples, stride);
-    }
-    v.set("samples", std::move(samples));
-    v.set("samples_total", std::uint64_t{raw.size()});
-    v.set("samples_dropped", dropped);
-    return v;
-}
-
-json::Value
 TrialResult::toJson() const
 {
     json::Value v = json::Value::object()
@@ -364,12 +324,6 @@ const obs::ProfData &
 TrialExecutor::prof() const
 {
     return state_->prof;
-}
-
-void
-TrialExecutor::clearProf()
-{
-    state_->prof = obs::ProfData{};
 }
 
 void

@@ -23,7 +23,7 @@
  *    recorded as TimedOut — both are *results*, not crashes; the
  *    campaign keeps going.
  *
- * Results export to JSON through exp::ResultSink (result_sink.hh).
+ * Results export to JSON through exp::JsonFileSink (result_sink.hh).
  */
 
 #ifndef USCOPE_EXP_CAMPAIGN_HH
@@ -470,11 +470,8 @@ class TrialExecutor
     /** Accumulated phase profile (prof.trial.*) of every trial this
      *  executor ran at ObsLevel >= Metrics; empty otherwise.  The
      *  owner merges it into CampaignResult::prof (or streams it to
-     *  the daemon) — and may clear() it between reports. */
+     *  the daemon). */
     const obs::ProfData &prof() const;
-
-    /** Reset the accumulated profile (after the owner reported it). */
-    void clearProf();
 
   private:
     struct State;
@@ -578,16 +575,6 @@ CampaignResult runCampaign(CampaignSpec spec);
 
 /** Serialize a Summary (count/mean/stddev/min/max) to JSON. */
 json::Value toJson(const Summary &summary);
-
-/**
- * Serialize a Histogram: summary, buckets, and (when retained) the raw
- * samples.  Raw-sample arrays longer than @p max_raw_samples are
- * deterministically stride-sampled down to at most that many entries;
- * the drop is recorded in the JSON ("samples_dropped") and warned
- * about, never silent.
- */
-json::Value toJson(const Histogram &histogram,
-                   std::size_t max_raw_samples = 4096);
 
 } // namespace uscope::exp
 

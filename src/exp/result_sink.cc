@@ -3,79 +3,20 @@
 #include <filesystem>
 #include <system_error>
 
+#include "common/fsio.hh"
 #include "common/logging.hh"
-#include "exp/checkpoint.hh"
 
 namespace uscope::exp
 {
 
 namespace
 {
+
 constexpr Logger sinkLog{"exp.sink"};
-} // namespace
-
-JsonStreamSink::JsonStreamSink(std::ostream &os, bool include_trials,
-                               int indent)
-    : os_(os), includeTrials_(include_trials), indent_(indent)
-{
-}
-
-namespace
-{
-
-/**
- * NaN/Inf have no JSON token and dump as null; annotate the document
- * (samples_dropped-style) and warn so the nulls are attributable when
- * the results are read back by plotting tooling.
- */
-json::Value
-annotateNonFinite(json::Value doc, const std::string &name)
-{
-    const std::size_t dropped = doc.nonFiniteCount();
-    if (dropped) {
-        sinkLog.warn("campaign '%s': %zu non-finite metric value(s) "
-                     "serialized as null",
-                     name.c_str(), dropped);
-        doc.set("non_finite_nulled", std::uint64_t{dropped});
-    }
-    return doc;
-}
 
 } // namespace
 
-void
-JsonStreamSink::consume(const CampaignResult &result)
-{
-    os_ << annotateNonFinite(result.toJson(includeTrials_), result.name)
-               .dump(indent_)
-        << '\n';
-    os_.flush();
-}
-
-namespace
-{
-
-/** `name` becomes a file name; keep it shell- and diff-friendly. */
-std::string
-sanitize(const std::string &name)
-{
-    std::string out = name.empty() ? std::string("campaign") : name;
-    for (char &c : out) {
-        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-                        || (c >= '0' && c <= '9') || c == '-'
-                        || c == '_' || c == '.';
-        if (!ok)
-            c = '_';
-    }
-    return out;
-}
-
-} // namespace
-
-JsonFileSink::JsonFileSink(std::string dir, bool include_trials,
-                           int indent)
-    : dir_(std::move(dir)), includeTrials_(include_trials),
-      indent_(indent)
+JsonFileSink::JsonFileSink(std::string dir) : dir_(std::move(dir))
 {
     if (dir_.empty())
         dir_ = ".";
@@ -89,16 +30,22 @@ JsonFileSink::JsonFileSink(std::string dir, bool include_trials,
 void
 JsonFileSink::consume(const CampaignResult &result)
 {
+    // NaN/Inf have no JSON token and dump as null; count them in the
+    // document and warn so the nulls are attributable when the results
+    // are read back by plotting tooling.
+    json::Value doc = result.toJson();
+    if (const std::size_t nulled = doc.nonFiniteCount()) {
+        sinkLog.warn("campaign '%s': %zu non-finite metric value(s) "
+                     "serialized as null",
+                     result.name.c_str(), nulled);
+        doc.set("non_finite_nulled", std::uint64_t{nulled});
+    }
     const std::string path =
-        dir_ + "/" + sanitize(result.name) + ".json";
+        dir_ + "/" + sanitizeFileName(result.name) + ".json";
     // tmp + rename: a reader racing the write — or a campaign killed
     // mid-report — sees the previous document or the new one, never a
     // truncated prefix.
-    writeFileAtomic(
-        path,
-        annotateNonFinite(result.toJson(includeTrials_), result.name)
-                .dump(indent_) +
-            '\n');
+    writeFileAtomic(path, doc.dump(2) + '\n');
     lastPath_ = path;
 }
 

@@ -13,19 +13,6 @@ namespace
 constexpr Logger log_{"fault"};
 } // namespace
 
-const char *
-siteName(Site site)
-{
-    switch (site) {
-      case Site::Interrupt: return "interrupt";
-      case Site::Preemption: return "preemption";
-      case Site::PortJitter: return "port-jitter";
-      case Site::ProbeJitter: return "probe-jitter";
-      case Site::SampleDrop: return "sample-drop";
-    }
-    return "?";
-}
-
 bool
 FaultPlan::enabled() const
 {

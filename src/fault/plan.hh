@@ -49,9 +49,6 @@ enum class Site : std::uint8_t
 
 constexpr unsigned numSites = static_cast<unsigned>(Site::SampleDrop) + 1;
 
-/** Printable name of a site ("interrupt", "preemption", ...). */
-const char *siteName(Site site);
-
 /** All knobs of the fault model; a default-constructed plan is inert. */
 struct FaultPlan
 {

@@ -124,7 +124,6 @@ class PhysMem
     std::uint64_t read64(PAddr addr) const { return read(addr, 8); }
 
     void write8(PAddr addr, std::uint8_t val) { write(addr, val, 1); }
-    void write32(PAddr addr, std::uint32_t val) { write(addr, val, 4); }
     void write64(PAddr addr, std::uint64_t val) { write(addr, val, 8); }
 
     /** Bulk copy into physical memory. */

@@ -1,7 +1,6 @@
 #include "obs/chrome_trace.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -31,7 +30,8 @@ levelName(unsigned level)
     return level < 4 ? names[level] : "?";
 }
 
-/** Mirrors fault::Site (obs cannot depend on the fault library). */
+/** The names of fault::Site, in its order (obs cannot depend on the
+ *  fault library). */
 const char *
 faultSiteName(unsigned site)
 {
@@ -47,199 +47,131 @@ hex(std::uint64_t value)
     return format("0x%llx", static_cast<unsigned long long>(value));
 }
 
-/** One trace-event dict.  @p ph is "B"/"E"/"i"/"M". */
+/** Where a trial's events land: `pid` = worker, `tid` = tidBase + the
+ *  subsystem track. */
+struct Lane
+{
+    unsigned pid;
+    std::size_t tidBase;
+};
+
+/** One trace-event dict.  @p ph is "B"/"E"/"i". */
 json::Value
-traceEvent(const char *name, const char *ph, std::uint64_t ts, int tid)
+traceEvent(const char *name, const char *ph, std::uint64_t ts, Lane lane,
+           int tid)
 {
     json::Value v = json::Value::object()
                         .set("name", name)
                         .set("ph", ph)
                         .set("ts", ts)
-                        .set("pid", 0)
-                        .set("tid", tid);
+                        .set("pid", std::uint64_t{lane.pid})
+                        .set("tid", lane.tidBase + tid);
     if (ph[0] == 'i')
         v.set("s", "t");  // instant scoped to its thread/track.
     return v;
 }
 
 json::Value
-convert(const Event &e)
+convert(const Event &e, Lane lane)
 {
     switch (e.kind) {
       case EventKind::WalkStart:
-        return traceEvent("page-walk", "B", e.cycle, tidWalker)
+        return traceEvent("page-walk", "B", e.cycle, lane, tidWalker)
             .set("args", json::Value::object()
                              .set("va", hex(e.addr))
                              .set("start_level", std::uint64_t{e.a}));
       case EventKind::WalkEnd:
-        return traceEvent("page-walk", "E", e.cycle, tidWalker)
+        return traceEvent("page-walk", "E", e.cycle, lane, tidWalker)
             .set("args", json::Value::object()
                              .set("va", hex(e.addr))
                              .set("fault", e.a != 0)
                              .set("latency", std::uint64_t{e.b}));
       case EventKind::WalkStep:
-        return traceEvent("walk-step", "i", e.cycle, tidWalker)
+        return traceEvent("walk-step", "i", e.cycle, lane, tidWalker)
             .set("args", json::Value::object()
                              .set("level", std::uint64_t{e.a})
                              .set("latency", std::uint64_t{e.b})
                              .set("entry_pa", hex(e.addr)));
       case EventKind::TlbMiss:
-        return traceEvent("tlb-miss", "i", e.cycle, tidWalker)
+        return traceEvent("tlb-miss", "i", e.cycle, lane, tidWalker)
             .set("args", json::Value::object().set("va", hex(e.addr)));
       case EventKind::PageFault:
-        return traceEvent("page-fault", "i", e.cycle, tidWalker)
+        return traceEvent("page-fault", "i", e.cycle, lane, tidWalker)
             .set("args", json::Value::object()
                              .set("ctx", std::uint64_t{e.a})
                              .set("va", hex(e.addr)));
       case EventKind::SpecIssue:
-        return traceEvent("issue", "i", e.cycle, tidCoreBase + e.a)
+        return traceEvent("issue", "i", e.cycle, lane, tidCoreBase + e.a)
             .set("args", json::Value::object()
                              .set("op", std::uint64_t{e.b})
                              .set("pc", e.addr));
       case EventKind::Retire:
-        return traceEvent("retire", "i", e.cycle, tidCoreBase + e.a)
+        return traceEvent("retire", "i", e.cycle, lane, tidCoreBase + e.a)
             .set("args", json::Value::object()
                              .set("op", std::uint64_t{e.b})
                              .set("pc", e.addr));
       case EventKind::Squash:
-        return traceEvent("squash", "i", e.cycle, tidCoreBase + e.a)
+        return traceEvent("squash", "i", e.cycle, lane, tidCoreBase + e.a)
             .set("args", json::Value::object()
                              .set("entries", std::uint64_t{e.b})
                              .set("pc", e.addr));
       case EventKind::PortConflict:
-        return traceEvent("port-conflict", "i", e.cycle,
+        return traceEvent("port-conflict", "i", e.cycle, lane,
                           tidCoreBase + e.a)
             .set("args", json::Value::object()
                              .set("op", std::uint64_t{e.b})
                              .set("pc", e.addr));
       case EventKind::CacheAccess:
-        return traceEvent("cache-access", "i", e.cycle, tidMem)
+        return traceEvent("cache-access", "i", e.cycle, lane, tidMem)
             .set("args", json::Value::object()
                              .set("level", levelName(e.a))
                              .set("latency", std::uint64_t{e.b})
                              .set("line", hex(e.addr)));
       case EventKind::Probe:
-        return traceEvent("probe", "i", e.cycle, tidMem)
+        return traceEvent("probe", "i", e.cycle, lane, tidMem)
             .set("args", json::Value::object()
                              .set("level", levelName(e.a))
                              .set("latency", std::uint64_t{e.b})
                              .set("line", hex(e.addr)));
       case EventKind::ReplayBoundary:
-        return traceEvent("replay", "i", e.cycle, tidReplay)
+        return traceEvent("replay", "i", e.cycle, lane, tidReplay)
             .set("args",
                  json::Value::object()
                      .set("page", e.a == 2 ? "pivot" : "handle")
                      .set("replay", std::uint64_t{e.b})
                      .set("episode", e.addr));
       case EventKind::EpisodeEnd:
-        return traceEvent("episode-end", "i", e.cycle, tidReplay)
+        return traceEvent("episode-end", "i", e.cycle, lane, tidReplay)
             .set("args", json::Value::object()
                              .set("replays", std::uint64_t{e.b})
                              .set("episode", e.addr));
       case EventKind::FaultInject:
-        return traceEvent("fault-inject", "i", e.cycle, tidFault)
+        return traceEvent("fault-inject", "i", e.cycle, lane, tidFault)
             .set("args", json::Value::object()
                              .set("site", faultSiteName(e.a))
                              .set("magnitude", std::uint64_t{e.b})
                              .set("payload", hex(e.addr)));
     }
-    return traceEvent(eventKindName(e.kind), "i", e.cycle, tidMem);
+    return traceEvent(eventKindName(e.kind), "i", e.cycle, lane, tidMem);
 }
-
-json::Value
-threadNameMeta(int tid, const char *name)
-{
-    return json::Value::object()
-        .set("name", "thread_name")
-        .set("ph", "M")
-        .set("pid", 0)
-        .set("tid", tid)
-        .set("args", json::Value::object().set("name", name));
-}
-
-} // anonymous namespace
-
-std::string
-toChromeTraceJson(const EventLog &log, const ChromeTraceOptions &options)
-{
-    json::Value events = json::Value::array();
-    events.push(threadNameMeta(tidReplay, "replay"));
-    events.push(threadNameMeta(tidWalker, "walker"));
-    events.push(threadNameMeta(tidMem, "mem"));
-    events.push(threadNameMeta(tidFault, "fault"));
-    events.push(threadNameMeta(tidCoreBase + 0, "core.ctx0"));
-    events.push(threadNameMeta(tidCoreBase + 1, "core.ctx1"));
-
-    std::size_t emitted = 0;
-    std::size_t capped = 0;
-    for (const Event &e : log.events) {
-        if (emitted >= options.maxEvents) {
-            ++capped;
-            continue;
-        }
-        events.push(convert(e));
-        ++emitted;
-    }
-
-    if (capped)
-        warn("chrome trace: emitted %zu of %zu retained events "
-             "(writer cap %zu); %zu dropped from the tail",
-             emitted, log.events.size(), options.maxEvents, capped);
-    if (log.dropped)
-        warn("chrome trace: ring buffer overwrote %llu of %llu "
-             "recorded events before export",
-             static_cast<unsigned long long>(log.dropped),
-             static_cast<unsigned long long>(log.total));
-
-    json::Value doc =
-        json::Value::object()
-            .set("traceEvents", std::move(events))
-            .set("displayTimeUnit", "ms")
-            .set("otherData",
-                 json::Value::object()
-                     .set("cycles_per_us", 1)
-                     .set("events_recorded", log.total)
-                     .set("events_ring_dropped", log.dropped)
-                     .set("events_writer_capped",
-                          std::uint64_t{capped}));
-    return doc.dump();
-}
-
-// ---------------------------------------------------------------------
-// Cross-process trace aggregation (DESIGN.md §14).
-// ---------------------------------------------------------------------
-
-namespace
-{
 
 /** tid stride per trial in a merged document: room for the subsystem
  *  tracks (tidCoreBase + ctx stays well below it). */
 constexpr std::size_t tidStride = 32;
 
-/** Re-home a converted event onto (pid = worker, tid group = trial). */
 json::Value
-retarget(json::Value event, unsigned pid, std::size_t tidBase)
-{
-    const json::Value *tid = event.get("tid");
-    const std::uint64_t local = tid ? tid->asU64() : 0;
-    event.set("pid", std::uint64_t{pid});
-    event.set("tid", tidBase + local);
-    return event;
-}
-
-json::Value
-processNameMeta(unsigned pid, const std::string &name)
+nameMeta(const char *kind, std::uint64_t pid, std::uint64_t tid,
+         const std::string &name)
 {
     return json::Value::object()
-        .set("name", "process_name")
+        .set("name", kind)
         .set("ph", "M")
-        .set("pid", std::uint64_t{pid})
-        .set("tid", 0)
+        .set("pid", pid)
+        .set("tid", tid)
         .set("args", json::Value::object().set("name", name));
 }
 
-/** The subsystem tracks a trial's tid group contains, mirrored from
- *  the single-machine writer's thread-name metadata. */
+/** The subsystem tracks a trial's tid group contains. */
 constexpr std::pair<int, const char *> trialTracks[] = {
     {tidReplay, "replay"}, {tidWalker, "walker"}, {tidMem, "mem"},
     {tidFault, "fault"},   {tidCoreBase + 0, "core.ctx0"},
@@ -319,25 +251,34 @@ traceSpillPath(const std::string &dir, unsigned worker,
 }
 
 bool
-writeTraceSpill(const std::string &dir, const TraceSpill &spill)
+writeTraceFile(const std::string &path, const std::string &body)
 {
+    const std::filesystem::path dir =
+        std::filesystem::path(path).parent_path();
     std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
+    if (!dir.empty())
+        std::filesystem::create_directories(dir, ec);
     if (ec) {
-        warn("trace spill: cannot create '%s': %s", dir.c_str(),
+        warn("trace: cannot create '%s': %s", dir.c_str(),
              ec.message().c_str());
         return false;
     }
     try {
-        writeFileAtomic(traceSpillPath(dir, spill.worker, spill.trial),
-                        traceSpillToJson(spill));
+        writeFileAtomic(path, body);
     } catch (const SimFatal &e) {
-        // A failed spill loses observability, never results; the
+        // A failed trace loses observability, never results; the
         // campaign keeps running.
-        warn("trace spill: %s", e.what());
+        warn("trace: %s", e.what());
         return false;
     }
     return true;
+}
+
+bool
+writeTraceSpill(const std::string &dir, const TraceSpill &spill)
+{
+    return writeTraceFile(traceSpillPath(dir, spill.worker, spill.trial),
+                          traceSpillToJson(spill));
 }
 
 std::vector<TraceSpill>
@@ -403,26 +344,23 @@ mergeChromeTraces(std::vector<TraceSpill> spills,
     for (const TraceSpill &spill : unique)
         workers.insert(spill.worker);
     for (unsigned worker : workers)
-        events.push(
-            processNameMeta(worker, format("worker %u", worker)));
+        events.push(nameMeta("process_name", worker, 0,
+                             format("worker %u", worker)));
 
     std::uint64_t ringDropped = 0, recorded = 0;
     std::size_t emitted = 0, capped = 0;
     for (const TraceSpill &spill : unique) {
-        const std::size_t tidBase = spill.trial * tidStride;
-        for (const auto &[tid, name] : trialTracks) {
-            events.push(
-                threadNameMeta(tid, format("t%zu %s", spill.trial,
-                                           name).c_str())
-                    .set("pid", std::uint64_t{spill.worker})
-                    .set("tid", tidBase + tid));
-        }
+        const Lane lane{spill.worker, spill.trial * tidStride};
+        for (const auto &[tid, name] : trialTracks)
+            events.push(nameMeta("thread_name", spill.worker,
+                                 lane.tidBase + tid,
+                                 format("t%zu %s", spill.trial, name)));
         for (const Event &e : spill.log.events) {
             if (emitted >= options.maxEvents) {
                 ++capped;
                 continue;
             }
-            events.push(retarget(convert(e), spill.worker, tidBase));
+            events.push(convert(e, lane));
             ++emitted;
         }
         ringDropped += spill.log.dropped;
@@ -451,33 +389,6 @@ mergeChromeTraces(std::vector<TraceSpill> spills,
                  .set("events_ring_dropped", ringDropped)
                  .set("events_writer_capped", std::uint64_t{capped}))
         .dump();
-}
-
-bool
-writeChromeTrace(const std::string &path, const EventLog &log,
-                 const ChromeTraceOptions &options)
-{
-    const std::string body = toChromeTraceJson(log, options);
-    const std::filesystem::path parent =
-        std::filesystem::path(path).parent_path();
-    if (!parent.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(parent, ec);
-    }
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    if (!file) {
-        warn("chrome trace: cannot open '%s' for writing", path.c_str());
-        return false;
-    }
-    const std::size_t written =
-        std::fwrite(body.data(), 1, body.size(), file);
-    std::fclose(file);
-    if (written != body.size()) {
-        warn("chrome trace: short write to '%s' (%zu of %zu bytes)",
-             path.c_str(), written, body.size());
-        return false;
-    }
-    return true;
 }
 
 } // namespace uscope::obs

@@ -1,16 +1,18 @@
 /**
  * @file
- * Chrome trace-event export: renders a drained EventLog as the JSON
+ * Chrome trace-event export: renders drained EventLogs as the JSON
  * object format (`{"traceEvents": [...]}`) understood by Perfetto and
  * chrome://tracing, so a Fig-10/11 replay shows up as a visual
- * timeline.
+ * timeline.  There is one renderer, mergeChromeTraces: a campaign's
+ * per-trial spills become one document, and a bench's single log
+ * (`--trace`) is the document of one spill (worker 0, trial 0).
  *
  * Mapping: one simulated cycle is rendered as one microsecond (the
  * trace-event "ts" unit).  Page walks become duration ("B"/"E") spans
  * on the walker track; everything else is an instant event on a track
  * per subsystem (replay boundaries, walker, memory, one track per SMT
- * context).  Ring-buffer drops and writer-side caps are reported in a
- * metadata instant, never silently.
+ * context).  Ring-buffer drops and writer-side caps are counted in
+ * `otherData` and warned about, never silent.
  */
 
 #ifndef USCOPE_OBS_CHROME_TRACE_HH
@@ -27,28 +29,13 @@
 namespace uscope::obs
 {
 
-/** Writer knobs. */
+/** Renderer knobs. */
 struct ChromeTraceOptions
 {
     /** Emit at most this many events; the tail beyond it is dropped
      *  with a warn() and an in-trace annotation. */
     std::size_t maxEvents = 1u << 20;
 };
-
-/** Render @p log as a Chrome trace-event JSON document. */
-std::string toChromeTraceJson(const EventLog &log,
-                              const ChromeTraceOptions &options = {});
-
-/**
- * Write toChromeTraceJson(@p log) to @p path.
- * @return true on success; warns and returns false on I/O failure.
- */
-bool writeChromeTrace(const std::string &path, const EventLog &log,
-                      const ChromeTraceOptions &options = {});
-
-// ---------------------------------------------------------------------
-// Cross-process trace aggregation (DESIGN.md §14).
-// ---------------------------------------------------------------------
 
 /**
  * One trial's trace as drained by a (possibly remote) worker process:
@@ -81,9 +68,13 @@ std::string traceSpillPath(const std::string &dir, unsigned worker,
                            std::size_t trial);
 
 /**
- * Persist @p spill atomically under @p dir (created on demand).
+ * Write a trace document (a spill, or a rendered Perfetto file) to
+ * @p path with writeFileAtomic, creating its directory on demand.
  * @return true on success; warns and returns false on failure.
  */
+bool writeTraceFile(const std::string &path, const std::string &body);
+
+/** writeTraceFile of @p spill at its traceSpillPath under @p dir. */
 bool writeTraceSpill(const std::string &dir, const TraceSpill &spill);
 
 /**
@@ -102,7 +93,9 @@ std::vector<TraceSpill> loadTraceSpills(const std::string &dir);
  * spills for one trial (a steal race executed it twice — byte-
  * identical by the determinism contract) are deduplicated, keeping
  * the lowest worker id.  Drop/cap accounting is summed across spills
- * into otherData, never silent.
+ * into otherData, never silent.  The trial-0 group's tids are the bare
+ * subsystem track ids, so one spill of worker 0, trial 0 renders a
+ * single log on pid 0 with its native tracks.
  */
 std::string mergeChromeTraces(std::vector<TraceSpill> spills,
                               const ChromeTraceOptions &options = {});

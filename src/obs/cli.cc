@@ -89,18 +89,10 @@ parseBenchObsOptions(int argc, char **argv,
             opts.traceCapacity = static_cast<std::size_t>(n);
         } else if (matchFlag(arg, "--metrics", &value)) {
             opts.metrics = true;
-        } else if (matchFlag(arg, "--log-level", &value)) {
-            const std::optional<LogLevel> level =
-                value ? parseLogLevel(value) : std::nullopt;
-            if (!level)
+        } else if (const LogFlag log = applyLogFlag(arg);
+                   log != LogFlag::NotLogFlag) {
+            if (log == LogFlag::BadValue)
                 panic("--log-level requires error|warn|info|debug");
-            LogConfig lc = logConfig();
-            lc.level = *level;
-            configureLog(lc);
-        } else if (matchFlag(arg, "--log-json", &value)) {
-            LogConfig lc = logConfig();
-            lc.json = true;
-            configureLog(lc);
         } else {
             warn("ignoring unknown argument '%s' "
                  "(known: --trace[=PATH], --trace-capacity=N, "

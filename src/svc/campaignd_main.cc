@@ -73,7 +73,7 @@ parseSeconds(const std::string &text)
     return value;
 }
 
-/** A numeric flag that does not parse is a usage error (exit 2),
+/** A flag value that does not parse is a usage error (exit 2),
  *  reported before anything binds the socket. */
 int
 badValue(const char *argv0, const char *flag, const std::string &value,
@@ -137,20 +137,12 @@ main(int argc, char **argv)
                 return badValue(argv[0], "--die-after-trials", *v,
                                 "an unsigned trial count");
             config.worker0DieAfter = static_cast<std::size_t>(*n);
-        } else if (auto v = valueOf("--log-level=")) {
-            LogConfig lc = logConfig();
-            if (auto level = parseLogLevel(*v)) {
-                lc.level = *level;
-                configureLog(lc);
-            } else {
-                std::fprintf(stderr, "unknown log level '%s'\n",
-                             v->c_str());
-                return 2;
-            }
-        } else if (arg == "--log-json") {
-            LogConfig lc = logConfig();
-            lc.json = true;
-            configureLog(lc);
+        } else if (const LogFlag log = applyLogFlag(arg);
+                   log != LogFlag::NotLogFlag) {
+            if (log == LogFlag::BadValue)
+                return badValue(argv[0], "--log-level",
+                                valueOf("--log-level=").value_or(""),
+                                "error|warn|info|debug");
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;

@@ -1,9 +1,9 @@
 #include "svc/registry.hh"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
-#include <memory>
-#include <mutex>
+#include <iterator>
 #include <set>
 #include <thread>
 #include <utility>
@@ -316,80 +316,31 @@ aesPrefixRecipe(const CampaignRequest &)
     return spec;
 }
 
-void
-registerBuiltins(CampaignRegistry &registry)
+/** The recipes buildSpec knows, by request name. */
+constexpr struct
 {
-    registry.add("selftest",
-                 "machine-less deterministic workload (test/bench "
-                 "plumbing)", selftestRecipe);
-    registry.add("fig10_port_contention",
-                 "SMT port-contention sweep (Fig. 10 shape)",
-                 fig10Recipe);
-    registry.add("fig11_aes_replay",
-                 "AES replay timelines, random keys (Fig. 11 shape)",
-                 fig11Recipe);
-    registry.add("aes_prefix_replay",
-                 "warmup-heavy AES replay arm (prefix snapshots, "
-                 "DESIGN.md §12)", aesPrefixRecipe);
-}
+    const char *name;
+    exp::CampaignSpec (*build)(const CampaignRequest &);
+} builtinRecipes[] = {
+    {"selftest", selftestRecipe},
+    {"fig10_port_contention", fig10Recipe},
+    {"fig11_aes_replay", fig11Recipe},
+    {"aes_prefix_replay", aesPrefixRecipe},
+};
 
 } // namespace
 
-CampaignRegistry &
-CampaignRegistry::global()
-{
-    static CampaignRegistry *registry = [] {
-        auto *r = new CampaignRegistry;
-        registerBuiltins(*r);
-        return r;
-    }();
-    return *registry;
-}
-
-void
-CampaignRegistry::add(std::string name, std::string description,
-                      RecipeFn fn)
-{
-    for (auto &[existing, entry] : recipes_) {
-        if (existing == name) {
-            entry = Entry{std::move(description), std::move(fn)};
-            return;
-        }
-    }
-    recipes_.emplace_back(
-        std::move(name), Entry{std::move(description), std::move(fn)});
-}
-
-bool
-CampaignRegistry::has(const std::string &name) const
-{
-    for (const auto &[existing, entry] : recipes_)
-        if (existing == name)
-            return true;
-    return false;
-}
-
-std::vector<std::pair<std::string, std::string>>
-CampaignRegistry::list() const
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    for (const auto &[name, entry] : recipes_)
-        out.emplace_back(name, entry.description);
-    return out;
-}
-
 exp::CampaignSpec
-CampaignRegistry::build(const CampaignRequest &request) const
+buildSpec(const CampaignRequest &request)
 {
-    const Entry *entry = nullptr;
-    for (const auto &[name, e] : recipes_)
-        if (name == request.recipe)
-            entry = &e;
-    if (!entry)
+    const auto *recipe = std::find_if(
+        std::begin(builtinRecipes), std::end(builtinRecipes),
+        [&](const auto &r) { return request.recipe == r.name; });
+    if (recipe == std::end(builtinRecipes))
         fatal("svc: unknown campaign recipe '%s'",
               request.recipe.c_str());
 
-    exp::CampaignSpec spec = entry->fn(request);
+    exp::CampaignSpec spec = recipe->build(request);
     spec.name = request.name.empty() ? request.recipe : request.name;
     if (request.trials)
         spec.trials = request.trials;
@@ -404,12 +355,6 @@ CampaignRegistry::build(const CampaignRequest &request) const
         panic("svc: recipe '%s' produced a spec without a body",
               request.recipe.c_str());
     return spec;
-}
-
-exp::CampaignSpec
-buildSpec(const CampaignRequest &request)
-{
-    return CampaignRegistry::global().build(request);
 }
 
 } // namespace uscope::svc

@@ -5,7 +5,7 @@
  *
  * A CampaignSpec cannot cross a process boundary — its body is a
  * closure.  What crosses the wire instead is a CampaignRequest: the
- * *name* of a registered recipe plus the sweep parameters (trial
+ * *name* of a built-in recipe plus the sweep parameters (trial
  * count, master seed, cycle budget, retry policy, recipe-specific
  * params).  Both ends — the daemon's workers and any in-process
  * baseline — rebuild the spec through the same buildSpec() call, so a
@@ -22,10 +22,8 @@
 #define USCOPE_SVC_REGISTRY_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/json.hh"
 #include "exp/campaign.hh"
@@ -36,7 +34,7 @@ namespace uscope::svc
 /** The wire form of "run this campaign". */
 struct CampaignRequest
 {
-    /** Registered recipe name (required). */
+    /** Built-in recipe name (required). */
     std::string recipe;
     /** Campaign name; empty = the recipe name. */
     std::string name;
@@ -65,45 +63,17 @@ struct CampaignRequest
     std::string identityKey() const;
 };
 
-/** Builds a runnable spec from a request (params already applied). */
-using RecipeFn =
-    std::function<exp::CampaignSpec(const CampaignRequest &)>;
-
 /**
- * The process-wide recipe table.  Built-in recipes self-register on
- * first access; embedders may add() their own before serving.
+ * The named built-in recipe's spec plus the request's overrides
+ * (trials, seed, budget, retries, obs level).  The recipes are a fixed
+ * table: selftest, fig10_port_contention, fig11_aes_replay and
+ * aes_prefix_replay (DESIGN.md §13).
+ * Throws SimFatal for an unknown recipe or a request the recipe
+ * rejects.  The returned spec carries the recipe's structureKey (so
+ * persistent workers keep warmup snapshots hot across same-recipe
+ * campaigns) and perTrialMetrics = true (the daemon attaches
+ * checkpoint directories, which require it).
  */
-class CampaignRegistry
-{
-  public:
-    static CampaignRegistry &global();
-
-    void add(std::string name, std::string description, RecipeFn fn);
-
-    bool has(const std::string &name) const;
-    std::vector<std::pair<std::string, std::string>> list() const;
-
-    /**
-     * Recipe spec + request overrides (trials, seed, budget, retries,
-     * obs level).
-     * Throws SimFatal for an unknown recipe or a request the recipe
-     * rejects.  The returned spec carries the recipe's structureKey
-     * (so persistent workers keep warmup snapshots hot across
-     * same-recipe campaigns) and perTrialMetrics = true (the daemon
-     * attaches checkpoint directories, which require it).
-     */
-    exp::CampaignSpec build(const CampaignRequest &request) const;
-
-  private:
-    struct Entry
-    {
-        std::string description;
-        RecipeFn fn;
-    };
-    std::vector<std::pair<std::string, Entry>> recipes_;
-};
-
-/** CampaignRegistry::global().build(request). */
 exp::CampaignSpec buildSpec(const CampaignRequest &request);
 
 } // namespace uscope::svc

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 
+#include "common/fsio.hh"
 #include "common/logging.hh"
 #include "exp/campaign.hh"
 #include "exp/checkpoint.hh"
@@ -28,19 +29,6 @@ json::Value
 num(std::size_t n)
 {
     return static_cast<std::uint64_t>(n);
-}
-
-/** Campaign names become directory components. */
-std::string
-sanitizeName(const std::string &name)
-{
-    std::string out;
-    for (char c : name)
-        out += (std::isalnum(static_cast<unsigned char>(c)) ||
-                c == '-' || c == '_')
-                   ? c
-                   : '_';
-    return out.empty() ? std::string("campaign") : out;
 }
 
 /** A worker's lifetime counters (a flat JSON object) as a snapshot. */
@@ -398,7 +386,7 @@ struct Scheduler::Impl
             // all that determines results (not the obs level): the
             // same request after a restart resumes the same state.
             const std::string key =
-                sanitizeName(c.spec.name) + "-" +
+                sanitizeFileName(c.spec.name) + "-" +
                 exp::fnv1aHex(c.request.identityKey()).substr(2);
             c.spec.checkpointDir = config.stateDir + "/" + key;
             const exp::CampaignCheckpoint checkpoint(c.spec);
@@ -891,16 +879,6 @@ struct Scheduler::Impl
             toClient(client, json::Value::object().set("type", "draining"));
         } else if (type == "ping") {
             toClient(client, json::Value::object().set("type", "pong"));
-        } else if (type == "list") {
-            json::Value recipes = json::Value::array();
-            for (const auto &[name, description] :
-                 CampaignRegistry::global().list())
-                recipes.push(json::Value::object()
-                                 .set("recipe", name)
-                                 .set("description", description));
-            toClient(client, json::Value::object()
-                                 .set("type", "recipes")
-                                 .set("recipes", std::move(recipes)));
         } else if (type == "stats") {
             toClient(client, statsFrame(now));
         } else if (type == "shutdown") {

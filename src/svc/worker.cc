@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "common/logging.hh"
 #include "exp/campaign.hh"
 #include "exp/checkpoint.hh"
+#include "obs/cli.hh"
 #include "obs/prof.hh"
 #include "svc/chaos.hh"
 #include "svc/registry.hh"
@@ -280,6 +282,22 @@ maybeRunWorkerMain(int argc, char **argv, int *exit_code)
         return false;
     configureLogFromEnv();
     WorkerOptions options;
+    // The daemon writes these flags; a value that does not parse ends
+    // the worker with a usage error instead of becoming 0 (a 0 ms
+    // heartbeat would spin).
+    const auto usageError = [&](const std::string &arg) {
+        log_.error("bad value in '%s'", arg.c_str());
+        *exit_code = 2;
+        return true;
+    };
+    const auto numberOf =
+        [](const std::string &text, std::uint64_t lo,
+           std::uint64_t hi) -> std::optional<std::uint64_t> {
+        const std::optional<std::uint64_t> n =
+            obs::parseUnsignedValue(text.c_str());
+        return n && *n >= lo && *n <= hi ? n : std::nullopt;
+    };
+    constexpr std::uint64_t maxInt = std::numeric_limits<int>::max();
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto valueOf = [&](const char *prefix)
@@ -289,26 +307,29 @@ maybeRunWorkerMain(int argc, char **argv, int *exit_code)
                 return arg.substr(n);
             return std::nullopt;
         };
-        if (auto v = valueOf("--socket="))
+        if (auto v = valueOf("--socket=")) {
             options.socketPath = *v;
-        else if (auto v = valueOf("--id="))
-            options.id = std::atoi(v->c_str());
-        else if (auto v = valueOf("--die-after-trials="))
-            options.dieAfterTrials =
-                static_cast<std::size_t>(std::atoll(v->c_str()));
-        else if (auto v = valueOf("--heartbeat-ms="))
-            options.heartbeatMs = std::atoi(v->c_str());
-        else if (auto v = valueOf("--log-level=")) {
-            LogConfig lc = logConfig();
-            if (auto level = parseLogLevel(*v))
-                lc.level = *level;
-            configureLog(lc);
-        } else if (arg == "--log-json") {
-            LogConfig lc = logConfig();
-            lc.json = true;
-            configureLog(lc);
-        } else
+        } else if (auto v = valueOf("--id=")) {
+            const auto n = numberOf(*v, 0, maxInt);
+            if (!n)
+                return usageError(arg);
+            options.id = static_cast<int>(*n);
+        } else if (auto v = valueOf("--die-after-trials=")) {
+            const auto n = numberOf(*v, 0, SIZE_MAX);
+            if (!n)
+                return usageError(arg);
+            options.dieAfterTrials = static_cast<std::size_t>(*n);
+        } else if (auto v = valueOf("--heartbeat-ms=")) {
+            const auto n = numberOf(*v, 1, maxInt);
+            if (!n)
+                return usageError(arg);
+            options.heartbeatMs = static_cast<int>(*n);
+        } else if (const LogFlag log = applyLogFlag(arg);
+                   log == LogFlag::BadValue) {
+            return usageError(arg);
+        } else if (log == LogFlag::NotLogFlag) {
             log_.warn("ignoring unknown flag '%s'", arg.c_str());
+        }
     }
     // Decorrelate this worker's chaos streams from its siblings'
     // (they all inherit the same USCOPE_SVC_CHAOS).

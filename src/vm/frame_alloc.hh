@@ -35,7 +35,6 @@ class FrameAllocator
     void free(Ppn ppn);
 
     std::uint64_t framesInUse() const { return inUse_; }
-    std::uint64_t framesTotal() const { return count_; }
 
     /**
      * Adopt @p other's allocation cursor and free list (snapshot

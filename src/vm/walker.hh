@@ -79,9 +79,6 @@ class Walker
 
     const WalkerStats &stats() const { return stats_; }
 
-    /** Distribution of end-to-end walk latencies. */
-    const Summary &latencySummary() const { return latency_; }
-
     /**
      * Adopt @p other's counters and latency summary (snapshot
      * forking, DESIGN.md §12).  The memory/hierarchy/PWC references

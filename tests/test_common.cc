@@ -335,35 +335,6 @@ TEST(Histogram, BucketsAndOverflow)
     EXPECT_EQ(hist.buckets()[9], 1u);
 }
 
-TEST(Histogram, CountAboveAndPercentile)
-{
-    Histogram hist(0, 200, 20);
-    for (int i = 1; i <= 100; ++i)
-        hist.add(i);
-    EXPECT_EQ(hist.countAbove(90), 10u);
-    EXPECT_NEAR(hist.percentile(0.5), 50.5, 0.01);
-    EXPECT_NEAR(hist.percentile(0.0), 1.0, 0.01);
-    EXPECT_NEAR(hist.percentile(1.0), 100.0, 0.01);
-}
-
-TEST(Histogram, PercentileClampsOutOfRangeFractions)
-{
-    Histogram hist(0, 200, 20);
-    for (int i = 1; i <= 100; ++i)
-        hist.add(i);
-    // A negative fraction used to make the size_t cast of a negative
-    // position undefined behaviour; out-of-range inputs now clamp.
-    EXPECT_EQ(hist.percentile(-0.5), 1.0);
-    EXPECT_EQ(hist.percentile(-1e300), 1.0);
-    EXPECT_EQ(hist.percentile(2.0), 100.0);
-    EXPECT_EQ(hist.percentile(std::numeric_limits<double>::infinity()),
-              100.0);
-    // NaN fails every comparison and clamps to the minimum.
-    EXPECT_EQ(hist.percentile(std::nan("")), 1.0);
-    // In-range behaviour is unchanged.
-    EXPECT_NEAR(hist.percentile(0.5), 50.5, 0.01);
-}
-
 TEST(Json, NonFiniteDoublesSerializeAsNullAndAreCounted)
 {
     json::Value doc = json::Value::object()
@@ -495,29 +466,6 @@ TEST(Histogram, InvalidRangeIsFatal)
 {
     EXPECT_THROW(Histogram(10, 10, 4), SimFatal);
     EXPECT_THROW(Histogram(0, 10, 0), SimFatal);
-}
-
-TEST(Histogram, RawQueriesPanicWithoutRawSamples)
-{
-    // countAbove()/percentile() answer from the raw sample vector;
-    // on a populated keep_raw=false histogram they would silently
-    // return 0/garbage, so they panic instead.
-    Histogram binned(0, 10, 5, /*keep_raw=*/false);
-    EXPECT_FALSE(binned.keepRaw());
-    // Empty is fine: there is nothing the answer could misrepresent.
-    EXPECT_EQ(binned.countAbove(3.0), 0u);
-    EXPECT_EQ(binned.percentile(0.5), 0.0);
-
-    binned.add(4.0);
-    EXPECT_THROW(binned.countAbove(3.0), SimPanic);
-    EXPECT_THROW(binned.percentile(0.5), SimPanic);
-
-    // keep_raw=true histograms still answer normally.
-    Histogram raw(0, 10, 5);
-    raw.add(4.0);
-    raw.add(8.0);
-    EXPECT_EQ(raw.countAbove(5.0), 1u);
-    EXPECT_EQ(raw.percentile(1.0), 8.0);
 }
 
 TEST(Logging, PanicAndFatalThrow)

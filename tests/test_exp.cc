@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -81,34 +82,6 @@ TEST(SummaryMerge, EmptySidesAreIdentity)
     EXPECT_EQ(a.mean(), 4.0);
 }
 
-TEST(HistogramMerge, BucketsRawAndSummaryFold)
-{
-    Histogram a(0, 10, 5);
-    Histogram b(0, 10, 5);
-    a.add(1.0);
-    a.add(11.0);  // overflow
-    b.add(1.5);
-    b.add(-2.0);  // underflow
-    b.add(9.0);
-
-    a.merge(b);
-    EXPECT_EQ(a.count(), 5u);
-    EXPECT_EQ(a.buckets()[0], 2u);  // 1.0 and 1.5
-    EXPECT_EQ(a.buckets()[4], 1u);  // 9.0
-    EXPECT_EQ(a.underflow(), 1u);
-    EXPECT_EQ(a.overflow(), 1u);
-    EXPECT_EQ(a.samples().size(), 5u);
-    EXPECT_EQ(a.summary().min(), -2.0);
-    EXPECT_EQ(a.summary().max(), 11.0);
-}
-
-TEST(HistogramMerge, ShapeMismatchIsFatal)
-{
-    Histogram a(0, 10, 5);
-    Histogram b(0, 20, 5);
-    EXPECT_THROW(a.merge(b), SimFatal);
-}
-
 TEST(MicroscopeStatsMerge, FieldsAdd)
 {
     ms::MicroscopeStats a;
@@ -157,35 +130,6 @@ TEST(Json, NonFiniteDoublesAreNull)
     v.push(std::numeric_limits<double>::quiet_NaN());
     v.push(std::numeric_limits<double>::infinity());
     EXPECT_EQ(v.dump(), "[null,null]");
-}
-
-TEST(Json, HistogramExportCapsRawSamples)
-{
-    Histogram hist(0, 100, 10);
-    for (int i = 0; i < 100; ++i)
-        hist.add(static_cast<double>(i));
-
-    // Under the cap: every sample, no drop accounting needed.
-    const json::Value full = exp::toJson(hist, 1000);
-    EXPECT_NE(full.dump().find("\"samples\""), std::string::npos);
-    EXPECT_NE(full.dump().find("\"samples_dropped\":0"),
-              std::string::npos);
-
-    // Over the cap: deterministic stride sampling, drops reported.
-    const json::Value capped = exp::toJson(hist, 10);
-    const std::string text = capped.dump();
-    EXPECT_NE(text.find("\"samples_total\":100"), std::string::npos);
-    EXPECT_NE(text.find("\"samples_dropped\":90"), std::string::npos);
-    // Stride 10 keeps 0, 10, 20, ...
-    EXPECT_NE(text.find("\"samples\":[0,10,20"), std::string::npos);
-    // Same histogram, same cap: bit-identical export.
-    EXPECT_EQ(text, exp::toJson(hist, 10).dump());
-
-    // keep_raw=false histograms export no samples key at all.
-    Histogram binned(0, 100, 10, /*keep_raw=*/false);
-    binned.add(5.0);
-    EXPECT_EQ(exp::toJson(binned).dump().find("\"samples\""),
-              std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -523,12 +467,13 @@ TEST(ResultSink, AnnotatesNonFiniteValuesInDumps)
     };
     const exp::CampaignResult result = exp::runCampaign(std::move(spec));
 
-    std::ostringstream os;
-    exp::JsonStreamSink sink(os, /*include_trials=*/true, /*indent=*/-1);
+    exp::JsonFileSink sink(testing::TempDir());
     sink.consume(result);
-    const std::string dumped = os.str();
-    EXPECT_NE(dumped.find("\"bad\":null"), std::string::npos);
-    EXPECT_NE(dumped.find("\"non_finite_nulled\":1"), std::string::npos);
+    std::ifstream in(sink.lastPath());
+    const std::string dumped((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    EXPECT_NE(dumped.find("\"bad\": null"), std::string::npos);
+    EXPECT_NE(dumped.find("\"non_finite_nulled\": 1"), std::string::npos);
 }
 
 TEST(Campaign, MetricSnapshotsFlowIntoResults)
@@ -581,7 +526,7 @@ TEST(Campaign, MetricSnapshotsFlowIntoResults)
 TEST(ResultSink, JsonFileRoundTrip)
 {
     exp::CampaignResult result = exp::runCampaign(syntheticSpec(4, 2));
-    exp::JsonFileSink sink(testing::TempDir(), /*include_trials=*/true);
+    exp::JsonFileSink sink(testing::TempDir());
     sink.consume(result);
     ASSERT_FALSE(sink.lastPath().empty());
 
@@ -595,18 +540,6 @@ TEST(ResultSink, JsonFileRoundTrip)
               std::string::npos);
     EXPECT_NE(text.find("\"trial_results\""), std::string::npos);
     EXPECT_NE(text.find("\"sim_cycles_per_second\""), std::string::npos);
-}
-
-TEST(ResultSink, StreamSinkEmitsParseableShape)
-{
-    exp::CampaignResult result = exp::runCampaign(syntheticSpec(2, 1));
-    std::ostringstream os;
-    exp::JsonStreamSink sink(os, /*include_trials=*/false, -1);
-    sink.consume(result);
-    const std::string text = os.str();
-    EXPECT_EQ(text.front(), '{');
-    EXPECT_EQ(text[text.size() - 2], '}');  // "...}\n"
-    EXPECT_EQ(text.find("trial_results"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

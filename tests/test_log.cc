@@ -102,11 +102,32 @@ TEST(Log, PrettyAndJsonLineShapes)
     // The quote inside the message must be escaped for NDJSON.
     EXPECT_NE(json.find("hello \\\"world\\\""), std::string::npos);
     EXPECT_EQ(json.find("hello \"world\""), std::string::npos);
+}
 
-    const std::string cycled =
-        captureLine({LogLevel::Debug, true},
-                    [] { testLog.infoAt(1234, "at a cycle"); });
-    EXPECT_NE(cycled.find("\"cycle\":1234"), std::string::npos);
+TEST(Log, CommandLineFlagsParseInOnePlace)
+{
+    ScopedLogConfig scoped;
+    configureLog({LogLevel::Info, false});
+
+    EXPECT_EQ(applyLogFlag("--log-level=debug"), LogFlag::Applied);
+    EXPECT_EQ(logConfig().level, LogLevel::Debug);
+    EXPECT_EQ(applyLogFlag("--log-json"), LogFlag::Applied);
+    EXPECT_TRUE(logConfig().json);
+
+    // A typo or a missing value is reported and changes nothing.
+    for (const char *bad : {"--log-level=degub", "--log-level=",
+                            "--log-level"}) {
+        EXPECT_EQ(applyLogFlag(bad), LogFlag::BadValue) << bad;
+        EXPECT_EQ(logConfig().level, LogLevel::Debug) << bad;
+    }
+
+    // Anything else is not a log flag and leaves the sink alone.
+    for (const char *other : {"--log-levels=warn", "--log-json=1",
+                              "--trace", "log-json"}) {
+        EXPECT_EQ(applyLogFlag(other), LogFlag::NotLogFlag) << other;
+    }
+    EXPECT_EQ(logConfig().level, LogLevel::Debug);
+    EXPECT_TRUE(logConfig().json);
 }
 
 TEST(Log, ConfiguresFromEnvironment)

@@ -300,11 +300,21 @@ sampleLog()
     return trace.drain();
 }
 
+/** A single log's document: the merged render of one spill (worker
+ *  0, trial 0), as the benches' --trace writes it. */
+std::string
+renderLog(obs::EventLog log, const obs::ChromeTraceOptions &options = {})
+{
+    obs::TraceSpill spill;
+    spill.log = std::move(log);
+    return obs::mergeChromeTraces({spill}, options);
+}
+
 } // namespace
 
 TEST(ChromeTrace, WellFormedAndCoversEveryKind)
 {
-    const std::string text = obs::toChromeTraceJson(sampleLog());
+    const std::string text = renderLog(sampleLog());
     EXPECT_TRUE(jsonWellFormed(text));
     EXPECT_EQ(text.rfind("{\"traceEvents\":", 0), 0u);
     // Spans for the walk, instants elsewhere, track names as metadata.
@@ -325,7 +335,7 @@ TEST(ChromeTrace, RingDropsAreAnnotatedNeverSilent)
     const obs::EventLog log = trace.drain();
     ASSERT_EQ(log.dropped, 6u);
 
-    const std::string text = obs::toChromeTraceJson(log);
+    const std::string text = renderLog(log);
     EXPECT_TRUE(jsonWellFormed(text));
     EXPECT_NE(text.find("dropped"), std::string::npos);
 }
@@ -334,7 +344,7 @@ TEST(ChromeTrace, WriterCapIsAppliedAndReported)
 {
     obs::ChromeTraceOptions options;
     options.maxEvents = 4;
-    const std::string text = obs::toChromeTraceJson(sampleLog(), options);
+    const std::string text = renderLog(sampleLog(), options);
     EXPECT_TRUE(jsonWellFormed(text));
     EXPECT_NE(text.find("dropped"), std::string::npos);
 }
@@ -345,7 +355,7 @@ TEST(ChromeTrace, WriteCreatesParentDirectories)
         std::filesystem::path(testing::TempDir()) / "obs-test" / "sub" /
         "trace.json";
     std::filesystem::remove_all(path.parent_path().parent_path());
-    ASSERT_TRUE(obs::writeChromeTrace(path.string(), sampleLog()));
+    ASSERT_TRUE(obs::writeTraceFile(path.string(), renderLog(sampleLog())));
     EXPECT_TRUE(std::filesystem::exists(path));
     EXPECT_GT(std::filesystem::file_size(path), 0u);
 }

@@ -457,9 +457,16 @@ TEST(SvcRegistry, MalformedRequestsAreRejected)
 
 TEST(SvcRegistry, BuildAppliesOverrides)
 {
-    EXPECT_TRUE(svc::CampaignRegistry::global().has("selftest"));
-    EXPECT_TRUE(svc::CampaignRegistry::global().has(
-        "fig11_aes_replay"));
+    for (const char *name : {"selftest", "fig10_port_contention",
+                             "fig11_aes_replay", "aes_prefix_replay"}) {
+        svc::CampaignRequest builtin;
+        builtin.recipe = name;
+        EXPECT_TRUE(static_cast<bool>(svc::buildSpec(builtin).body))
+            << name;
+    }
+    svc::CampaignRequest unknown;
+    unknown.recipe = "no_such_recipe";
+    EXPECT_THROW(svc::buildSpec(unknown), SimFatal);
 
     svc::CampaignRequest request;
     request.recipe = "selftest";
@@ -1138,6 +1145,23 @@ slowRequest(std::size_t trials, std::uint64_t seed,
     return request;
 }
 
+/**
+ * A quick selftest request whose last trial sleeps @p hold_ms before
+ * computing, so a cancel or an attach lands while the campaign still
+ * runs.  The hold changes no result: its fingerprint is that of
+ * selftestRequest(@p trials, @p seed).
+ */
+svc::CampaignRequest
+heldRequest(std::size_t trials, std::uint64_t seed,
+            std::uint64_t hold_ms)
+{
+    svc::CampaignRequest request = selftestRequest(trials, seed);
+    request.params = json::Value::object()
+                         .set("hang_index", std::uint64_t{trials - 1})
+                         .set("hang_ms", hold_ms);
+    return request;
+}
+
 std::uint64_t
 metricU64(const svc::DaemonConfig &config, const char *key)
 {
@@ -1160,7 +1184,9 @@ TEST(SvcLifecycle, CancelReturnsPartialAndResumeFinishesIdentically)
     config.stateDir = uniquePath("cancelstate");
     DaemonFixture daemon(std::move(config));
 
-    const svc::CampaignRequest request = slowRequest(64, 11);
+    // The last trial holds for 1 s: far longer than a cancel takes to
+    // land, far shorter than the daemon's 10 s stuck-trial warning.
+    const svc::CampaignRequest request = heldRequest(64, 11, 1000);
 
     // Submit on one connection; cancel by request identity from a
     // second once at least one trial has streamed in (so the resume
@@ -1204,7 +1230,8 @@ TEST(SvcLifecycle, CancelReturnsPartialAndResumeFinishesIdentically)
     const svc::SubmitResult resumed = client.submit(request);
     ASSERT_TRUE(resumed.ok) << resumed.error;
     EXPECT_GE(resumed.resumedTrials, 1u);
-    EXPECT_EQ(resumed.fingerprint, inProcessFingerprint(request));
+    EXPECT_EQ(resumed.fingerprint,
+              inProcessFingerprint(selftestRequest(64, 11)));
 
     EXPECT_GE(metricU64(daemon.config,
                         "svc.daemon.campaigns_cancelled"),
@@ -1241,7 +1268,7 @@ TEST(SvcLifecycle, AttachAfterDisconnectMatchesUninterruptedRun)
     // Submit over a raw socket, read the accepted frame, then drop
     // the connection — the crash-mid-submit shape.  The campaign must
     // keep running ownerless.
-    const svc::CampaignRequest request = slowRequest(32, 23);
+    const svc::CampaignRequest request = heldRequest(32, 23, 500);
     const int fd = svc::connectUnix(daemon.config.socketPath);
     ASSERT_GE(fd, 0);
     const std::string submit = svc::encodeFrame(
@@ -1266,7 +1293,26 @@ TEST(SvcLifecycle, AttachAfterDisconnectMatchesUninterruptedRun)
     if (result.notFound)
         result = client.submit(request);
     ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(result.fingerprint, inProcessFingerprint(request));
+    EXPECT_EQ(result.fingerprint,
+              inProcessFingerprint(selftestRequest(32, 23)));
+}
+
+TEST(SvcLifecycle, WorkerFlagTyposAreUsageErrors)
+{
+    // Junk never becomes 0, and a 0 ms heartbeat (which would spin) is
+    // refused: each exits 2 before the worker connects anywhere.
+    for (const char *bad :
+         {"--id=x", "--heartbeat-ms=0", "--heartbeat-ms=5ms",
+          "--die-after-trials=-1", "--log-level=degub"}) {
+        char *argv[] = {const_cast<char *>("test_svc"),
+                        const_cast<char *>(svc::kWorkerArg),
+                        const_cast<char *>(bad)};
+        int exit_code = 0;
+        testing::internal::CaptureStderr();
+        EXPECT_TRUE(svc::maybeRunWorkerMain(3, argv, &exit_code)) << bad;
+        testing::internal::GetCapturedStderr();
+        EXPECT_EQ(exit_code, 2) << bad;
+    }
 }
 
 TEST(SvcLifecycle, SurvivesEveryWorkerDeadQueuesAndCancels)
