@@ -31,7 +31,7 @@ main()
 
     {
         std::printf("\n[1] Fences on pipeline flushes\n");
-        const auto result = defense::runFenceAblation(42, 4000);
+        const auto result = defense::runFenceAblation(4000);
         std::printf("    port attack, no defense:   %llu samples above "
                     "threshold -> verdict %s\n",
                     static_cast<unsigned long long>(

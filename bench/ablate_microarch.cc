@@ -50,7 +50,6 @@ main()
     attack::PortContentionConfig base;
     base.samples = 4000;
     base.replays = 60;
-    base.seed = 42;
 
     std::printf("==============================================================\n");
     std::printf("Ablation: attack robustness vs. machine parameters\n");

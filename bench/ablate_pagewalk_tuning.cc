@@ -89,8 +89,7 @@ windowSize(unsigned fetch_levels, mem::HitLevel where,
         if (ev.replayIndex == 3) {  // warmed window
             for (unsigned line = 0; line < probeLines; ++line) {
                 touched +=
-                    kernel.timedProbePhys(probe_pa + line * lineSize)
-                        .latency < 100;
+                    kernel.timedProbePhys(probe_pa + line * lineSize).hit();
             }
         }
         return true;

@@ -141,7 +141,7 @@ fig10Cell(std::uint64_t replays, const Options &opt)
         // supplies roughly one, so only accumulation across replays
         // clears it.  That asymmetry IS the denoising curve.
         config.samples = 4500;
-        config.seed = ctx.seed;
+        config.machine.seed = ctx.seed;
         config.machine.fault = fig10Plan();
         const attack::PortContentionResult result =
             attack::runPortContentionAttack(config);
@@ -177,7 +177,7 @@ fig11Cell(std::uint64_t replays, const Options &opt)
             config.plaintext[i] =
                 static_cast<std::uint8_t>(rng.below(256));
         }
-        config.seed = ctx.seed;
+        config.machine.seed = ctx.seed;
         // +1: replay 0 probes the warm cache; the majority vote is
         // over the `replays` primed replays that follow.
         config.replaysPerEpisode = replays + 1;

@@ -108,7 +108,7 @@ main(int argc, char **argv)
         config.threshold = 120;
         // Reproduction arms pin the paper's explicit seeds rather
         // than deriving them from the trial index.
-        config.seed = arm.seed;
+        config.machine.seed = arm.seed;
         if (ctx.index == 1) {
             // The div headline (Figure 10b) carries the event trace:
             // replays interleaved with contended Monitor bursts.

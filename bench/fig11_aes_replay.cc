@@ -51,7 +51,7 @@ sweepConfig(const exp::TrialContext &ctx)
         config.key[i] = static_cast<std::uint8_t>(rng.below(256));
         config.plaintext[i] = static_cast<std::uint8_t>(rng.below(256));
     }
-    config.seed = ctx.seed;
+    config.machine.seed = ctx.seed;
     return config;
 }
 

@@ -28,7 +28,7 @@ main()
             attack::SingleSecretConfig config;
             config.id = id;
             config.subnormal = subnormal;
-            config.seed = 42 + id;
+            config.machine.seed = 42 + id;
             const auto result = attack::runSingleSecretAttack(config);
             const bool line_ok = result.inferredLine &&
                                  *result.inferredLine ==

@@ -495,7 +495,7 @@ diffReplaySpec(bool differential)
 
         std::vector<std::set<unsigned>> measured;
         for (const attack::LineProbe &probe : windows)
-            measured.push_back(probe.hitLines(attack::aesHitThreshold));
+            measured.push_back(probe.hitLines());
         const bool matches =
             !measured.empty() && attack::majorityLines(measured) ==
                                      enclave.round1Td1Lines(ct.data());

@@ -73,7 +73,7 @@ primeProbeOneShotErrorRate(unsigned trials)
     unsigned total = 0;
     for (unsigned trial = 0; trial < trials; ++trial) {
         attack::AesAttackConfig config;
-        config.seed = 500 + trial;
+        config.machine.seed = 500 + trial;
         for (unsigned i = 0; i < 16; ++i) {
             config.key[i] = static_cast<std::uint8_t>(trial + i);
             config.plaintext[i] = static_cast<std::uint8_t>(i * 3);
@@ -81,7 +81,7 @@ primeProbeOneShotErrorRate(unsigned trials)
         const auto fig11 = attack::runFig11(config);
         // "One shot" = the unprimed Replay-0 probe: classify against
         // ground truth and count line classification errors.
-        const auto observed = fig11.replays.at(0).hitLines(100);
+        const auto observed = fig11.replays.at(0).hitLines();
         for (unsigned line = 0; line < 16; ++line) {
             const bool measured = observed.count(line) > 0;
             const bool expected = fig11.expectedLines.count(line) > 0;
@@ -102,7 +102,7 @@ portContentionAccuracy(std::uint64_t replays, unsigned trials)
         config.victimDivides = trial % 2;
         config.replays = replays;
         config.samples = static_cast<unsigned>(replays * 60 + 400);
-        config.seed = 900 + trial;
+        config.machine.seed = 900 + trial;
         const auto result = attack::runPortContentionAttack(config);
         correct += result.inferredDivides == config.victimDivides;
     }
@@ -117,7 +117,7 @@ microscopeAesErrorRate(unsigned trials, const fault::FaultPlan &plan)
     unsigned total = 0;
     for (unsigned trial = 0; trial < trials; ++trial) {
         attack::AesAttackConfig config;
-        config.seed = 700 + trial;
+        config.machine.seed = 700 + trial;
         config.machine.fault = plan;
         for (unsigned i = 0; i < 16; ++i) {
             config.key[i] = static_cast<std::uint8_t>(trial * 7 + i);

@@ -28,7 +28,7 @@ main()
                 "residual leak", "cost");
 
     {
-        const auto fence = defense::runFenceAblation(42, 3000);
+        const auto fence = defense::runFenceAblation(3000);
         std::printf("%-26s %-18s %-22s %.2f%% on faulting code\n",
                     "fence on pipeline flush",
                     fence.attackDefeated ? "YES" : "no",

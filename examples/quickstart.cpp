@@ -78,8 +78,7 @@ attackOnce(const os::MachineConfig &mcfg, std::uint64_t secret)
     recipe.confidence = 20;  // replays before releasing the victim
     recipe.onReplay = [&](const ms::ReplayEvent &) {
         for (unsigned line = 0; line < 64; ++line) {
-            if (kernel.timedProbePhys(transmit_pa + line * lineSize)
-                    .latency < 100) {
+            if (kernel.timedProbePhys(transmit_pa + line * lineSize).hit()) {
                 ++votes[line];
             }
         }

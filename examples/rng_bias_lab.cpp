@@ -57,7 +57,7 @@ main()
         for (unsigned trial = 0; trial < trials; ++trial) {
             attack::TsxBiasConfig config;
             config.desiredBit = desired;
-            config.seed = 2000 + 31 * trial + desired;
+            config.machine.seed = 2000 + 31 * trial + desired;
             const auto result = attack::runTsxRdrandBias(config);
             biased += result.biased;
             aborts += result.abortsIssued;

@@ -19,11 +19,7 @@ struct AesRig
     std::array<std::uint8_t, 16> ct{};
 
     explicit AesRig(const AesAttackConfig &config)
-        : machine([&] {
-              os::MachineConfig mcfg = config.machine;
-              mcfg.seed = config.seed;
-              return mcfg;
-          }()),
+        : machine(config.machine),
           enclave(machine.kernel(), config.key.data(), config.keyBits)
     {
         auto &kernel = machine.kernel();
@@ -199,7 +195,7 @@ runFig11(const AesAttackConfig &config)
 
     // Replay 0 runs against warm (unprimed) cache state, giving the
     // mixed L1 / L2-L3 / memory latencies of Figure 11's first panel.
-    rig.warmTables(config.seed * 17 + 5);
+    rig.warmTables(config.machine.seed * 17 + 5);
 
     scope.arm();
     kernel.startOnContext(enclave.pid, 0, enclave.program);
@@ -212,7 +208,7 @@ runFig11(const AesAttackConfig &config)
 
     for (std::size_t i = 1; i < result.replays.size(); ++i)
         result.measuredLines.push_back(
-            result.replays[i].hitLines(aesHitThreshold));
+            result.replays[i].hitLines());
 
     result.consistentAcrossPrimedReplays =
         !result.measuredLines.empty();
@@ -327,7 +323,7 @@ runAesExtraction(const AesAttackConfig &config)
         Scratch &s = scratch[ev.episode];
         for (unsigned t = 1; t < 4; ++t) {
             std::set<unsigned> now =
-                enclave.probeTable(kernel, t).hitLines(aesHitThreshold);
+                enclave.probeTable(kernel, t).hitLines();
             s.stable &= s.windows[t].empty() || now == s.windows[t][0];
             s.windows[t].push_back(std::move(now));
         }
@@ -347,9 +343,9 @@ runAesExtraction(const AesAttackConfig &config)
         const std::uint64_t episode = ev.episode ? ev.episode - 1 : 0;
         if (episode < scratch.size())
             scratch[episode].td0 =
-                enclave.probeTable(kernel, 0).hitLines(aesHitThreshold);
+                enclave.probeTable(kernel, 0).hitLines();
         result.td4Lines =
-            enclave.probeTable(kernel, 4).hitLines(aesHitThreshold);
+            enclave.probeTable(kernel, 4).hitLines();
     };
     scope.setRecipe(std::move(recipe));
 

@@ -52,7 +52,6 @@ struct AesAttackConfig
     unsigned keyBits = 128;
     /** Replays per episode (Figure 11 uses 3). */
     std::uint64_t replaysPerEpisode = 3;
-    std::uint64_t seed = 42;
     os::MachineConfig machine;
 };
 
@@ -63,15 +62,9 @@ struct LineProbe
     std::array<mem::HitLevel, 16> level{};
 
     /** Lines whose probe latency marks a cache hit. */
-    std::set<unsigned> hitLines(Cycles hit_threshold = 100) const;
+    std::set<unsigned>
+    hitLines(Cycles hit_threshold = os::kProbeHitThreshold) const;
 };
-
-/**
- * The probe classifies a line as a cache hit below this latency.
- * After priming, hits are L1 (~50 cycles measured) and misses DRAM
- * (>300 cycles); the Figure-11 bands sit far apart.
- */
-constexpr Cycles aesHitThreshold = 100;
 
 /**
  * §4.3 denoising: the lines a strict majority of @p windows measured

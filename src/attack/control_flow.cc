@@ -9,9 +9,7 @@ namespace uscope::attack
 ControlFlowResult
 runControlFlowAttack(const ControlFlowConfig &config)
 {
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
 
     const VictimImage victim =
@@ -29,10 +27,8 @@ runControlFlowAttack(const ControlFlowConfig &config)
     recipe.confidence = config.replays;
     recipe.walkPlan = ms::PageWalkPlan::longest();
     recipe.onReplay = [&](const ms::ReplayEvent &) {
-        const bool mul_hot =
-            kernel.timedProbePhys(mul_pa).latency < 100;
-        const bool div_hot =
-            kernel.timedProbePhys(div_pa).latency < 100;
+        const bool mul_hot = kernel.timedProbePhys(mul_pa).hit();
+        const bool div_hot = kernel.timedProbePhys(div_pa).hit();
         if (mul_hot)
             ++result.mulHits;
         if (div_hot)

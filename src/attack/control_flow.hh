@@ -34,7 +34,6 @@ struct ControlFlowConfig
 {
     bool secret = true;       ///< Ground truth branch direction.
     std::uint64_t replays = 20;
-    std::uint64_t seed = 42;
     /**
      * Predictor priming: nullopt = flush at enclave entry [12];
      * otherwise prime the victim branch toward the given direction.

@@ -6,12 +6,18 @@
 namespace uscope::attack
 {
 
+namespace
+{
+
+/** Replays per loop iteration (the recipe's confidence). */
+constexpr std::uint64_t kReplaysPerIteration = 2;
+
+} // anonymous namespace
+
 LoopSecretResult
 runLoopSecretAttack(const LoopSecretConfig &config)
 {
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
 
     const auto iterations =
@@ -31,7 +37,7 @@ runLoopSecretAttack(const LoopSecretConfig &config)
     recipe.victim = victim.pid;
     recipe.replayHandle = victim.handle;
     recipe.pivot = victim.pivot;
-    recipe.confidence = config.replaysPerIteration;
+    recipe.confidence = kReplaysPerIteration;
     recipe.maxEpisodes = iterations;
     // §4.4-style tuning: a consistently SHORT walk keeps every window
     // the same size across episodes (the handle's and pivot's leaf
@@ -44,13 +50,12 @@ runLoopSecretAttack(const LoopSecretConfig &config)
         // cold start can miss dependent accesses whose own page walks
         // outlast the (deliberately short) replay window.
         if (ev.episode >= iterations || started[ev.episode] ||
-            ev.replayIndex < config.replaysPerIteration) {
+            ev.replayIndex < kReplaysPerIteration) {
             return true;
         }
         started[ev.episode] = true;
         for (unsigned line = 0; line < pageSize / lineSize; ++line) {
-            if (kernel.timedProbePhys(transmit_pa + line * lineSize)
-                    .latency < 100) {
+            if (kernel.timedProbePhys(transmit_pa + line * lineSize).hit()) {
                 result.episodeLines[ev.episode].insert(line);
             }
         }

@@ -33,8 +33,6 @@ struct LoopSecretConfig
 {
     /** The secret sequence: one transmit line index per iteration. */
     std::vector<std::uint8_t> secretLines{9, 3, 60, 3, 27, 41, 0, 55};
-    std::uint64_t replaysPerIteration = 2;
-    std::uint64_t seed = 42;
     os::MachineConfig machine;
 };
 

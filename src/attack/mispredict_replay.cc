@@ -9,9 +9,7 @@ namespace uscope::attack
 MispredictReplayResult
 runMispredictReplay(const MispredictReplayConfig &config)
 {
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
 
     const os::Pid pid = kernel.createProcess("victim");
@@ -58,8 +56,7 @@ runMispredictReplay(const MispredictReplayConfig &config)
     result.victimCompleted = machine.runUntilHalted(0, 1'000'000);
     result.transmitExecutions = transmit_execs;
     result.mispredicts = machine.core().stats(0).mispredicts;
-    result.residueObserved =
-        kernel.timedProbePhys(transmit_pa).latency < 100;
+    result.residueObserved = kernel.timedProbePhys(transmit_pa).hit();
     result.coreDigest = machine.core().stateDigest();
     return result;
 }

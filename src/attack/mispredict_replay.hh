@@ -35,7 +35,6 @@ struct MispredictReplayConfig
     unsigned branches = 6;
     /** Prime the predictor against the actual direction? */
     bool primeToMispredict = true;
-    std::uint64_t seed = 42;
     os::MachineConfig machine;
 };
 

@@ -22,9 +22,7 @@ inferDivides(std::uint64_t above_threshold, unsigned samples)
 PortContentionResult
 runPortContentionAttack(const PortContentionConfig &config)
 {
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
 
     // Victim on SMT context 0, Monitor on its sibling, context 1.
@@ -41,11 +39,10 @@ runPortContentionAttack(const PortContentionConfig &config)
     recipe.walkPlan = ms::PageWalkPlan::longest();
     scope.setRecipe(std::move(recipe));
 
-    if (config.flushPredictor) {
-        // Enclave-boundary countermeasure [12]: also puts the
-        // predictor into a *public* state, which §4.2.3 exploits.
-        machine.core().predictor().flush();
-    }
+    // Flush the predictor at "enclave entry", the enclave-boundary
+    // countermeasure [12]: it also puts the predictor into a *public*
+    // state, which §4.2.3 exploits.
+    machine.core().predictor().flush();
 
     scope.arm();
     kernel.startOnContext(victim.pid, 0, victim.program);

@@ -40,10 +40,8 @@ struct PortContentionConfig
     std::uint64_t replays = 100;
     /** Contention threshold in cycles (paper: slightly under 120). */
     Cycles threshold = 120;
-    /** Flush the branch predictor at "enclave entry" [12]. */
-    bool flushPredictor = true;
-    std::uint64_t seed = 42;
-    /** Machine-config override hook (defenses ablate through this). */
+    /** Machine-config override hook (defenses ablate through this);
+     *  its seed is the run's seed. */
     os::MachineConfig machine;
 };
 

@@ -10,7 +10,6 @@ RdrandResult
 runRdrandObservation(const RdrandConfig &config)
 {
     os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
     mcfg.core.rdrandSerializing = config.serializingRdrand;
     os::Machine machine(mcfg);
     auto &kernel = machine.kernel();
@@ -28,8 +27,8 @@ runRdrandObservation(const RdrandConfig &config)
     recipe.confidence = config.replays;
     recipe.walkPlan = ms::PageWalkPlan::longest();
     recipe.onReplay = [&](const ms::ReplayEvent &) {
-        const bool hot0 = kernel.timedProbePhys(line0).latency < 100;
-        const bool hot1 = kernel.timedProbePhys(line1).latency < 100;
+        const bool hot0 = kernel.timedProbePhys(line0).hit();
+        const bool hot1 = kernel.timedProbePhys(line1).hit();
         int observed = -1;
         if (hot0 != hot1) {
             observed = hot1 ? 1 : 0;

@@ -38,7 +38,6 @@ struct RdrandConfig
 {
     bool serializingRdrand = true;  ///< Intel's actual behaviour.
     std::uint64_t replays = 32;
-    std::uint64_t seed = 42;
     os::MachineConfig machine;
 };
 

@@ -9,12 +9,21 @@
 namespace uscope::attack
 {
 
+namespace
+{
+
+/**
+ * Monitor samples above this latency indicate a *subnormal* divide
+ * held the port (normal divides stay under it).
+ */
+constexpr Cycles kSubnormalThreshold = 170;
+
+} // anonymous namespace
+
 SingleSecretResult
 runSingleSecretAttack(const SingleSecretConfig &config)
 {
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
 
     const VictimImage victim =
@@ -45,7 +54,7 @@ runSingleSecretAttack(const SingleSecretConfig &config)
         for (unsigned line = 0; line < pageSize / lineSize; ++line) {
             const os::ProbeResult probe = kernel.timedProbePhys(
                 secrets_pa + line * lineSize);
-            if (probe.latency < 100)
+            if (probe.hit())
                 ++line_votes[line];
         }
         return true;
@@ -72,7 +81,7 @@ runSingleSecretAttack(const SingleSecretConfig &config)
     // Subnormal channel: count slow Monitor samples.
     result.samples = readMonitorSamples(kernel, monitor);
     for (Cycles sample : result.samples)
-        if (sample > config.subnormalThreshold)
+        if (sample > kSubnormalThreshold)
             ++result.slowSamples;
     // A subnormal divide occupies the port for fdivSubnormalLatency
     // cycles per replay, so roughly one Monitor sample per replay

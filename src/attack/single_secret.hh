@@ -34,12 +34,6 @@ struct SingleSecretConfig
     std::uint64_t replays = 50;
     unsigned monitorSamples = 2000;
     unsigned cont = 4;
-    /**
-     * Samples above this latency indicate a *subnormal* divide held
-     * the port (normal divides stay under it).
-     */
-    Cycles subnormalThreshold = 170;
-    std::uint64_t seed = 42;
     os::MachineConfig machine;
 };
 

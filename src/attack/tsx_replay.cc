@@ -8,11 +8,20 @@ namespace uscope::attack
 namespace
 {
 
+/** Attacker polling period of the secret replay, in cycles. */
+constexpr Cycles kReplayPollInterval = 25;
+
+/** Attacker polling period of the RDRAND bias, in cycles. */
+constexpr Cycles kBiasPollInterval = 10;
+
+/** Abort budget of the RDRAND bias; past it, a wrong draw commits. */
+constexpr unsigned kBiasMaxAborts = 64;
+
 /** Probe one transmit line and restore the primed state. */
 bool
 probeAndReprime(os::Kernel &kernel, PAddr line)
 {
-    const bool hot = kernel.timedProbePhys(line).latency < 100;
+    const bool hot = kernel.timedProbePhys(line).hit();
     kernel.flushPhysLine(line);
     return hot;
 }
@@ -22,9 +31,7 @@ probeAndReprime(os::Kernel &kernel, PAddr line)
 TsxReplayResult
 runTsxSecretReplay(const TsxReplayConfig &config)
 {
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
 
     const VictimImage victim =
@@ -44,7 +51,7 @@ runTsxSecretReplay(const TsxReplayConfig &config)
     std::uint64_t votes[2] = {0, 0};
     const Cycles budget = 5'000'000;
     while (!machine.core().halted(0) && machine.cycle() < budget) {
-        machine.run(config.pollInterval);
+        machine.run(kReplayPollInterval);
 
         // Persist with a requested abort until the core confirms it:
         // the dirty write-set line only exists once the transactional
@@ -88,9 +95,7 @@ runTsxSecretReplay(const TsxReplayConfig &config)
 TsxBiasResult
 runTsxRdrandBias(const TsxBiasConfig &config)
 {
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
 
     const VictimImage victim =
@@ -109,7 +114,7 @@ runTsxRdrandBias(const TsxBiasConfig &config)
     std::uint64_t aborts_seen = 0;
     const Cycles budget = 50'000'000;
     while (!machine.core().halted(0) && machine.cycle() < budget) {
-        machine.run(config.pollInterval);
+        machine.run(kBiasPollInterval);
         if (released)
             continue;
 
@@ -132,7 +137,7 @@ runTsxRdrandBias(const TsxBiasConfig &config)
         ++result.drawsObserved;
         const int bit = hot1 ? 1 : 0;
         if (bit != config.desiredBit &&
-            result.abortsIssued < config.maxAborts) {
+            result.abortsIssued < kBiasMaxAborts) {
             ++result.abortsIssued;
             pending_abort = true;
             kernel.flushPhysLine(txdata);

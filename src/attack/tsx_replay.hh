@@ -37,9 +37,6 @@ struct TsxReplayConfig
     unsigned aborts = 8;
     /** Victim's retry budget (must exceed aborts to succeed). */
     unsigned maxRetries = 16;
-    /** Attacker polling period in cycles. */
-    Cycles pollInterval = 25;
-    std::uint64_t seed = 42;
     os::MachineConfig machine;
 };
 
@@ -63,10 +60,7 @@ TsxReplayResult runTsxSecretReplay(const TsxReplayConfig &);
 struct TsxBiasConfig
 {
     int desiredBit = 1;     ///< The attacker wants this bit committed.
-    unsigned maxAborts = 64;
     unsigned maxRetries = 256;
-    Cycles pollInterval = 10;
-    std::uint64_t seed = 42;
     os::MachineConfig machine;   ///< rdrandSerializing stays true!
 };
 

@@ -99,13 +99,11 @@ benignFaultCost(std::uint64_t seed)
 DejavuResult
 runDejavuExperiment(const DejavuConfig &config)
 {
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
 
     const DejavuVictim victim = buildDejavuVictim(
-        kernel, config.secret, config.detectionThreshold);
+        kernel, config.secret, kDejavuDetectionThreshold);
     const PAddr mul_pa =
         *kernel.translate(victim.pid, victim.transmitA);
     const PAddr div_pa =
@@ -122,10 +120,8 @@ runDejavuExperiment(const DejavuConfig &config)
     recipe.replayHandle = victim.handle;
     recipe.confidence = config.replays;
     recipe.onReplay = [&](const ms::ReplayEvent &ev) {
-        const bool mul_hot =
-            kernel.timedProbePhys(mul_pa).latency < 100;
-        const bool div_hot =
-            kernel.timedProbePhys(div_pa).latency < 100;
+        const bool mul_hot = kernel.timedProbePhys(mul_pa).hit();
+        const bool div_hot = kernel.timedProbePhys(div_pa).hit();
         mul_votes += mul_hot;
         div_votes += div_hot;
         if ((mul_hot != div_hot) && replays_at_extraction == 0)
@@ -153,7 +149,7 @@ runDejavuExperiment(const DejavuConfig &config)
     result.inferredSecret = div_votes > mul_votes;
     result.measuredElapsed = machine.core().readIntReg(0, 22);
     result.detected = machine.core().readIntReg(0, 24) == 1;
-    result.benignFaultCost = benignFaultCost(config.seed);
+    result.benignFaultCost = benignFaultCost(config.machine.seed);
     return result;
 }
 

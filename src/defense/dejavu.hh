@@ -27,18 +27,18 @@
 namespace uscope::defense
 {
 
+/**
+ * Victim's detection threshold in cycles for the guarded region;
+ * calibrated as a multiple of a benign minor-fault cost.
+ */
+constexpr Cycles kDejavuDetectionThreshold = 12000;
+
 /** Configuration of one Déjà Vu experiment. */
 struct DejavuConfig
 {
     bool secret = true;
     /** Replays the attacker takes. */
     std::uint64_t replays = 10;
-    /**
-     * Victim's detection threshold in cycles for the guarded region;
-     * calibrated as a multiple of a benign minor-fault cost.
-     */
-    Cycles detectionThreshold = 12000;
-    std::uint64_t seed = 42;
     os::MachineConfig machine;
 };
 

@@ -16,11 +16,9 @@ namespace
  * that takes ordinary page faults.
  */
 Cycles
-benignDemandPagingCycles(bool fenced, std::uint64_t seed,
-                         unsigned npages = 24)
+benignDemandPagingCycles(bool fenced, unsigned npages = 24)
 {
     os::MachineConfig mcfg;
-    mcfg.seed = seed;
     mcfg.core.fenceOnPipelineFlush = fenced;
     os::Machine machine(mcfg);
     auto &kernel = machine.kernel();
@@ -51,15 +49,12 @@ benignDemandPagingCycles(bool fenced, std::uint64_t seed,
 } // anonymous namespace
 
 FenceAblationResult
-runFenceAblation(std::uint64_t seed, unsigned samples)
+runFenceAblation(unsigned samples)
 {
     FenceAblationResult result;
 
-    attack::PortContentionConfig base;
-    base.seed = seed;
-    base.samples = samples;
-
-    attack::PortContentionConfig cfg = base;
+    attack::PortContentionConfig cfg;
+    cfg.samples = samples;
     cfg.victimDivides = true;
     result.baselineDiv = attack::runPortContentionAttack(cfg);
 
@@ -73,9 +68,8 @@ runFenceAblation(std::uint64_t seed, unsigned samples)
     // noise floor (no longer passes the adversary's decision rule).
     result.attackDefeated = !result.fencedDiv.inferredDivides;
 
-    result.benignBaselineCycles =
-        benignDemandPagingCycles(false, seed);
-    result.benignFencedCycles = benignDemandPagingCycles(true, seed);
+    result.benignBaselineCycles = benignDemandPagingCycles(false);
+    result.benignFencedCycles = benignDemandPagingCycles(true);
     result.benignOverhead =
         result.benignBaselineCycles
             ? (static_cast<double>(result.benignFencedCycles) /

@@ -37,9 +37,8 @@ struct FenceAblationResult
     double benignOverhead = 0.0;
 };
 
-/** Run the full ablation. */
-FenceAblationResult runFenceAblation(std::uint64_t seed = 42,
-                                     unsigned samples = 4000);
+/** Run the full ablation at the default machine seed. */
+FenceAblationResult runFenceAblation(unsigned samples = 4000);
 
 } // namespace uscope::defense
 

@@ -113,8 +113,8 @@ runPfObliviousExperiment(const PfObliviousConfig &config)
     PfObliviousResult result;
 
     // 1. Controlled channel closed: both secrets load the same pages.
-    const std::set<Vpn> pages_div = pagesTouched(true, config.seed);
-    const std::set<Vpn> pages_mul = pagesTouched(false, config.seed);
+    const std::set<Vpn> pages_div = pagesTouched(true, config.machine.seed);
+    const std::set<Vpn> pages_mul = pagesTouched(false, config.machine.seed);
     result.pageTraceSecretIndependent = pages_div == pages_mul;
     // Handle candidates = distinct data pages the victim touches;
     // every one can host a page-fault-inducing load.
@@ -128,9 +128,7 @@ runPfObliviousExperiment(const PfObliviousConfig &config)
             : 0;
 
     // 2. The port-contention channel still leaks through MicroScope.
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
     const ObliviousVictim victim =
         buildObliviousVictim(kernel, config.secret);

@@ -30,7 +30,6 @@ struct PfObliviousConfig
     unsigned monitorSamples = 4000;
     unsigned cont = 4;
     Cycles threshold = 120;
-    std::uint64_t seed = 42;
     os::MachineConfig machine;
 };
 

@@ -93,13 +93,11 @@ buildTsgxVictim(os::Kernel &kernel, bool secret,
 TsgxResult
 runTsgxAttack(const TsgxConfig &config)
 {
-    os::MachineConfig mcfg = config.machine;
-    mcfg.seed = config.seed;
-    os::Machine machine(mcfg);
+    os::Machine machine(config.machine);
     auto &kernel = machine.kernel();
 
     const TsgxVictim victim =
-        buildTsgxVictim(kernel, config.secret, config.abortThreshold);
+        buildTsgxVictim(kernel, config.secret, kTsgxAbortThreshold);
     const attack::MonitorImage monitor =
         attack::buildDivContentionMonitor(kernel, config.monitorSamples,
                                           config.cont);
@@ -133,9 +131,9 @@ runTsgxAttack(const TsgxConfig &config)
             aborts_seen = aborts;
             // Cache channel: probe the two operand lines the retry
             // window touched speculatively, then re-prime.
-            if (kernel.timedProbePhys(mul_pa).latency < 100)
+            if (kernel.timedProbePhys(mul_pa).hit())
                 ++result.mulHits;
-            if (kernel.timedProbePhys(div_pa).latency < 100)
+            if (kernel.timedProbePhys(div_pa).hit())
                 ++result.divHits;
             kernel.flushPhysLine(mul_pa);
             kernel.flushPhysLine(div_pa);

@@ -26,15 +26,16 @@
 namespace uscope::defense
 {
 
+/** T-SGX's N: failed transactions before the application terminates. */
+constexpr unsigned kTsgxAbortThreshold = 10;
+
 /** Configuration of one T-SGX attack run. */
 struct TsgxConfig
 {
     bool secret = true;       ///< Victim path: divides vs multiplies.
-    unsigned abortThreshold = 10;  ///< T-SGX's N.
     unsigned monitorSamples = 4000;
     unsigned cont = 4;
     Cycles threshold = 120;   ///< Port-contention threshold.
-    std::uint64_t seed = 42;
     os::MachineConfig machine;
 };
 

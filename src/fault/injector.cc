@@ -155,11 +155,9 @@ FaultInjector::fireInterrupt(Cycles at)
         }
         stats_.linesEvicted += evicted;
     }
-    if (mmu_ && plan_.interruptFlushesTlb) {
+    if (mmu_) {
         mmu_->flushTlbAll();
         ++stats_.tlbShootdowns;
-    }
-    if (mmu_ && plan_.interruptFlushesPwc) {
         mmu_->flushPwcAll();
         ++stats_.pwcShootdowns;
     }

@@ -61,12 +61,10 @@ struct FaultPlan
     /** Mean cycles between OS interrupts (0 = no interrupts). */
     Cycles interruptMeanGap = 0;
     /** Random L3 (set, way) eviction attempts per interrupt — the
-     *  cache residue an interrupt handler leaves behind. */
+     *  cache residue an interrupt handler leaves behind.  Every
+     *  interrupt also shoots down both TLBs and the page-walk cache
+     *  (IPI residue). */
     unsigned interruptEvictions = 8;
-    /** An interrupt also shoots down both TLBs (IPI residue). */
-    bool interruptFlushesTlb = true;
-    /** ... and the page-walk cache. */
-    bool interruptFlushesPwc = true;
 
     /** Mean cycles between preemptions of a random hardware context
      *  (0 = no preemptions). */

@@ -73,11 +73,21 @@ struct KernelCosts
     bool operator==(const KernelCosts &) const = default;
 };
 
+/**
+ * A timed probe classifies a line as a cache hit below this latency.
+ * After priming, hits are L1 (~50 cycles measured) and misses DRAM
+ * (>300 cycles); the bands sit far apart.
+ */
+constexpr Cycles kProbeHitThreshold = 100;
+
 /** Result of a kernel timed probe of one cache line. */
 struct ProbeResult
 {
     Cycles latency = 0;       ///< As an attacker would measure it.
     mem::HitLevel level = mem::HitLevel::Dram;  ///< Ground truth.
+
+    /** The attacker's verdict: the measured latency marks a hit. */
+    bool hit() const { return latency < kProbeHitThreshold; }
 };
 
 /** The kernel. */

@@ -14,14 +14,21 @@ namespace
 
 constexpr Logger log_{"svc.chaos"};
 
+/** How late a delayed heartbeat goes out, milliseconds. */
+constexpr int kHeartbeatDelayMs = 30;
+
+/** How long a stalled client waits before reading, milliseconds. */
+constexpr int kClientStallMs = 10;
+
+/** Seed of every site stream, mixed with the site and the role. */
+constexpr std::uint64_t kChaosSeed = 0x5eedc0de;
+
 /** One independent deterministic stream per injection site, reseeded
  *  whenever the plan or the process role changes. */
 enum Site : std::size_t {
     SiteTear = 0,
     SiteHeartbeat,
-    SiteSigstop,
     SiteStall,
-    SiteAbort,
     SiteCount,
 };
 
@@ -39,7 +46,7 @@ struct ChaosState
     {
         for (std::size_t s = 0; s < SiteCount; ++s)
             streams[s].seed(
-                mix64(plan.seed ^ mix64(role) ^ (s * 0x9e3779b9ull)));
+                mix64(kChaosSeed ^ mix64(role) ^ (s * 0x9e3779b9ull)));
     }
 };
 
@@ -66,8 +73,7 @@ bool
 ChaosPlan::enabled() const
 {
     return tornFrameRate > 0.0 || heartbeatDropRate > 0.0 ||
-           heartbeatDelayRate > 0.0 || sigstopRate > 0.0 ||
-           clientStallRate > 0.0 || abortMergeRate > 0.0;
+           heartbeatDelayRate > 0.0 || clientStallRate > 0.0;
 }
 
 ChaosPlan
@@ -80,12 +86,9 @@ ChaosPlan::chaos()
     // digit milliseconds, dropped heartbeats stay far from the 30 s
     // production timeout, and nothing kills a process.
     plan.tornFrameRate = 0.25;
-    plan.tornDelayUs = 1000;
     plan.heartbeatDropRate = 0.15;
     plan.heartbeatDelayRate = 0.25;
-    plan.heartbeatDelayMs = 30;
     plan.clientStallRate = 0.15;
-    plan.clientStallMs = 10;
     return plan;
 }
 
@@ -96,48 +99,10 @@ ChaosPlan::parse(const std::string &value)
         return ChaosPlan{};
     if (value == "chaos")
         return chaos();
-
-    ChaosPlan plan;
-    std::size_t pos = 0;
-    while (pos < value.size()) {
-        std::size_t comma = value.find(',', pos);
-        if (comma == std::string::npos)
-            comma = value.size();
-        const std::string item = value.substr(pos, comma - pos);
-        pos = comma + 1;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos) {
-            log_.warn("USCOPE_SVC_CHAOS item '%s' is not k=v; ignored",
-                      item.c_str());
-            continue;
-        }
-        const std::string key = item.substr(0, eq);
-        const double v = std::strtod(item.c_str() + eq + 1, nullptr);
-        if (key == "torn")
-            plan.tornFrameRate = v;
-        else if (key == "torn_delay_us")
-            plan.tornDelayUs = static_cast<int>(v);
-        else if (key == "drop")
-            plan.heartbeatDropRate = v;
-        else if (key == "delay")
-            plan.heartbeatDelayRate = v;
-        else if (key == "delay_ms")
-            plan.heartbeatDelayMs = static_cast<int>(v);
-        else if (key == "sigstop")
-            plan.sigstopRate = v;
-        else if (key == "stall")
-            plan.clientStallRate = v;
-        else if (key == "stall_ms")
-            plan.clientStallMs = static_cast<int>(v);
-        else if (key == "abort")
-            plan.abortMergeRate = v;
-        else if (key == "seed")
-            plan.seed = static_cast<std::uint64_t>(v);
-        else
-            log_.warn("USCOPE_SVC_CHAOS key '%s' not recognised; "
-                      "ignored", key.c_str());
-    }
-    return plan;
+    log_.warn("USCOPE_SVC_CHAOS='%s' not recognised (expected \"chaos\" "
+              "or \"off\"); running calm",
+              value.c_str());
+    return ChaosPlan{};
 }
 
 ChaosPlan
@@ -157,12 +122,6 @@ setChaosPlan(const ChaosPlan &plan)
     std::lock_guard<std::mutex> lock(st.mu);
     st.plan = plan;
     st.reseed();
-}
-
-const ChaosPlan &
-chaosPlan()
-{
-    return state().plan;
 }
 
 void
@@ -188,12 +147,6 @@ chaosTearPoint(std::size_t frame_bytes)
                    st.streams[SiteTear].below(frame_bytes - 1));
 }
 
-int
-chaosTearDelayUs()
-{
-    return state().plan.tornDelayUs;
-}
-
 bool
 chaosDropHeartbeat()
 {
@@ -204,28 +157,16 @@ int
 chaosHeartbeatDelayMs()
 {
     return draw(SiteHeartbeat, &ChaosPlan::heartbeatDelayRate)
-               ? chaosPlan().heartbeatDelayMs
+               ? kHeartbeatDelayMs
                : 0;
-}
-
-bool
-chaosSigstop()
-{
-    return draw(SiteSigstop, &ChaosPlan::sigstopRate);
 }
 
 int
 chaosClientStallMs()
 {
     return draw(SiteStall, &ChaosPlan::clientStallRate)
-               ? chaosPlan().clientStallMs
+               ? kClientStallMs
                : 0;
-}
-
-bool
-chaosAbortMerge()
-{
-    return draw(SiteAbort, &ChaosPlan::abortMergeRate);
 }
 
 } // namespace uscope::svc

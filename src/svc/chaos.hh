@@ -5,22 +5,21 @@
  * *simulated* microarchitecture (the noise MicroScope's replay
  * averaging defeats), ChaosPlan perturbs the *service* around it:
  * frames torn mid-write, heartbeats dropped or delayed, client
- * sockets that stall, workers that SIGSTOP mid-shard, daemons that
- * abort mid-merge.  The contract under all of it is unchanged —
+ * sockets that stall.  The contract under all of it is unchanged —
  * campaign fingerprints stay byte-identical to a calm run, because
- * every chaos site sits strictly on the transport/lifecycle layer,
- * never in a trial body.
+ * every chaos site sits strictly on the transport layer, never in a
+ * trial body.
  *
  * Injection is seed-deterministic per (site, role): each hook draws
- * from its own xoshiro stream seeded from plan.seed, the site tag and
- * the process role, so a given plan replays the same misbehavior
+ * from its own xoshiro stream seeded from one fixed seed, the site tag
+ * and the process role, so a given plan replays the same misbehavior
  * schedule run over run.
  *
  * Activation mirrors fault::FaultPlan: the environment variable
- * USCOPE_SVC_CHAOS ("chaos" preset, "off", or a comma-separated
- * k=v list — see parse()) is read once per process; worker re-execs
- * inherit it, so one exported variable shakes the whole tree.
- * Tests inject plans directly with setChaosPlan().
+ * USCOPE_SVC_CHAOS ("chaos" for the preset, else inert) is read once
+ * per process; worker re-execs inherit it, so one exported variable
+ * shakes the whole tree.  Tests inject plans directly with
+ * setChaosPlan().
  */
 
 #ifndef USCOPE_SVC_CHAOS_HH
@@ -34,50 +33,34 @@
 namespace uscope::svc
 {
 
+/** Pause between the two halves of a torn write, microseconds. */
+constexpr int kChaosTearDelayUs = 1000;
+
 struct ChaosPlan
 {
     /** Probability a frame write is torn into two kernel writes with
      *  a pause between them (exercises FrameSplitter reassembly). */
     double tornFrameRate = 0.0;
-    /** Pause between the two halves of a torn write, microseconds. */
-    int tornDelayUs = 1000;
 
     /** Probability a worker heartbeat tick is silently skipped. */
     double heartbeatDropRate = 0.0;
-    /** Probability a heartbeat is sent late, and by how much. */
+    /** Probability a heartbeat is sent 30 ms late. */
     double heartbeatDelayRate = 0.0;
-    int heartbeatDelayMs = 30;
 
-    /** Probability a worker raises SIGSTOP after emitting a trial —
-     *  a hang the daemon's heartbeat-timeout ladder must clear.  Not
-     *  part of the "chaos" preset (it needs an aggressive timeout to
-     *  resolve quickly); dedicated suites opt in. */
-    double sigstopRate = 0.0;
-
-    /** Probability svc::Client stalls before reading, and for how
-     *  long — back-pressure against the daemon's outbound buffers. */
+    /** Probability svc::Client stalls 10 ms before reading —
+     *  back-pressure against the daemon's outbound buffers. */
     double clientStallRate = 0.0;
-    int clientStallMs = 10;
-
-    /** Probability the daemon _exits right before sending a final
-     *  result (mid-merge crash).  Recovery = restart + resume from
-     *  durable state.  Not in the preset: it kills the process. */
-    double abortMergeRate = 0.0;
-
-    std::uint64_t seed = 0x5eedc0de;
 
     bool enabled() const;
 
     /** The standing preset behind USCOPE_SVC_CHAOS=chaos: torn
      *  frames, dropped/late heartbeats and client stalls at rates the
-     *  full test suite absorbs without timing out — sigstop and
-     *  abort-merge stay opt-in. */
+     *  full test suite absorbs without timing out.  Nothing in it
+     *  kills or stops a process. */
     static ChaosPlan chaos();
 
-    /** Parse an USCOPE_SVC_CHAOS value: "off"/"" (inert), "chaos"
-     *  (the preset), or "k=v,k=v" over keys torn, torn_delay_us,
-     *  drop, delay, delay_ms, sigstop, stall, stall_ms, abort, seed.
-     *  Unknown keys warn and are ignored. */
+    /** Parse an USCOPE_SVC_CHAOS value: "chaos" is the preset; "off"
+     *  and "" are inert, and any other value warns and is inert. */
     static ChaosPlan parse(const std::string &value);
 
     /** parse(getenv("USCOPE_SVC_CHAOS")), cached on first use. */
@@ -86,9 +69,6 @@ struct ChaosPlan
 
 /** Process-wide plan override (tests).  Resets every site stream. */
 void setChaosPlan(const ChaosPlan &plan);
-
-/** The active plan: the last setChaosPlan(), else environmentDefault. */
-const ChaosPlan &chaosPlan();
 
 /** Decorrelate this process's chaos streams from its siblings'
  *  (workers pass their id; the daemon uses its own tag).  Resets
@@ -104,23 +84,14 @@ void seedChaosRole(std::uint64_t role);
  *  whole.  Tear points land strictly inside the frame. */
 std::optional<std::size_t> chaosTearPoint(std::size_t frame_bytes);
 
-/** Microseconds to sleep between the two halves of a torn write. */
-int chaosTearDelayUs();
-
 /** True when this heartbeat tick should be skipped. */
 bool chaosDropHeartbeat();
 
 /** Milliseconds to delay this heartbeat; 0 = send on time. */
 int chaosHeartbeatDelayMs();
 
-/** True when the worker should SIGSTOP itself after this trial. */
-bool chaosSigstop();
-
 /** Milliseconds the client should stall before reading; 0 = none. */
 int chaosClientStallMs();
-
-/** True when the daemon should abort instead of sending a result. */
-bool chaosAbortMerge();
 
 } // namespace uscope::svc
 

@@ -264,18 +264,6 @@ struct Daemon::Impl
               case Action::Kind::RemoveManifest:
                 ::unlink(a.path.c_str());
                 break;
-              case Action::Kind::Merged:
-                // Chaos site: die between the merge and the result
-                // send — the worst possible moment.  Trials are
-                // checkpointed and the pending manifest still exists,
-                // so a restarted daemon must resume, re-merge, and
-                // produce the same fingerprint.
-                if (chaosAbortMerge()) {
-                    log_.warn("chaos: aborting mid-merge of campaign "
-                              "%" PRIu64, a.target);
-                    ::_exit(42);
-                }
-                break;
               case Action::Kind::Stop:
                 stop = true;
                 break;

@@ -162,7 +162,6 @@ fig10Recipe(const CampaignRequest &req)
         config.samples = samples;
         config.replays = replays;
         config.threshold = threshold;
-        config.seed = ctx.seed;
         // Self-built machine from the trial's config (factory, obs
         // dial); the executor cannot drain it, so the body hands the
         // drained log back.
@@ -204,7 +203,6 @@ fig11Recipe(const CampaignRequest &)
             config.plaintext[i] =
                 static_cast<std::uint8_t>(rng.below(256));
         }
-        config.seed = ctx.seed;
         config.machine = ctx.machine;
         attack::Fig11Result fig11 = attack::runFig11(config);
 
@@ -286,7 +284,7 @@ aesPrefixRecipe(const CampaignRequest &)
         // Replay 0 runs unprimed; the vote is over the primed ones.
         std::vector<std::set<unsigned>> primed;
         for (std::size_t i = 1; i < replays.size(); ++i)
-            primed.push_back(replays[i].hitLines(attack::aesHitThreshold));
+            primed.push_back(replays[i].hitLines());
         const bool matches =
             !primed.empty() && attack::majorityLines(primed) ==
                                    enclave.round1Td1Lines(ct.data());

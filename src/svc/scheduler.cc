@@ -713,9 +713,6 @@ struct Scheduler::Impl
             result.trials = std::move(c.results);
             const std::string fingerprint =
                 exp::fnv1aHex(exp::deterministicFingerprint(result));
-            // The driver's mid-merge chaos site fires here, before the
-            // manifest goes and the result is sent.
-            act(Action::Kind::Merged, c.id);
             removePendingManifest(c);
             tally.counter("svc.daemon.campaigns_completed").inc();
             log_.info("campaign %" PRIu64 " '%s' complete: %zu trials, "

@@ -65,8 +65,6 @@ struct Action
         Kill,           ///< SIGKILL worker `target`, drop its link
         WriteManifest,  ///< write `frame` to `path` atomically
         RemoveManifest, ///< delete `path`
-        Merged,         ///< campaign `target` is merged; its result
-                        ///< delivery follows
         Stop,           ///< leave the loop
     };
     Kind kind = Kind::Stop;

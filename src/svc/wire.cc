@@ -142,7 +142,7 @@ Conn::writeFrame(const std::string &frame)
         }
         sent += static_cast<std::size_t>(n);
         if (sent == tear && tear < frame.size())
-            ::usleep(static_cast<useconds_t>(chaosTearDelayUs()));
+            ::usleep(static_cast<useconds_t>(kChaosTearDelayUs));
     }
     return true;
 }

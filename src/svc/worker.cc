@@ -198,11 +198,6 @@ WorkerLoop::runShard(const json::Value &msg)
             // would — mid-shard, no destructors, no goodbyes.
             ::raise(SIGKILL);
         }
-        // Chaos site: freeze mid-shard.  The daemon's heartbeat
-        // timeout must notice the silence, SIGKILL this process and
-        // reassign the shard — exactly the wedged-worker story.
-        if (chaosSigstop())
-            ::raise(SIGSTOP);
     };
 
     exp::runShardRange(spec, lo, hi, executor,

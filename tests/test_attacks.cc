@@ -32,7 +32,7 @@ TEST_P(PortContentionSweep, DetectsTwoDividesInOneLogicalRun)
     PortContentionConfig config;
     config.samples = 3000;
     config.replays = 60;
-    config.seed = GetParam();
+    config.machine.seed = GetParam();
 
     config.victimDivides = true;
     const auto div_run = runPortContentionAttack(config);
@@ -211,7 +211,7 @@ TEST(AesAttack, NibbleRecoveryExtensionIsSound)
     unsigned total_correct = 0;
     for (std::uint64_t seed : {42ull, 77ull}) {
         AesAttackConfig config;
-        config.seed = seed;
+        config.machine.seed = seed;
         for (unsigned i = 0; i < 16; ++i) {
             config.key[i] =
                 static_cast<std::uint8_t>(seed * 13 + i * 7);
@@ -364,7 +364,7 @@ TEST(TsxReplay, BiasesSerializingRdrand)
         for (unsigned trial = 0; trial < 8; ++trial) {
             TsxBiasConfig config;
             config.desiredBit = desired;
-            config.seed = 1000 + trial * 17 + desired;
+            config.machine.seed = 1000 + trial * 17 + desired;
             const auto result = runTsxRdrandBias(config);
             completed += result.victimCompleted;
             biased += result.biased;

@@ -17,7 +17,7 @@ using namespace uscope::defense;
 
 TEST(FenceDefense, DefeatsPortContentionAtLowBenignCost)
 {
-    const FenceAblationResult result = runFenceAblation(42, 3000);
+    const FenceAblationResult result = runFenceAblation(3000);
 
     // Undefended: the attack separates cleanly.
     EXPECT_TRUE(result.baselineDiv.inferredDivides);
@@ -42,14 +42,14 @@ TEST(TsgxDefense, GrantsNMinusOneReplaysWhichSuffice)
 
         // T-SGX does what it promises: the OS never handles a fault,
         // and the app terminates after N failed transactions...
-        EXPECT_EQ(result.txAborts, config.abortThreshold);
+        EXPECT_EQ(result.txAborts, kTsgxAbortThreshold);
         EXPECT_TRUE(result.victimTerminated);
 
         // ...but the N-1 replay windows already leaked the secret
         // through the (noiseless) cache channel.
         EXPECT_EQ(result.inferredDividesCache, secret);
         EXPECT_GE(result.mulHits + result.divHits,
-                  config.abortThreshold / 2);
+                  kTsgxAbortThreshold / 2);
     }
 }
 
@@ -67,7 +67,7 @@ TEST(DejavuDefense, DetectsOnlyAfterExtraction)
     EXPECT_TRUE(result.inferredSecret);
     // Detection does fire — after the fact.
     EXPECT_TRUE(result.detected);
-    EXPECT_GT(result.measuredElapsed, config.detectionThreshold);
+    EXPECT_GT(result.measuredElapsed, kDejavuDetectionThreshold);
 }
 
 TEST(DejavuDefense, FewReplaysMaskAsOrdinaryFaults)

@@ -350,7 +350,7 @@ TEST(MicroscopeEngine, ReplayedTransmitLeavesResidueEachReplay)
     recipe.replayHandle = victim.handle;
     recipe.confidence = 5;
     recipe.onReplay = [&](const ms::ReplayEvent &ev) {
-        if (ev.scope.kernel().timedProbePhys(transmit_pa).latency < 100)
+        if (ev.scope.kernel().timedProbePhys(transmit_pa).hit())
             ++residue_seen;
         return true;
     };

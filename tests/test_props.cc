@@ -6,7 +6,8 @@
  *    (random handle position, random replay count) must leave its
  *    architectural results bit-identical to an unattacked run — the
  *    paper's core premise that replays are architecturally invisible.
- *  - Determinism: identical seeds give identical experiment outputs.
+ *  - Determinism: identical seeds give identical experiment outputs,
+ *    and config.machine.seed is the seed an experiment runs under.
  *  - Clean disarm: page tables return to their pre-attack state.
  *  - AES attack generality: the single-stepping extraction works for
  *    192- and 256-bit keys (12/14 rounds) too.
@@ -198,16 +199,40 @@ TEST(Determinism, IdenticalSeedsIdenticalSamples)
     attack::PortContentionConfig config;
     config.samples = 800;
     config.replays = 20;
-    config.seed = 777;
+    config.machine.seed = 777;
     const auto a = attack::runPortContentionAttack(config);
     const auto b = attack::runPortContentionAttack(config);
     EXPECT_EQ(a.samples, b.samples);
     EXPECT_EQ(a.aboveThreshold, b.aboveThreshold);
     EXPECT_EQ(a.replaysDone, b.replaysDone);
 
-    config.seed = 778;
+    config.machine.seed = 778;
     const auto c = attack::runPortContentionAttack(config);
     EXPECT_NE(a.samples, c.samples);  // different seed, different run
+}
+
+// An experiment has one seed, config.machine.seed: two runs that
+// differ only there differ, and equal seeds repeat exactly.  The AES
+// run also derives its table warm-up from that seed.
+TEST(Determinism, MachineSeedIsTheExperimentSeed)
+{
+    attack::AesAttackConfig config;
+    for (unsigned i = 0; i < 16; ++i) {
+        config.key[i] = static_cast<std::uint8_t>(i * 17 + 3);
+        config.plaintext[i] = static_cast<std::uint8_t>(i * 5);
+    }
+    const auto latencies = [&config](std::uint64_t seed) {
+        config.machine.seed = seed;
+        std::vector<Cycles> out;
+        for (const attack::LineProbe &probe :
+             attack::runFig11(config).replays)
+            out.insert(out.end(), probe.latency.begin(),
+                       probe.latency.end());
+        return out;
+    };
+    const std::vector<Cycles> a = latencies(777);
+    EXPECT_EQ(a, latencies(777));
+    EXPECT_NE(a, latencies(778));
 }
 
 TEST(CleanDisarm, PageTablesRestoredAfterAbortedAttack)
