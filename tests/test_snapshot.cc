@@ -18,6 +18,9 @@
  *    USCOPE_FAULT_PLAN=chaos, which the CI chaos job exports), worker
  *    counts 1/2/4, and every prefixCache × machinePool combination of
  *    the campaign runner.
+ *  - **Restore-then-continue.** Without a reseed, a copy restored from
+ *    a snapshot continues exactly as its source: the owed SMT draws
+ *    and the RDRAND stream travel with the state.
  *  - **Versioned restore.** Repeated restoreFrom calls from one
  *    snapshot, which copy only the cache sets whose version ids
  *    differ (DESIGN.md §17), each equal a newly constructed machine
@@ -442,6 +445,76 @@ TEST(MachineFork, SiblingForksDoNotInterfere)
     fork3.reseed(1);
     runBody(fork3, victim, 1);
     EXPECT_EQ(stateFingerprint(fork3), reference);
+}
+
+/**
+ * Restore, then continue, equals continue: a copy restored from a
+ * snapshot without a reseed carries on exactly as its source does.
+ * The snapshot lands while the core owes SMT-arbitration draws
+ * (context 0 has run alone since context 1 halted) and after RDRANDs
+ * advanced the machine's entropy stream; both machines then run two
+ * contexts contending for the divider, so a copy that dropped the
+ * owed draws issues in another order, and one that dropped the
+ * entropy stream reads other RDRAND values.
+ */
+TEST(MachineFork, RestoreThenContinueEqualsContinue)
+{
+    constexpr cpu::Reg counter = 1, limit = 2, random = 3, mixed = 4,
+                       lhs = 5, rhs = 6, quotient = 7, product = 8;
+    // RDRANDs folded into `mixed`, then a loop of two divides for the
+    // unpipelined divider.
+    auto div_loop = [](unsigned rdrands, std::int64_t iterations) {
+        cpu::ProgramBuilder b;
+        for (unsigned i = 0; i < rdrands; ++i)
+            b.rdrand(random).xor_(mixed, mixed, random);
+        b.movi(counter, 0)
+            .movi(limit, iterations)
+            .movi(lhs, 1'000'003)
+            .movi(rhs, 7)
+            .label("loop")
+            .div(quotient, lhs, rhs)
+            .div(quotient, lhs, rhs)
+            .mul(product, quotient, rhs)
+            .addi(counter, counter, 1)
+            .blt(counter, limit, "loop")
+            .halt();
+        return std::make_shared<const cpu::Program>(b.build());
+    };
+    const auto long_program = div_loop(2, 1'000'000);
+    const auto short_program = div_loop(1, 200);
+
+    os::MachineConfig config;
+    config.seed = 4242;
+    os::Machine source(config);
+    os::Kernel &kernel = source.kernel();
+    const os::Pid long_pid = kernel.createProcess("long");
+    const os::Pid short_pid = kernel.createProcess("short");
+    kernel.startOnContext(long_pid, 0, long_program);
+    source.run(3'000);
+    kernel.startOnContext(short_pid, 1, short_program);
+    ASSERT_TRUE(source.runUntilHalted(1, 1'000'000));
+    source.run(2'000);
+    ASSERT_FALSE(source.core().halted(0));
+    ASSERT_NE(source.core().readIntReg(0, mixed), 0u);
+
+    const os::Snapshot snap = source.snapshot();
+    os::Machine copy(snap.config());
+    copy.restoreFrom(snap);
+
+    for (os::Machine *machine : {&source, &copy}) {
+        machine->kernel().startOnContext(short_pid, 1, short_program);
+        machine->run(5'000);
+    }
+    // Context 1 is still running: which context won each divider slot
+    // shows in its retired count.
+    ASSERT_FALSE(source.core().halted(1));
+    EXPECT_EQ(copy.core().stateDigest(), source.core().stateDigest());
+    for (unsigned ctx = 0; ctx < 2; ++ctx)
+        for (cpu::Reg reg = 0; reg < cpu::numIntRegs; ++reg)
+            EXPECT_EQ(copy.core().readIntReg(ctx, reg),
+                      source.core().readIntReg(ctx, reg))
+                << "context " << ctx << " r" << unsigned{reg};
+    EXPECT_EQ(stateFingerprint(copy), stateFingerprint(source));
 }
 
 TEST(MachineFork, StructuralMismatchIsRejected)
