@@ -45,7 +45,7 @@ Core::Core(mem::PhysMem &mem, mem::Hierarchy &hierarchy, vm::Mmu &mmu,
            const CoreConfig &config, std::uint64_t seed)
     : mem_(mem), hierarchy_(hierarchy), mmu_(mmu), config_(config),
       rng_(seed), contexts_(config.numContexts),
-      predictor_(config.predictorEntries)
+      predictor_(kPredictorEntries)
 {
     for (Context &ctx : contexts_) {
         ctx.rob = Rob(config_.robPerContext);
@@ -692,7 +692,7 @@ void
 Core::doRetire()
 {
     for (unsigned ctx_id = 0; ctx_id < contexts_.size(); ++ctx_id) {
-        for (unsigned n = 0; n < config_.retireWidth; ++n)
+        for (unsigned n = 0; n < kRetireWidth; ++n)
             if (!retireOne(ctx_id))
                 break;
     }
@@ -743,7 +743,7 @@ Core::executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency)
     resolveSource(ctx, entry.dep1, inst.rs1, false, base);
     const VAddr va = base + static_cast<std::uint64_t>(inst.imm);
 
-    latency += config_.aguLatency;
+    latency += kAguLatency;
 
     const vm::TranslateResult xlate =
         mmu_.translate(va, ctx.pcid, ctx.ptRoot);
@@ -798,7 +798,7 @@ Core::executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency)
             continue;
         if (older.storeVa == va && older.storeLen == len) {
             entry.result = older.storeValue;
-            latency += config_.forwardLatency;
+            latency += kForwardLatency;
             return;
         }
         break;
@@ -838,7 +838,7 @@ Core::executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency)
                                  older.storeLen, va);
     }
     if (forwarded)
-        latency += config_.forwardLatency;
+        latency += kForwardLatency;
     entry.result = value;
 }
 
@@ -856,7 +856,7 @@ Core::executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency)
     if (dec.readsSrc2())
         resolveSource(ctx, entry.dep2, inst.rs2, dec.readsFp2(), s2);
 
-    latency = config_.aluLatency;
+    latency = kAluLatency;
 
     switch (inst.op) {
       case Op::Nop:
@@ -900,7 +900,7 @@ Core::executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency)
         break;
       case Op::Mul:
         entry.result = s1 * s2;
-        latency = config_.mulLatency;
+        latency = kMulLatency;
         break;
       case Op::Div:
         entry.result = s2 ? s1 / s2 : ~std::uint64_t{0};
@@ -914,11 +914,11 @@ Core::executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency)
         break;
       case Op::Fadd:
         entry.result = asBits(asDouble(s1) + asDouble(s2));
-        latency = config_.fmulLatency;
+        latency = kFmulLatency;
         break;
       case Op::Fmul:
         entry.result = asBits(asDouble(s1) * asDouble(s2));
-        latency = config_.fmulLatency;
+        latency = kFmulLatency;
         break;
       case Op::Fdiv: {
         const double a = asDouble(s1);
@@ -926,7 +926,7 @@ Core::executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency)
         const double q = a / b;
         entry.result = asBits(q);
         latency = (isSubnormal(a) || isSubnormal(b) || isSubnormal(q))
-            ? config_.fdivSubnormalLatency
+            ? kFdivSubnormalLatency
             : config_.fdivLatency;
         break;
       }
@@ -958,7 +958,7 @@ Core::executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency)
         break;
       case Op::Rdtsc:
         entry.result = cycle_;
-        latency = config_.rdtscLatency;
+        latency = kRdtscLatency;
         break;
       case Op::Rdrand:
         if (rdrandSource_) {
@@ -967,7 +967,7 @@ Core::executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency)
             settleDraws();
             entry.result = rng_.next();
         }
-        latency = config_.rdrandLatency;
+        latency = kRdrandLatency;
         break;
     }
 
@@ -1102,14 +1102,14 @@ Core::doIssue()
         std::size_t kept = 0;
         std::size_t i = 0;
         for (; i < ready.size() && ready[i] <= ctx.barrierSeq; ++i) {
-            if (issuedThisCycle_ >= config_.issueWidth)
+            if (issuedThisCycle_ >= kIssueWidth)
                 break;
             if (!tryIssue(ctx_id, ctx.rob.at(ready[i])))
                 ready[kept++] = ready[i];
         }
         ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(kept),
                     ready.begin() + static_cast<std::ptrdiff_t>(i));
-        if (issuedThisCycle_ >= config_.issueWidth)
+        if (issuedThisCycle_ >= kIssueWidth)
             return;
     }
 }
@@ -1217,7 +1217,7 @@ Core::doFetch()
     // group.  One modulo per cycle; the rotation then wraps.
     const unsigned n = static_cast<unsigned>(contexts_.size());
     unsigned first = static_cast<unsigned>(cycle_ % n);
-    for (unsigned slot = 0; slot < config_.fetchWidth; ++slot) {
+    for (unsigned slot = 0; slot < kFetchWidth; ++slot) {
         unsigned ctx_id = first;
         unsigned offset = 0;
         for (; offset < n; ++offset) {

@@ -69,27 +69,29 @@ class MetricRegistry;
 namespace uscope::cpu
 {
 
-/** Core microarchitecture parameters. */
+// Pipeline widths (per cycle) and fixed latencies of the modelled core.
+constexpr unsigned kFetchWidth = 4;
+constexpr unsigned kIssueWidth = 6;
+constexpr unsigned kRetireWidth = 4;
+constexpr Cycles kAluLatency = 1;
+constexpr Cycles kMulLatency = 3;
+constexpr Cycles kFmulLatency = 4;
+constexpr Cycles kFdivSubnormalLatency = 120;  ///< Subnormal operand.
+constexpr Cycles kAguLatency = 1;
+constexpr Cycles kForwardLatency = 5;  ///< Store-to-load forwarding.
+constexpr Cycles kRdtscLatency = 8;
+constexpr Cycles kRdrandLatency = 150;
+constexpr unsigned kPredictorEntries = 4096;  ///< A power of two.
+
+/** The core parameters that the ablations, the defenses and the
+ *  RDRAND attack vary. */
 struct CoreConfig
 {
     unsigned numContexts = 2;
     unsigned robPerContext = 112;
-    unsigned fetchWidth = 4;
-    unsigned issueWidth = 6;
-    unsigned retireWidth = 4;
 
-    Cycles aluLatency = 1;
-    Cycles mulLatency = 3;
-    Cycles fmulLatency = 4;
     Cycles divLatency = 24;
     Cycles fdivLatency = 24;
-    /** Penalized fdiv latency when an operand/result is subnormal. */
-    Cycles fdivSubnormalLatency = 120;
-    Cycles aguLatency = 1;
-    /** Store-to-load forwarding latency. */
-    Cycles forwardLatency = 5;
-    Cycles rdtscLatency = 8;
-    Cycles rdrandLatency = 150;
     /**
      * Intel's RDRAND includes an internal serializing fence that
      * blocks speculation past it (§7.2 — this is what defeats the
@@ -104,8 +106,6 @@ struct CoreConfig
      * issues until it retires — starving the replay window.
      */
     bool fenceOnPipelineFlush = false;
-
-    unsigned predictorEntries = 4096;
 
     /** Structural equality (snapshot/pool compatibility checks). */
     bool operator==(const CoreConfig &) const = default;

@@ -35,7 +35,7 @@ class BranchPredictor
 {
   public:
     /** @param entries Table size (power of two). */
-    explicit BranchPredictor(unsigned entries = 4096);
+    explicit BranchPredictor(unsigned entries);
 
     /** Predicted direction for the branch at biased PC @p pc. */
     bool predict(std::uint64_t pc);

@@ -178,9 +178,9 @@ FaultInjector::firePreemption(Cycles at)
     const auto ctx = static_cast<unsigned>(rngPreempt_.below(num_ctx));
     ++stats_.preemptions;
     if (core_)
-        core_->preemptContext(ctx, plan_.preemptPenalty);
+        core_->preemptContext(ctx, kPreemptPenalty);
     trace(Site::Preemption, static_cast<std::uint16_t>(ctx),
-          plan_.preemptPenalty);
+          kPreemptPenalty);
 }
 
 Cycles

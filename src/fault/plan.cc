@@ -33,7 +33,6 @@ FaultPlan::chaos()
     plan.interruptMeanGap = 60000;
     plan.interruptEvictions = 8;
     plan.preemptMeanGap = 800000;
-    plan.preemptPenalty = 3000;
     plan.portJitterRate = 0.02;
     plan.portJitterMax = 3;
     // Capped so a worst-case L1 probe (6 + 45 + 8 + 10 = 69 cycles)

@@ -49,6 +49,9 @@ enum class Site : std::uint8_t
 
 constexpr unsigned numSites = static_cast<unsigned>(Site::SampleDrop) + 1;
 
+/** Stall charged to a preempted context (scheduler quantum tax). */
+constexpr Cycles kPreemptPenalty = 3000;
+
 /** All knobs of the fault model; a default-constructed plan is inert. */
 struct FaultPlan
 {
@@ -67,10 +70,8 @@ struct FaultPlan
     unsigned interruptEvictions = 8;
 
     /** Mean cycles between preemptions of a random hardware context
-     *  (0 = no preemptions). */
+     *  (0 = no preemptions); each one stalls it for kPreemptPenalty. */
     Cycles preemptMeanGap = 0;
-    /** Stall charged to a preempted context (scheduler quantum tax). */
-    Cycles preemptPenalty = 3000;
 
     // ------------------------------------------------------------------
     // Event-coupled noise (drawn at the perturbed event itself, from

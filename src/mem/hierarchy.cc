@@ -36,9 +36,9 @@ Cycles
 Hierarchy::latencyFor(HitLevel level) const
 {
     switch (level) {
-      case HitLevel::L1: return config_.l1Latency;
-      case HitLevel::L2: return config_.l2Latency;
-      case HitLevel::L3: return config_.l3Latency;
+      case HitLevel::L1: return kL1Latency;
+      case HitLevel::L2: return kL2Latency;
+      case HitLevel::L3: return kL3Latency;
       case HitLevel::Dram: return config_.dramLatency;
     }
     return config_.dramLatency;
@@ -64,13 +64,13 @@ Hierarchy::access(PAddr addr)
 {
     AccessResult result;
     if (l1_.access(addr)) {
-        result = {HitLevel::L1, config_.l1Latency};
+        result = {HitLevel::L1, kL1Latency};
     } else if (l2_.access(addr)) {
         l1_.insert(addr);
-        result = {HitLevel::L2, config_.l2Latency};
+        result = {HitLevel::L2, kL2Latency};
     } else if (l3_.access(addr)) {
         fillLine(addr, true, true);
-        result = {HitLevel::L3, config_.l3Latency};
+        result = {HitLevel::L3, kL3Latency};
     } else {
         fillLine(addr, true, true);
         const Cycles jitter = config_.dramJitter

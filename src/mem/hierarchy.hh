@@ -53,15 +53,20 @@ struct AccessResult
 };
 
 /**
- * Cache and DRAM geometry/latency configuration.
+ * Cache hit latencies of the modelled core.
  *
- * The latencies are calibrated so that a timed probe (load plus the
- * attack code's ~45-cycle RDTSC measurement overhead) lands in the
- * bands the paper reports in Figure 11: L1 hits below 60 cycles, L2/L3
- * hits between 100 and 200 cycles, DRAM accesses above 300 cycles —
- * and so that a fully-uncached page walk (4 entries from DRAM) takes
- * "over one thousand cycles" (§4.1.2).
+ * They are calibrated so that a timed probe (load plus the attack
+ * code's ~45-cycle RDTSC measurement overhead) lands in the bands the
+ * paper reports in Figure 11: L1 hits below 60 cycles, L2/L3 hits
+ * between 100 and 200 cycles, DRAM accesses above 300 cycles — and so
+ * that a fully-uncached page walk (4 entries from DRAM, at
+ * MemConfig::dramLatency) takes "over one thousand cycles" (§4.1.2).
  */
+constexpr Cycles kL1Latency = 6;
+constexpr Cycles kL2Latency = 70;
+constexpr Cycles kL3Latency = 150;
+
+/** Cache geometry and DRAM timing (tests build tiny caches). */
 struct MemConfig
 {
     std::uint64_t l1Size = 32 * 1024;
@@ -71,16 +76,10 @@ struct MemConfig
     std::uint64_t l3Size = 8 * 1024 * 1024;
     unsigned l3Assoc = 16;
 
-    Cycles l1Latency = 6;
-    Cycles l2Latency = 70;
-    Cycles l3Latency = 150;
     Cycles dramLatency = 290;
     /** DRAM latency jitter: uniform in [-jitter, +jitter]; at most
      *  dramLatency (the Hierarchy constructor is fatal otherwise). */
     Cycles dramJitter = 15;
-
-    /** Structural equality (snapshot/pool compatibility checks). */
-    bool operator==(const MemConfig &) const = default;
 };
 
 /** L1D + L2 + inclusive L3 + DRAM, shared by both SMT contexts. */
@@ -89,8 +88,6 @@ class Hierarchy
   public:
     explicit Hierarchy(const MemConfig &config = MemConfig{},
                        std::uint64_t seed = 1);
-
-    const MemConfig &config() const { return config_; }
 
     /**
      * Demand access to the line holding @p addr: resolve the hit

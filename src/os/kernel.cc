@@ -234,7 +234,7 @@ Kernel::chargeCycles(Cycles cycles)
 vm::SoftWalkResult
 Kernel::softwareWalk(Pid pid, VAddr va)
 {
-    chargeCycles(costs_.softwareWalk);
+    chargeCycles(kSoftwareWalkCost);
     return processOf(pid).pageTable->softwareWalk(va);
 }
 
@@ -242,7 +242,7 @@ void
 Kernel::setPresent(Pid pid, VAddr va, bool present)
 {
     processOf(pid).pageTable->setPresent(va, present);
-    chargeCycles(costs_.softwareWalk);
+    chargeCycles(kSoftwareWalkCost);
 }
 
 void
@@ -253,17 +253,17 @@ Kernel::flushTranslationEntries(Pid pid, VAddr va)
     for (unsigned lvl = 0; lvl < walk.levelsValid; ++lvl) {
         hierarchy_.flushLine(walk.entryAddrs[lvl]);
         core_.notifyLineEvicted(walk.entryAddrs[lvl]);
-        chargeCycles(costs_.clflush);
+        chargeCycles(kClflushCost);
     }
     mmu_.flushPwc(va, proc.pcid);
-    chargeCycles(costs_.pwcFlush);
+    chargeCycles(kPwcFlushCost);
 }
 
 void
 Kernel::invlpg(Pid pid, VAddr va)
 {
     mmu_.invlpg(va, processOf(pid).pcid);
-    chargeCycles(costs_.invlpg);
+    chargeCycles(kInvlpgCost);
 }
 
 void
@@ -278,7 +278,7 @@ Kernel::flushPhysLine(PAddr pa)
 {
     hierarchy_.flushLine(pa);
     core_.notifyLineEvicted(pa);
-    chargeCycles(costs_.clflush);
+    chargeCycles(kClflushCost);
 }
 
 void
@@ -287,7 +287,7 @@ Kernel::installPhysAt(PAddr pa, mem::HitLevel level)
     hierarchy_.installAt(pa, level);
     if (level == mem::HitLevel::Dram)
         core_.notifyLineEvicted(pa);
-    chargeCycles(costs_.installLine);
+    chargeCycles(kInstallLineCost);
 }
 
 void
@@ -310,7 +310,7 @@ Kernel::prefillPwc(Pid pid, VAddr va, unsigned fetch_levels)
         panic("prefillPwc: bad fetch_levels %u", fetch_levels);
     Process &proc = processOf(pid);
     mmu_.flushPwc(va, proc.pcid);
-    chargeCycles(costs_.pwcFlush);
+    chargeCycles(kPwcFlushCost);
     const vm::SoftWalkResult walk = proc.pageTable->softwareWalk(va);
     for (unsigned lvl = 0; lvl + fetch_levels < vm::numLevels; ++lvl) {
         if (lvl >= walk.levelsValid)
@@ -320,7 +320,7 @@ Kernel::prefillPwc(Pid pid, VAddr va, unsigned fetch_levels)
         const PAddr next_table = vm::entryPpn(entry) << pageShift;
         mmu_.pwc().insert(va, proc.pcid, static_cast<vm::Level>(lvl),
                           next_table);
-        chargeCycles(costs_.installLine);
+        chargeCycles(kInstallLineCost);
     }
 }
 
@@ -332,7 +332,7 @@ Kernel::primeRange(PAddr pa, std::uint64_t len)
     for (PAddr line = first; line <= last; line += lineSize) {
         hierarchy_.flushLine(line);
         core_.notifyLineEvicted(line);
-        chargeCycles(costs_.installLine);
+        chargeCycles(kInstallLineCost);
     }
 }
 
@@ -340,9 +340,8 @@ ProbeResult
 Kernel::timedProbePhys(PAddr pa)
 {
     const mem::AccessResult access = hierarchy_.access(pa);
-    const Cycles overhead = costs_.probeOverhead +
-        (costs_.probeJitter ? rng_.range(0, costs_.probeJitter) : 0) +
-        (probeNoise_ ? probeNoise_() : 0);
+    const Cycles overhead = kProbeOverhead + rng_.range(0, kProbeJitter) +
+                            (probeNoise_ ? probeNoise_() : 0);
     const Cycles latency = access.latency + overhead;
     chargeCycles(latency);
     if (obs::tracing(obs_))
@@ -366,7 +365,7 @@ Kernel::timedProbe(Pid pid, VAddr va)
 void
 Kernel::signalMonitor()
 {
-    chargeCycles(costs_.signalMonitor);
+    chargeCycles(kSignalMonitorCost);
 }
 
 void

@@ -47,27 +47,21 @@ class MetricRegistry;
 namespace uscope::os
 {
 
-/** Cycle costs of privileged operations (tunable for ablations). */
+// Cycle costs of the privileged operations a module performs.
+constexpr Cycles kSoftwareWalkCost = 200;  ///< 4 dependent reads.
+constexpr Cycles kClflushCost = 90;        ///< One CLFLUSH.
+constexpr Cycles kInvlpgCost = 120;        ///< Plus shootdown bookkeeping.
+constexpr Cycles kPwcFlushCost = 30;       ///< One translation path.
+constexpr Cycles kInstallLineCost = 100;   ///< Staging one line.
+constexpr Cycles kProbeOverhead = 45;      ///< RDTSC pair of a timed probe.
+constexpr Cycles kProbeJitter = 8;         ///< Overhead jitter, [0, 8].
+constexpr Cycles kSignalMonitorCost = 50;  ///< Shared memory poke.
+
+/** The trap cost, which ablate_microarch sweeps. */
 struct KernelCosts
 {
     /** Trap entry + exit, AEX bookkeeping, IRET. */
     Cycles faultBase = 1800;
-    /** Kernel software page walk (4 dependent reads). */
-    Cycles softwareWalk = 200;
-    /** One CLFLUSH. */
-    Cycles clflush = 90;
-    /** One INVLPG (plus shootdown bookkeeping). */
-    Cycles invlpg = 120;
-    /** PWC flush of one translation path. */
-    Cycles pwcFlush = 30;
-    /** Staging one line at a chosen cache level. */
-    Cycles installLine = 100;
-    /** RDTSC-pair overhead added to a timed probe. */
-    Cycles probeOverhead = 45;
-    /** Probe overhead jitter: uniform in [0, jitter]. */
-    Cycles probeJitter = 8;
-    /** Signalling the Monitor process (shared memory poke). */
-    Cycles signalMonitor = 50;
 
     /** Structural equality (snapshot/pool compatibility checks). */
     bool operator==(const KernelCosts &) const = default;

@@ -12,17 +12,16 @@ namespace uscope::os
 bool
 sameStructure(const MachineConfig &a, const MachineConfig &b)
 {
-    return a.physMemBytes == b.physMemBytes && a.mem == b.mem &&
-           a.mmu == b.mmu && a.core == b.core && a.costs == b.costs &&
-           a.obs == b.obs && a.fault == b.fault;
+    return a.core == b.core && a.costs == b.costs && a.obs == b.obs &&
+           a.fault == b.fault;
 }
 
 Machine::Machine(const MachineConfig &config)
     : config_(config),
       obs_(config.obs),
-      mem_(config.physMemBytes),
-      hierarchy_(config.mem, config.seed * 3 + 1),
-      mmu_(mem_, hierarchy_, config.mmu),
+      mem_(kPhysMemBytes),
+      hierarchy_(mem::MemConfig{}, config.seed * 3 + 1),
+      mmu_(mem_, hierarchy_),
       core_(mem_, hierarchy_, mmu_, config.core, config.seed * 5 + 2),
       kernel_(mem_, hierarchy_, mmu_, core_, config.costs,
               config.seed * 7 + 3),

@@ -60,12 +60,13 @@ struct Seed
     bool explicitlySet = false;
 };
 
-/** Aggregate configuration of the whole machine. */
+/** Physical memory of every machine (pages materialise on write). */
+constexpr std::uint64_t kPhysMemBytes = std::uint64_t{1} << 32;
+
+/** The values a study varies; every other machine parameter is a
+ *  constant in its layer's header (DESIGN.md §2). */
 struct MachineConfig
 {
-    std::uint64_t physMemBytes = std::uint64_t{1} << 32;
-    mem::MemConfig mem;
-    vm::MmuConfig mmu;
     cpu::CoreConfig core;
     KernelCosts costs;
     obs::ObsConfig obs;
@@ -81,7 +82,7 @@ struct MachineConfig
 };
 
 /**
- * Structural equality of two configs: every knob except the seed.
+ * Structural equality of two configs: every field except the seed.
  * Machines with the same structure can share snapshots and pooled
  * instances — only their RNG streams (reseedable at any time) differ.
  */

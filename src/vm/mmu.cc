@@ -5,13 +5,11 @@
 namespace uscope::vm
 {
 
-Mmu::Mmu(mem::PhysMem &mem, mem::Hierarchy &hierarchy,
-         const MmuConfig &config)
-    : config_(config),
-      l1Tlb_("L1-DTLB", config.l1TlbEntries, config.l1TlbAssoc),
-      l2Tlb_("L2-TLB", config.l2TlbEntries, config.l2TlbAssoc),
-      pwc_(config.pwcCapacity),
-      walker_(mem, hierarchy, pwc_, config.walkStepCost)
+Mmu::Mmu(mem::PhysMem &mem, mem::Hierarchy &hierarchy)
+    : l1Tlb_("L1-DTLB", kL1TlbEntries, kL1TlbAssoc),
+      l2Tlb_("L2-TLB", kL2TlbEntries, kL2TlbAssoc),
+      pwc_(kPwcCapacity),
+      walker_(mem, hierarchy, pwc_)
 {
 }
 
@@ -28,7 +26,7 @@ Mmu::translate(VAddr va, Pcid pcid, PAddr root)
     }
 
     if (auto entry = l2Tlb_.lookup(vpn, pcid)) {
-        result.latency = config_.l2TlbLatency;
+        result.latency = kL2TlbLatency;
         l1Tlb_.insert(vpn, pcid, *entry);
         result.paddr = (entry->ppn << pageShift) | offset;
         return result;
@@ -39,7 +37,7 @@ Mmu::translate(VAddr va, Pcid pcid, PAddr root)
 
     result.walked = true;
     result.walk = walker_.walk(va, pcid, root);
-    result.latency = config_.l2TlbLatency + result.walk.latency;
+    result.latency = kL2TlbLatency + result.walk.latency;
 
     if (result.walk.fault) {
         result.fault = true;

@@ -23,23 +23,12 @@
 namespace uscope::vm
 {
 
-/** TLB/PWC geometry and latencies. */
-struct MmuConfig
-{
-    unsigned l1TlbEntries = 64;
-    unsigned l1TlbAssoc = 4;
-    unsigned l2TlbEntries = 1536;
-    unsigned l2TlbAssoc = 12;
-    /** Extra cycles paid when the L1 TLB misses but the L2 hits. */
-    Cycles l2TlbLatency = 7;
-    /** PWC entries, one fully-associative set (1 to 64). */
-    unsigned pwcCapacity = 32;
-    /** Fixed per-level walker sequencing cost. */
-    Cycles walkStepCost = 2;
-
-    /** Structural equality (snapshot/pool compatibility checks). */
-    bool operator==(const MmuConfig &) const = default;
-};
+// TLB geometry of the modelled core.
+constexpr unsigned kL1TlbEntries = 64;
+constexpr unsigned kL1TlbAssoc = 4;
+constexpr unsigned kL2TlbEntries = 1536;
+constexpr unsigned kL2TlbAssoc = 12;
+constexpr Cycles kL2TlbLatency = 7;  ///< Paid on an L1 miss, L2 hit.
 
 /** Outcome of one address translation. */
 struct TranslateResult
@@ -69,8 +58,7 @@ struct TranslateResult
 class Mmu
 {
   public:
-    Mmu(mem::PhysMem &mem, mem::Hierarchy &hierarchy,
-        const MmuConfig &config = MmuConfig{});
+    Mmu(mem::PhysMem &mem, mem::Hierarchy &hierarchy);
 
     /**
      * Translate @p va under @p pcid with tables rooted at @p root.
@@ -102,8 +90,8 @@ class Mmu
 
     /**
      * Adopt @p other's TLB/PWC contents and walker stats (snapshot
-     * forking, DESIGN.md §12).  Configs must match; references and
-     * observer wiring stay this MMU's own.
+     * forking, DESIGN.md §12).  References and observer wiring stay
+     * this MMU's own.
      */
     void copyStateFrom(const Mmu &other)
     {
@@ -124,7 +112,6 @@ class Mmu
     void exportMetrics(obs::MetricRegistry &registry) const;
 
   private:
-    MmuConfig config_;
     Tlb l1Tlb_;
     Tlb l2Tlb_;
     Pwc pwc_;

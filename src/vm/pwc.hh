@@ -30,6 +30,8 @@ struct PwcHit
     PAddr tablePa;
 };
 
+constexpr unsigned kPwcCapacity = 32;  ///< The modelled core's PWC.
+
 /**
  * Fully-associative LRU page-walk cache: one LRU set of @p capacity
  * ways.  Entries are keyed by {pcid, level, va-prefix}; a hit at
@@ -39,7 +41,7 @@ struct PwcHit
 class Pwc
 {
   public:
-    explicit Pwc(unsigned capacity = 32) : sets_("PWC", capacity, capacity)
+    explicit Pwc(unsigned capacity = kPwcCapacity) : sets_("PWC", capacity, capacity)
     {
     }
 

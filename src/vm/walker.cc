@@ -5,9 +5,8 @@
 namespace uscope::vm
 {
 
-Walker::Walker(mem::PhysMem &mem, mem::Hierarchy &hierarchy, Pwc &pwc,
-               Cycles step_cost)
-    : mem_(mem), hierarchy_(hierarchy), pwc_(pwc), stepCost_(step_cost)
+Walker::Walker(mem::PhysMem &mem, mem::Hierarchy &hierarchy, Pwc &pwc)
+    : mem_(mem), hierarchy_(hierarchy), pwc_(pwc)
 {
 }
 
@@ -40,7 +39,7 @@ Walker::walk(VAddr va, Pcid pcid, PAddr root)
             table + 8ull * levelIndex(va, static_cast<Level>(level));
 
         const mem::AccessResult mem_access = hierarchy_.access(entry_pa);
-        result.latency += mem_access.latency + stepCost_;
+        result.latency += mem_access.latency + kWalkStepCost;
         ++result.ptFetches;
         ++stats_.ptFetches;
         if (traced)

@@ -56,6 +56,8 @@ struct WalkerStats
     std::uint64_t ptFetches = 0;
 };
 
+constexpr Cycles kWalkStepCost = 2;  ///< Per-level sequencing cost.
+
 /** The MMU's hardware page-table walker. */
 class Walker
 {
@@ -64,10 +66,8 @@ class Walker
      * @param mem       Physical memory holding the tables.
      * @param hierarchy Cache hierarchy the entry fetches go through.
      * @param pwc       Page-walk cache consulted/filled by walks.
-     * @param step_cost Fixed per-level walker sequencing cost.
      */
-    Walker(mem::PhysMem &mem, mem::Hierarchy &hierarchy, Pwc &pwc,
-           Cycles step_cost = 2);
+    Walker(mem::PhysMem &mem, mem::Hierarchy &hierarchy, Pwc &pwc);
 
     /**
      * Walk the table rooted at @p root for @p va.
@@ -101,7 +101,6 @@ class Walker
     mem::PhysMem &mem_;
     mem::Hierarchy &hierarchy_;
     Pwc &pwc_;
-    Cycles stepCost_;
     WalkerStats stats_;
     Summary latency_;
     obs::Observer *obs_ = nullptr;

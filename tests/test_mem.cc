@@ -253,7 +253,7 @@ TEST(HierarchyTest, MissGoesToDramThenHitsL1)
     EXPECT_EQ(first.level, HitLevel::Dram);
     const auto second = hier.access(0x10000);
     EXPECT_EQ(second.level, HitLevel::L1);
-    EXPECT_EQ(second.latency, hier.config().l1Latency);
+    EXPECT_EQ(second.latency, mem::kL1Latency);
 }
 
 TEST(HierarchyTest, LatenciesStrictlyOrdered)

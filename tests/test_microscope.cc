@@ -142,8 +142,7 @@ TEST(MicroscopeApi, InitiatePageWalkLengthControl)
             kernel.pageTable(victim.pid).root());
         EXPECT_EQ(result.walk.ptFetches, length);
         // Each fetched level was staged at L2.
-        const Cycles expected =
-            machine.hierarchy().config().l2Latency * length;
+        const Cycles expected = mem::kL2Latency * length;
         EXPECT_GE(result.walk.latency, expected);
         EXPECT_LT(result.walk.latency, expected + 20 * length);
     }
