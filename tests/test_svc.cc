@@ -1071,14 +1071,17 @@ TEST(SvcService, TraceSpillsLandInStateDirAndMergeAcrossWorkers)
     svc::Client client(daemon.config.socketPath);
     ASSERT_TRUE(client.connected());
 
-    // A real-simulator recipe, so the spills carry actual events.
+    // A real-simulator recipe, so the spills carry actual events.  Four
+    // monitor samples keep each spill near 1,600 events, because
+    // reading, merging and re-parsing the spills is most of this
+    // test's time under TSan.
     svc::CampaignRequest request;
     request.recipe = "fig10_port_contention";
     request.trials = 4;
     request.masterSeed = 21;
     request.obs = obs::ObsLevel::Trace;
     request.params = json::Value::object()
-                         .set("samples", 40)
+                         .set("samples", 4)
                          .set("replays", 2);
 
     const svc::SubmitResult result = client.submit(request);
