@@ -16,6 +16,8 @@
 
 #include <unistd.h>
 
+#include "attack/monitor.hh"
+#include "attack/victims.hh"
 #include "core/microscope.hh"
 #include "cpu/program.hh"
 #include "crypto/aes.hh"
@@ -210,6 +212,61 @@ BM_OneReplayCycle(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OneReplayCycle);
+
+/**
+ * The Fig. 10 SMT shape without its setup: the victim's two-divide
+ * window replays on context 0 while the monitor times bursts of four
+ * divides on context 1, sharing the unpipelined divider.  The machine
+ * is built once, outside the timed loop.  An iteration is one monitor
+ * sample; a monitor that has taken all of its samples restarts
+ * untimed.
+ */
+void
+BM_Fig10MonitorLoop(benchmark::State &state)
+{
+    os::Machine machine;
+    auto &kernel = machine.kernel();
+    const attack::VictimImage victim =
+        attack::buildControlFlowVictim(kernel, true);
+    const attack::MonitorImage monitor =
+        attack::buildDivContentionMonitor(kernel, 1000, 4);
+
+    ms::Microscope scope(machine);
+    ms::AttackRecipe recipe;
+    recipe.victim = victim.pid;
+    recipe.replayHandle = victim.handle + 0x20;  // the count++ access
+    recipe.confidence = 1'000'000'000;
+    scope.setRecipe(std::move(recipe));
+    machine.core().predictor().flush();
+    scope.arm();
+    kernel.startOnContext(victim.pid, 0, victim.program);
+    kernel.startOnContext(monitor.pid, 1, monitor.program);
+
+    const Cycles start = machine.cycle();
+    for (auto _ : state) {
+        // The monitor's r2 counts the samples it has stored.
+        const std::uint64_t before = machine.core().readIntReg(1, 2);
+        machine.runUntil(
+            [&]() {
+                return machine.core().readIntReg(1, 2) != before ||
+                       machine.core().halted(1);
+            },
+            1'000'000);
+        if (machine.core().halted(1)) {
+            state.PauseTiming();
+            kernel.startOnContext(monitor.pid, 1, monitor.program);
+            state.ResumeTiming();
+        }
+    }
+    state.counters["sim-cycles/sample"] = benchmark::Counter(
+        static_cast<double>(machine.cycle() - start) /
+        static_cast<double>(state.iterations()));
+    state.counters["replays/sample"] = benchmark::Counter(
+        static_cast<double>(scope.stats().totalReplays) /
+        static_cast<double>(state.iterations()));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Fig10MonitorLoop);
 
 /**
  * Advancing an Rng by state.range(0) draws, the span one fast-forward

@@ -342,10 +342,8 @@ Core::squashYounger(unsigned ctx_id, std::int64_t keep_seq)
         ++popped;
     }
     if (popped && obs::tracing(obs_))
-        obs_->trace.record(obs::EventKind::Squash,
-                           static_cast<std::uint8_t>(ctx_id),
-                           static_cast<std::uint16_t>(popped),
-                           oldest_pc);
+        traceEvent(obs::EventKind::Squash, ctx_id,
+                   static_cast<std::uint16_t>(popped), oldest_pc);
     dropScheduling(ctx_id, ctx.rob.endPos());
     rebuildWriterTables(ctx);
 }
@@ -416,6 +414,13 @@ Core::doTxAbort(unsigned ctx_id)
     ctx.fetchPc = ctx.txAbortPc;
     ctx.fetchStopped = false;
     ++ctx.stats.txAborts;
+}
+
+void
+Core::traceEvent(obs::EventKind kind, unsigned ctx_id, std::uint16_t b,
+                 std::uint64_t addr)
+{
+    obs_->trace.record(kind, static_cast<std::uint8_t>(ctx_id), b, addr);
 }
 
 void
@@ -573,16 +578,21 @@ Core::completeEntry(unsigned ctx_id, RobEntry &entry)
     if (entry.dec->isCondBranch() && !entry.mispredictHandled) {
         entry.mispredictHandled = true;
         predictor_.update(biasedPc(ctx, entry.pc), entry.actualTaken);
-        if (entry.actualTaken != entry.predictedTaken) {
-            ++ctx.stats.mispredicts;
-            squashYounger(ctx_id, static_cast<std::int64_t>(entry.seq));
-            ctx.fetchPc = entry.actualTaken ? entry.dec->inst.target
-                                            : entry.pc + 1;
-            ctx.fetchStopped = false;
-            if (config_.fenceOnPipelineFlush)
-                ctx.serializeNext = true;
-        }
+        if (entry.actualTaken != entry.predictedTaken)
+            recoverMispredict(ctx_id, entry);
     }
+}
+
+void
+Core::recoverMispredict(unsigned ctx_id, const RobEntry &entry)
+{
+    Context &ctx = contexts_[ctx_id];
+    ++ctx.stats.mispredicts;
+    squashYounger(ctx_id, static_cast<std::int64_t>(entry.seq));
+    ctx.fetchPc = entry.actualTaken ? entry.dec->inst.target : entry.pc + 1;
+    ctx.fetchStopped = false;
+    if (config_.fenceOnPipelineFlush)
+        ctx.serializeNext = true;
 }
 
 bool
@@ -606,10 +616,8 @@ Core::retireOne(unsigned ctx_id)
     const DecodedInst &dec = *head.dec;
 
     if (obs::tracing(obs_))
-        obs_->trace.record(obs::EventKind::Retire,
-                           static_cast<std::uint8_t>(ctx_id),
-                           static_cast<std::uint16_t>(inst.op),
-                           head.pc);
+        traceEvent(obs::EventKind::Retire, ctx_id,
+                   static_cast<std::uint16_t>(inst.op), head.pc);
 
     if (dec.writesInt())
         ctx.intRegs[inst.rd] = head.result;
@@ -676,9 +684,14 @@ Core::popHead(Context &ctx)
     ctx.rob.popFront();
     if (!ctx.stores.empty() && ctx.stores.front() == seq)
         ctx.stores.popFront();
-    if (ctx.barrierSeq != seq)
-        return;
     // The barrier retired: issue now runs up to the next one.
+    if (ctx.barrierSeq == seq)
+        findBarrier(ctx);
+}
+
+void
+Core::findBarrier(Context &ctx)
+{
     ctx.barrierSeq = kNoSeq;
     for (std::uint64_t s = ctx.rob.headPos(); s < ctx.rob.endPos(); ++s) {
         if (isBarrier(ctx.rob.at(s))) {
@@ -705,9 +718,7 @@ Core::handleFaultAtHead(unsigned ctx_id, const RobEntry &head)
     ++ctx.stats.pageFaults;
 
     if (obs::tracing(obs_))
-        obs_->trace.record(obs::EventKind::PageFault,
-                           static_cast<std::uint8_t>(ctx_id), 0,
-                           head.faultVa);
+        traceEvent(obs::EventKind::PageFault, ctx_id, 0, head.faultVa);
 
     const FaultInfo info{ctx_id, head.faultVa, head.pc,
                          head.dec->isStore()};
@@ -1030,10 +1041,8 @@ Core::tryIssue(unsigned ctx_id, RobEntry &entry)
         port = choices.second;
     if (port == numPorts) {
         if (obs::tracing(obs_) && issueReady(ctx, entry))
-            obs_->trace.record(obs::EventKind::PortConflict,
-                               static_cast<std::uint8_t>(ctx_id),
-                               static_cast<std::uint16_t>(inst.op),
-                               entry.pc);
+            traceEvent(obs::EventKind::PortConflict, ctx_id,
+                       static_cast<std::uint16_t>(inst.op), entry.pc);
         return false;
     }
     if (!issueReady(ctx, entry))
@@ -1050,21 +1059,20 @@ Core::tryIssue(unsigned ctx_id, RobEntry &entry)
         latency += issueJitter_(ctx_id);
 
     if (obs::tracing(obs_))
-        obs_->trace.record(obs::EventKind::SpecIssue,
-                           static_cast<std::uint8_t>(ctx_id),
-                           static_cast<std::uint16_t>(inst.op),
-                           entry.pc);
+        traceEvent(obs::EventKind::SpecIssue, ctx_id,
+                   static_cast<std::uint16_t>(inst.op), entry.pc);
 
     ports_.occupy(port, cycle_, latency, dec.unpipelined());
     entry.state = RobEntry::State::Executing;
     entry.finishCycle = cycle_ + latency;
     // Short latencies dominate, so the insertion point is near the
-    // back and the move is short.
+    // back: walking back to it takes about one step on the AES victim,
+    // where a binary search mispredicted a branch per halving.
     const Completion done{entry.finishCycle, ctx_id, entry.seq};
-    completions_.insert(std::upper_bound(completions_.begin(),
-                                         completions_.end(), done,
-                                         std::greater<>{}),
-                        done);
+    auto at = completions_.end();
+    while (at != completions_.begin() && *(at - 1) < done)
+        --at;
+    completions_.insert(at, done);
     ++issuedThisCycle_;
     return true;
 }
@@ -1214,9 +1222,12 @@ Core::doFetch()
     // The fetch group: slot s goes to the first context, rotating from
     // (cycle + s) mod n, that can still dispatch.  Only a context's own
     // dispatch changes whether it can, so a slot nobody takes ends the
-    // group.  One modulo per cycle; the rotation then wraps.
+    // group.  One rotation start per cycle, a mask for the usual power
+    // of two contexts (a 64-bit division costs the ALU loop ~5%); the
+    // rotation then wraps.
     const unsigned n = static_cast<unsigned>(contexts_.size());
-    unsigned first = static_cast<unsigned>(cycle_ % n);
+    unsigned first = static_cast<unsigned>(
+        isPowerOf2(n) ? cycle_ & (n - 1) : cycle_ % n);
     for (unsigned slot = 0; slot < kFetchWidth; ++slot) {
         unsigned ctx_id = first;
         unsigned offset = 0;

@@ -177,6 +177,12 @@ class Core
      * @p entry.  @p pc_bias is the context's text base used to index
      * the shared branch predictor (the OS knows it — the attacker can
      * therefore compute predictor indices).
+     *
+     * The in-flight state starts empty (ROB, store queue, ready list,
+     * writer tables, transaction), but the context's architectural
+     * registers and stats carry over: a program started on a context
+     * that ran another one reads that program's final registers
+     * until it writes its own.
      */
     void startContext(unsigned ctx, std::shared_ptr<const Program> program,
                       std::uint64_t entry, Pcid pcid, PAddr pt_root,
@@ -522,9 +528,6 @@ class Core
         std::uint64_t pcBias = 0;
         Cycles stallUntil = 0;
 
-        std::array<std::uint64_t, numIntRegs> intRegs{};
-        std::array<std::uint64_t, numFpRegs> fpRegs{};
-
         Rob rob;
         /** The in-flight stores of `rob`, in ascending seq. */
         StoreQueue stores;
@@ -533,73 +536,108 @@ class Core
         std::vector<std::uint64_t> ready;
         /** Oldest in-flight barrier; nothing younger issues. */
         std::uint64_t barrierSeq = kNoSeq;
-        std::array<std::int64_t, numIntRegs> lastIntWriter;
-        std::array<std::int64_t, numFpRegs> lastFpWriter;
 
         /** Next dispatched instruction becomes a flush barrier. */
         bool serializeNext = false;
 
         // TSX.
         bool inTx = false;
+        bool txPendingAbort = false;
         std::uint64_t txAbortPc = 0;
-        std::array<std::uint64_t, numIntRegs> txIntRegs{};
-        std::array<std::uint64_t, numFpRegs> txFpRegs{};
         std::vector<TxStore> txStores;
         std::unordered_set<PAddr> txWriteSet;  ///< Line base addrs.
-        bool txPendingAbort = false;
 
         CtxStats stats;
+
+        // The register-sized arrays last, so the scalars every tick
+        // reads share a few cache lines.
+        std::array<std::int64_t, numIntRegs> lastIntWriter;
+        std::array<std::int64_t, numFpRegs> lastFpWriter;
+        std::array<std::uint64_t, numIntRegs> intRegs{};
+        std::array<std::uint64_t, numFpRegs> fpRegs{};
+        std::array<std::uint64_t, numIntRegs> txIntRegs{};
+        std::array<std::uint64_t, numFpRegs> txFpRegs{};
     };
 
     Context &ctxAt(unsigned ctx);
     const Context &ctxAt(unsigned ctx) const;
 
-    void doCompletions();
-    void completeEntry(unsigned ctx_id, RobEntry &entry);
-    void doRetire();
-    void doIssue();
-    void doFetch();
+    // The hot loop (DESIGN.md §18).  tick() compiles as one loop: the
+    // stages and the per-entry steps that every op passes through are
+    // forced inline into it, and the paths that run only on a
+    // mispredict, a squash, a fault, a transaction abort, a barrier's
+    // retirement or while tracing stay out of line, so the loop stays
+    // small.  A new per-op helper joins the hot set only with a
+    // microbenchmark it moves.
 
-    void dispatchOne(unsigned ctx_id);
+    [[gnu::always_inline]] inline void doCompletions();
+    [[gnu::always_inline]] inline void completeEntry(unsigned ctx_id,
+                                                     RobEntry &entry);
+    [[gnu::always_inline]] inline void doRetire();
+    [[gnu::always_inline]] inline void doIssue();
+    [[gnu::always_inline]] inline void doFetch();
+
+    [[gnu::always_inline]] inline void dispatchOne(unsigned ctx_id);
     /** Count source @p src (producer @p dep) against @p consumer's
      *  readiness and chain it to the producer's wakeup, unless the
      *  value is available. */
-    void watchSource(Context &ctx, RobEntry &consumer, unsigned src,
-                     std::int64_t dep);
+    [[gnu::always_inline]] inline void
+    watchSource(Context &ctx, RobEntry &consumer, unsigned src,
+                std::int64_t dep);
     /** Barriers block the issue of everything younger. */
-    bool isBarrier(const RobEntry &entry) const;
+    [[gnu::always_inline]] inline bool
+    isBarrier(const RobEntry &entry) const;
     /** Operand + memory-ordering issue gate (no port/side effects);
      *  shared by tryIssue and nextEventCycle so the two can never
      *  disagree about when an entry becomes issueable. */
-    bool issueReady(const Context &ctx, const RobEntry &entry) const;
-    bool tryIssue(unsigned ctx_id, RobEntry &entry);
-    void executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency);
-    void executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency);
-    bool retireOne(unsigned ctx_id);
+    [[gnu::always_inline]] inline bool
+    issueReady(const Context &ctx, const RobEntry &entry) const;
+    [[gnu::always_inline]] inline bool tryIssue(unsigned ctx_id,
+                                                RobEntry &entry);
+    [[gnu::always_inline]] inline void
+    executeEntry(unsigned ctx_id, RobEntry &entry, Cycles &latency);
+    [[gnu::always_inline]] inline void
+    executeMemOp(unsigned ctx_id, RobEntry &entry, Cycles &latency);
+    [[gnu::always_inline]] inline bool retireOne(unsigned ctx_id);
     /** Pop the retiring head, moving barrierSeq past it if needed. */
-    void popHead(Context &ctx);
-    void handleFaultAtHead(unsigned ctx_id, const RobEntry &head);
-    void doTxAbort(unsigned ctx_id);
-
+    [[gnu::always_inline]] inline void popHead(Context &ctx);
     /** Resolve a source value; false if the producer is not done. */
-    bool resolveSource(const Context &ctx, std::int64_t dep, Reg reg,
-                       bool fp,
-                       std::uint64_t &value) const;
+    [[gnu::always_inline]] inline bool
+    resolveSource(const Context &ctx, std::int64_t dep, Reg reg, bool fp,
+                  std::uint64_t &value) const;
+    [[gnu::always_inline]] inline std::uint64_t
+    biasedPc(const Context &ctx, std::uint64_t pc) const;
+
+    // The cold paths.
+
+    /** Record one event (the caller has checked obs::tracing). */
+    [[gnu::noinline]] void traceEvent(obs::EventKind kind, unsigned ctx_id,
+                                      std::uint16_t b,
+                                      std::uint64_t addr);
+    /** Squash what is younger than the mispredicted branch @p entry
+     *  and refetch down its resolved direction. */
+    [[gnu::noinline]] void recoverMispredict(unsigned ctx_id,
+                                             const RobEntry &entry);
+    /** Point barrierSeq at the oldest in-flight barrier, or none. */
+    [[gnu::noinline]] void findBarrier(Context &ctx);
+    [[gnu::noinline]] void handleFaultAtHead(unsigned ctx_id,
+                                             const RobEntry &head);
+    [[gnu::noinline]] void doTxAbort(unsigned ctx_id);
 
     /** Squash all entries younger than @p keep_upto (exclusive). */
-    void squashYounger(unsigned ctx_id, std::int64_t keep_seq);
+    [[gnu::noinline]] void squashYounger(unsigned ctx_id,
+                                         std::int64_t keep_seq);
 
     /** Forget entries from @p first_gone on (already popped from the
      *  ring) in the completion queue, ready list, store queue, barrier
      *  and the survivors' waiter chains. */
-    void dropScheduling(unsigned ctx_id, std::uint64_t first_gone);
+    [[gnu::noinline]] void dropScheduling(unsigned ctx_id,
+                                          std::uint64_t first_gone);
 
     /** Squash the whole context. */
-    void squashAll(unsigned ctx_id);
+    [[gnu::noinline]] void squashAll(unsigned ctx_id);
 
     void rebuildWriterTables(Context &ctx);
-
-    std::uint64_t biasedPc(const Context &ctx, std::uint64_t pc) const;
 
     /** Take the owed SMT-arbitration draws from rng_ (one discard). */
     void

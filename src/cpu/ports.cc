@@ -54,26 +54,4 @@ PortState::PortState()
     issues_.fill(0);
 }
 
-void
-PortState::newCycle()
-{
-    usedThisCycle_.fill(false);
-}
-
-bool
-PortState::canIssue(unsigned port, Cycles now) const
-{
-    return !usedThisCycle_[port] && busyUntil_[port] <= now;
-}
-
-void
-PortState::occupy(unsigned port, Cycles now, Cycles duration,
-                  bool unpipelined_op)
-{
-    usedThisCycle_[port] = true;
-    ++issues_[port];
-    if (unpipelined_op)
-        busyUntil_[port] = now + duration;
-}
-
 } // namespace uscope::cpu

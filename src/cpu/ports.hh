@@ -57,18 +57,31 @@ class PortState
   public:
     PortState();
 
+    // Inline: the core's hot loop calls these on every cycle and every
+    // issue attempt (DESIGN.md §18).
+
     /** Start a new cycle: clear the per-cycle issue flags. */
-    void newCycle();
+    void newCycle() { usedThisCycle_.fill(false); }
 
     /** Can a micro-op issue to @p port at @p now? */
-    bool canIssue(unsigned port, Cycles now) const;
+    bool
+    canIssue(unsigned port, Cycles now) const
+    {
+        return !usedThisCycle_[port] && busyUntil_[port] <= now;
+    }
 
     /**
      * Occupy @p port: pipelined ops block it for this cycle only,
      * unpipelined ops until @p now + @p duration.
      */
-    void occupy(unsigned port, Cycles now, Cycles duration,
-                bool unpipelined_op);
+    void
+    occupy(unsigned port, Cycles now, Cycles duration, bool unpipelined_op)
+    {
+        usedThisCycle_[port] = true;
+        ++issues_[port];
+        if (unpipelined_op)
+            busyUntil_[port] = now + duration;
+    }
 
     /** Cycle the unpipelined unit on @p port frees up. */
     Cycles busyUntil(unsigned port) const { return busyUntil_[port]; }

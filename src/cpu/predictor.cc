@@ -13,35 +13,6 @@ BranchPredictor::BranchPredictor(unsigned entries)
     table_.assign(entries, 1);  // Weakly not-taken.
 }
 
-unsigned
-BranchPredictor::indexOf(std::uint64_t pc) const
-{
-    // Cheap mix so nearby PCs spread across the table.
-    const std::uint64_t hash = pc * 0x9E3779B97F4A7C15ull;
-    return static_cast<unsigned>(hash >> 40) & (table_.size() - 1);
-}
-
-bool
-BranchPredictor::predict(std::uint64_t pc)
-{
-    ++stats_.lookups;
-    return table_[indexOf(pc)] >= 2;
-}
-
-void
-BranchPredictor::update(std::uint64_t pc, bool taken)
-{
-    ++stats_.updates;
-    std::uint8_t &counter = table_[indexOf(pc)];
-    if (taken) {
-        if (counter < 3)
-            ++counter;
-    } else {
-        if (counter > 0)
-            --counter;
-    }
-}
-
 void
 BranchPredictor::flush()
 {

@@ -37,11 +37,31 @@ class BranchPredictor
     /** @param entries Table size (power of two). */
     explicit BranchPredictor(unsigned entries);
 
+    // Inline: the core's hot loop predicts every conditional branch at
+    // dispatch and trains it at completion (DESIGN.md §18).
+
     /** Predicted direction for the branch at biased PC @p pc. */
-    bool predict(std::uint64_t pc);
+    bool
+    predict(std::uint64_t pc)
+    {
+        ++stats_.lookups;
+        return table_[indexOf(pc)] >= 2;
+    }
 
     /** Train with the resolved direction. */
-    void update(std::uint64_t pc, bool taken);
+    void
+    update(std::uint64_t pc, bool taken)
+    {
+        ++stats_.updates;
+        std::uint8_t &counter = table_[indexOf(pc)];
+        if (taken) {
+            if (counter < 3)
+                ++counter;
+        } else {
+            if (counter > 0)
+                --counter;
+        }
+    }
 
     /**
      * Reset every counter to weakly-not-taken.  Models the SGX
@@ -62,7 +82,13 @@ class BranchPredictor
     const PredictorStats &stats() const { return stats_; }
 
   private:
-    unsigned indexOf(std::uint64_t pc) const;
+    unsigned
+    indexOf(std::uint64_t pc) const
+    {
+        // Cheap mix so nearby PCs spread across the table.
+        const std::uint64_t hash = pc * 0x9E3779B97F4A7C15ull;
+        return static_cast<unsigned>(hash >> 40) & (table_.size() - 1);
+    }
 
     std::vector<std::uint8_t> table_;  ///< 2-bit counters, 0..3.
     PredictorStats stats_;

@@ -103,58 +103,16 @@ Machine::nextEventCycle() const
     return std::min(core_.nextEventCycle(), faults_.nextEventCycle());
 }
 
-namespace
-{
-
-/**
- * The machine's one stepping loop (DESIGN.md §10): until @p pred()
- * holds or @p max_cycles pass, tick where an event is due and jump the
- * clock to the next event everywhere else.  A template, so run()'s
- * constant predicate compiles away instead of costing a call per step.
- */
-template <typename Pred>
-bool
-stepUntil(Machine &m, const Pred &pred, Cycles max_cycles)
-{
-    // Saturate: an unbounded budget must not wrap the limit to a
-    // cycle already in the past.
-    const Cycles limit = max_cycles > kNoEventCycle - m.cycle()
-                             ? kNoEventCycle
-                             : m.cycle() + max_cycles;
-    while (m.cycle() < limit) {
-        if (pred())
-            return true;
-        const Cycles next = m.nextEventCycle();
-        if (next > m.cycle()) {
-            // The jump is clamped so callers asking for exactly n
-            // cycles (trial budgets!) never overshoot.
-            m.core().fastForwardTo(std::min(next, limit));
-        } else {
-            m.tick();
-        }
-    }
-    return pred();
-}
-
-} // namespace
-
 void
 Machine::run(Cycles n)
 {
-    stepUntil(*this, [] { return false; }, n);
+    runUntil([] { return false; }, n);
 }
 
 bool
 Machine::runUntilHalted(unsigned ctx, Cycles max_cycles)
 {
-    return stepUntil(
-        *this, [this, ctx] { return core_.halted(ctx); }, max_cycles);
-}
-
-bool
-Machine::runUntil(const std::function<bool()> &pred, Cycles max_cycles)
-{
-    return stepUntil(*this, pred, max_cycles);
+    return runUntil([this, ctx] { return core_.halted(ctx); }, max_cycles);
 }
 
 void

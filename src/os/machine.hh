@@ -12,8 +12,8 @@
 #ifndef USCOPE_OS_MACHINE_HH
 #define USCOPE_OS_MACHINE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/random.hh"
@@ -142,8 +142,14 @@ class Machine
      * counter — so that it cannot flip during a span of cycles the
      * fast-forward path proves inert.  Every predicate in the tree
      * satisfies this today (they test halted()/stat counters).
+     *
+     * This is the machine's one stepping loop (DESIGN.md §10): it
+     * ticks where an event is due and jumps the clock to the next
+     * event everywhere else.  A template, so a lambda predicate inlines
+     * into the loop instead of costing an indirect call per step.
      */
-    bool runUntil(const std::function<bool()> &pred, Cycles max_cycles);
+    template <typename Pred>
+    bool runUntil(const Pred &pred, Cycles max_cycles);
 
     /**
      * Earliest cycle at which ticking can change architectural or
@@ -234,6 +240,30 @@ class Machine
     Rng entropy_;   ///< Hardware RDRAND source.
     fault::FaultInjector faults_;
 };
+
+template <typename Pred>
+bool
+Machine::runUntil(const Pred &pred, Cycles max_cycles)
+{
+    // Saturate: an unbounded budget must not wrap the limit to a
+    // cycle already in the past.
+    const Cycles limit = max_cycles > kNoEventCycle - cycle()
+                             ? kNoEventCycle
+                             : cycle() + max_cycles;
+    while (cycle() < limit) {
+        if (pred())
+            return true;
+        const Cycles next = nextEventCycle();
+        if (next > cycle()) {
+            // The jump is clamped so callers asking for exactly n
+            // cycles (trial budgets!) never overshoot.
+            core_.fastForwardTo(std::min(next, limit));
+        } else {
+            tick();
+        }
+    }
+    return pred();
+}
 
 /**
  * A frozen Machine state (DESIGN.md §12): the product of

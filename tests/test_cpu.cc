@@ -510,6 +510,27 @@ TEST(CoreTest, RdtscMonotonicAndFenced)
               rig.core.config().divLatency);
 }
 
+// startContext resets the ROB and the writer tables but keeps the
+// context's register file, so a second program started on a context
+// begins from the first one's registers (Core::startContext).
+TEST(CoreTest, StartContextKeepsRegisters)
+{
+    CoreRig rig;
+    ProgramBuilder first;
+    first.movi(1, 41).movi(2, 7).fmovi(3, 2.5).halt();
+    rig.start(first.build());
+    ASSERT_TRUE(rig.runToHalt());
+
+    ProgramBuilder second;
+    second.addi(4, 1, 1).fmov(5, 3).halt();
+    rig.start(second.build());
+    ASSERT_TRUE(rig.runToHalt());
+    EXPECT_EQ(rig.core.readIntReg(0, 4), 42u);
+    EXPECT_EQ(rig.core.readIntReg(0, 2), 7u);
+    EXPECT_EQ(rig.core.readFpReg(0, 5), 2.5);
+    EXPECT_EQ(rig.core.readFpReg(0, 3), 2.5);
+}
+
 TEST(CoreTest, SmtContextsAreIsolated)
 {
     CoreRig rig;

@@ -13,6 +13,7 @@
 #include "common/random.hh"
 #include "mem/hierarchy.hh"
 #include "mem/phys_mem.hh"
+#include "os/machine.hh"
 #include "vm/frame_alloc.hh"
 #include "vm/mmu.hh"
 #include "vm/page_table.hh"
@@ -519,6 +520,40 @@ struct MmuRig
 };
 
 } // namespace
+
+// A default machine's PWC holds kPwcCapacity = 32 entries in one LRU
+// set: 32 live PMD entries all hit, and a 33rd evicts the least
+// recently used one, not the oldest inserted.
+TEST(MmuTest, DefaultMachinePwcHoldsThirtyTwoEntries)
+{
+    os::Machine machine;
+    Pwc &pwc = machine.mmu().pwc();
+    ASSERT_EQ(pwc.occupancy(), 0u);
+    constexpr Pcid pcid = 1;
+    // One PMD entry per 2 MiB region.
+    auto va_of = [](unsigned i) { return VAddr{i} << 21; };
+    auto table_of = [](unsigned i) { return PAddr{i + 1} << pageShift; };
+    for (unsigned i = 0; i < 32; ++i)
+        pwc.insert(va_of(i), pcid, Level::Pmd, table_of(i));
+    EXPECT_EQ(pwc.occupancy(), 32u);
+    // Youngest first, so entry 31 ends least recently used.
+    for (unsigned i = 32; i-- > 0;) {
+        const auto hit = pwc.lookup(va_of(i), pcid);
+        ASSERT_TRUE(hit.has_value()) << "entry " << i;
+        EXPECT_EQ(hit->level, Level::Pmd);
+        EXPECT_EQ(hit->tablePa, table_of(i));
+    }
+
+    pwc.insert(va_of(32), pcid, Level::Pmd, table_of(32));
+    EXPECT_EQ(pwc.occupancy(), 32u);
+    EXPECT_FALSE(pwc.lookup(va_of(31), pcid).has_value());
+    for (unsigned i = 0; i <= 32; ++i) {
+        if (i != 31) {
+            EXPECT_TRUE(pwc.lookup(va_of(i), pcid).has_value())
+                << "entry " << i;
+        }
+    }
+}
 
 TEST(MmuTest, TranslationPathsAndLatencies)
 {
