@@ -446,6 +446,60 @@ BM_MetricsExport(benchmark::State &state)
 }
 BENCHMARK(BM_MetricsExport);
 
+/** The recipe prefix_svc runs: aes_prefix_replay, 8 trials, seed 42. */
+exp::CampaignSpec
+prefixSpec()
+{
+    svc::CampaignRequest request;
+    request.recipe = "aes_prefix_replay";
+    request.trials = 8;
+    request.masterSeed = 42;
+    return svc::buildSpec(request);
+}
+
+/**
+ * One aes_prefix_replay trial and its checkpoint record on a warm
+ * executor: a campaign worker's loop without the socket.  The
+ * executor keeps the warmup snapshot and the pooled machine across
+ * iterations, as a service worker does across trials.
+ */
+void
+BM_AesPrefixTrial(benchmark::State &state)
+{
+    const exp::CampaignSpec spec = prefixSpec();
+    exp::TrialExecutor executor;
+    executor.beginCampaign(spec);
+    benchmark::DoNotOptimize(executor.runTrial(spec, 0, 0)); // warm up
+    std::size_t index = 0;
+    for (auto _ : state) {
+        const exp::TrialResult result =
+            executor.runTrial(spec, index++ % spec.trials, 0);
+        benchmark::DoNotOptimize(
+            exp::CampaignCheckpoint::serializeTrial(result));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AesPrefixTrial)->Unit(benchmark::kMicrosecond);
+
+/** The worker's `trial` frame for one finished aes_prefix_replay
+ *  trial: its checkpoint record, escaped into the framed message. */
+void
+BM_TrialFrame(benchmark::State &state)
+{
+    exp::CampaignSpec spec = prefixSpec();
+    spec.trials = 1;
+    spec.workers = 1;
+    const exp::TrialResult trial = exp::runCampaign(spec).trials.at(0);
+    std::string frame; // reused, as the worker reuses its buffer
+    for (auto _ : state) {
+        frame.clear();
+        svc::appendTrialFrame(frame, 0, 1, 0, trial, false);
+        benchmark::DoNotOptimize(frame.data());
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TrialFrame);
+
 /**
  * One cold start and stop of the campaign service (DESIGN.md §13): a
  * 2-worker daemon on a thread, a client that connects and pings, the

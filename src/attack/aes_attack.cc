@@ -134,10 +134,15 @@ AesEnclave::probeTable(os::Kernel &kernel, unsigned table) const
 std::set<unsigned>
 AesEnclave::round1Td1Lines(const std::uint8_t *ct) const
 {
+    // Round 1 indexes Td1 with bits 16..23 of each word of the
+    // whitened input ct ^ rk[0..3] (crypto::traceDecryption's
+    // indices[0][1]).  The words are big-endian, so word j's index is
+    // ciphertext byte 4j+1 XOR byte 1 of round-key word j.
+    const std::vector<std::uint32_t> &rk = decKey.roundKeys();
     std::set<unsigned> lines;
-    const crypto::DecAccessTrace trace = crypto::traceDecryption(decKey, ct);
-    for (std::uint8_t index : trace.indices[0][1])
-        lines.insert(crypto::tableLineOf(index));
+    for (unsigned j = 0; j < 4; ++j)
+        lines.insert(crypto::tableLineOf(
+            static_cast<std::uint8_t>(ct[4 * j + 1] ^ (rk[j] >> 16))));
     return lines;
 }
 

@@ -382,14 +382,18 @@ Microscope::restoreEpisodeFrom(const os::Snapshot &snap,
 void
 Microscope::exportMetrics(obs::MetricRegistry &registry) const
 {
-    registry.counter("os.faults.replayed").set(stats_.totalReplays);
-    registry.counter("os.replay.episodes").set(stats_.episodes);
-    registry.counter("os.replay.handle_faults").set(stats_.handleFaults);
-    registry.counter("os.replay.pivot_faults").set(stats_.pivotFaults);
-    registry.counter("os.replay.foreign_faults")
-        .set(stats_.foreignFaults);
-    registry.counter("os.replay.counter_saturations")
-        .set(stats_.replayCounterSaturations);
+    static const obs::MetricName replayed{"os.faults.replayed"};
+    static const obs::MetricName episodes{"os.replay.episodes"};
+    static const obs::MetricName handleFaults{"os.replay.handle_faults"};
+    static const obs::MetricName pivotFaults{"os.replay.pivot_faults"};
+    static const obs::MetricName foreignFaults{"os.replay.foreign_faults"};
+    static const obs::MetricName saturations{"os.replay.counter_saturations"};
+    registry.counter(replayed).set(stats_.totalReplays);
+    registry.counter(episodes).set(stats_.episodes);
+    registry.counter(handleFaults).set(stats_.handleFaults);
+    registry.counter(pivotFaults).set(stats_.pivotFaults);
+    registry.counter(foreignFaults).set(stats_.foreignFaults);
+    registry.counter(saturations).set(stats_.replayCounterSaturations);
 }
 
 } // namespace uscope::ms

@@ -117,6 +117,22 @@ Core::setObserver(obs::Observer *observer)
 void
 Core::exportMetrics(obs::MetricRegistry &registry) const
 {
+    static const obs::MetricName fetched{"core.fetched"};
+    static const obs::MetricName retired{"core.retired"};
+    static const obs::MetricName squashes{"core.rob.squashes"};
+    static const obs::MetricName pageFaults{"core.page_faults"};
+    static const obs::MetricName mispredicts{"core.mispredicts"};
+    static const obs::MetricName txAborts{"core.tx_aborts"};
+    static const obs::MetricName stallCycles{"core.stall_cycles"};
+    static const obs::MetricName cycles{"core.cycles"};
+    static const std::array<obs::MetricName, numPorts> portIssues = [] {
+        std::array<obs::MetricName, numPorts> names;
+        for (unsigned port = 0; port < numPorts; ++port)
+            names[port] = obs::MetricName(
+                "core.ports.p" + std::to_string(port) + ".issues");
+        return names;
+    }();
+
     CtxStats sum;
     for (const Context &ctx : contexts_) {
         sum.fetched += ctx.stats.fetched;
@@ -127,17 +143,16 @@ Core::exportMetrics(obs::MetricRegistry &registry) const
         sum.txAborts += ctx.stats.txAborts;
         sum.stallCycles += ctx.stats.stallCycles;
     }
-    registry.counter("core.fetched").set(sum.fetched);
-    registry.counter("core.retired").set(sum.retired);
-    registry.counter("core.rob.squashes").set(sum.squashed);
-    registry.counter("core.page_faults").set(sum.pageFaults);
-    registry.counter("core.mispredicts").set(sum.mispredicts);
-    registry.counter("core.tx_aborts").set(sum.txAborts);
-    registry.counter("core.stall_cycles").set(sum.stallCycles);
-    registry.gauge("core.cycles").set(static_cast<double>(cycle_));
+    registry.counter(fetched).set(sum.fetched);
+    registry.counter(retired).set(sum.retired);
+    registry.counter(squashes).set(sum.squashed);
+    registry.counter(pageFaults).set(sum.pageFaults);
+    registry.counter(mispredicts).set(sum.mispredicts);
+    registry.counter(txAborts).set(sum.txAborts);
+    registry.counter(stallCycles).set(sum.stallCycles);
+    registry.gauge(cycles).set(static_cast<double>(cycle_));
     for (unsigned port = 0; port < numPorts; ++port)
-        registry.counter("core.ports.p" + std::to_string(port) + ".issues")
-            .set(ports_.issues(port));
+        registry.counter(portIssues[port]).set(ports_.issues(port));
 }
 
 void
@@ -423,7 +438,7 @@ Core::traceEvent(obs::EventKind kind, unsigned ctx_id, std::uint16_t b,
     obs_->trace.record(kind, static_cast<std::uint8_t>(ctx_id), b, addr);
 }
 
-void
+bool
 Core::tick()
 {
     // Wake stalled contexts and fire pending transaction aborts.
@@ -438,12 +453,13 @@ Core::tick()
     ports_.newCycle();
     issuedThisCycle_ = 0;
 
-    doCompletions();
-    doRetire();
+    const bool completed = doCompletions();
+    const bool retired = doRetire();
     doIssue();
-    doFetch();
+    const bool dispatched = doFetch();
 
     ++cycle_;
+    return completed | retired | (issuedThisCycle_ != 0) | dispatched;
 }
 
 Cycles
@@ -539,18 +555,21 @@ Core::fastForwardTo(Cycles target)
     cycle_ = target;
 }
 
-void
+bool
 Core::doCompletions()
 {
     // nextEventCycle never lets fast-forward skip a completion, so
     // every due item finishes at cycle_ and queue order is the old ROB
     // scan order: context, then sequence number.  A mispredict squash
     // erases younger items due in the same cycle before they pop.
+    bool any = false;
     while (!completions_.empty() && completions_.back().finish <= cycle_) {
         const Completion due = completions_.back();
         completions_.pop_back();
         completeEntry(due.ctx, contexts_[due.ctx].rob.at(due.seq));
+        any = true;
     }
+    return any;
 }
 
 void
@@ -701,14 +720,18 @@ Core::findBarrier(Context &ctx)
     }
 }
 
-void
+bool
 Core::doRetire()
 {
+    bool any = false;
     for (unsigned ctx_id = 0; ctx_id < contexts_.size(); ++ctx_id) {
-        for (unsigned n = 0; n < kRetireWidth; ++n)
+        for (unsigned n = 0; n < kRetireWidth; ++n) {
             if (!retireOne(ctx_id))
                 break;
+            any = true;
+        }
     }
+    return any;
 }
 
 void
@@ -1216,7 +1239,7 @@ Core::dispatchOne(unsigned ctx_id)
     ++ctx.stats.fetched;
 }
 
-void
+bool
 Core::doFetch()
 {
     // The fetch group: slot s goes to the first context, rotating from
@@ -1243,10 +1266,11 @@ Core::doFetch()
                 ctx_id = 0;
         }
         if (offset == n)
-            return;
+            return slot != 0;
         if (++first == n)
             first = 0;
     }
+    return true;
 }
 
 } // namespace uscope::cpu

@@ -231,8 +231,13 @@ class Core
     std::uint64_t readIntReg(unsigned ctx, Reg reg) const;
     double readFpReg(unsigned ctx, Reg reg) const;
 
-    /** Advance the whole core by one cycle. */
-    void tick();
+    /**
+     * Advance the whole core by one cycle.  Returns true when the
+     * cycle did work: it completed, retired, issued or dispatched at
+     * least one op.  The machine's step loop asks for the next event
+     * only after a cycle that did none (DESIGN.md §10).
+     */
+    bool tick();
 
     /**
      * Earliest cycle at which calling tick() can change architectural
@@ -570,12 +575,13 @@ class Core
     // small.  A new per-op helper joins the hot set only with a
     // microbenchmark it moves.
 
-    [[gnu::always_inline]] inline void doCompletions();
+    // The stages return whether they moved any op (tick()'s result).
+    [[gnu::always_inline]] inline bool doCompletions();
     [[gnu::always_inline]] inline void completeEntry(unsigned ctx_id,
                                                      RobEntry &entry);
-    [[gnu::always_inline]] inline void doRetire();
+    [[gnu::always_inline]] inline bool doRetire();
     [[gnu::always_inline]] inline void doIssue();
-    [[gnu::always_inline]] inline void doFetch();
+    [[gnu::always_inline]] inline bool doFetch();
 
     [[gnu::always_inline]] inline void dispatchOne(unsigned ctx_id);
     /** Count source @p src (producer @p dep) against @p consumer's

@@ -29,12 +29,11 @@ constexpr const char *manifestMagic = "uscope-campaign-v1";
 void
 appendHexBits(std::string &out, double value)
 {
+    std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
     char buf[16];
-    char *end = std::to_chars(buf, buf + sizeof buf,
-                              std::bit_cast<std::uint64_t>(value), 16)
-                    .ptr;
-    out.append(sizeof buf - static_cast<std::size_t>(end - buf), '0');
-    out.append(buf, end);
+    for (int i = 15; i >= 0; --i, bits >>= 4)
+        buf[i] = "0123456789abcdef"[bits & 0xf];
+    out.append(buf, sizeof buf);
 }
 
 void
@@ -48,17 +47,123 @@ appendSummary(std::string &out, const Summary &summary)
     }
 }
 
-/** Append `key <len>\n<bytes>\n` — the length prefix makes arbitrary
- *  bytes (exception texts, JSON dumps) safe to embed. */
-void
-appendBlob(std::string &out, const char *key, std::string_view bytes)
+/**
+ * Writes a trial record either as is or JSON-escaped: as the body of
+ * the JSON string that carries it in a service frame.  The two differ
+ * only in newlines and in the bytes of blobs, so one writer emits both
+ * and the frame needs no second pass over the record.
+ */
+template <bool Escaped>
+struct RecordWriter
 {
-    out += key;
-    out += ' ';
-    json::appendUint(out, bytes.size());
-    out += '\n';
-    out += bytes;
-    out += '\n';
+    std::string &out;
+
+    void
+    newline()
+    {
+        if constexpr (Escaped)
+            out += "\\n";
+        else
+            out += '\n';
+    }
+
+    /** `key <len>\n<bytes>\n`: the length prefix makes arbitrary
+     *  bytes (exception texts, JSON dumps) safe to embed. */
+    void
+    blob(const char *key, std::string_view bytes)
+    {
+        out += key;
+        out += ' ';
+        json::appendUint(out, bytes.size());
+        newline();
+        if constexpr (Escaped)
+            json::appendEscaped(out, bytes);
+        else
+            out += bytes;
+        newline();
+    }
+
+    /** blob() of a metric name, from its cached escaped form. */
+    void
+    name(const char *key, obs::MetricName name)
+    {
+        if constexpr (Escaped) {
+            const std::string_view quoted = name.json();
+            out += key;
+            out += ' ';
+            json::appendUint(out, name.view().size());
+            newline();
+            out += quoted.substr(1, quoted.size() - 2);
+            newline();
+        } else {
+            blob(key, name.view());
+        }
+    }
+};
+
+template <bool Escaped>
+void
+writeTrial(std::string &out, const TrialResult &result)
+{
+    RecordWriter<Escaped> w{out};
+    out += trialMagic;
+    w.newline();
+    out += "index ";
+    json::appendUint(out, result.index);
+    w.newline();
+    out += "seed ";
+    json::appendUint(out, result.seed);
+    w.newline();
+    out += "status ";
+    out += trialStatusName(result.status);
+    w.newline();
+    out += "attempts ";
+    json::appendUint(out, result.attempts);
+    w.newline();
+    out += "wall ";
+    appendHexBits(out, result.wallSeconds);
+    w.newline();
+    out += "sim_cycles ";
+    json::appendUint(out, result.output.simCycles);
+    w.newline();
+    w.blob("error", result.error);
+    w.blob("payload", result.output.payload.isNull()
+                          ? std::string()
+                          : result.output.payload.dump());
+    out += "metric ";
+    appendSummary(out, result.output.metric);
+    w.newline();
+    const ms::MicroscopeStats &scope = result.output.scope;
+    out += "scope";
+    for (const std::uint64_t count :
+         {scope.handleFaults, scope.pivotFaults, scope.foreignFaults,
+          scope.episodes, scope.totalReplays}) {
+        out += ' ';
+        json::appendUint(out, count);
+    }
+    w.newline();
+    out += "metrics ";
+    json::appendUint(out, result.output.metrics.values.size());
+    w.newline();
+    for (const obs::MetricValue &value : result.output.metrics.values) {
+        switch (value.kind) {
+          case obs::MetricKind::Counter:
+            w.name("counter", value.name);
+            json::appendUint(out, value.counter);
+            break;
+          case obs::MetricKind::Gauge:
+            w.name("gauge", value.name);
+            appendHexBits(out, value.gauge);
+            break;
+          case obs::MetricKind::Latency:
+            w.name("latency", value.name);
+            appendSummary(out, value.latency);
+            break;
+        }
+        w.newline();
+    }
+    out += "end";
+    w.newline();
 }
 
 /**
@@ -174,57 +279,15 @@ std::string
 CampaignCheckpoint::serializeTrial(const TrialResult &result)
 {
     std::string out;
-    out += trialMagic;
-    out += "\nindex ";
-    json::appendUint(out, result.index);
-    out += "\nseed ";
-    json::appendUint(out, result.seed);
-    out += "\nstatus ";
-    out += trialStatusName(result.status);
-    out += "\nattempts ";
-    json::appendUint(out, result.attempts);
-    out += "\nwall ";
-    appendHexBits(out, result.wallSeconds);
-    out += "\nsim_cycles ";
-    json::appendUint(out, result.output.simCycles);
-    out += '\n';
-    appendBlob(out, "error", result.error);
-    appendBlob(out, "payload",
-               result.output.payload.isNull()
-                   ? std::string()
-                   : result.output.payload.dump());
-    out += "metric ";
-    appendSummary(out, result.output.metric);
-    const ms::MicroscopeStats &scope = result.output.scope;
-    out += "\nscope";
-    for (const std::uint64_t count :
-         {scope.handleFaults, scope.pivotFaults, scope.foreignFaults,
-          scope.episodes, scope.totalReplays}) {
-        out += ' ';
-        json::appendUint(out, count);
-    }
-    out += "\nmetrics ";
-    json::appendUint(out, result.output.metrics.values.size());
-    out += '\n';
-    for (const obs::MetricValue &value : result.output.metrics.values) {
-        switch (value.kind) {
-          case obs::MetricKind::Counter:
-            appendBlob(out, "counter", value.name);
-            json::appendUint(out, value.counter);
-            break;
-          case obs::MetricKind::Gauge:
-            appendBlob(out, "gauge", value.name);
-            appendHexBits(out, value.gauge);
-            break;
-          case obs::MetricKind::Latency:
-            appendBlob(out, "latency", value.name);
-            appendSummary(out, value.latency);
-            break;
-        }
-        out += '\n';
-    }
-    out += "end\n";
+    writeTrial<false>(out, result);
     return out;
+}
+
+void
+CampaignCheckpoint::appendEscapedTrial(std::string &out,
+                                       const TrialResult &result)
+{
+    writeTrial<true>(out, result);
 }
 
 std::optional<TrialResult>
@@ -270,7 +333,7 @@ CampaignCheckpoint::parseTrial(const std::string &text)
     for (std::uint64_t i = 0; r.ok && i < entries; ++i) {
         obs::MetricValue value;
         const std::string_view kind = r.word();
-        value.name = r.blob(r.u64());
+        value.name = obs::MetricName(r.blob(r.u64()));
         // A snapshot is sorted by unique name; anything else is not
         // one this code wrote.
         if (!values.empty() && !(values.back().name < value.name))
@@ -313,7 +376,7 @@ CampaignCheckpoint::manifestText() const
     std::string out;
     out += manifestMagic;
     out += '\n';
-    appendBlob(out, "name", name_);
+    RecordWriter<false>{out}.blob("name", name_);
     out += "trials ";
     json::appendUint(out, trials_);
     out += "\nmaster_seed ";

@@ -107,6 +107,11 @@ class CampaignCheckpoint
     /** Lossless text serialization of one trial (see file comment). */
     static std::string serializeTrial(const TrialResult &result);
 
+    /** Append serializeTrial(@p result) JSON-escaped, as the body of
+     *  a JSON string (no quotes), in the same single pass. */
+    static void appendEscapedTrial(std::string &out,
+                                   const TrialResult &result);
+
     /** Inverse of serializeTrial; nullopt on any malformed input. */
     static std::optional<TrialResult> parseTrial(const std::string &text);
 

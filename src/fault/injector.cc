@@ -234,25 +234,32 @@ FaultInjector::trace(Site site, std::uint16_t b, std::uint64_t addr)
 void
 FaultInjector::exportMetrics(obs::MetricRegistry &registry) const
 {
+    static const obs::MetricName interrupts{"fault.interrupts"};
+    static const obs::MetricName linesEvicted{"fault.interrupt.lines_evicted"};
+    static const obs::MetricName tlbShootdowns{
+        "fault.interrupt.tlb_shootdowns"};
+    static const obs::MetricName pwcShootdowns{
+        "fault.interrupt.pwc_shootdowns"};
+    static const obs::MetricName preemptions{"fault.preemptions"};
+    static const obs::MetricName portJitterEvents{"fault.port_jitter.events"};
+    static const obs::MetricName portJitterCycles{"fault.port_jitter.cycles"};
+    static const obs::MetricName probeJitterEvents{
+        "fault.probe_jitter.events"};
+    static const obs::MetricName probeJitterCycles{
+        "fault.probe_jitter.cycles"};
+    static const obs::MetricName samplesDropped{"fault.samples_dropped"};
     if (!active_)
         return;
-    registry.counter("fault.interrupts").set(stats_.interrupts);
-    registry.counter("fault.interrupt.lines_evicted")
-        .set(stats_.linesEvicted);
-    registry.counter("fault.interrupt.tlb_shootdowns")
-        .set(stats_.tlbShootdowns);
-    registry.counter("fault.interrupt.pwc_shootdowns")
-        .set(stats_.pwcShootdowns);
-    registry.counter("fault.preemptions").set(stats_.preemptions);
-    registry.counter("fault.port_jitter.events")
-        .set(stats_.portJitterEvents);
-    registry.counter("fault.port_jitter.cycles")
-        .set(stats_.portJitterCycles);
-    registry.counter("fault.probe_jitter.events")
-        .set(stats_.probeJitterEvents);
-    registry.counter("fault.probe_jitter.cycles")
-        .set(stats_.probeJitterCycles);
-    registry.counter("fault.samples_dropped").set(stats_.samplesDropped);
+    registry.counter(interrupts).set(stats_.interrupts);
+    registry.counter(linesEvicted).set(stats_.linesEvicted);
+    registry.counter(tlbShootdowns).set(stats_.tlbShootdowns);
+    registry.counter(pwcShootdowns).set(stats_.pwcShootdowns);
+    registry.counter(preemptions).set(stats_.preemptions);
+    registry.counter(portJitterEvents).set(stats_.portJitterEvents);
+    registry.counter(portJitterCycles).set(stats_.portJitterCycles);
+    registry.counter(probeJitterEvents).set(stats_.probeJitterEvents);
+    registry.counter(probeJitterCycles).set(stats_.probeJitterCycles);
+    registry.counter(samplesDropped).set(stats_.samplesDropped);
 }
 
 } // namespace uscope::fault

@@ -160,15 +160,27 @@ Hierarchy::stateDigest() const
 namespace
 {
 
+/** The metric names of one cache level, under @p prefix. */
+struct CacheMetricNames
+{
+    explicit CacheMetricNames(const std::string &prefix)
+        : hits(prefix + ".hits"), misses(prefix + ".misses"),
+          evictions(prefix + ".evictions"),
+          invalidations(prefix + ".invalidations")
+    {
+    }
+
+    obs::MetricName hits, misses, evictions, invalidations;
+};
+
 void
-exportCache(obs::MetricRegistry &registry, const std::string &prefix,
+exportCache(obs::MetricRegistry &registry, const CacheMetricNames &names,
             const CacheStats &stats)
 {
-    registry.counter(prefix + ".hits").set(stats.hits);
-    registry.counter(prefix + ".misses").set(stats.misses);
-    registry.counter(prefix + ".evictions").set(stats.evictions);
-    registry.counter(prefix + ".invalidations")
-        .set(stats.invalidations);
+    registry.counter(names.hits).set(stats.hits);
+    registry.counter(names.misses).set(stats.misses);
+    registry.counter(names.evictions).set(stats.evictions);
+    registry.counter(names.invalidations).set(stats.invalidations);
 }
 
 } // anonymous namespace
@@ -176,9 +188,12 @@ exportCache(obs::MetricRegistry &registry, const std::string &prefix,
 void
 Hierarchy::exportMetrics(obs::MetricRegistry &registry) const
 {
-    exportCache(registry, "mem.l1d", l1_.stats());
-    exportCache(registry, "mem.l2", l2_.stats());
-    exportCache(registry, "mem.l3", l3_.stats());
+    static const CacheMetricNames l1{"mem.l1d"};
+    static const CacheMetricNames l2{"mem.l2"};
+    static const CacheMetricNames l3{"mem.l3"};
+    exportCache(registry, l1, l1_.stats());
+    exportCache(registry, l2, l2_.stats());
+    exportCache(registry, l3, l3_.stats());
 }
 
 } // namespace uscope::mem

@@ -1,11 +1,67 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
+#include <mutex>
+#include <ostream>
+#include <unordered_map>
 
 #include "common/logging.hh"
 
 namespace uscope::obs
 {
+
+/** The process-wide spellings behind every MetricName. */
+class MetricNameTable
+{
+  public:
+    static MetricNameTable &
+    instance()
+    {
+        // Never destroyed: handles held in other translation units'
+        // statics stay valid through any order of exit-time teardown.
+        static MetricNameTable *const table = new MetricNameTable;
+        return *table;
+    }
+
+    const MetricName::Entry *
+    intern(std::string_view spelling)
+    {
+        if (spelling.empty())
+            return &MetricName::kEmpty;
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (const auto it = index_.find(spelling); it != index_.end())
+            return it->second;
+        // deques: neither the strings nor the entries ever move.
+        const std::string &text = spellings_.emplace_back(spelling);
+        std::string &quoted = spellings_.emplace_back();
+        json::appendString(quoted, spelling);
+        const MetricName::Entry &entry = entries_.emplace_back(
+            MetricName::Entry{text, quoted,
+                              static_cast<std::uint32_t>(entries_.size() +
+                                                         1)});
+        index_.emplace(entry.text, &entry);
+        return &entry;
+    }
+
+  private:
+    std::mutex mutex_;
+    std::deque<std::string> spellings_;
+    std::deque<MetricName::Entry> entries_;
+    std::unordered_map<std::string_view, const MetricName::Entry *> index_;
+};
+
+constinit const MetricName::Entry MetricName::kEmpty{"", "\"\"", 0};
+
+MetricName::MetricName(std::string_view spelling)
+    : entry_(MetricNameTable::instance().intern(spelling))
+{
+}
+
+std::ostream &
+operator<<(std::ostream &os, MetricName name)
+{
+    return os << name.view();
+}
 
 const char *
 metricKindName(MetricKind kind)
@@ -70,12 +126,12 @@ MetricValue::appendJson(std::string &out) const
 }
 
 const MetricValue *
-MetricSnapshot::find(const std::string &name) const
+MetricSnapshot::find(std::string_view name) const
 {
     const auto it = std::lower_bound(
         values.begin(), values.end(), name,
-        [](const MetricValue &v, const std::string &n) {
-            return v.name < n;
+        [](const MetricValue &v, std::string_view n) {
+            return v.name.view() < n;
         });
     if (it == values.end() || it->name != name)
         return nullptr;
@@ -151,10 +207,12 @@ MetricSnapshot::prefixed(const std::string &prefix) const
 {
     MetricSnapshot out;
     out.values.reserve(values.size());
+    std::string spelling = prefix;
     for (const MetricValue &value : values) {
-        MetricValue tagged = value;
-        tagged.name = prefix + value.name;
-        out.values.push_back(std::move(tagged));
+        spelling.resize(prefix.size());
+        spelling += value.name.view();
+        MetricValue &tagged = out.values.emplace_back(value);
+        tagged.name = MetricName(spelling);
     }
     return out;
 }
@@ -164,7 +222,7 @@ MetricSnapshot::toJson() const
 {
     json::Value out = json::Value::object();
     for (const MetricValue &value : values)
-        out.set(value.name, value.toJson());
+        out.set(value.name.str(), value.toJson());
     return out;
 }
 
@@ -182,7 +240,7 @@ MetricSnapshot::appendJson(
             continue;
         if (written++)
             out += ',';
-        json::appendString(out, value.name);
+        out += value.name.json();
         out += ':';
         value.appendJson(out);
     }
@@ -191,11 +249,11 @@ MetricSnapshot::appendJson(
 }
 
 MetricRegistry::Slot &
-MetricRegistry::slot(std::string_view name, MetricKind kind)
+MetricRegistry::slot(MetricName name, MetricKind kind)
 {
-    const auto it = index_.find(name);
-    if (it != index_.end()) {
-        Slot &existing = slots_[it->second];
+    const std::uint32_t id = name.id();
+    if (id < slotOf_.size() && slotOf_[id] != 0) {
+        Slot &existing = slots_[slotOf_[id] - 1];
         if (existing.kind != kind)
             panic("MetricRegistry: '%s' already registered as a %s, "
                   "now requested as a %s",
@@ -203,26 +261,29 @@ MetricRegistry::slot(std::string_view name, MetricKind kind)
                   metricKindName(kind));
         return existing;
     }
+    if (id >= slotOf_.size())
+        slotOf_.resize(std::max<std::size_t>(
+            {std::size_t{id} + 1, 2 * slotOf_.size(), 64}));
     Slot &added = slots_.emplace_back(
-        Slot{std::string(name), kind, Counter{}, Gauge{}, LatencyStat{}});
-    index_.emplace(added.name, slots_.size() - 1);
+        Slot{name, kind, Counter{}, Gauge{}, LatencyStat{}});
+    slotOf_[id] = static_cast<std::uint32_t>(slots_.size());
     return added;
 }
 
 Counter &
-MetricRegistry::counter(std::string_view name)
+MetricRegistry::counter(MetricName name)
 {
     return slot(name, MetricKind::Counter).counter;
 }
 
 Gauge &
-MetricRegistry::gauge(std::string_view name)
+MetricRegistry::gauge(MetricName name)
 {
     return slot(name, MetricKind::Gauge).gauge;
 }
 
 LatencyStat &
-MetricRegistry::latency(std::string_view name)
+MetricRegistry::latency(MetricName name)
 {
     return slot(name, MetricKind::Latency).latency;
 }
@@ -230,20 +291,35 @@ MetricRegistry::latency(std::string_view name)
 MetricSnapshot
 MetricRegistry::snapshot() const
 {
-    // Sort pointers, then copy each slot once, in name order.
-    std::vector<const Slot *> order;
-    order.reserve(slots_.size());
-    for (const Slot &s : slots_)
-        order.push_back(&s);
-    std::sort(order.begin(), order.end(),
-              [](const Slot *a, const Slot *b) { return a->name < b->name; });
+    // Exporters register the same names in the same order export after
+    // export, so each thread keeps the last registration order it saw
+    // and the slot order that sorts it, and sorts again only when the
+    // names differ.
+    thread_local std::vector<MetricName> lastNames;
+    thread_local std::vector<std::uint32_t> lastOrder;
+    const bool same = std::equal(
+        slots_.begin(), slots_.end(), lastNames.begin(), lastNames.end(),
+        [](const Slot &s, MetricName name) { return s.name == name; });
+    if (!same) {
+        lastNames.clear();
+        lastOrder.clear();
+        for (const Slot &s : slots_) {
+            lastOrder.push_back(static_cast<std::uint32_t>(lastNames.size()));
+            lastNames.push_back(s.name);
+        }
+        std::sort(lastOrder.begin(), lastOrder.end(),
+                  [](std::uint32_t a, std::uint32_t b) {
+                      return lastNames[a] < lastNames[b];
+                  });
+    }
     MetricSnapshot snap;
-    snap.values.reserve(order.size());
-    for (const Slot *s : order)
-        snap.values.push_back(MetricValue{s->name, s->kind,
-                                          s->counter.value(),
-                                          s->gauge.value(),
-                                          s->latency.summary()});
+    snap.values.reserve(slots_.size());
+    for (const std::uint32_t i : lastOrder) {
+        const Slot &s = slots_[i];
+        snap.values.push_back(MetricValue{s.name, s.kind, s.counter.value(),
+                                          s.gauge.value(),
+                                          s.latency.summary()});
+    }
     return snap;
 }
 

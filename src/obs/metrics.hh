@@ -17,6 +17,10 @@
  * existing stats counters into the registry at snapshot time — the
  * hot simulation paths carry no registry pointers and pay nothing.
  *
+ * A metric's name is a MetricName: an interned handle to one
+ * process-wide copy of its spelling, so registering, copying,
+ * comparing and writing names allocates nothing (DESIGN.md §8).
+ *
  * Thread-safety / ownership rule: a MetricRegistry (like the Machine
  * whose metrics it exports) is confined to one thread at a time, so
  * registration and updates are lock-free by design.  Cross-thread
@@ -32,10 +36,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/json.hh"
@@ -43,6 +47,73 @@
 
 namespace uscope::obs
 {
+
+/**
+ * An interned metric name.  The process keeps one immutable copy of
+ * each spelling, made on its first use and never freed, so a handle is
+ * one pointer: copying it allocates nothing and two handles are equal
+ * exactly when their pointers are.  Interning locks a process-wide
+ * table; everything else reads only the immutable copy, so handles
+ * pass between threads like any value.  Exporters intern their names
+ * once, into statics, and so pay no lock per export.  Order is the
+ * spelling's (strcmp) order, the order snapshots sort by.
+ */
+class MetricName
+{
+  public:
+    /** The empty name. */
+    MetricName() noexcept : entry_(&kEmpty) {}
+
+    /** The handle of @p spelling, interned on first use. */
+    explicit MetricName(std::string_view spelling);
+
+    std::string_view view() const { return entry_->text; }
+    std::string str() const { return std::string(entry_->text); }
+    /** NUL-terminated spelling (printf). */
+    const char *c_str() const { return entry_->text.data(); }
+    bool starts_with(std::string_view prefix) const
+    {
+        return entry_->text.starts_with(prefix);
+    }
+
+    /** The spelling as a quoted, escaped JSON string, cached. */
+    std::string_view json() const { return entry_->json; }
+
+    /** Dense per-process id: 0 for the empty name, then 1, 2, ... in
+     *  interning order (MetricRegistry indexes its slots by it). */
+    std::uint32_t id() const { return entry_->id; }
+
+    friend bool
+    operator==(MetricName a, MetricName b)
+    {
+        return a.entry_ == b.entry_;
+    }
+    friend bool
+    operator==(MetricName a, std::string_view b)
+    {
+        return a.view() == b;
+    }
+    friend bool
+    operator<(MetricName a, MetricName b)
+    {
+        return a.entry_ != b.entry_ && a.view() < b.view();
+    }
+
+  private:
+    struct Entry
+    {
+        std::string_view text;
+        std::string_view json;
+        std::uint32_t id;
+    };
+    friend class MetricNameTable;
+
+    static const Entry kEmpty;
+
+    const Entry *entry_;
+};
+
+std::ostream &operator<<(std::ostream &os, MetricName name);
 
 enum class MetricKind : std::uint8_t { Counter, Gauge, Latency };
 
@@ -88,7 +159,7 @@ class LatencyStat
 /** One metric's value, frozen at snapshot time. */
 struct MetricValue
 {
-    std::string name;
+    MetricName name;
     MetricKind kind = MetricKind::Counter;
     std::uint64_t counter = 0;
     double gauge = 0.0;
@@ -119,7 +190,7 @@ struct MetricSnapshot
     std::size_t size() const { return values.size(); }
 
     /** Lookup by exact name; nullptr when absent. */
-    const MetricValue *find(const std::string &name) const;
+    const MetricValue *find(std::string_view name) const;
 
     /**
      * Fold @p other in.  Shared names must agree on kind (else
@@ -159,9 +230,21 @@ class MetricRegistry
     MetricRegistry &operator=(const MetricRegistry &) = delete;
 
     /** Find-or-create; panics if @p name exists with another kind. */
-    Counter &counter(std::string_view name);
-    Gauge &gauge(std::string_view name);
-    LatencyStat &latency(std::string_view name);
+    Counter &counter(MetricName name);
+    Gauge &gauge(MetricName name);
+    LatencyStat &latency(MetricName name);
+
+    /** The same by spelling, interning it (a lock per call). */
+    Counter &counter(std::string_view name)
+    {
+        return counter(MetricName(name));
+    }
+    Gauge &gauge(std::string_view name) { return gauge(MetricName(name)); }
+    LatencyStat &
+    latency(std::string_view name)
+    {
+        return latency(MetricName(name));
+    }
 
     std::size_t size() const { return slots_.size(); }
 
@@ -171,19 +254,19 @@ class MetricRegistry
   private:
     struct Slot
     {
-        std::string name;
+        MetricName name;
         MetricKind kind;
         Counter counter;
         Gauge gauge;
         LatencyStat latency;
     };
 
-    Slot &slot(std::string_view name, MetricKind kind);
+    Slot &slot(MetricName name, MetricKind kind);
 
-    /** deque: stable addresses for handed-out references, and for the
-     *  slot names the index keys view. */
+    /** deque: stable addresses for handed-out references. */
     std::deque<Slot> slots_;
-    std::unordered_map<std::string_view, std::size_t> index_;
+    /** Slot index + 1 by MetricName::id(); 0 where none. */
+    std::vector<std::uint32_t> slotOf_;
 };
 
 } // namespace uscope::obs

@@ -415,9 +415,18 @@ Kernel::handleFault(const cpu::FaultInfo &info)
 void
 Kernel::exportMetrics(obs::MetricRegistry &registry) const
 {
-    registry.counter("os.faults.total").set(totalFaults_);
-    registry.counter("os.faults.handler_cycles").set(handlerCycles_);
-    registry.latency("os.faults.handler_latency").fold(handlerLatency_);
+    static const obs::MetricName faultsTotal{"os.faults.total"};
+    static const obs::MetricName handlerCycles{"os.faults.handler_cycles"};
+    static const obs::MetricName handlerLatency{"os.faults.handler_latency"};
+    static const obs::MetricName tablePages{"vm.page_table.table_pages"};
+    static const obs::MetricName maps{"vm.page_table.maps"};
+    static const obs::MetricName unmaps{"vm.page_table.unmaps"};
+    static const obs::MetricName softwareWalks{"vm.page_table.software_walks"};
+    static const obs::MetricName presentToggles{
+        "vm.page_table.present_toggles"};
+    registry.counter(faultsTotal).set(totalFaults_);
+    registry.counter(handlerCycles).set(handlerCycles_);
+    registry.latency(handlerLatency).fold(handlerLatency_);
 
     vm::PageTableStats tables;
     for (const Process &proc : processes_) {
@@ -428,13 +437,11 @@ Kernel::exportMetrics(obs::MetricRegistry &registry) const
         tables.softwareWalks += stats.softwareWalks;
         tables.presentToggles += stats.presentToggles;
     }
-    registry.counter("vm.page_table.table_pages").set(tables.tablePages);
-    registry.counter("vm.page_table.maps").set(tables.maps);
-    registry.counter("vm.page_table.unmaps").set(tables.unmaps);
-    registry.counter("vm.page_table.software_walks")
-        .set(tables.softwareWalks);
-    registry.counter("vm.page_table.present_toggles")
-        .set(tables.presentToggles);
+    registry.counter(tablePages).set(tables.tablePages);
+    registry.counter(maps).set(tables.maps);
+    registry.counter(unmaps).set(tables.unmaps);
+    registry.counter(softwareWalks).set(tables.softwareWalks);
+    registry.counter(presentToggles).set(tables.presentToggles);
 }
 
 } // namespace uscope::os

@@ -118,6 +118,9 @@ Machine::runUntilHalted(unsigned ctx, Cycles max_cycles)
 void
 Machine::exportMetrics(obs::MetricRegistry &registry) const
 {
+    static const obs::MetricName pagesRepointed{"mem.physmem.pages_repointed"};
+    static const obs::MetricName traceRecorded{"obs.trace.recorded"};
+    static const obs::MetricName traceDropped{"obs.trace.dropped"};
     hierarchy_.exportMetrics(registry);
     mmu_.exportMetrics(registry);
     core_.exportMetrics(registry);
@@ -127,17 +130,15 @@ Machine::exportMetrics(obs::MetricRegistry &registry) const
     // obs.trace.*, this counts host-side mechanics (how a state was
     // reached, not what it is), so deterministicFingerprint strips the
     // mem.physmem.* prefix.
-    registry.counter("mem.physmem.pages_repointed")
-        .set(mem_.pagesRepointed());
+    registry.counter(pagesRepointed).set(mem_.pagesRepointed());
     // Trace-loss accounting (DESIGN.md §14): lets a campaign assert
     // "no events were overwritten" from its MetricSnapshot without
     // parsing trace files.  Only exported while tracing so untraced
     // runs' snapshots are unchanged; deterministicFingerprint filters
     // the obs.trace.* prefix for the same reason.
     if (obs_.trace.enabled()) {
-        registry.counter("obs.trace.recorded")
-            .set(obs_.trace.totalRecorded());
-        registry.counter("obs.trace.dropped").set(obs_.trace.dropped());
+        registry.counter(traceRecorded).set(obs_.trace.totalRecorded());
+        registry.counter(traceDropped).set(obs_.trace.dropped());
     }
 }
 

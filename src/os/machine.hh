@@ -107,13 +107,14 @@ class Machine
     fault::FaultInjector &faults() { return faults_; }
     const fault::FaultInjector &faults() const { return faults_; }
 
-    /** Advance one cycle (scheduled faults due now fire first). */
-    void
+    /** Advance one cycle (scheduled faults due now fire first).
+     *  True when the core did work in it (cpu::Core::tick). */
+    bool
     tick()
     {
         if (faults_.active())
             faults_.poll(core_.cycle());
-        core_.tick();
+        return core_.tick();
     }
 
     /** Current cycle. */
@@ -161,6 +162,20 @@ class Machine
      * kNoEventCycle when nothing is in flight anywhere.
      */
     Cycles nextEventCycle() const;
+
+    /**
+     * How the stepping loop (runUntil) advanced the clock so far:
+     * cycles ticked, clock jumps, and nextEventCycle() queries.  Host
+     * work, not simulated state: no metric, snapshot or fingerprint
+     * holds it, and a restore keeps the machine's own counts.
+     */
+    struct StepWork
+    {
+        std::uint64_t ticks = 0;
+        std::uint64_t jumps = 0;
+        std::uint64_t queries = 0;
+    };
+    const StepWork &stepWork() const { return stepWork_; }
 
     /** The machine's observability hub (event ring). */
     obs::Observer &observer() { return obs_; }
@@ -239,6 +254,7 @@ class Machine
     Kernel kernel_;
     Rng entropy_;   ///< Hardware RDRAND source.
     fault::FaultInjector faults_;
+    StepWork stepWork_;   ///< Never copied by copyStateFrom.
 };
 
 template <typename Pred>
@@ -250,17 +266,28 @@ Machine::runUntil(const Pred &pred, Cycles max_cycles)
     const Cycles limit = max_cycles > kNoEventCycle - cycle()
                              ? kNoEventCycle
                              : cycle() + max_cycles;
+    // Ticking an inert cycle is as exact as jumping over it, so the
+    // next event is asked for only when a jump may pay: after a tick
+    // that did no work.  A busy pipeline is usually busy next cycle
+    // too, and a jump lands on an event, so both tick straight on.
+    bool busy = false;
     while (cycle() < limit) {
         if (pred())
             return true;
-        const Cycles next = nextEventCycle();
-        if (next > cycle()) {
-            // The jump is clamped so callers asking for exactly n
-            // cycles (trial budgets!) never overshoot.
-            core_.fastForwardTo(std::min(next, limit));
-        } else {
-            tick();
+        if (!busy) {
+            ++stepWork_.queries;
+            const Cycles next = nextEventCycle();
+            if (next > cycle()) {
+                // The jump is clamped so callers asking for exactly n
+                // cycles (trial budgets!) never overshoot.
+                ++stepWork_.jumps;
+                core_.fastForwardTo(std::min(next, limit));
+                busy = true;
+                continue;
+            }
         }
+        ++stepWork_.ticks;
+        busy = tick();
     }
     return pred();
 }

@@ -179,10 +179,16 @@ Conn::flushOut()
 bool
 Conn::send(const json::Value &msg)
 {
+    return sendFrame(encodeFrame(msg.dump()));
+}
+
+bool
+Conn::sendFrame(const std::string &frame)
+{
     if (!open())
         return false;
     if (!buffered_)
-        return writeFrame(encodeFrame(msg.dump()));
+        return writeFrame(frame);
     if (pendingOut() > kMaxOutboundBytes) {
         log_.warn("outbound buffer for fd %d exceeds %zu bytes; peer "
                   "stopped reading — dropping connection", fd_,
@@ -190,7 +196,7 @@ Conn::send(const json::Value &msg)
         failed_ = true;
         return false;
     }
-    out_ += encodeFrame(msg.dump());
+    out_ += frame;
     return flushOut();
 }
 

@@ -103,6 +103,9 @@ class Conn
      *  connection is marked failed and further sends no-op. */
     bool send(const json::Value &msg);
 
+    /** send() for a frame already encoded (encodeFrame's bytes). */
+    bool sendFrame(const std::string &frame);
+
     /**
      * Switch send() to non-blocking buffered mode: frames append to
      * an outbound queue, each send() opportunistically flushes with

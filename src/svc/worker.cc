@@ -48,6 +48,8 @@ struct WorkerLoop
     std::uint64_t simCycles = 0;
     /** Trials emitted ever, for --die-after-trials. */
     std::size_t emitted = 0;
+    /** The trial frame under construction; its capacity is reused. */
+    std::string frame;
 
     /** One executor per process: beginCampaign flushes anonymous
      *  warmup snapshots but keeps structureKey-matched ones — the
@@ -181,17 +183,10 @@ WorkerLoop::runShard(const json::Value &msg)
     const auto emit = [&](exp::TrialResult &&result, bool restored) {
         restored ? ++trialsRestored : ++trialsRun;
         simCycles += result.output.simCycles;
-        conn.send(
-            json::Value::object()
-                .set("type", "trial")
-                .set("id", opts.id)
-                .set("campaign", campaign)
-                .set("shard", shard_id)
-                .set("index",
-                     static_cast<std::uint64_t>(result.index))
-                .set("restored", restored)
-                .set("data",
-                     exp::CampaignCheckpoint::serializeTrial(result)));
+        frame.clear();
+        appendTrialFrame(frame, opts.id, campaign, shard_id, result,
+                         restored);
+        conn.sendFrame(frame);
         ++emitted;
         if (opts.dieAfterTrials && emitted >= opts.dieAfterTrials) {
             // The deterministic crash hook: die exactly like kill -9
@@ -250,6 +245,31 @@ WorkerLoop::run()
 }
 
 } // namespace
+
+void
+appendTrialFrame(std::string &out, int worker, std::uint64_t campaign,
+                 std::uint64_t shard, const exp::TrialResult &result,
+                 bool restored)
+{
+    // The length prefix is patched in once the payload is written.
+    const std::size_t start = out.size();
+    out.append(4, '\0');
+    out += "{\"type\":\"trial\",\"id\":";
+    json::appendInt(out, worker);
+    out += ",\"campaign\":";
+    json::appendUint(out, campaign);
+    out += ",\"shard\":";
+    json::appendUint(out, shard);
+    out += ",\"index\":";
+    json::appendUint(out, result.index);
+    out += restored ? ",\"restored\":true" : ",\"restored\":false";
+    out += ",\"data\":\"";
+    exp::CampaignCheckpoint::appendEscapedTrial(out, result);
+    out += "\"}";
+    const auto n = static_cast<std::uint32_t>(out.size() - start - 4);
+    for (std::size_t i = 0; i < 4; ++i)
+        out[start + i] = static_cast<char>((n >> (24 - 8 * i)) & 0xff);
+}
 
 int
 runWorkerMain(const WorkerOptions &options)

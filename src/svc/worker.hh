@@ -33,7 +33,13 @@
 #define USCOPE_SVC_WORKER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+
+namespace uscope::exp
+{
+struct TrialResult;
+}
 
 namespace uscope::svc
 {
@@ -50,6 +56,18 @@ struct WorkerOptions
     /** Heartbeat cadence in milliseconds. */
     int heartbeatMs = 200;
 };
+
+/**
+ * Append the framed bytes of worker @p worker's `trial` message for
+ * @p result to @p out: {"type":"trial","id","campaign","shard",
+ * "index","restored","data"}, "data" holding the trial's checkpoint
+ * record.  Written in one pass, with no json::Value tree, and byte
+ * for byte encodeFrame() of that tree's dump(), which is what the
+ * daemon parses (DESIGN.md §13).
+ */
+void appendTrialFrame(std::string &out, int worker, std::uint64_t campaign,
+                      std::uint64_t shard, const exp::TrialResult &result,
+                      bool restored);
 
 /** The worker event loop; returns the process exit code. */
 int runWorkerMain(const WorkerOptions &options);

@@ -80,14 +80,25 @@ Mmu::flushPwcAll()
 namespace
 {
 
+/** The metric names of one TLB level, under @p prefix. */
+struct TlbMetricNames
+{
+    explicit TlbMetricNames(const std::string &prefix)
+        : hits(prefix + ".hits"), misses(prefix + ".misses"),
+          invalidations(prefix + ".invalidations")
+    {
+    }
+
+    obs::MetricName hits, misses, invalidations;
+};
+
 void
-exportTlb(obs::MetricRegistry &registry, const std::string &prefix,
+exportTlb(obs::MetricRegistry &registry, const TlbMetricNames &names,
           const TlbStats &stats)
 {
-    registry.counter(prefix + ".hits").set(stats.hits);
-    registry.counter(prefix + ".misses").set(stats.misses);
-    registry.counter(prefix + ".invalidations")
-        .set(stats.invalidations);
+    registry.counter(names.hits).set(stats.hits);
+    registry.counter(names.misses).set(stats.misses);
+    registry.counter(names.invalidations).set(stats.invalidations);
 }
 
 } // anonymous namespace
@@ -95,10 +106,14 @@ exportTlb(obs::MetricRegistry &registry, const std::string &prefix,
 void
 Mmu::exportMetrics(obs::MetricRegistry &registry) const
 {
-    exportTlb(registry, "vm.tlb.l1", l1Tlb_.stats());
-    exportTlb(registry, "vm.tlb.l2", l2Tlb_.stats());
-    registry.counter("vm.pwc.hits").set(pwc_.hits());
-    registry.counter("vm.pwc.misses").set(pwc_.misses());
+    static const TlbMetricNames l1{"vm.tlb.l1"};
+    static const TlbMetricNames l2{"vm.tlb.l2"};
+    static const obs::MetricName pwcHits{"vm.pwc.hits"};
+    static const obs::MetricName pwcMisses{"vm.pwc.misses"};
+    exportTlb(registry, l1, l1Tlb_.stats());
+    exportTlb(registry, l2, l2Tlb_.stats());
+    registry.counter(pwcHits).set(pwc_.hits());
+    registry.counter(pwcMisses).set(pwc_.misses());
     walker_.exportMetrics(registry);
 }
 

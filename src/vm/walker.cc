@@ -84,10 +84,14 @@ Walker::walk(VAddr va, Pcid pcid, PAddr root)
 void
 Walker::exportMetrics(obs::MetricRegistry &registry) const
 {
-    registry.counter("vm.walker.walks").set(stats_.walks);
-    registry.counter("vm.walker.faults").set(stats_.faults);
-    registry.counter("vm.walker.steps").set(stats_.ptFetches);
-    registry.latency("vm.walker.latency").fold(latency_);
+    static const obs::MetricName walks{"vm.walker.walks"};
+    static const obs::MetricName faults{"vm.walker.faults"};
+    static const obs::MetricName steps{"vm.walker.steps"};
+    static const obs::MetricName latency{"vm.walker.latency"};
+    registry.counter(walks).set(stats_.walks);
+    registry.counter(faults).set(stats_.faults);
+    registry.counter(steps).set(stats_.ptFetches);
+    registry.latency(latency).fold(latency_);
 }
 
 } // namespace uscope::vm

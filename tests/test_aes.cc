@@ -12,6 +12,8 @@
 #include <cstring>
 #include <set>
 
+#include "attack/aes_attack.hh"
+#include "common/random.hh"
 #include "crypto/aes.hh"
 #include "crypto/aes_codegen.hh"
 #include "os/machine.hh"
@@ -187,4 +189,27 @@ TEST(Aes, MiniIsaTouchesExactlyTheTracedLines)
         }
     }
     EXPECT_EQ(cached_lines, expected_lines);
+}
+
+TEST(Aes, Round1Td1LinesMatchTheTrace)
+{
+    // The attack's ground truth reads four bytes instead of tracing a
+    // whole decryption; both must name the same Td1 lines.
+    os::Machine machine;
+    const std::uint8_t key[16] = {0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae,
+                                  0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88,
+                                  0x09, 0xcf, 0x4f, 0x3c};
+    const attack::AesEnclave enclave(machine.kernel(), key, 128);
+    Rng rng(20260);
+    for (int n = 0; n < 1000; ++n) {
+        std::uint8_t ct[16];
+        for (std::uint8_t &byte : ct)
+            byte = static_cast<std::uint8_t>(rng.below(256));
+        const crypto::DecAccessTrace trace =
+            crypto::traceDecryption(enclave.decKey, ct);
+        std::set<unsigned> traced;
+        for (const std::uint8_t index : trace.indices[0][1])
+            traced.insert(crypto::tableLineOf(index));
+        ASSERT_EQ(enclave.round1Td1Lines(ct), traced) << "ciphertext " << n;
+    }
 }

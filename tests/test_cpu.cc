@@ -17,6 +17,7 @@
 #include "attack/control_flow.hh"
 #include "attack/loop_secret.hh"
 #include "attack/mispredict_replay.hh"
+#include "attack/port_contention.hh"
 #include "attack/rdrand_bias.hh"
 #include "attack/single_secret.hh"
 #include "attack/tsx_replay.hh"
@@ -1646,6 +1647,69 @@ TEST(CoreGolden, RdrandBias)
         EXPECT_EQ(result.observations, serializing ? 0u : 8u);
         EXPECT_PINNED(result.coreDigest, pins[serializing]);
     }
+}
+
+TEST(CoreGolden, PortContention)
+{
+    // The divider's latency shows only in what the SMT monitor times:
+    // pin its sample latencies and the run's length, so a change to
+    // the divider (CoreConfig::divLatency) cannot pass unseen.
+    attack::PortContentionConfig config;
+    config.samples = 300;
+    config.replays = 8;
+    config.machine = quietMachine();
+    const auto result = attack::runPortContentionAttack(config);
+    EXPECT_TRUE(result.victimCompleted);
+    EXPECT_TRUE(result.monitorCompleted);
+    EXPECT_EQ(result.samples.size(), 300u);
+    std::uint64_t digest = kFnv1aBasis;
+    for (const Cycles latency : result.samples)
+        digest = fnv1aMix(digest, latency);
+    digest = fnv1aMix(digest, result.totalCycles);
+    EXPECT_PINNED(digest, 0xa63e4caf96f86917ull);
+}
+
+TEST(CoreGolden, IntegerDividerContention)
+{
+    // The same channel on the integer divider, at the core: context 0
+    // times bursts of two divides while context 1 keeps dividing.  The
+    // attacks and figures divide in floating point only, so this pin
+    // is the one that sees CoreConfig::divLatency.
+    CoreRig rig;
+    ProgramBuilder monitor;
+    monitor.movi(1, 1000)
+        .movi(2, 7)
+        .movi(5, 20)
+        .movi(9, 0)
+        .movi(20, 0)
+        .label("burst")
+        .fence()
+        .rdtsc(10)
+        .div(3, 1, 2)
+        .div(4, 1, 2)
+        .fence()
+        .rdtsc(11)
+        .sub(12, 11, 10)
+        .add(20, 20, 12)
+        .addi(5, 5, -1)
+        .bne(5, 9, "burst")
+        .halt();
+    ProgramBuilder sibling;
+    sibling.movi(1, 999)
+        .movi(2, 3)
+        .movi(5, 40)
+        .movi(9, 0)
+        .label("divide")
+        .div(3, 1, 2)
+        .addi(5, 5, -1)
+        .bne(5, 9, "divide")
+        .halt();
+    rig.start(monitor.build(), 0);
+    rig.start(sibling.build(), 1);
+    ASSERT_TRUE(rig.runUntil(
+        [&]() { return rig.core.halted(0) && rig.core.halted(1); },
+        1'000'000));
+    EXPECT_PINNED(rig.core.stateDigest(), 0xa80af18b6b8263a7ull);
 }
 
 TEST(CoreGolden, FenceOnPipelineFlush)

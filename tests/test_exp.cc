@@ -1022,7 +1022,7 @@ TEST(Checkpoint, MalformedTrialFilesAreRejected)
     EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(
                      exp::CampaignCheckpoint::serializeTrial(named))
                      .has_value());
-    named.output.metrics.values[0].name = "b";
+    named.output.metrics.values[0].name = obs::MetricName("b");
     EXPECT_FALSE(exp::CampaignCheckpoint::parseTrial(
                      exp::CampaignCheckpoint::serializeTrial(named))
                      .has_value());

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -38,6 +39,7 @@
 #include "cpu/program.hh"
 #include "every_cycle.hh"
 #include "exp/campaign.hh"
+#include "fault/plan.hh"
 #include "os/machine.hh"
 #include "svc/registry.hh"
 
@@ -494,4 +496,44 @@ TEST(FastForward, ReplayScenarioMatchesEveryCycleRun)
     };
     EXPECT_EQ(fields(fast.scope), fields(slow.scope));
     EXPECT_EQ(fast.events, slow.events);
+}
+
+TEST(WorkGolden, PrefixTrialSteps)
+{
+    // How the step loop advances one aes_prefix_replay trial (master
+    // seed 42, trial 0, no faults): cycles ticked, clock jumps and
+    // next-event queries.  Host work, pinned like a fingerprint: the
+    // loop asks for the next event only after a tick that did no work
+    // (DESIGN.md §10).  Asking before every step, as the loop once
+    // did, makes it 674 ticks, 73 jumps and 747 queries.
+    svc::CampaignRequest request;
+    request.recipe = "aes_prefix_replay";
+    request.masterSeed = 42;
+    const exp::CampaignSpec spec = svc::buildSpec(request);
+
+    // The executor's fork path, by hand, to reach the trial's machine.
+    os::MachineConfig config;
+    config.fault = fault::FaultPlan{};
+    config.seed = exp::deriveWarmupSeed(request.masterSeed);
+    os::Machine warm(config);
+    const std::shared_ptr<const void> enclave = spec.warmup(warm);
+    const os::Snapshot snap = warm.snapshot();
+
+    exp::TrialContext ctx;
+    ctx.seed = exp::deriveTrialSeed(request.masterSeed, 0);
+    ctx.machine = config;
+    ctx.machine.seed = ctx.seed;
+    os::Machine fork(config);
+    fork.restoreFrom(snap);
+    fork.reseed(ctx.seed);
+    ctx.fork = &fork;
+    ctx.warmupData = enclave.get();
+    ctx.forkCycle = fork.cycle();
+    const exp::TrialOutput out = spec.body(ctx);
+    EXPECT_EQ(out.metric.mean(), 1.0); // the trial read the right lines
+
+    const os::Machine::StepWork &work = fork.stepWork();
+    EXPECT_EQ(work.ticks, 747u);
+    EXPECT_EQ(work.jumps, 57u);
+    EXPECT_EQ(work.queries, 74u);
 }

@@ -9,12 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hh"
@@ -22,6 +24,7 @@
 #include "common/random.hh"
 #include "cpu/program.hh"
 #include "exp/campaign.hh"
+#include "exp/checkpoint.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/cli.hh"
 #include "obs/event_trace.hh"
@@ -187,6 +190,119 @@ TEST(Metrics, MergeKindMismatchPanics)
     rb.gauge("x");
     obs::MetricSnapshot snap = ra.snapshot();
     EXPECT_THROW(snap.merge(rb.snapshot()), SimPanic);
+}
+
+TEST(Metrics, InternedNamesShareOneHandleAcrossThreads)
+{
+    // Four threads intern the same 300 spellings at once, in
+    // different orders: each spelling gets one handle everywhere.
+    constexpr int kThreads = 4;
+    constexpr int kNames = 300;
+    const auto spelling = [](int i) {
+        return "interned.t" + std::to_string(i % 7) + ".n" +
+               std::to_string(i);
+    };
+    std::vector<std::vector<obs::MetricName>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int k = 0; k < kNames; ++k) {
+                const int i = t % 2 ? kNames - 1 - k : k;
+                seen[t].push_back(obs::MetricName(spelling(i)));
+            }
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    for (int i = 0; i < kNames; ++i) {
+        const obs::MetricName name(spelling(i));
+        EXPECT_EQ(name.view(), spelling(i));
+        EXPECT_EQ(name.json(), "\"" + spelling(i) + "\"");
+        for (int t = 0; t < kThreads; ++t) {
+            const obs::MetricName other =
+                seen[t][t % 2 ? kNames - 1 - i : i];
+            EXPECT_EQ(other, name);
+            EXPECT_EQ(other.id(), name.id());
+        }
+    }
+    // Distinct spellings, distinct handles; the empty one is the
+    // default handle.
+    EXPECT_FALSE(obs::MetricName(spelling(1)) == obs::MetricName(spelling(2)));
+    EXPECT_EQ(obs::MetricName(""), obs::MetricName());
+    EXPECT_EQ(obs::MetricName().id(), 0u);
+    EXPECT_EQ(obs::MetricName("needs \"escaping\"\n").json(),
+              "\"needs \\\"escaping\\\"\\n\"");
+}
+
+TEST(Metrics, SnapshotOrderIsTheSpellingsNotTheInterningOrder)
+{
+    // "order.z" is interned first, so it has the lower id; the
+    // snapshot still sorts by spelling.  The same thread then exports
+    // other name sets, in other orders: each snapshot sorts its own.
+    const obs::MetricName z("order.z");
+    const obs::MetricName a("order.a");
+    EXPECT_LT(z.id(), a.id());
+    EXPECT_TRUE(a < z);
+    EXPECT_FALSE(z < a);
+    EXPECT_FALSE(a < a);
+    const std::vector<std::vector<std::string>> exports = {
+        {"order.z", "order.a"},
+        {"order.z", "order.a"},
+        {"order.z", "order.m", "order.a"},
+        {"order.a", "order.z"},
+        {"order.z", "order.a"},
+    };
+    for (const std::vector<std::string> &names : exports) {
+        obs::MetricRegistry registry;
+        for (const std::string &name : names)
+            registry.counter(name).set(name.size());
+        std::vector<std::string> sorted = names;
+        std::sort(sorted.begin(), sorted.end());
+        const obs::MetricSnapshot snap = registry.snapshot();
+        ASSERT_EQ(snap.size(), sorted.size());
+        for (std::size_t i = 0; i < sorted.size(); ++i)
+            EXPECT_EQ(snap.values[i].name, sorted[i]);
+    }
+}
+
+TEST(Metrics, InternedNamesKeepTheSnapshotBytes)
+{
+    // merge, prefixed and the checkpoint record read and write the
+    // same names, in the same order, as the spelled-out strings did.
+    obs::MetricRegistry ra;
+    ra.counter("b.shared").set(1);
+    ra.counter("d.only_a").set(2);
+    obs::MetricRegistry rb;
+    rb.counter("b.shared").set(3);
+    rb.gauge("a.only_b").set(0.5);
+    rb.latency("c.only_b").record(7.0);
+    obs::MetricSnapshot merged = ra.snapshot();
+    merged.merge(rb.snapshot());
+    EXPECT_EQ(merged.toJson().dump(),
+              "{\"a.only_b\":0.5,\"b.shared\":4,\"c.only_b\":{\"count\":1,"
+              "\"mean\":7,\"stddev\":0,\"min\":7,\"max\":7},"
+              "\"d.only_a\":2}");
+    std::string compact;
+    merged.appendJson(compact);
+    EXPECT_EQ(compact, merged.toJson().dump());
+
+    const obs::MetricSnapshot tagged = merged.prefixed("svc.worker3.");
+    ASSERT_EQ(tagged.size(), merged.size());
+    for (std::size_t i = 0; i < tagged.size(); ++i)
+        EXPECT_EQ(tagged.values[i].name,
+                  "svc.worker3." + merged.values[i].name.str());
+
+    exp::TrialResult trial;
+    trial.output.metrics = merged;
+    const std::string record =
+        exp::CampaignCheckpoint::serializeTrial(trial);
+    const std::optional<exp::TrialResult> parsed =
+        exp::CampaignCheckpoint::parseTrial(record);
+    ASSERT_TRUE(parsed.has_value());
+    ASSERT_EQ(parsed->output.metrics.size(), merged.size());
+    for (std::size_t i = 0; i < merged.size(); ++i)
+        EXPECT_EQ(parsed->output.metrics.values[i].name,
+                  merged.values[i].name);
+    EXPECT_EQ(exp::CampaignCheckpoint::serializeTrial(*parsed), record);
 }
 
 namespace

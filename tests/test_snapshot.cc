@@ -377,7 +377,7 @@ stateFingerprint(const os::Machine &machine)
     snap.values.erase(
         std::remove_if(snap.values.begin(), snap.values.end(),
                        [](const obs::MetricValue &v) {
-                           return v.name.rfind("mem.physmem.", 0) == 0;
+                           return v.name.starts_with("mem.physmem.");
                        }),
         snap.values.end());
     return snap.toJson().dump() + "@" + std::to_string(machine.cycle());

@@ -397,6 +397,68 @@ TEST(SvcShard, FullyRestoredCampaignAssignsNothing)
 // Requests + registry.
 // ---------------------------------------------------------------------
 
+/** The worker's trial frame as it was once built: a json::Value tree,
+ *  dumped and framed. */
+std::string
+treeTrialFrame(int worker, std::uint64_t campaign, std::uint64_t shard,
+               const exp::TrialResult &result, bool restored)
+{
+    return svc::encodeFrame(
+        json::Value::object()
+            .set("type", "trial")
+            .set("id", worker)
+            .set("campaign", campaign)
+            .set("shard", shard)
+            .set("index", static_cast<std::uint64_t>(result.index))
+            .set("restored", restored)
+            .set("data", exp::CampaignCheckpoint::serializeTrial(result))
+            .dump());
+}
+
+TEST(SvcWire, TrialFrameMatchesTheTreeDump)
+{
+    svc::CampaignRequest request;
+    request.recipe = "aes_prefix_replay";
+    request.trials = 1;
+    request.masterSeed = 42;
+    exp::CampaignSpec spec = svc::buildSpec(request);
+    spec.workers = 1;
+    const exp::TrialResult ok = exp::runCampaign(spec).trials.at(0);
+    ASSERT_FALSE(ok.output.metrics.empty());
+    ASSERT_FALSE(ok.output.payload.isNull());
+
+    // A restored trial carries its payload as the raw checkpoint text.
+    const exp::TrialResult restored = *exp::CampaignCheckpoint::parseTrial(
+        exp::CampaignCheckpoint::serializeTrial(ok));
+    exp::TrialResult failed = ok;
+    failed.status = exp::TrialStatus::Failed;
+    failed.attempts = 3;
+    failed.error = "body threw \"bad\" \\ input\nsecond line\t\x01";
+
+    const struct
+    {
+        const exp::TrialResult &result;
+        bool restored;
+    } cases[] = {{ok, false}, {restored, true}, {failed, false}};
+    for (const auto &c : cases) {
+        std::string frame = "bytes already queued";
+        svc::appendTrialFrame(frame, 3, 1u << 20, 7, c.result, c.restored);
+        ASSERT_TRUE(frame.starts_with("bytes already queued"));
+        frame.erase(0, std::string_view("bytes already queued").size());
+        EXPECT_EQ(frame, treeTrialFrame(3, 1u << 20, 7, c.result,
+                                        c.restored));
+        // And the daemon reads the record back out of it.
+        svc::FrameSplitter splitter;
+        splitter.feed(frame.data(), frame.size());
+        const std::optional<std::string> payload = splitter.next();
+        ASSERT_TRUE(payload.has_value());
+        const std::optional<json::Value> msg = json::Value::parse(*payload);
+        ASSERT_TRUE(msg.has_value());
+        EXPECT_EQ(svc::stringField(*msg, "data"),
+                  exp::CampaignCheckpoint::serializeTrial(c.result));
+    }
+}
+
 TEST(SvcRegistry, RequestRoundTripsThroughJson)
 {
     svc::CampaignRequest request;
