@@ -13,7 +13,7 @@
  *     knob's effect on what the attacker can observe per replay.
  *
  * Sweep 2 builds one fresh Machine per grid point, so it runs as an
- * exp::CampaignRunner campaign (16 trials, sharded across workers)
+ * exp::runCampaign campaign (16 trials, sharded across workers)
  * and exports to bench-results/ablate_pagewalk_tuning.json.
  */
 

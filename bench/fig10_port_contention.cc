@@ -9,7 +9,7 @@
  * div victim ~64 — a ~16x separation that makes the two cases
  * "clearly distinguishable".
  *
- * The whole figure is one exp::CampaignRunner campaign: two headline
+ * The whole figure is one exp::runCampaign campaign: two headline
  * arms (mul/div at 10,000 samples) plus a 5-seed x {mul,div} sweep,
  * each trial on its own simulated Machine, sharded across worker
  * threads.  The full result set exports to

@@ -8,7 +8,7 @@
  *
  * Also runs the full single-stepping extraction of §4.4 and the
  * round-1 key-nibble recovery extension — and, beyond the paper's
- * single key, a randomized-key sweep campaign (exp::CampaignRunner)
+ * single key, a randomized-key sweep campaign (exp::runCampaign)
  * that measures recovery robustness across keys/plaintexts, exported
  * to bench-results/fig11_aes_replay.json.
  */

@@ -43,6 +43,18 @@ struct MonitorImage
 MonitorImage buildDivContentionMonitor(os::Kernel &kernel,
                                        unsigned samples, unsigned cont);
 
+/**
+ * Simulated cycles to let a Monitor of @p samples measurements of
+ * @p cont divides run before giving up on it.  One sample costs on the
+ * order of cont * divLatency cycles; the budget is generous beyond
+ * that.
+ */
+constexpr Cycles
+monitorRunBudget(unsigned samples, unsigned cont)
+{
+    return Cycles{samples} * (cont * 100 + 2000) + 1'000'000;
+}
+
 /** Read the Monitor's latency buffer after (or during) the run. */
 std::vector<Cycles> readMonitorSamples(os::Kernel &kernel,
                                        const MonitorImage &monitor);

@@ -48,11 +48,8 @@ runPortContentionAttack(const PortContentionConfig &config)
     kernel.startOnContext(victim.pid, 0, victim.program);
     kernel.startOnContext(monitor.pid, 1, monitor.program);
 
-    // One Monitor sample costs on the order of cont * divLatency
-    // cycles; budget generously beyond that.
-    const Cycles budget =
-        Cycles{config.samples} * (config.cont * 100 + 2000) + 1000000;
-    machine.runUntil([&]() { return machine.core().halted(1); }, budget);
+    machine.runUntil([&]() { return machine.core().halted(1); },
+                     monitorRunBudget(config.samples, config.cont));
 
     PortContentionResult result;
     result.replaysDone = scope.stats().totalReplays;

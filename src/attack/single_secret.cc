@@ -69,10 +69,8 @@ runSingleSecretAttack(const SingleSecretConfig &config)
     kernel.startOnContext(victim.pid, 0, victim.program);
     kernel.startOnContext(monitor.pid, 1, monitor.program);
 
-    const Cycles budget =
-        Cycles{config.monitorSamples} * (config.cont * 100 + 2000) +
-        1000000;
-    machine.runUntil([&]() { return machine.core().halted(1); }, budget);
+    machine.runUntil([&]() { return machine.core().halted(1); },
+                     monitorRunBudget(config.monitorSamples, config.cont));
     scope.disarm();
     machine.runUntilHalted(0, 1000000);
     result.victimCompleted = machine.core().halted(0);

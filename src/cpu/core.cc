@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 
-#include "common/bitfield.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 
@@ -44,8 +43,7 @@ overlaps(VAddr a, unsigned a_len, VAddr b, unsigned b_len)
 Core::Core(mem::PhysMem &mem, mem::Hierarchy &hierarchy, vm::Mmu &mmu,
            const CoreConfig &config, std::uint64_t seed)
     : mem_(mem), hierarchy_(hierarchy), mmu_(mmu), config_(config),
-      rng_(seed), contexts_(config.numContexts),
-      predictor_(kPredictorEntries)
+      rng_(seed), contexts_(kNumContexts), predictor_(kPredictorEntries)
 {
     for (Context &ctx : contexts_) {
         ctx.rob = Rob(config_.robPerContext);
@@ -541,17 +539,10 @@ Core::fastForwardTo(Cycles target)
               static_cast<unsigned long long>(cycle_));
     // Each skipped tick would have taken or owed one draw for the SMT
     // issue rotation; account for the same draws so the stream stays
-    // aligned with a cycle-by-cycle run.  below() of a power of two
-    // takes exactly one raw draw, so the span is owed and later
-    // settled by one discard (a jump once it passes the break-even);
-    // any other bound may reject draws, so each one is replayed.
-    const auto n = static_cast<std::uint64_t>(contexts_.size());
-    if (isPowerOf2(n)) {
-        owedDraws_ += target - cycle_;
-    } else {
-        for (Cycles c = cycle_; c < target; ++c)
-            (void)rng_.below(n);
-    }
+    // aligned with a cycle-by-cycle run.  below(kNumContexts) takes
+    // exactly one raw draw, so the span is owed and later settled by
+    // one discard (a jump once it passes the break-even).
+    owedDraws_ += target - cycle_;
     cycle_ = target;
 }
 
@@ -1103,15 +1094,14 @@ Core::tryIssue(unsigned ctx_id, RobEntry &entry)
 void
 Core::doIssue()
 {
-    const unsigned n = static_cast<unsigned>(contexts_.size());
+    constexpr unsigned n = kNumContexts;
     // Randomized SMT priority: a fixed rotation can phase-lock with
     // even execution latencies (e.g., the 24-cycle divider) and
     // starve one context of a shared port indefinitely.  With fewer
-    // than two Running contexts the order cannot matter, so a power
-    // of two context count owes the draw instead of taking it.
+    // than two Running contexts the order cannot matter, so the tick
+    // owes the draw instead of taking it.
     unsigned start = 0;
-    if (isPowerOf2(n) &&
-        std::count_if(contexts_.begin(), contexts_.end(),
+    if (std::count_if(contexts_.begin(), contexts_.end(),
                       [](const Context &ctx) {
                           return ctx.state == CtxState::Running;
                       }) < 2) {
@@ -1245,12 +1235,10 @@ Core::doFetch()
     // The fetch group: slot s goes to the first context, rotating from
     // (cycle + s) mod n, that can still dispatch.  Only a context's own
     // dispatch changes whether it can, so a slot nobody takes ends the
-    // group.  One rotation start per cycle, a mask for the usual power
-    // of two contexts (a 64-bit division costs the ALU loop ~5%); the
-    // rotation then wraps.
-    const unsigned n = static_cast<unsigned>(contexts_.size());
-    unsigned first = static_cast<unsigned>(
-        isPowerOf2(n) ? cycle_ & (n - 1) : cycle_ % n);
+    // group.  One rotation start per cycle, a mask of the power of two
+    // context count; the rotation then wraps.
+    constexpr unsigned n = kNumContexts;
+    unsigned first = static_cast<unsigned>(cycle_ & (n - 1));
     for (unsigned slot = 0; slot < kFetchWidth; ++slot) {
         unsigned ctx_id = first;
         unsigned offset = 0;

@@ -82,12 +82,16 @@ constexpr Cycles kForwardLatency = 5;  ///< Store-to-load forwarding.
 constexpr Cycles kRdtscLatency = 8;
 constexpr Cycles kRdrandLatency = 150;
 constexpr unsigned kPredictorEntries = 4096;  ///< A power of two.
+/** SMT contexts sharing the core's issue ports.  A power of two: the
+ *  issue rotation's below(kNumContexts) is then exactly one raw draw,
+ *  which is what lets fast-forward owe skipped draws (DESIGN.md §10). */
+constexpr unsigned kNumContexts = 2;
+static_assert(std::has_single_bit(kNumContexts));
 
 /** The core parameters that the ablations, the defenses and the
  *  RDRAND attack vary. */
 struct CoreConfig
 {
-    unsigned numContexts = 2;
     unsigned robPerContext = 112;
 
     Cycles divLatency = 24;
@@ -259,10 +263,9 @@ class Core
      * Jump the clock to @p target without ticking.  The caller must
      * guarantee target <= nextEventCycle().  The RNG stream skips the
      * span's per-cycle SMT-arbitration draws, so it stays
-     * bit-identical to a cycle-by-cycle run: when numContexts is a
-     * power of two the span joins the owed draws (settled by one
-     * Rng::discard, an O(log k) jump for long spans, before the next
-     * real draw), else a below() replay per cycle (DESIGN.md §10).
+     * bit-identical to a cycle-by-cycle run: the span joins the owed
+     * draws, settled by one Rng::discard (an O(log k) jump for long
+     * spans) before the next real draw (DESIGN.md §10).
      */
     void fastForwardTo(Cycles target);
 
@@ -661,13 +664,13 @@ class Core
     CoreConfig config_;
     Rng rng_;
     /**
-     * SMT-arbitration draws counted but not yet taken from rng_ (power
-     * of two context counts only).  A tick with fewer than two Running
-     * contexts, and every fast-forwarded cycle, owes its draw instead
-     * of taking it: the rotation order cannot matter then.  below() of
-     * a power of two is exactly one raw draw, so settleDraws()'s one
-     * discard before the next real draw leaves that draw bit-identical
-     * to the one an eager run takes (DESIGN.md §10).
+     * SMT-arbitration draws counted but not yet taken from rng_.  A
+     * tick with fewer than two Running contexts, and every
+     * fast-forwarded cycle, owes its draw instead of taking it: the
+     * rotation order cannot matter then.  below() of a power of two
+     * is exactly one raw draw, so settleDraws()'s one discard before
+     * the next real draw leaves that draw bit-identical to the one an
+     * eager run takes (DESIGN.md §10).
      */
     std::uint64_t owedDraws_ = 0;
 

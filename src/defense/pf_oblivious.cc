@@ -147,11 +147,9 @@ runPfObliviousExperiment(const PfObliviousConfig &config)
     scope.arm();
     kernel.startOnContext(victim.pid, 0, victim.program);
     kernel.startOnContext(monitor.pid, 1, monitor.program);
-    const Cycles budget =
-        Cycles{config.monitorSamples} * (config.cont * 100 + 2000) +
-        1000000;
-    machine.runUntil([&]() { return machine.core().halted(1); },
-                     budget);
+    machine.runUntil(
+        [&]() { return machine.core().halted(1); },
+        attack::monitorRunBudget(config.monitorSamples, config.cont));
     scope.disarm();
     machine.runUntilHalted(0, 1'000'000);
 

@@ -122,8 +122,7 @@ runTsgxAttack(const TsgxConfig &config)
     TsgxResult result;
     std::uint64_t aborts_seen = 0;
     const Cycles budget =
-        Cycles{config.monitorSamples} * (config.cont * 100 + 2000) +
-        1000000;
+        attack::monitorRunBudget(config.monitorSamples, config.cont);
     while (!machine.core().halted(1) && machine.cycle() < budget) {
         machine.run(50);
         const std::uint64_t aborts = machine.core().stats(0).txAborts;

@@ -78,17 +78,6 @@ deriveReplaySeed(std::uint64_t trial_seed, std::uint64_t iteration)
     return mix64(trial_seed ^ mix64(0x7265706c6179ull + iteration));
 }
 
-void
-TrialContext::checkBudget(Cycles used_cycles) const
-{
-    if (cycleBudget && used_cycles > cycleBudget) {
-        throw TrialTimeout(format(
-            "trial %zu exceeded its cycle budget (%llu > %llu)", index,
-            static_cast<unsigned long long>(used_cycles),
-            static_cast<unsigned long long>(cycleBudget)));
-    }
-}
-
 const char *
 trialStatusName(TrialStatus status)
 {
@@ -262,25 +251,6 @@ CampaignResult::appendJson(std::string &out) const
     out += '}';
 }
 
-CampaignRunner::CampaignRunner(CampaignSpec spec) : spec_(std::move(spec))
-{
-    // Spec errors throw std::invalid_argument (not SimFatal): they are
-    // caller bugs at the API boundary, catchable without dragging in
-    // the simulator's error hierarchy.
-    if (!spec_.body)
-        throw std::invalid_argument(format(
-            "CampaignSpec '%s' has no trial body", spec_.name.c_str()));
-    if (spec_.trials == 0)
-        throw std::invalid_argument(format(
-            "CampaignSpec '%s' has zero trials", spec_.name.c_str()));
-    if (!spec_.perTrialMetrics && !spec_.checkpointDir.empty())
-        throw std::invalid_argument(format(
-            "CampaignSpec '%s': perTrialMetrics = false is incompatible "
-            "with a checkpointDir (checkpoints serialize full per-trial "
-            "results, reintroducing the skipped work)",
-            spec_.name.c_str()));
-}
-
 /**
  * Per-executor machine pool and post-warmup snapshot cache.  Owned by
  * exactly one worker thread (or the serial grace pass): the snapshot
@@ -367,19 +337,7 @@ TrialExecutor::runAttempt(const CampaignSpec &spec, std::size_t index,
     TrialContext ctx;
     ctx.index = index;
     ctx.seed = deriveRetrySeed(spec.masterSeed, index, attempt);
-    ctx.worker = worker;
-    ctx.cycleBudget = spec.cycleBudget;
     ctx.machine.seed = ctx.seed;
-    if (spec.machineFactory) {
-        ctx.machine = spec.machineFactory(ctx);
-        // A factory that never thought about seeding still gets a
-        // deterministic per-trial stream.  os::Seed records whether
-        // the factory assigned one, so a factory that deliberately
-        // picks the default value (42) is honoured rather than
-        // silently re-seeded.
-        if (!ctx.machine.seed.explicitlySet)
-            ctx.machine.seed = ctx.seed;
-    }
     // The observability dial: tracing rides the trial's MachineConfig,
     // so it reaches self-built machines (bodies construct from
     // ctx.machine), warm forks (warm_config copies ctx.machine), and
@@ -473,9 +431,6 @@ TrialExecutor::runAttempt(const CampaignSpec &spec, std::size_t index,
                 static_cast<unsigned long long>(result.output.simCycles),
                 static_cast<unsigned long long>(spec.cycleBudget));
         }
-    } catch (const TrialTimeout &e) {
-        result.status = TrialStatus::TimedOut;
-        result.error = e.what();
     } catch (const std::exception &e) {
         result.status = TrialStatus::Failed;
         result.error = e.what();
@@ -613,10 +568,26 @@ runShardRange(const CampaignSpec &spec, std::size_t lo, std::size_t hi,
 }
 
 CampaignResult
-CampaignRunner::run()
+runCampaign(CampaignSpec spec)
 {
-    const std::size_t total = spec_.trials;
-    unsigned workers = spec_.workers;
+    // Spec errors throw std::invalid_argument (not SimFatal): they are
+    // caller bugs at the API boundary, catchable without dragging in
+    // the simulator's error hierarchy.
+    if (!spec.body)
+        throw std::invalid_argument(format(
+            "CampaignSpec '%s' has no trial body", spec.name.c_str()));
+    if (spec.trials == 0)
+        throw std::invalid_argument(format(
+            "CampaignSpec '%s' has zero trials", spec.name.c_str()));
+    if (!spec.perTrialMetrics && !spec.checkpointDir.empty())
+        throw std::invalid_argument(format(
+            "CampaignSpec '%s': perTrialMetrics = false is incompatible "
+            "with a checkpointDir (checkpoints serialize full per-trial "
+            "results, reintroducing the skipped work)",
+            spec.name.c_str()));
+
+    const std::size_t total = spec.trials;
+    unsigned workers = spec.workers;
     if (workers == 0) {
         workers = std::thread::hardware_concurrency();
         if (workers == 0)
@@ -624,42 +595,40 @@ CampaignRunner::run()
     }
     if (workers > total)
         workers = static_cast<unsigned>(total);
-    if (workers == 0)
-        workers = 1;
 
     std::vector<TrialResult> results(total);
-    // done[i] flips exactly once, by the one worker that claimed i (or
-    // by checkpoint restore before the pool starts); the grace pass
-    // reads it after join().  It is what distinguishes "claimed but
-    // never finished" (dead worker) from "completed".
+    // done[i] flips exactly once, by the one worker that claimed i;
+    // the grace pass reads it after join().  It is what distinguishes
+    // "claimed but never finished" (dead worker) from "completed".
     std::vector<char> done(total, 0);
 
-    CampaignCheckpoint checkpoint(spec_);
-    const std::size_t resumed =
-        checkpoint.enabled() ? checkpoint.load(results, done) : 0;
+    CampaignCheckpoint checkpoint(spec);
+    CampaignCheckpoint *const persist =
+        checkpoint.enabled() ? &checkpoint : nullptr;
 
     std::atomic<std::size_t> next{0};
-    std::size_t completed = resumed;
+    std::size_t completed = 0;
+    std::size_t resumed = 0;
     unsigned deadWorkers = 0;
     obs::ProfData profTotal;
     std::mutex lock;
 
     const auto start = std::chrono::steady_clock::now();
-    const auto claimNext = [&]() {
-        // Restored trials are done before any worker starts; skipping
-        // them here means a resumed campaign only executes the rest.
-        for (;;) {
-            const std::size_t index =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (index >= total || !done[index])
-                return index;
-        }
+    // Every trial reaches `results` through exp::runShardRange, the
+    // service workers' trial loop: a checkpointed trial is restored
+    // there (restored == true), any other runs and is persisted first.
+    const auto record = [&](TrialResult &&result, bool restored) {
+        const std::size_t index = result.index;
+        results[index] = std::move(result);
+        done[index] = 1;
+        ++completed;
+        resumed += restored;
     };
     const auto drain = [&](unsigned worker) {
         // Thread-confined: the pooled machine and every cached
         // snapshot (plus its COW forks) live and die on this worker.
         TrialExecutor executor;
-        executor.beginCampaign(spec_);
+        executor.beginCampaign(spec);
         // Merge this worker's phase profile on every exit path — a
         // dying worker's measured trials still count.
         struct ProfReport
@@ -675,20 +644,21 @@ CampaignRunner::run()
                 total.merge(executor.prof());
             }
         } prof_report{executor, profTotal, lock};
+        const std::function<void(TrialResult &&, bool)> emit =
+            [&](TrialResult &&result, bool restored) {
+                std::lock_guard<std::mutex> guard(lock);
+                record(std::move(result), restored);
+                if (!restored && spec.progress)
+                    spec.progress(completed, total);
+            };
         try {
             for (;;) {
-                const std::size_t index = claimNext();
+                const std::size_t index =
+                    next.fetch_add(1, std::memory_order_relaxed);
                 if (index >= total)
                     return;
-                TrialResult result =
-                    executor.runTrial(spec_, index, worker);
-                checkpoint.store(result);
-                std::lock_guard<std::mutex> guard(lock);
-                results[index] = std::move(result);
-                done[index] = 1;
-                ++completed;
-                if (spec_.progress)
-                    spec_.progress(completed, total);
+                runShardRange(spec, index, index + 1, executor, persist,
+                              emit, {}, worker);
             }
         } catch (const std::exception &e) {
             // Anything escaping the per-trial shield (a throwing
@@ -698,13 +668,13 @@ CampaignRunner::run()
             ++deadWorkers;
             log_.warn("campaign '%s': worker %u died (%s); finishing "
                       "its trials serially",
-                      spec_.name.c_str(), worker, e.what());
+                      spec.name.c_str(), worker, e.what());
         } catch (...) {
             std::lock_guard<std::mutex> guard(lock);
             ++deadWorkers;
             log_.warn("campaign '%s': worker %u died (unknown "
                       "exception); finishing its trials serially",
-                      spec_.name.c_str(), worker);
+                      spec.name.c_str(), worker);
         }
     };
 
@@ -722,29 +692,28 @@ CampaignRunner::run()
             thread.join();
     }
 
-    // Grace pass: every trial a dead worker claimed but never stored
-    // re-runs here, serially.  Results are unchanged (a trial depends
-    // only on its seed); the progress callback is deliberately not
-    // re-invoked — it may be exactly what killed the worker.
-    // Worker pools/snapshot caches died with their threads; the grace
-    // pass warms its own (results are unchanged — a trial depends only
-    // on its seed, and forked trials are bit-identical to cold ones).
+    // Grace pass: every trial a dead worker claimed but never recorded
+    // goes through the same trial loop here, serially.  Results are
+    // unchanged (a trial depends only on its seed); the progress
+    // callback is deliberately not re-invoked — it may be exactly
+    // what killed the worker.  Worker pools/snapshot caches died with
+    // their threads; the grace pass warms its own (forked trials are
+    // bit-identical to cold ones).
     TrialExecutor grace;
-    grace.beginCampaign(spec_);
-    for (std::size_t index = 0; index < total; ++index) {
-        if (done[index])
-            continue;
-        TrialResult result = grace.runTrial(spec_, index, /*worker=*/0);
-        checkpoint.store(result);
-        results[index] = std::move(result);
-        done[index] = 1;
-    }
+    grace.beginCampaign(spec);
+    for (std::size_t index = 0; index < total; ++index)
+        if (!done[index])
+            runShardRange(spec, index, index + 1, grace, persist, record);
     profTotal.merge(grace.prof());
+    if (resumed)
+        log_.info("campaign '%s': resumed %zu of %zu trials from '%s'",
+                  spec.name.c_str(), resumed, total,
+                  spec.checkpointDir.c_str());
 
     CampaignResult campaign;
-    campaign.name = spec_.name;
+    campaign.name = spec.name;
     campaign.trialCount = total;
-    campaign.masterSeed = spec_.masterSeed;
+    campaign.masterSeed = spec.masterSeed;
     campaign.workers = workers;
     campaign.resumedTrials = resumed;
     campaign.workerDeaths = deadWorkers;
@@ -759,18 +728,12 @@ CampaignRunner::run()
     // aggregate fold: the retained trials stay light and toJson()
     // skips the per-trial metric blocks entirely, instead of
     // serializing and then ignoring them.
-    if (!spec_.perTrialMetrics)
+    if (!spec.perTrialMetrics)
         for (TrialResult &trial : results)
             trial.output.metrics = obs::MetricSnapshot{};
     campaign.trials = std::move(results);
     campaign.wallSeconds = elapsedSeconds(start);
     return campaign;
-}
-
-CampaignResult
-runCampaign(CampaignSpec spec)
-{
-    return CampaignRunner(std::move(spec)).run();
 }
 
 } // namespace uscope::exp

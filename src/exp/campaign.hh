@@ -8,8 +8,8 @@
  * attack, and reports a handful of numbers — embarrassingly parallel
  * work that the benches used to grind through serially.
  *
- * CampaignRunner shards a flat trial grid across a fixed-size
- * std::thread pool:
+ * runCampaign shards a flat trial grid across a fixed-size std::thread
+ * pool:
  *
  *  - **Isolation.** Each trial constructs its own os::Machine from its
  *    own MachineConfig; workers share no mutable simulator state.
@@ -86,18 +86,6 @@ std::uint64_t deriveWarmupSeed(std::uint64_t master);
 std::uint64_t deriveReplaySeed(std::uint64_t trial_seed,
                                std::uint64_t iteration);
 
-/**
- * Thrown by a trial body (or by TrialContext::checkBudget) when the
- * per-trial cycle budget is exhausted.  The runner records the trial
- * as TimedOut and moves on.
- */
-class TrialTimeout : public std::runtime_error
-{
-  public:
-    explicit TrialTimeout(const std::string &msg)
-        : std::runtime_error(msg) {}
-};
-
 /** Everything a trial body gets handed about its grid point. */
 struct TrialContext
 {
@@ -105,14 +93,10 @@ struct TrialContext
     std::size_t index = 0;
     /** deriveTrialSeed(masterSeed, index). */
     std::uint64_t seed = 0;
-    /** Worker slot executing this trial (informational only). */
-    unsigned worker = 0;
-    /** Per-trial simulated-cycle budget; 0 = unbounded. */
-    Cycles cycleBudget = 0;
     /**
-     * Machine configuration for this trial, produced by the spec's
-     * machineFactory (or default-constructed), with `seed` stamped to
-     * the trial seed.  The body constructs `os::Machine machine
+     * Machine configuration for this trial: the default config with
+     * `seed` stamped to the trial seed (and tracing on at
+     * ObsLevel::Trace).  The body constructs `os::Machine machine
      * (ctx.machine)` — one private machine per trial.
      */
     os::MachineConfig machine;
@@ -143,19 +127,6 @@ struct TrialContext
      * shared warmup's cycles are not charged to any trial's budget.
      */
     Cycles forkCycle = 0;
-
-    /**
-     * Throw TrialTimeout when @p used_cycles exceeds the budget.
-     *
-     * Boundary semantics: the budget is *inclusive* — a trial that
-     * consumes exactly cycleBudget cycles is admitted; the first
-     * cycle past it times out.  The runner's post-hoc check on
-     * TrialOutput::simCycles uses the same `>` comparison, and the
-     * machine's fast-forward path clamps clock jumps to run() /
-     * runUntil() limits, so a skip can never carry simCycles past
-     * the budget unobserved.
-     */
-    void checkBudget(Cycles used_cycles) const;
 };
 
 /** What one trial hands back to the runner. */
@@ -227,8 +198,14 @@ struct CampaignSpec
     std::uint64_t masterSeed = 42;
     /** Worker threads; 0 = hardware_concurrency (clamped to trials). */
     unsigned workers = 0;
-    /** Per-trial simulated-cycle budget; 0 = unbounded.  A trial whose
-     *  reported simCycles exceeds this is recorded as TimedOut. */
+    /**
+     * Per-trial simulated-cycle budget; 0 = unbounded.  After the body
+     * returns, a trial whose reported simCycles exceeds this is
+     * recorded as TimedOut.  The budget is *inclusive*: exactly
+     * cycleBudget cycles is Ok.  The machine's fast-forward path
+     * clamps clock jumps to run() / runUntil() limits, so a skip can
+     * never carry simCycles past a limit the body ran to.
+     */
     Cycles cycleBudget = 0;
     /**
      * Extra attempts granted to a trial whose body *throws*.  Attempt
@@ -301,7 +278,7 @@ struct CampaignSpec
      * carry the same non-empty structureKey.  Empty (the default)
      * means "anonymous": the cache is flushed at every
      * TrialExecutor::beginCampaign, restoring the one-campaign scoping
-     * CampaignRunner always had.  Registry recipes set this to the
+     * of an in-process runCampaign.  Registry recipes set this to the
      * recipe name (plus any param that changes warmup behavior beyond
      * structure), which is what keeps a service worker's Machine pool
      * hot across same-shaped campaigns.
@@ -317,24 +294,16 @@ struct CampaignSpec
      * trials stay small.  Incompatible with checkpointDir: per-trial
      * checkpoints serialize full results *before* the post-merge drop,
      * which would silently reintroduce exactly the work this flag
-     * promises to skip — the constructor rejects the combination.
+     * promises to skip — runCampaign rejects the combination.
      */
     bool perTrialMetrics = true;
 
     /**
-     * Optional factory producing the MachineConfig for a trial (sweep
-     * ROB sizes, defenses, cache geometry...).  The runner stamps the
-     * trial seed into the returned config unless the factory assigned
-     * a seed itself — os::Seed tracks assignment explicitly, so even
-     * deliberately choosing the default value (42) counts as "set"
-     * and is honoured.
-     */
-    std::function<os::MachineConfig(const TrialContext &)> machineFactory;
-
-    /**
      * Optional progress callback, invoked as (completed, total) each
-     * time a trial finishes.  Called from worker threads under the
-     * runner's lock, in completion (not index) order; keep it cheap.
+     * time a trial finishes executing; trials restored from a
+     * checkpoint count towards `completed` but are not reported.
+     * Called from worker threads under the runner's lock, in
+     * completion (not index) order; keep it cheap.
      */
     std::function<void(std::size_t, std::size_t)> progress;
 
@@ -434,7 +403,7 @@ struct CampaignResult
 /**
  * The per-worker trial execution engine (DESIGN.md §12/§13): owns the
  * pooled Machine and the post-warmup snapshot cache, and runs one
- * trial at a time of whatever spec it is handed.  CampaignRunner
+ * trial at a time of whatever spec it is handed.  runCampaign
  * creates one per worker thread; the campaign service's worker
  * processes keep ONE alive across campaigns, which is what keeps
  * pre-warmed Machine pools hot between same-structured submissions.
@@ -462,8 +431,8 @@ class TrialExecutor
     void beginCampaign(const CampaignSpec &spec);
 
     /** Run trial @p index of @p spec, including the spec's retry
-     *  policy.  `worker` is informational (lands in ctx.worker and
-     *  tags this trial's trace spill file). */
+     *  policy.  `worker` is informational: it tags this trial's trace
+     *  spill file. */
     TrialResult runTrial(const CampaignSpec &spec, std::size_t index,
                          unsigned worker);
 
@@ -492,7 +461,7 @@ class CampaignCheckpoint;
 /**
  * Fold @p results (which must be in trial-index order) into a
  * CampaignAggregate, one CampaignAggregate::add each.  Shared by
- * CampaignRunner and the campaign service so a service-dispatched
+ * runCampaign and the campaign service so a service-dispatched
  * campaign aggregates bit-identically to an in-process run of the
  * same spec.
  */
@@ -520,7 +489,8 @@ std::string fnv1aHex(const std::string &s);
 
 /**
  * Run trials [lo, hi) of @p spec serially on the calling thread — the
- * campaign service's shard execution entry point.  For each index:
+ * one trial loop, shared by runCampaign's worker threads (one claimed
+ * index at a time) and the campaign service's shards.  For each index:
  * when @p checkpoint is non-null and holds a valid persisted trial,
  * that result is restored instead of executed (emit's `restored` is
  * true); otherwise the trial runs on @p exec and, when @p checkpoint
@@ -532,9 +502,9 @@ std::string fnv1aHex(const std::string &s);
  * a worker whose shard is being split polls its control socket there.
  * Returns the number of trials emitted.
  *
- * @p worker is informational: it lands in TrialContext::worker and
- * tags trace spill files (results are worker-invariant either way —
- * the established fingerprint contract).
+ * @p worker is informational: it tags trace spill files (results are
+ * worker-invariant either way — the established fingerprint
+ * contract).
  */
 std::size_t runShardRange(
     const CampaignSpec &spec, std::size_t lo, std::size_t hi,
@@ -544,7 +514,7 @@ std::size_t runShardRange(
     unsigned worker = 0);
 
 /**
- * Runs a CampaignSpec over a thread pool.
+ * Run every trial of @p spec over a thread pool and aggregate.
  *
  * Robustness contract (in addition to per-trial Failed/TimedOut
  * results): a worker thread that dies mid-campaign — a throwing
@@ -554,23 +524,10 @@ std::size_t runShardRange(
  * worker claimed but never completed; determinism is unaffected
  * because a trial's result depends only on its seed.
  *
- * The constructor validates the spec and throws std::invalid_argument
- * for a missing trial body or a zero trial count.
+ * Throws std::invalid_argument, before running anything, for a
+ * missing trial body, a zero trial count, or perTrialMetrics = false
+ * with a checkpointDir.
  */
-class CampaignRunner
-{
-  public:
-    explicit CampaignRunner(CampaignSpec spec);
-
-    /** Execute every trial and aggregate.  Callable repeatedly; each
-     *  call re-runs the whole campaign. */
-    CampaignResult run();
-
-  private:
-    CampaignSpec spec_;
-};
-
-/** One-shot convenience wrapper. */
 CampaignResult runCampaign(CampaignSpec spec);
 
 /** Serialize a Summary (count/mean/stddev/min/max) to JSON. */

@@ -413,7 +413,7 @@ CampaignCheckpoint::CampaignCheckpoint(const CampaignSpec &spec)
                   name_.c_str(), dir_.c_str());
 
     // Fresh start: stale trial files (possibly from a campaign with a
-    // different trial count) must not be picked up by load().
+    // different trial count) must not be picked up by loadTrial().
     for (const auto &entry :
          std::filesystem::directory_iterator(dir_, ec)) {
         const std::string file = entry.path().filename().string();
@@ -460,28 +460,6 @@ CampaignCheckpoint::loadTrial(std::size_t index) const
         return std::nullopt;
     }
     return trial;
-}
-
-std::size_t
-CampaignCheckpoint::load(std::vector<TrialResult> &results,
-                         std::vector<char> &done) const
-{
-    if (!resuming_)
-        return 0;
-    std::size_t restored = 0;
-    for (std::size_t index = 0; index < trials_; ++index) {
-        std::optional<TrialResult> trial = loadTrial(index);
-        if (!trial)
-            continue;
-        results[index] = std::move(*trial);
-        done[index] = 1;
-        ++restored;
-    }
-    if (restored)
-        log_.info("campaign '%s': resumed %zu of %zu trials from "
-                  "'%s'",
-                  name_.c_str(), restored, trials_, dir_.c_str());
-    return restored;
 }
 
 void

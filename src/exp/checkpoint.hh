@@ -44,7 +44,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/fsio.hh"
 #include "exp/campaign.hh"
@@ -73,26 +72,16 @@ class CampaignCheckpoint
     bool resuming() const { return resuming_; }
 
     /**
-     * Restore every persisted trial into @p results / @p done (both
-     * sized to the trial count).  A file that is missing, corrupt, or
-     * whose seed does not match the derivation for its index is
-     * skipped with a warning — the trial simply re-runs.  Returns the
-     * number of trials restored.
-     */
-    std::size_t load(std::vector<TrialResult> &results,
-                     std::vector<char> &done) const;
-
-    /**
      * Restore one trial, or nullopt when it must (re-)run.  This is
-     * the shard-resume primitive (exp::runShardRange, the campaign
-     * service): a missing file is a trial that never completed; a
-     * truncated, non-parseable, or otherwise invalid file — index
-     * mismatch, a seed that does not match the derivation for this
-     * index, a persisted Failed status (store() never writes those) —
-     * is logged as a warning and treated exactly like a missing one,
-     * so a torn checkpoint costs re-running *that trial*, never an
-     * aborted campaign.  Inert (always nullopt) when resuming() is
-     * false.
+     * the resume primitive of exp::runShardRange (runCampaign's
+     * workers, the campaign service's shards): a missing file is a
+     * trial that never completed; a truncated, non-parseable, or
+     * otherwise invalid file — index mismatch, a seed that does not
+     * match the derivation for this index, a persisted Failed status
+     * (store() never writes those) — is logged as a warning and
+     * treated exactly like a missing one, so a torn checkpoint costs
+     * re-running *that trial*, never an aborted campaign.  Inert
+     * (always nullopt) when resuming() is false.
      */
     std::optional<TrialResult> loadTrial(std::size_t index) const;
 

@@ -173,8 +173,7 @@ FaultInjector::firePreemption(Cycles at)
     // The victim context is drawn even when the core is absent or the
     // context turns out idle, so the schedule stream never depends on
     // machine occupancy.
-    const unsigned num_ctx =
-        core_ ? core_->config().numContexts : 1;
+    const unsigned num_ctx = core_ ? cpu::kNumContexts : 1;
     const auto ctx = static_cast<unsigned>(rngPreempt_.below(num_ctx));
     ++stats_.preemptions;
     if (core_)

@@ -30,36 +30,6 @@
 namespace uscope::os
 {
 
-/**
- * Master seed with an explicit "was assigned" signal.
- *
- * Converts implicitly to/from std::uint64_t so existing code
- * (`config.seed = 7`, `config.seed * 3 + 1`) keeps working, but any
- * assignment — even of the default value 42 — flips explicitlySet.
- * Consumers that want to stamp their own seed only when the user left
- * the default (e.g. exp::CampaignRunner's per-trial derived seeds)
- * check explicitlySet instead of comparing against the default value,
- * which misfired for factories that deliberately chose 42.
- */
-struct Seed
-{
-    constexpr Seed() = default;
-    constexpr Seed(std::uint64_t v) : value(v), explicitlySet(true) {}
-
-    constexpr Seed &
-    operator=(std::uint64_t v)
-    {
-        value = v;
-        explicitlySet = true;
-        return *this;
-    }
-
-    constexpr operator std::uint64_t() const { return value; }
-
-    std::uint64_t value = 42;
-    bool explicitlySet = false;
-};
-
 /** Physical memory of every machine (pages materialise on write). */
 constexpr std::uint64_t kPhysMemBytes = std::uint64_t{1} << 32;
 
@@ -78,7 +48,7 @@ struct MachineConfig
      */
     fault::FaultPlan fault = fault::FaultPlan::environmentDefault();
     /** Master seed; sub-components derive their own streams. */
-    Seed seed;
+    std::uint64_t seed = 42;
 };
 
 /**

@@ -9,7 +9,7 @@
  * count, master seed, cycle budget, retry policy, recipe-specific
  * params).  Both ends — the daemon's workers and any in-process
  * baseline — rebuild the spec through the same buildSpec() call, so a
- * service-dispatched campaign and a local CampaignRunner run of the
+ * service-dispatched campaign and a local exp::runCampaign run of the
  * same request execute literally the same closures and produce
  * byte-identical fingerprints.  That shared construction path is the
  * root of every determinism guarantee the service makes: the

@@ -641,6 +641,7 @@ struct Scheduler::Impl
                 json::Value::object()
                     .set("id", slot.id)
                     .set("pid", static_cast<std::int64_t>(slot.pid))
+                    .set("connected", slot.connected)
                     .set("busy", slot.busy)
                     .set("spawns", slot.spawns)
                     .set("kills", slot.kills)

@@ -1,8 +1,9 @@
 # Counts the settable values of the simulator: the data members of
-# every *Config, *Plan, *Options, *Costs and *Tunables struct under
-# the source directory given as -DSOURCE_DIR=.  A `static` or
-# `constexpr` member, a member function and an operator are not
-# settable; a nested config (MachineConfig::core) counts as one.
+# every *Config, *Plan, *Options, *Costs, *Tunables, *Spec and *Recipe
+# struct under the source directory given as -DSOURCE_DIR=.  A
+# `static` or `constexpr` member, a member function and an operator
+# are not settable; a nested config (MachineConfig::core) and a
+# std::function data member (CampaignSpec::body) count as one.
 # Prints one line per struct and the total.  With -DEXPECTED=N it fails
 # unless the total is N: the Config.SettableValuesPinned ratchet, so a
 # change that adds or removes a settable value updates the pin in
@@ -35,7 +36,7 @@ foreach(file IN LISTS files)
     foreach(line IN LISTS lines)
         math(EXPR number "${number} + 1")
         if(name STREQUAL "")
-            if(line MATCHES "^[ \t]*(struct|class)[ \t]+([A-Za-z0-9_]*(Config|Plan|Options|Costs|Tunables))[ \t]*(:.*)?$")
+            if(line MATCHES "^[ \t]*(struct|class)[ \t]+([A-Za-z0-9_]*(Config|Plan|Options|Costs|Tunables|Spec|Recipe))[ \t]*(:.*)?$")
                 set(name "${CMAKE_MATCH_2}")
                 set(at ${number})
                 set(depth 0)
@@ -51,6 +52,9 @@ foreach(file IN LISTS files)
                 AND NOT line MATCHES "^(using|static|constexpr|friend|typedef|enum|return|[*}]|/[*])"
                 AND NOT line MATCHES "operator")
             string(REGEX REPLACE "=.*" "" head "${line}")
+            # A std::function member's type holds parentheses; the
+            # name after it must not (a member function returning one).
+            string(REGEX REPLACE "^std::function<.*>[ \t]+" "" head "${head}")
             if(NOT head MATCHES "[(]")
                 math(EXPR members "${members} + 1")
             endif()

@@ -34,6 +34,7 @@
 #include "cpu/program.hh"
 #include "every_cycle.hh"
 #include "exp/campaign.hh"
+#include "fault_pinned.hh"
 #include "fault/plan.hh"
 #include "os/machine.hh"
 
@@ -275,16 +276,12 @@ runMatrixCampaign(const char *name, const TrialFn &trial, bool diff,
     spec.trials = 3;
     spec.masterSeed = 7;
     spec.workers = workers;
-    spec.machineFactory = [chaos](const exp::TrialContext &) {
-        os::MachineConfig config;
-        config.fault =
-            chaos ? fault::FaultPlan::chaos() : fault::FaultPlan{};
-        return config;
-    };
     spec.body = [&trial, diff, runner](const exp::TrialContext &ctx) {
         return trial(ctx, diff, runner);
     };
-    return exp::runCampaign(std::move(spec));
+    return exp::runCampaign(test::withFaultPlan(
+        std::move(spec),
+        chaos ? fault::FaultPlan::chaos() : fault::FaultPlan{}));
 }
 
 /**

@@ -39,6 +39,7 @@
 #include "cpu/program.hh"
 #include "every_cycle.hh"
 #include "exp/campaign.hh"
+#include "fault_pinned.hh"
 #include "fault/plan.hh"
 #include "os/machine.hh"
 #include "svc/registry.hh"
@@ -57,10 +58,9 @@ namespace
 using exp::deterministicFingerprint;
 
 /**
- * A registry recipe with an explicit machine: the fault plan comes
- * from the spec's machine factory.  The plan is pinned even when
- * empty, so a USCOPE_FAULT_PLAN=chaos environment cannot make the
- * quiet campaigns noisy.
+ * A registry recipe on an explicit fault plan.  The plan is pinned
+ * even when empty, so a USCOPE_FAULT_PLAN=chaos environment cannot
+ * make the quiet campaigns noisy.
  */
 exp::CampaignSpec
 recipeSpec(const char *recipe, const char *name, std::size_t trials,
@@ -70,13 +70,9 @@ recipeSpec(const char *recipe, const char *name, std::size_t trials,
     request.recipe = recipe;
     request.name = name;
     request.trials = trials;
-    exp::CampaignSpec spec = svc::buildSpec(request);
+    exp::CampaignSpec spec =
+        test::withFaultPlan(svc::buildSpec(request), plan);
     spec.workers = workers;
-    spec.machineFactory = [plan](const exp::TrialContext &) {
-        os::MachineConfig config;
-        config.fault = plan;
-        return config;
-    };
     return spec;
 }
 
@@ -214,19 +210,17 @@ faultThenIdleSkip(os::Machine &machine, const Runner &runner)
 using Prelude = void (*)(os::Machine &, const Runner &);
 
 /**
- * Run @p prelude on a quiet machine with @p contexts SMT contexts,
- * then a divide loop on every context for a fixed span, both through
- * @p runner: the SMT issue rotation settles each divider conflict, so
- * the metrics snapshot after it reads the core's RNG stream.
- * @p reseed swaps that stream out between the two, for the control
- * that shows it does.
+ * Run @p prelude on a quiet machine, then a divide loop on both SMT
+ * contexts for a fixed span, both through @p runner: the SMT issue
+ * rotation settles each divider conflict, so the metrics snapshot
+ * after it reads the core's RNG stream.  @p reseed swaps that stream
+ * out between the two, for the control that shows it does.
  */
 std::pair<std::string, Cycles>
-preludeThenContend(unsigned contexts, Prelude prelude,
-                   const Runner &runner, bool reseed = false)
+preludeThenContend(Prelude prelude, const Runner &runner,
+                   bool reseed = false)
 {
     os::MachineConfig config;
-    config.core.numContexts = contexts;
     config.costs.faultBase = kHandlerCycles;
     config.fault = fault::FaultPlan{};
     os::Machine machine(config);
@@ -234,7 +228,7 @@ preludeThenContend(unsigned contexts, Prelude prelude,
     if (reseed)
         machine.core().reseed(0x5EED);
     auto &kernel = machine.kernel();
-    for (unsigned ctx = 0; ctx < contexts; ++ctx) {
+    for (unsigned ctx = 0; ctx < cpu::kNumContexts; ++ctx) {
         const os::Pid pid =
             kernel.createProcess("div" + std::to_string(ctx));
         // Loop bodies of different lengths: how the divider is split
@@ -253,21 +247,12 @@ preludeThenContend(unsigned contexts, Prelude prelude,
 
 /** Fast-forward leaves the same snapshot as a cycle-by-cycle run. */
 void
-expectStreamKept(unsigned contexts, Prelude prelude)
+expectStreamKept(Prelude prelude)
 {
-    const auto baseline =
-        preludeThenContend(contexts, prelude, kEveryCycle);
-    EXPECT_EQ(preludeThenContend(contexts, prelude, kMachineLoop),
-              baseline)
-        << contexts << " contexts";
-    // With one context the rotation has nothing to decide; with more,
-    // a different stream must show, or the check above is vacuous.
-    if (contexts > 1) {
-        EXPECT_NE(
-            preludeThenContend(contexts, prelude, kMachineLoop, true),
-            baseline)
-            << contexts << " contexts";
-    }
+    const auto baseline = preludeThenContend(prelude, kEveryCycle);
+    EXPECT_EQ(preludeThenContend(prelude, kMachineLoop), baseline);
+    // A different stream must show, or the check above is vacuous.
+    EXPECT_NE(preludeThenContend(prelude, kMachineLoop, true), baseline);
 }
 
 /** What the replay scenario leaves behind. */
@@ -459,20 +444,17 @@ TEST(FastForward, RngStreamMatchesCycleByCycleRun)
 
 TEST(FastForward, IdleSkipPastTheJumpThresholdKeepsTheStream)
 {
-    expectStreamKept(2, idleSkip);
+    expectStreamKept(idleSkip);
 }
 
 TEST(FastForward, SkippedFaultHandlerKeepsTheStream)
 {
-    expectStreamKept(2, faultHandlerSkip);
+    expectStreamKept(faultHandlerSkip);
 }
 
-TEST(FastForward, OneAndThreeContextsKeepTheStream)
+TEST(FastForward, FaultThenIdleSkipKeepsTheStream)
 {
-    // One context jumps like two; three cannot (below(3) may reject
-    // draws), so it replays each draw and must agree all the same.
-    for (const unsigned contexts : {1u, 3u})
-        expectStreamKept(contexts, faultThenIdleSkip);
+    expectStreamKept(faultThenIdleSkip);
 }
 
 TEST(FastForward, ReplayScenarioMatchesEveryCycleRun)

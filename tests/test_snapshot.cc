@@ -521,7 +521,7 @@ TEST(MachineFork, StructuralMismatchIsRejected)
 {
     os::Machine machine;
     os::MachineConfig other = machine.config();
-    other.core.numContexts = machine.config().core.numContexts + 1;
+    other.core.robPerContext = machine.config().core.robPerContext + 1;
     const os::Machine different(other);
     EXPECT_THROW(machine.restoreFrom(different.snapshot()),
                  std::exception);
@@ -875,7 +875,7 @@ TEST(PerTrialMetrics, IncompatibleWithCheckpointDir)
     exp::CampaignSpec spec = prefixCampaign(true, true, 1);
     spec.perTrialMetrics = false;
     spec.checkpointDir = "/tmp/uscope-test-never-created";
-    EXPECT_THROW(exp::CampaignRunner{std::move(spec)},
+    EXPECT_THROW(exp::runCampaign(std::move(spec)),
                  std::invalid_argument);
 }
 

@@ -11,7 +11,7 @@
  *  - End-to-end determinism: a real daemon (in a thread) with real
  *    worker *processes* (fork + exec of this very test binary — see
  *    main() below) must produce fingerprints byte-identical to
- *    in-process CampaignRunner runs of the same request.
+ *    in-process exp::runCampaign runs of the same request.
  *  - The hard cases the service exists for: a worker SIGKILLed
  *    mid-shard (steal + checkpoint-resume must keep the fingerprint
  *    byte-identical), and two clients submitting concurrently (each
@@ -76,6 +76,8 @@
 #include "svc/shard.hh"
 #include "svc/wire.hh"
 #include "svc/worker.hh"
+
+#include "fault_pinned.hh"
 
 using namespace uscope;
 
@@ -526,7 +528,7 @@ TEST(SvcRegistry, BuildAppliesOverrides)
 TEST(SvcRegistry, RecipesHonourMachineFactory)
 {
     // The simulator recipes build their attack machines from the
-    // trial's config, so a spec's machine factory reaches them: an
+    // trial's config, so a plan pinned there reaches them: an
     // explicit empty plan keeps them quiet (even under a chaos
     // USCOPE_FAULT_PLAN), a dense one makes interrupts fire.
     fault::FaultPlan dense;
@@ -539,13 +541,9 @@ TEST(SvcRegistry, RecipesHonourMachineFactory)
         request.params = json::Value::object()
                              .set("samples", 40)
                              .set("replays", 2);
-        exp::CampaignSpec spec = svc::buildSpec(request);
+        exp::CampaignSpec spec =
+            test::withFaultPlan(svc::buildSpec(request), plan);
         spec.workers = 1;
-        spec.machineFactory = [plan](const exp::TrialContext &) {
-            os::MachineConfig config;
-            config.fault = plan;
-            return config;
-        };
         const exp::CampaignResult result = exp::runCampaign(spec);
         const obs::MetricValue *fired =
             result.aggregate.metrics.find("fault.interrupts");
@@ -582,13 +580,9 @@ TEST(SvcRegistry, GoldenRecipeFingerprints)
         request.recipe = golden.recipe;
         request.trials = golden.trials;
         request.masterSeed = 42;
-        exp::CampaignSpec spec = svc::buildSpec(request);
+        exp::CampaignSpec spec =
+            test::withFaultPlan(svc::buildSpec(request), {});
         spec.workers = 1;
-        spec.machineFactory = [](const exp::TrialContext &) {
-            os::MachineConfig config;
-            config.fault = fault::FaultPlan{};
-            return config;
-        };
         EXPECT_EQ(exp::fnv1aHex(exp::deterministicFingerprint(
                       exp::runCampaign(spec))),
                   golden.fingerprint)
@@ -788,23 +782,51 @@ TEST(SvcService, FingerprintMatchesInProcessRun)
     EXPECT_EQ(restored, 0u);
 }
 
+/** Poll @p client's stats until all @p workers said hello; false if
+ *  they have not within 30 s. */
+bool
+awaitWorkersConnected(svc::Client &client, unsigned workers)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline) {
+        const auto stats = client.stats();
+        const json::Value *table =
+            stats ? stats->get("worker_table") : nullptr;
+        unsigned connected = 0;
+        if (table)
+            for (const json::Value &worker : table->items())
+                if (const json::Value *c = worker.get("connected"))
+                    connected += c->asBool() ? 1 : 0;
+        if (connected == workers)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
+}
+
 TEST(SvcService, WorkerKilledMidShardResumesBitIdentically)
 {
-    // Worker 0's first incarnation SIGKILLs itself after 3 trials —
-    // mid-shard, checkpoint files on disk, no goodbye.  The daemon
-    // must detect the death, return the shard, respawn, and the
-    // inheriting worker must restore the dead worker's completed
-    // trials from the checkpoint and run the rest — with a final
+    // Worker 0's first incarnation SIGKILLs itself after its first
+    // trial — mid-shard, a checkpoint file on disk, no goodbye.  The
+    // daemon must detect the death, return the shard, respawn, and
+    // the inheriting worker must restore the dead worker's completed
+    // trial from the checkpoint and run the rest — with a final
     // fingerprint byte-identical to an uninterrupted in-process run.
+    //
+    // The death is certain: both workers are connected before the
+    // submit, so worker 0 is dispatched a shard, and a steal never
+    // takes a shard's first trial (the victim keeps the lower half).
     svc::DaemonConfig config;
     config.socketPath = uniquePath("kill");
     config.workers = 2;
     config.stateDir = uniquePath("killstate");
-    config.worker0DieAfter = 3;
+    config.worker0DieAfter = 1;
     DaemonFixture daemon(std::move(config));
 
     svc::Client client(daemon.config.socketPath);
     ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(awaitWorkersConnected(client, 2));
 
     const svc::CampaignRequest request = selftestRequest(32, 9);
     const svc::SubmitResult result = client.submit(request);
